@@ -29,22 +29,37 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True)
+@dataclass(frozen=True, order=True, slots=True)
 class IrrLabel:
     """An irreducible, identified by a provider-unique id string.
 
     ``dim`` is the classical/quantum-independent integer dimension used by
     the ring-level machinery (restriction counts, dimension ideals).
+
+    Equality, ordering and hashing use ``(id, dim)`` only.  ``key`` is the
+    structure behind the id (a level, a word, a pair of factor labels),
+    owned by the provider that made the label and left out of every
+    comparison; a label built by hand has no key.
     """
 
     id: str
     dim: int
+    key: object = field(default=None, compare=False, repr=False)
+    _hash: int = field(init=False, compare=False, repr=False)
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("empty label id")
         if self.dim < 1:
             raise ValueError(f"label {self.id!r} has dim {self.dim} < 1")
+        object.__setattr__(self, "_hash", hash((self.id, self.dim)))
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __reduce__(self):
+        # String hashes differ between processes: unpickling hashes afresh.
+        return (IrrLabel, (self.id, self.dim, self.key))
 
 
 def canonical_key(label: IrrLabel) -> tuple[int, str]:
@@ -219,12 +234,41 @@ class FusionProvider(ABC):
 
     ``decompose`` results are memoized on the instance, so backends
     implement ``_decompose`` and must treat labels as immutable.
+
+    Labels compare by ``(id, dim)``; their ``key`` belongs to the provider.
+    A backend with structured labels makes one label per key and instance
+    through ``_label`` (which asks the backend's ``_spell`` for the id and
+    dim of a new key), and its methods read ``key_of(u)`` instead of
+    parsing ``u.id``.  ``parse_label`` is the only parser: it turns text
+    into labels, and ``key_of`` sends every label the instance did not
+    make (another instance's, or one built by hand) through it.
     """
 
     name: str = "ring"
 
     def __init__(self):
         self._decompose_cache: dict[tuple[IrrLabel, IrrLabel], Decomposition] = {}
+        self._interned: dict[object, IrrLabel] = {}
+
+    def _label(self, key) -> IrrLabel:
+        """This instance's label for ``key``, spelled on first use."""
+        lab = self._interned.get(key)
+        if lab is None:
+            lab = self._interned[key] = IrrLabel(*self._spell(key), key)
+        return lab
+
+    def _spell(self, key) -> tuple[str, int]:
+        """Id and dim of the label for ``key``; keyed backends implement it."""
+        raise NotImplementedError
+
+    def key_of(self, u: IrrLabel):
+        """Key of this instance's label equal to ``u``; raises UnknownLabel."""
+        if self._interned.get(u.key) is u:
+            return u.key
+        own = self.parse_label(u.id)
+        if own.dim != u.dim:
+            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
+        return own.key
 
     @abstractmethod
     def unit(self) -> IrrLabel:

@@ -1,6 +1,6 @@
 """Ring backends: finite tables, word groups, ladder rings, free monoid rings, products."""
 
-from .au import AuProvider, AuWordLabel, au_ring
+from .au import AuProvider, au_ring
 from .products import (
     DirectProductProvider,
     FreeProductProvider,
@@ -8,7 +8,7 @@ from .products import (
     free_product,
 )
 from .su2 import SO3Provider, SU2Provider, so3_ring, suq2_ring
-from .su11 import UqSU11Label, UqSU11Provider, uq_su11_ring
+from .su11 import UqSU11Provider, uq_su11_ring
 from .tables import (
     FiniteGroupProvider,
     FiniteTableProvider,
@@ -22,7 +22,6 @@ from .words import WordGroupProvider, WordGroupSpec, parse_word_group_spec, word
 
 __all__ = [
     "AuProvider",
-    "AuWordLabel",
     "au_ring",
     "DirectProductProvider",
     "FreeProductProvider",
@@ -32,7 +31,6 @@ __all__ = [
     "SU2Provider",
     "so3_ring",
     "suq2_ring",
-    "UqSU11Label",
     "UqSU11Provider",
     "uq_su11_ring",
     "FiniteGroupProvider",

@@ -1,9 +1,9 @@
 """Fusion ring on the free monoid over a generator and its conjugate.
 
 Irreducibles are words over ``u`` and ``U`` (``U`` = conjugate
-generator); the unit is the empty word ``e``.  Products concatenate,
-plus a recursive cancellation term whenever the junction letters are a
-conjugate pair:
+generator), and the word is the label's key; the unit is the empty word,
+spelled ``e``.  Products concatenate, plus a cancellation term whenever
+the junction letters are a conjugate pair:
 
     (x a) (x) (b y) = x a b y                      if a == b
     (x a) (x) (b y) = x a b y + x (x) y            if a != b
@@ -12,7 +12,8 @@ Conjugation reverses the word and swaps the letters.  Dimensions depend
 on the generator dimension ``d`` through a second-order recursion along
 the word: a repeated letter multiplies by ``d``, an alternation
 multiplies by ``d`` and subtracts the dimension two steps back.  For
-``d = 2`` the alternating words give 1, 2, 3, 4, ...
+``d = 2`` the alternating words give 1, 2, 3, 4, ...  Ids are parsed
+only by ``parse_label``.
 """
 
 from __future__ import annotations
@@ -23,42 +24,10 @@ from itertools import product as _product
 from ..core import Decomposition, FusionProvider, IrrLabel
 from ..errors import BadParameter, UnknownLabel
 
-__all__ = ["AuWordLabel", "AuProvider", "au_ring"]
+__all__ = ["AuProvider", "au_ring"]
 
 
-_WORD_RE = re.compile(r"[uU]*$")
-
-
-class AuWordLabel:
-    """Validated word over {u, U}; empty word spelled ``e``."""
-
-    __slots__ = ("word",)
-
-    def __init__(self, word: str):
-        if word != "" and not _WORD_RE.match(word):
-            raise ValueError(f"bad word {word!r}")
-        self.word = word
-
-    @classmethod
-    def from_id(cls, text: str) -> "AuWordLabel":
-        return cls("" if text == "e" else text)
-
-    @property
-    def id(self) -> str:
-        return self.word or "e"
-
-    def blocks(self) -> int:
-        """Number of maximal same-letter runs."""
-        runs = 0
-        prev = None
-        for ch in self.word:
-            if ch != prev:
-                runs += 1
-                prev = ch
-        return runs
-
-    def balanced(self) -> bool:
-        return self.word.count("u") == self.word.count("U")
+_WORD_RE = re.compile(r"[uU]*")
 
 
 class AuProvider(FusionProvider):
@@ -75,55 +44,28 @@ class AuProvider(FusionProvider):
             raise BadParameter(f"generator dimension must be >= 2, got {d_gen}")
         self.d_gen = d_gen
         self.name = "au" if d_gen == 2 else f"au:{d_gen}"
-        self._dim_cache: dict[str, int] = {"": 1}
 
-    def _dim(self, word: str) -> int:
-        known = self._dim_cache.get(word)
-        if known is not None:
-            return known
+    def _spell(self, word: str) -> tuple[str, int]:
         d = self.d_gen
         prev2, prev1 = 0, 1
         for k, ch in enumerate(word):
             cur = d * prev1 - (prev2 if k > 0 and word[k - 1] != ch else 0)
             prev2, prev1 = prev1, cur
-        self._dim_cache[word] = prev1
-        return prev1
-
-    def _label(self, word: str) -> IrrLabel:
-        return IrrLabel(word or "e", self._dim(word))
-
-    def word_of(self, u: IrrLabel) -> str:
-        try:
-            word = AuWordLabel.from_id(u.id).word
-        except ValueError:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}") from None
-        if self._dim(word) != u.dim:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
-        return word
+        return word or "e", prev1
 
     def unit(self) -> IrrLabel:
         return self._label("")
 
     def conj(self, u: IrrLabel) -> IrrLabel:
-        word = self.word_of(u)
-        swapped = word[::-1].swapcase()
-        return self._label(swapped)
+        return self._label(self.key_of(u)[::-1].swapcase())
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        counts: dict[IrrLabel, int] = {}
-
-        def expand(w1: str, w2: str):
-            if not w1 or not w2:
-                lab = self._label(w1 + w2)
-                counts[lab] = counts.get(lab, 0) + 1
-                return
-            lab = self._label(w1 + w2)
-            counts[lab] = counts.get(lab, 0) + 1
-            if w1[-1] != w2[0]:
-                expand(w1[:-1], w2[1:])
-
-        expand(self.word_of(u), self.word_of(v))
-        return Decomposition(counts)
+        w1, w2 = self.key_of(u), self.key_of(v)
+        words = [w1 + w2]
+        while w1 and w2 and w1[-1] != w2[0]:
+            w1, w2 = w1[:-1], w2[1:]
+            words.append(w1 + w2)
+        return Decomposition({self._label(w): 1 for w in words})
 
     def enumerate(self, count: int) -> list[IrrLabel]:
         out = [self._label("")]
@@ -137,13 +79,13 @@ class AuProvider(FusionProvider):
         return out[:count]
 
     def label_size(self, u: IrrLabel) -> int:
-        return max(1, AuWordLabel.from_id(u.id).blocks())
+        word = self.key_of(u)
+        return 1 + sum(a != b for a, b in zip(word, word[1:]))
 
     def parse_label(self, text: str) -> IrrLabel:
-        try:
-            word = AuWordLabel.from_id(text).word
-        except ValueError:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}") from None
+        word = "" if text == "e" else text
+        if not _WORD_RE.fullmatch(word):
+            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
         return self._label(word)
 
     def balanced_generator_family(self, d: int) -> list[IrrLabel]:

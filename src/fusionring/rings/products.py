@@ -4,11 +4,14 @@ Free-product irreducibles are alternating words whose letters are
 non-unit irreducibles of either factor; the product of two words
 concatenates when the junction letters live in different factors, and
 otherwise merges the junction through the factor's own decomposition,
-with the unit coefficient recursing on the shortened words.  This rule
+with the unit coefficient carrying on to the shortened words.  This rule
 is exercised, not trusted: the axiom harness runs over every built
 product ring.
 
 Direct-product irreducibles are pairs, with componentwise structure.
+
+A label's key is its word of ``(factor index, factor label)`` letters or
+its pair of factor labels; ids are parsed only by ``parse_label``.
 """
 
 from __future__ import annotations
@@ -42,35 +45,21 @@ class FreeProductProvider(FusionProvider):
         super().__init__()
         self.factors: tuple[FusionProvider, FusionProvider] = (left, right)
         self.name = f"free({left.name},{right.name})"
-        self._unit = IrrLabel("e", 1)
-        self._words: dict[str, FWord] = {"e": ()}
-        self._render_cache: dict[FLetter, str] = {}
-        self._mul_cache: dict[tuple[FWord, FWord], dict[FWord, int]] = {}
 
     # -- rendering and parsing --------------------------------------------
 
-    def _render_letter(self, letter: FLetter) -> str:
-        cached = self._render_cache.get(letter)
-        if cached is not None:
-            return cached
-        k, lab = letter
+    def _spell(self, word: FWord) -> tuple[str, int]:
+        dim = math.prod(lab.dim for _, lab in word)
+        if len(word) != 1:
+            # A letter is spelled as the id of its one-letter word.
+            return ".".join(self._label((l,)).id for l in word) or "e", dim
+        k, lab = word[0]
         try:
             self.factors[1 - k].parse_label(lab.id)
         except UnknownLabel:
-            text = lab.id
-        else:
-            # Both factors know this id; keep the rendering unambiguous.
-            text = f"{k}:{lab.id}"
-        self._render_cache[letter] = text
-        return text
-
-    def _label(self, word: FWord) -> IrrLabel:
-        if not word:
-            return self._unit
-        text = ".".join(self._render_letter(l) for l in word)
-        dim = math.prod(lab.dim for _, lab in word)
-        self._words[text] = word
-        return IrrLabel(text, dim)
+            return lab.id, dim
+        # Both factors know this id; keep the rendering unambiguous.
+        return f"{k}:{lab.id}", dim
 
     def _parse_word(self, text: str) -> FWord:
         if text == "e":
@@ -102,53 +91,42 @@ class FreeProductProvider(FusionProvider):
             word.append((k, lab))
         return tuple(word)
 
-    def word_of(self, u: IrrLabel) -> FWord:
-        word = self._words.get(u.id)
-        if word is None:
-            word = self._parse_word(u.id)
-            self._words[u.id] = word
-        if math.prod(lab.dim for _, lab in word) != u.dim:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
-        return word
-
     # -- provider interface ------------------------------------------------
 
     def unit(self) -> IrrLabel:
-        return self._unit
+        return self._label(())
 
     def conj(self, u: IrrLabel) -> IrrLabel:
-        word = self.word_of(u)
+        word = self.key_of(u)
         return self._label(tuple((k, self.factors[k].conj(lab)) for k, lab in reversed(word)))
 
     def _mul_words(self, w1: FWord, w2: FWord) -> dict[FWord, int]:
-        if not w1:
-            return {w2: 1}
-        if not w2:
-            return {w1: 1}
-        key = (w1, w2)
-        hit = self._mul_cache.get(key)
-        if hit is not None:
-            return hit
-        (k1, la), (k2, lb) = w1[-1], w2[0]
-        if k1 != k2:
-            out = {w1 + w2: 1}
-        else:
-            factor = self.factors[k1]
+        """Product of two words: merge junctions inward while they cancel.
+
+        Each step merges ``w1[:a]``'s last letter with ``w2[b:]``'s first;
+        the unit coefficient ``scale`` carries on to the shortened words.
+        """
+        out: dict[FWord, int] = {}
+        a, b, scale = len(w1), 0, 1
+        while a and b < len(w2) and w1[a - 1][0] == w2[b][0]:
+            k, la = w1[a - 1]
+            factor = self.factors[k]
             funit = factor.unit()
-            out: dict[FWord, int] = {}
-            for c, mult in factor.decompose(la, lb):
+            dec = factor.decompose(la, w2[b][1])
+            for c, mult in dec:
                 if c != funit:
-                    word = w1[:-1] + ((k1, c),) + w2[1:]
-                    out[word] = out.get(word, 0) + mult
-            unit_mult = factor.decompose(la, lb).multiplicity(funit)
-            if unit_mult:
-                for word, mult in self._mul_words(w1[:-1], w2[1:]).items():
-                    out[word] = out.get(word, 0) + unit_mult * mult
-        self._mul_cache[key] = out
+                    word = w1[: a - 1] + ((k, c),) + w2[b + 1 :]
+                    out[word] = out.get(word, 0) + scale * mult
+            scale *= dec.multiplicity(funit)
+            if not scale:
+                return out
+            a, b = a - 1, b + 1
+        word = w1[:a] + w2[b:]
+        out[word] = out.get(word, 0) + scale
         return out
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        prod = self._mul_words(self.word_of(u), self.word_of(v))
+        prod = self._mul_words(self.key_of(u), self.key_of(v))
         return Decomposition({self._label(w): m for w, m in prod.items()})
 
     def _letters(self, window: int) -> list[tuple[tuple[int, int], FLetter]]:
@@ -163,7 +141,7 @@ class FreeProductProvider(FusionProvider):
         return out
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        out = [self._unit]
+        out = [self.unit()]
         letters = self._letters(count)
         current: list[tuple[tuple, FWord]] = [((), ())]
         length = 1
@@ -193,7 +171,7 @@ class FreeProductProvider(FusionProvider):
         return math.inf
 
     def label_size(self, u: IrrLabel) -> int:
-        word = self.word_of(u)
+        word = self.key_of(u)
         return sum(max(1, self.factors[k].label_size(lab)) for k, lab in word)
 
     def parse_label(self, text: str) -> IrrLabel:
@@ -212,7 +190,7 @@ class FreeProductProvider(FusionProvider):
         factor = self.factors[factor_index]
         scalar = 1
         out = VirtualElement.of(factor.unit())
-        for k, lab in self.word_of(u):
+        for k, lab in self.key_of(u):
             if k == factor_index:
                 out = factor.multiply_virtual(out, VirtualElement.of(lab))
             else:
@@ -231,21 +209,10 @@ class DirectProductProvider(FusionProvider):
         super().__init__()
         self.factors = (left, right)
         self.name = f"prod({left.name},{right.name})"
-        self._pairs: dict[str, tuple[IrrLabel, IrrLabel]] = {}
 
-    def _label(self, a: IrrLabel, b: IrrLabel) -> IrrLabel:
-        text = f"({a.id},{b.id})"
-        self._pairs[text] = (a, b)
-        return IrrLabel(text, a.dim * b.dim)
-
-    def pair_of(self, u: IrrLabel) -> tuple[IrrLabel, IrrLabel]:
-        pair = self._pairs.get(u.id)
-        if pair is None:
-            pair = self._parse_pair(u.id)
-            self._pairs[u.id] = pair
-        if pair[0].dim * pair[1].dim != u.dim:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
-        return pair
+    def _spell(self, pair: tuple[IrrLabel, IrrLabel]) -> tuple[str, int]:
+        a, b = pair
+        return f"({a.id},{b.id})", a.dim * b.dim
 
     def _parse_pair(self, text: str) -> tuple[IrrLabel, IrrLabel]:
         if not (text.startswith("(") and text.endswith(")")):
@@ -265,19 +232,19 @@ class DirectProductProvider(FusionProvider):
         raise UnknownLabel(f"{self.name}: bad pair id {text!r}")
 
     def unit(self) -> IrrLabel:
-        return self._label(self.factors[0].unit(), self.factors[1].unit())
+        return self._label((self.factors[0].unit(), self.factors[1].unit()))
 
     def conj(self, u: IrrLabel) -> IrrLabel:
-        a, b = self.pair_of(u)
-        return self._label(self.factors[0].conj(a), self.factors[1].conj(b))
+        a, b = self.key_of(u)
+        return self._label((self.factors[0].conj(a), self.factors[1].conj(b)))
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        a1, b1 = self.pair_of(u)
-        a2, b2 = self.pair_of(v)
+        a1, b1 = self.key_of(u)
+        a2, b2 = self.key_of(v)
         counts: dict[IrrLabel, int] = {}
         for wa, ma in self.factors[0].decompose(a1, a2):
             for wb, mb in self.factors[1].decompose(b1, b2):
-                counts[self._label(wa, wb)] = ma * mb
+                counts[self._label((wa, wb))] = ma * mb
         return Decomposition(counts)
 
     def enumerate(self, count: int) -> list[IrrLabel]:
@@ -290,7 +257,7 @@ class DirectProductProvider(FusionProvider):
             lo = max(0, total - len(wb) + 1)
             hi = min(total, len(wa) - 1)
             for i in range(lo, hi + 1):
-                out.append(self._label(wa[i], wb[total - i]))
+                out.append(self._label((wa[i], wb[total - i])))
                 if len(out) >= count:
                     return out
         return out
@@ -302,15 +269,14 @@ class DirectProductProvider(FusionProvider):
         return na * nb
 
     def label_size(self, u: IrrLabel) -> int:
-        a, b = self.pair_of(u)
+        a, b = self.key_of(u)
         return self.factors[0].label_size(a) + self.factors[1].label_size(b)
 
     def parse_label(self, text: str) -> IrrLabel:
-        a, b = self._parse_pair(text)
-        return self._label(a, b)
+        return self._label(self._parse_pair(text))
 
     def order_oracle(self, u: IrrLabel) -> int | float:
-        a, b = self.pair_of(u)
+        a, b = self.key_of(u)
         try:
             oa = self.factors[0].order_oracle(a)
             ob = self.factors[1].order_oracle(b)

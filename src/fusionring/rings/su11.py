@@ -1,15 +1,16 @@
 """Fusion ring with a sign-graded double ladder.
 
-Irreducibles are pairs (sign, level): ids ``u+<n>`` and ``u-<n>``, both
-of dimension ``n + 1``.  Level 0 gives two group-like elements, the unit
-``u+0`` and an order-two element ``u-0``.  Products follow the ladder
-ring on levels while signs compose through a fourth-root-of-unity
-grading: the sign attached to (eps, n) is ``eps * i^n``, and the product
-sign is read off from multiplying those phases.  Concretely the output
-sign is ``-eps*delta`` when both levels are odd and ``eps*delta``
-otherwise, constant across the ladder.
+Irreducibles are pairs (sign, level), which are also their keys: ids
+``u+<n>`` and ``u-<n>``, both of dimension ``n + 1``.  Level 0 gives two
+group-like elements, the unit ``u+0`` and an order-two element ``u-0``.
+Products follow the ladder ring on levels while signs compose through a
+fourth-root-of-unity grading: the sign attached to (eps, n) is
+``eps * i^n``, and the product sign is read off from multiplying those
+phases.  Concretely the output sign is ``-eps*delta`` when both levels
+are odd and ``eps*delta`` otherwise, constant across the ladder.
 
-Conjugation fixes even levels and flips the sign on odd ones.
+Conjugation fixes even levels and flips the sign on odd ones.  Ids are
+parsed only by ``parse_label``.
 """
 
 from __future__ import annotations
@@ -19,39 +20,10 @@ import re
 from ..core import Decomposition, FusionProvider, IrrLabel
 from ..errors import UnknownLabel
 
-__all__ = ["UqSU11Label", "UqSU11Provider", "uq_su11_ring"]
+__all__ = ["UqSU11Provider", "uq_su11_ring"]
 
 
 _ID_RE = re.compile(r"u([+-])(0|[1-9]\d*)$")
-
-
-class UqSU11Label:
-    """Helper pair (sign, level) <-> label id; sign is +1 or -1."""
-
-    __slots__ = ("sign", "level")
-
-    def __init__(self, sign: int, level: int):
-        if sign not in (1, -1):
-            raise ValueError(f"sign must be +-1, got {sign!r}")
-        if level < 0:
-            raise ValueError(f"level must be >= 0, got {level!r}")
-        self.sign = sign
-        self.level = level
-
-    @classmethod
-    def from_id(cls, text: str) -> "UqSU11Label":
-        match = _ID_RE.match(text)
-        if match is None:
-            raise ValueError(f"bad id {text!r}")
-        return cls(1 if match.group(1) == "+" else -1, int(match.group(2)))
-
-    @property
-    def id(self) -> str:
-        return f"u{'+' if self.sign == 1 else '-'}{self.level}"
-
-    @property
-    def dim(self) -> int:
-        return self.level + 1
 
 
 class UqSU11Provider(FusionProvider):
@@ -60,51 +32,42 @@ class UqSU11Provider(FusionProvider):
     name = "uqsu11"
 
     def unit(self) -> IrrLabel:
-        return self._at(1, 0)
+        return self._label((1, 0))
 
-    def _at(self, sign: int, level: int) -> IrrLabel:
-        return IrrLabel(UqSU11Label(sign, level).id, level + 1)
-
-    def signed_level(self, u: IrrLabel) -> tuple[int, int]:
-        try:
-            pair = UqSU11Label.from_id(u.id)
-        except ValueError:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}") from None
-        if pair.dim != u.dim:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
-        return pair.sign, pair.level
+    def _spell(self, key: tuple[int, int]) -> tuple[str, int]:
+        sign, level = key
+        return f"u{'+' if sign == 1 else '-'}{level}", level + 1
 
     def conj(self, u: IrrLabel) -> IrrLabel:
-        sign, n = self.signed_level(u)
-        return self._at(-sign if n % 2 else sign, n)
+        sign, n = self.key_of(u)
+        return self._label((-sign if n % 2 else sign, n))
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        eps, n = self.signed_level(u)
-        delta, m = self.signed_level(v)
+        eps, n = self.key_of(u)
+        delta, m = self.key_of(v)
         out_sign = -eps * delta if (n % 2 and m % 2) else eps * delta
         return Decomposition(
-            {self._at(out_sign, k): 1 for k in range(abs(n - m), n + m + 1, 2)}
+            {self._label((out_sign, k)): 1 for k in range(abs(n - m), n + m + 1, 2)}
         )
 
     def enumerate(self, count: int) -> list[IrrLabel]:
         out = []
         level = 0
         while len(out) < count:
-            out.append(self._at(1, level))
+            out.append(self._label((1, level)))
             if len(out) < count:
-                out.append(self._at(-1, level))
+                out.append(self._label((-1, level)))
             level += 1
         return out
 
     def label_size(self, u: IrrLabel) -> int:
-        return self.signed_level(u)[1]
+        return self.key_of(u)[1]
 
     def parse_label(self, text: str) -> IrrLabel:
-        try:
-            pair = UqSU11Label.from_id(text)
-        except ValueError:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}") from None
-        return self._at(pair.sign, pair.level)
+        match = _ID_RE.match(text)
+        if match is None:
+            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
+        return self._label((1 if match.group(1) == "+" else -1, int(match.group(2))))
 
 
 def uq_su11_ring() -> UqSU11Provider:

@@ -1,10 +1,10 @@
 """Fusion rings with one self-conjugate generator: SU_q(2) and its even part.
 
-Labels carry a nonnegative integer level.  The full ring has one
-irreducible ``u<n>`` of dimension ``n + 1`` per level, with the familiar
-truncation-free product ladder; the even part relabels the even levels
-as ``v<k>`` of dimension ``2k + 1`` and its ladder runs over every
-intermediate level.
+Labels carry a nonnegative integer level as their key.  The full ring
+has one irreducible ``u<n>`` of dimension ``n + 1`` per level, with the
+familiar truncation-free product ladder; the even part relabels the even
+levels as ``v<k>`` of dimension ``2k + 1`` and its ladder runs over every
+intermediate level.  Ids are parsed only by ``parse_label``.
 """
 
 from __future__ import annotations
@@ -24,36 +24,30 @@ class SU2Provider(FusionProvider):
     _id_re = re.compile(r"u(0|[1-9]\d*)$")
 
     def unit(self) -> IrrLabel:
-        return self._at(0)
+        return self._label(0)
 
-    def _at(self, n: int) -> IrrLabel:
-        return IrrLabel(f"u{n}", n + 1)
-
-    def level(self, u: IrrLabel) -> int:
-        match = self._id_re.match(u.id)
-        if not match or int(match.group(1)) + 1 != u.dim:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
-        return int(match.group(1))
+    def _spell(self, n: int) -> tuple[str, int]:
+        return f"u{n}", n + 1
 
     def conj(self, u: IrrLabel) -> IrrLabel:
-        self.level(u)
+        self.key_of(u)
         return u
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        m, n = self.level(u), self.level(v)
-        return Decomposition({self._at(k): 1 for k in range(abs(m - n), m + n + 1, 2)})
+        m, n = self.key_of(u), self.key_of(v)
+        return Decomposition({self._label(k): 1 for k in range(abs(m - n), m + n + 1, 2)})
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        return [self._at(n) for n in range(count)]
+        return [self._label(n) for n in range(count)]
 
     def label_size(self, u: IrrLabel) -> int:
-        return self.level(u)
+        return self.key_of(u)
 
     def parse_label(self, text: str) -> IrrLabel:
         match = self._id_re.match(text)
         if not match:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
-        return self._at(int(match.group(1)))
+        return self._label(int(match.group(1)))
 
 
 class SO3Provider(FusionProvider):
@@ -63,36 +57,30 @@ class SO3Provider(FusionProvider):
     _id_re = re.compile(r"v(0|[1-9]\d*)$")
 
     def unit(self) -> IrrLabel:
-        return self._at(0)
+        return self._label(0)
 
-    def _at(self, k: int) -> IrrLabel:
-        return IrrLabel(f"v{k}", 2 * k + 1)
-
-    def level(self, u: IrrLabel) -> int:
-        match = self._id_re.match(u.id)
-        if not match or 2 * int(match.group(1)) + 1 != u.dim:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
-        return int(match.group(1))
+    def _spell(self, k: int) -> tuple[str, int]:
+        return f"v{k}", 2 * k + 1
 
     def conj(self, u: IrrLabel) -> IrrLabel:
-        self.level(u)
+        self.key_of(u)
         return u
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        j, k = self.level(u), self.level(v)
-        return Decomposition({self._at(i): 1 for i in range(abs(j - k), j + k + 1)})
+        j, k = self.key_of(u), self.key_of(v)
+        return Decomposition({self._label(i): 1 for i in range(abs(j - k), j + k + 1)})
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        return [self._at(k) for k in range(count)]
+        return [self._label(k) for k in range(count)]
 
     def label_size(self, u: IrrLabel) -> int:
-        return self.level(u)
+        return self.key_of(u)
 
     def parse_label(self, text: str) -> IrrLabel:
         match = self._id_re.match(text)
         if not match:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
-        return self._at(int(match.group(1)))
+        return self._label(int(match.group(1)))
 
 
 def suq2_ring() -> SU2Provider:

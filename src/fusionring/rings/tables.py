@@ -110,8 +110,6 @@ class FiniteTableProvider(FusionProvider):
 class FiniteGroupProvider(FiniteTableProvider):
     """Group ring of a finite group; every basis element is invertible."""
 
-    group_like = True
-
     def __init__(self, name, unit_id, dims, conj, table, mul):
         super().__init__(name, unit_id, dims, conj, table)
         self._mul = mul

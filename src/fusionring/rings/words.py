@@ -3,10 +3,11 @@
 Elements are reduced words over one generator per factor: factor ``k``
 contributes the letter ``chr(97 + k)``, with exponents normalized to
 ``1..m-1`` for a finite factor of order ``m`` and to nonzero integers for
-an infinite factor.  Ids render exponents as ``a^2``, ``a^-1``; the
-identity is ``e``.  Every basis element is invertible, so decompositions
-are single labels and the tensor-order oracle is exact (cyclic
-reduction).
+an infinite factor.  The reduced word is the label's key; ids render
+exponents as ``a^2``, ``a^-1``, the identity is ``e``, and ids are
+parsed only by ``parse_label``.  Every basis element is invertible, so
+decompositions are single labels and the tensor-order oracle is exact
+(cyclic reduction).
 """
 
 from __future__ import annotations
@@ -59,13 +60,10 @@ class WordGroupProvider(FusionProvider):
     lexicographically.  ``label_size`` is the same weight.
     """
 
-    group_like = True
-
     def __init__(self, spec: WordGroupSpec):
         super().__init__()
         self.spec = spec
         self.name = f"word:{spec.describe()}"
-        self._unit = IrrLabel("e", 1)
 
     # -- word arithmetic ---------------------------------------------------
 
@@ -103,49 +101,20 @@ class WordGroupProvider(FusionProvider):
     def _word_key(self, w: Word):
         return (self._weight(w), len(w), tuple((k, *self._exp_key(e)) for k, e in w))
 
-    def _render(self, w: Word) -> str:
-        if not w:
-            return "e"
-        return "".join(
-            chr(97 + k) + ("" if e == 1 else f"^{e}") for k, e in w
-        )
-
-    def _label(self, w: Word) -> IrrLabel:
-        return IrrLabel(self._render(w), 1)
-
-    def word_of(self, u: IrrLabel) -> Word:
-        """Reduced word behind a label; validates the id."""
-        if u.id == "e":
-            return ()
-        word: list[Letter] = []
-        pos = 0
-        for match in _LETTER_RE.finditer(u.id):
-            if match.start() != pos:
-                raise UnknownLabel(f"{self.name}: bad label {u.id!r}")
-            pos = match.end()
-            k = ord(match.group(1)) - 97
-            if k >= len(self.spec.factors):
-                raise UnknownLabel(f"{self.name}: no factor for letter {match.group(1)!r}")
-            e = int(match.group(2) or 1)
-            if self._norm_exp(k, e) != e or e == 0:
-                raise UnknownLabel(f"{self.name}: exponent {e} not normalized in {u.id!r}")
-            if word and word[-1][0] == k:
-                raise UnknownLabel(f"{self.name}: word {u.id!r} is not reduced")
-            word.append((k, e))
-        if pos != len(u.id):
-            raise UnknownLabel(f"{self.name}: bad label {u.id!r}")
-        return tuple(word)
+    def _spell(self, w: Word) -> tuple[str, int]:
+        text = "".join(chr(97 + k) + ("" if e == 1 else f"^{e}") for k, e in w)
+        return text or "e", 1
 
     # -- provider interface ------------------------------------------------
 
     def unit(self) -> IrrLabel:
-        return self._unit
+        return self._label(())
 
     def conj(self, u: IrrLabel) -> IrrLabel:
-        return self._label(self._inv_word(self.word_of(u)))
+        return self._label(self._inv_word(self.key_of(u)))
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        return Decomposition({self._label(self._mul_words(self.word_of(u), self.word_of(v))): 1})
+        return Decomposition({self._label(self._mul_words(self.key_of(u), self.key_of(v))): 1})
 
     def _letters_of_weight(self, j: int) -> list[Letter]:
         letters = []
@@ -192,13 +161,31 @@ class WordGroupProvider(FusionProvider):
         return math.inf
 
     def label_size(self, u: IrrLabel) -> int:
-        return self._weight(self.word_of(u))
+        return self._weight(self.key_of(u))
 
     def parse_label(self, text: str) -> IrrLabel:
         if not text:
             raise UnknownLabel(f"{self.name}: empty label")
-        word = self.word_of(IrrLabel(text, 1))
-        return self._label(word)
+        if text == "e":
+            return self.unit()
+        word: list[Letter] = []
+        pos = 0
+        for match in _LETTER_RE.finditer(text):
+            if match.start() != pos:
+                raise UnknownLabel(f"{self.name}: bad label {text!r}")
+            pos = match.end()
+            k = ord(match.group(1)) - 97
+            if k >= len(self.spec.factors):
+                raise UnknownLabel(f"{self.name}: no factor for letter {match.group(1)!r}")
+            e = int(match.group(2) or 1)
+            if self._norm_exp(k, e) != e or e == 0:
+                raise UnknownLabel(f"{self.name}: exponent {e} not normalized in {text!r}")
+            if word and word[-1][0] == k:
+                raise UnknownLabel(f"{self.name}: word {text!r} is not reduced")
+            word.append((k, e))
+        if pos != len(text):
+            raise UnknownLabel(f"{self.name}: bad label {text!r}")
+        return self._label(tuple(word))
 
     def order_oracle(self, u: IrrLabel) -> int | float:
         """Exact tensor order, by cyclic reduction.
@@ -207,7 +194,7 @@ class WordGroupProvider(FusionProvider):
         infinite order; length 1 reduces to the cyclic factor; length 0
         is the identity.
         """
-        w = list(self.word_of(u))
+        w = list(self.key_of(u))
         while len(w) >= 2 and w[0][0] == w[-1][0]:
             k = w[0][0]
             e = self._norm_exp(k, w[-1][1] + w[0][1])
@@ -236,7 +223,7 @@ class WordGroupProvider(FusionProvider):
         reduced in the free product of the infinite factors.
         """
         out: list[Letter] = []
-        for k, e in self.word_of(u):
+        for k, e in self.key_of(u):
             if self.spec.factors[k] != math.inf:
                 continue
             if out and out[-1][0] == k:
@@ -256,12 +243,20 @@ class WordGroupProvider(FusionProvider):
         """
         return not self.kill_finite_factors(u)
 
-    def power(self, u: IrrLabel, n: int) -> IrrLabel:
-        w: Word = ()
-        base = self.word_of(u)
-        for _ in range(n):
-            w = self._mul_words(w, base)
-        return self._label(w)
+    def stage_one_exponent(self, u: IrrLabel, bound: int) -> int | None:
+        """Least ``n <= bound`` with ``u^n`` in stage one, or None.
+
+        The quotient is a homomorphism, so the image of ``u^n`` is the
+        n-th power of the image of ``u``: each step multiplies the image
+        so far by that of ``u`` instead of forming ``u^n`` in the group.
+        """
+        base = self.kill_finite_factors(u)
+        image = base
+        for n in range(1, bound + 1):
+            if not image:
+                return n
+            image = self._mul_words(image, base)
+        return None
 
 
 def word_group(spec: WordGroupSpec | list | tuple) -> WordGroupProvider:

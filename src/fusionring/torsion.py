@@ -424,13 +424,9 @@ def _n_sequence_words(provider: WordGroupProvider, budget: Budget, exponent_boun
 
     counterexample = None
     for g in window:
-        if provider.stage_one_contains(g):
-            continue
-        for n in range(2, exponent_bound + 1):
-            if provider.stage_one_contains(provider.power(g, n)):
-                counterexample = f"{g.id}^{n}"
-                break
-        if counterexample:
+        n = provider.stage_one_exponent(g, exponent_bound)
+        if n is not None and n > 1:
+            counterexample = f"{g.id}^{n}"
             break
 
     stage_labels = [u for u in window if provider.stage_one_contains(u)]

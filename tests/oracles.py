@@ -233,3 +233,22 @@ QINT_AT_MINUS_HALF = {
     3: Fraction(21, 4),
     4: Fraction(-85, 8),
 }
+
+
+# ---------------------------------------------------------------------------
+# stage one of the torsion-closure sequence by forming powers
+
+
+def power_stage_one_exponent(provider, g, bound: int):
+    """Least n <= bound with g^n in stage one, None when there is none.
+
+    Forms each power g^n in the ring itself and tests it with
+    ``stage_one_contains`` (the kill-finite-factors image is trivial): the
+    search the n-sequence ran before it multiplied images instead.
+    """
+    acc = provider.unit()
+    for n in range(1, bound + 1):
+        (acc, _mult), = provider.decompose(acc, g)
+        if provider.stage_one_contains(acc):
+            return n
+    return None

@@ -189,3 +189,19 @@ def test_uq_verify_alias_and_negative_q(capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["ok"] is True
     assert doc["report"]["q"] == -2 / 3
+
+
+def test_deep_au_cancellation_exits_cleanly(capsys):
+    assert main(["decompose", "--ring", "au", "u" * 1500, "U" * 1500, "--json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["report"]["terms"]
+    assert len(terms) == 1501
+    assert [i for i, _m in terms[:2]] == ["e", "uU"]
+
+
+def test_deep_free_product_cancellation_exits_cleanly(capsys):
+    # 1200 junctions cancel in turn: a.a -> e, then v1.v1 -> v0 + v1 + v2.
+    left, right = ".".join(["a", "v1"] * 600), ".".join(["v1", "a"] * 600)
+    assert main(["decompose", "--ring", "free(so3,word:Z2)", left, right, "--json"]) == 0
+    terms = json.loads(capsys.readouterr().out)["report"]["terms"]
+    assert len(terms) == 1201
+    assert terms[0] == ["e", 1]
