@@ -24,6 +24,7 @@ from .errors import (
     BadParameter,
     FusionError,
     InvalidRing,
+    NotFinite,
     ParseError,
     UnknownLabel,
     UnsupportedProvider,
@@ -297,6 +298,8 @@ def _cmd_dimideal(args) -> int:
     provider = parse_provider(args.ring)
     if args.labels:
         given = [provider.parse_label(s) for s in _split_labels(args.labels)]
+    elif not isinstance(provider.num_irreducibles, int):
+        raise NotFinite(f"{provider.name}: dimension-ideal recovery needs a finite ring")
     else:
         given = list(provider.enumerate(provider.num_irreducibles))
     report = dimension_ideal_recover(provider, given)

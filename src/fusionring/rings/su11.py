@@ -23,7 +23,7 @@ from ..errors import UnknownLabel
 __all__ = ["UqSU11Provider", "uq_su11_ring"]
 
 
-_ID_RE = re.compile(r"u([+-])(0|[1-9]\d*)$")
+_ID_RE = re.compile(r"u([+-])(0|[1-9]\d*)")
 
 
 class UqSU11Provider(FusionProvider):
@@ -64,7 +64,7 @@ class UqSU11Provider(FusionProvider):
         return self.key_of(u)[1]
 
     def parse_label(self, text: str) -> IrrLabel:
-        match = _ID_RE.match(text)
+        match = _ID_RE.fullmatch(text)
         if match is None:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
         return self._label((1 if match.group(1) == "+" else -1, int(match.group(2))))

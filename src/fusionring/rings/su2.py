@@ -21,7 +21,7 @@ class SU2Provider(FusionProvider):
     """One irreducible per level n >= 0; u_m (x) u_n runs |m-n| .. m+n by 2."""
 
     name = "suq2"
-    _id_re = re.compile(r"u(0|[1-9]\d*)$")
+    _id_re = re.compile(r"u(0|[1-9]\d*)")
 
     def unit(self) -> IrrLabel:
         return self._label(0)
@@ -44,7 +44,7 @@ class SU2Provider(FusionProvider):
         return self.key_of(u)
 
     def parse_label(self, text: str) -> IrrLabel:
-        match = self._id_re.match(text)
+        match = self._id_re.fullmatch(text)
         if not match:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
         return self._label(int(match.group(1)))
@@ -54,7 +54,7 @@ class SO3Provider(FusionProvider):
     """Even-level part of the ladder ring, relabeled; v_j (x) v_k runs |j-k| .. j+k."""
 
     name = "so3"
-    _id_re = re.compile(r"v(0|[1-9]\d*)$")
+    _id_re = re.compile(r"v(0|[1-9]\d*)")
 
     def unit(self) -> IrrLabel:
         return self._label(0)
@@ -77,7 +77,7 @@ class SO3Provider(FusionProvider):
         return self.key_of(u)
 
     def parse_label(self, text: str) -> IrrLabel:
-        match = self._id_re.match(text)
+        match = self._id_re.fullmatch(text)
         if not match:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
         return self._label(int(match.group(1)))

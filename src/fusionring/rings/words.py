@@ -98,9 +98,6 @@ class WordGroupProvider(FusionProvider):
     def _exp_key(e: int) -> tuple[int, int]:
         return (abs(e), 0 if e > 0 else 1)
 
-    def _word_key(self, w: Word):
-        return (self._weight(w), len(w), tuple((k, *self._exp_key(e)) for k, e in w))
-
     def _spell(self, w: Word) -> tuple[str, int]:
         text = "".join(chr(97 + k) + ("" if e == 1 else f"^{e}") for k, e in w)
         return text or "e", 1
@@ -135,23 +132,31 @@ class WordGroupProvider(FusionProvider):
         all_finite = len(finite_weights) == len(self.spec.factors)
         words: list[Word] = [()]
         by_weight: dict[int, list[Word]] = {0: [()]}
+        letters: list[list[Letter]] = [[]]  # letters[j] weigh j
+        letter_key: dict[Letter, tuple[int, int, int]] = {}
         for weight in _count(1):
             if len(words) >= count:
                 break
+            heaviest = min(weight, max_lw) if all_finite else weight
+            while len(letters) <= heaviest:
+                letters.append(self._letters_of_weight(len(letters)))
+                letter_key.update((lt, (lt[0], *self._exp_key(lt[1]))) for lt in letters[-1])
             layer: list[Word] = []
-            for j in range(1, weight + 1):
+            for j in range(1, heaviest + 1):
                 for stem in by_weight.get(weight - j, ()):
-                    for letter in self._letters_of_weight(j):
+                    for letter in letters[j]:
                         if stem and stem[-1][0] == letter[0]:
                             continue
                         layer.append(stem + (letter,))
+            # Layers come in weight order, so sorting each one by length,
+            # then letters, gives the documented order without re-weighing.
+            layer.sort(key=lambda w: (len(w), tuple(map(letter_key.__getitem__, w))))
             by_weight[weight] = layer
             words.extend(layer)
             if all_finite and all(
                 not by_weight.get(weight - j) for j in range(max_lw)
             ):
                 break
-        words.sort(key=self._word_key)
         return [self._label(w) for w in words[:count]]
 
     @property

@@ -11,6 +11,16 @@ of basis makes them star-preserving.
 Everything is double precision with a pinned residual tolerance; rank
 decisions use a hard relative singular-value gap and refuse to answer
 without one.
+
+Hom spaces come by two routes.  ``intertwiner_space`` solves the full
+Kronecker system T a(X) = b(X) T for X in {E, F, K}; it is the general
+route and the reference.  ``fusion_crosscheck`` counts multiplicities by
+highest weights instead: K is diagonal in the tensor basis, so the
+multiplicity of an irreducible with highest weight lam is the nullity of
+E on the lam-eigenspace of K, a block of at most min(n, m) + 1 columns.
+Each block's rank obeys the same gap and tolerance rules, and a pair
+whose K is not diagonal, or whose weights sit too close to lam to sort,
+goes through the full system.
 """
 
 from __future__ import annotations
@@ -27,7 +37,6 @@ from .errors import BadParameter, IllConditioned
 __all__ = [
     "RESIDUAL_TOL",
     "SV_GAP",
-    "QInt",
     "q_int",
     "RepMatrices",
     "build_pi",
@@ -62,18 +71,6 @@ def q_int(k: int, q):
     if k == 0:
         return q * 0
     return (q**k - q**-k) / (q - 1 / q)
-
-
-@dataclass(frozen=True)
-class QInt:
-    """A q-integer with its evaluation point remembered."""
-
-    k: int
-    value: object
-
-    @classmethod
-    def at(cls, k: int, q) -> "QInt":
-        return cls(k, q_int(k, q))
 
 
 def _validate_q(q) -> float:
@@ -355,20 +352,14 @@ def _nullity_at(s: np.ndarray, tol: float, scale: float) -> int:
     return int(np.sum(s <= tol * scale))
 
 
-def intertwiner_space(a: RepMatrices, b: RepMatrices, tol: float = RESIDUAL_TOL) -> IntertwinerSpace:
-    """Solutions T of T a(X) = b(X) T for X in {E, F, K}, by SVD nullspace.
+def _stable_nullity(s: np.ndarray, tol: float) -> int:
+    """Nullity of a matrix with no more columns than rows, from its
+    descending singular values ``s``.
 
     The rank decision demands a relative gap of SV_GAP between the kept
     and discarded singular values and must not move when the tolerance
     shifts a decade either way; otherwise IllConditioned.
     """
-    da, db = a.dim, b.dim
-    Ia, Ib = np.eye(da), np.eye(db)
-    blocks = []
-    for rep_a, rep_b in ((a.E, b.E), (a.F, b.F), (a.K, b.K)):
-        blocks.append(np.kron(Ib, rep_a.T) - np.kron(rep_b, Ia))
-    M = np.vstack(blocks)
-    _, s, vh = np.linalg.svd(M)  # M is tall, so len(s) == db * da
     scale = s[0] if s.size and s[0] > 0 else 1.0
     nullity = _nullity_at(s, tol, scale)
     for other in (tol / 10, tol * 10):
@@ -376,7 +367,7 @@ def intertwiner_space(a: RepMatrices, b: RepMatrices, tol: float = RESIDUAL_TOL)
             raise IllConditioned(
                 f"nullity flips between tolerances {tol / 10:g} and {tol * 10:g}"
             )
-    total = db * da
+    total = s.size
     if 0 < nullity < total:
         smallest_kept = s[total - nullity - 1]
         largest_null = s[total - nullity]
@@ -384,9 +375,58 @@ def intertwiner_space(a: RepMatrices, b: RepMatrices, tol: float = RESIDUAL_TOL)
             raise IllConditioned(
                 f"singular-value gap {smallest_kept / largest_null:.3g} below {SV_GAP:g}"
             )
+    return nullity
+
+
+def intertwiner_space(a: RepMatrices, b: RepMatrices, tol: float = RESIDUAL_TOL) -> IntertwinerSpace:
+    """Solutions T of T a(X) = b(X) T for X in {E, F, K}, by SVD nullspace.
+
+    The rank decision follows the module's rules (``_stable_nullity``):
+    a relative gap of SV_GAP between the kept and discarded singular
+    values, stable when the tolerance shifts a decade either way;
+    otherwise IllConditioned.
+    """
+    da, db = a.dim, b.dim
+    Ia, Ib = np.eye(da), np.eye(db)
+    blocks = []
+    for rep_a, rep_b in ((a.E, b.E), (a.F, b.F), (a.K, b.K)):
+        blocks.append(np.kron(Ib, rep_a.T) - np.kron(rep_b, Ia))
+    M = np.vstack(blocks)
+    # M is tall, so len(s) == db * da and vh is square without the full U
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    nullity = _stable_nullity(s, tol)
+    total = db * da
     # null vectors are columns of V, i.e. conjugated rows of vh
     basis = [vh[row].conj().reshape(db, da) for row in range(total - nullity, total)]
     return IntertwinerSpace(dim=nullity, basis=basis, singular_values=s)
+
+
+def _weight_multiplicity(cand: RepMatrices, big: RepMatrices) -> int:
+    """dim Hom(cand, big) for an irreducible ladder model ``cand``.
+
+    ``cand``'s basis vector 0 is its highest-weight vector, of K-weight
+    lam = cand.K[0, 0].  Finite-dimensional modules are semisimple at
+    these q (no root of unity) and the highest weight fixes the
+    irreducible, so the multiplicity is the number of independent
+    vectors of weight lam that E kills: the nullity of E restricted to
+    the lam-eigenspace of K (Kassel, Quantum Groups, ch. VI-VII).  That
+    block has at most min(n, m) + 1 columns for a tensor product of
+    levels n and m, and its rank follows the same rules as
+    ``intertwiner_space``.
+
+    Where ``big.K`` is not exactly diagonal, or a diagonal entry of K is
+    neither equal to lam (within RESIDUAL_TOL / SV_GAP, relative) nor
+    clearly apart from it (at least RESIDUAL_TOL), the weight space
+    cannot be read off and the full ``intertwiner_space`` system answers
+    instead.
+    """
+    k_diag = np.diag(big.K)
+    lam = cand.K[0, 0]
+    apart = np.abs(k_diag - lam) / abs(lam)
+    same = apart <= RESIDUAL_TOL / SV_GAP
+    if np.count_nonzero(big.K - np.diag(k_diag)) or np.any(~same & (apart < RESIDUAL_TOL)):
+        return intertwiner_space(cand, big).dim
+    return _stable_nullity(np.linalg.svd(big.E[:, same], compute_uv=False), RESIDUAL_TOL)
 
 
 @dataclass
@@ -521,6 +561,11 @@ def fusion_crosscheck(n_max: int, q, *, t_branch: str = "principal") -> FusionCr
     For every ordered pair of irreducibles up to level n_max, decompose
     the matrix tensor product by counting intertwiners from each
     candidate irreducible, and compare with the symbolic decomposition.
+    Each count is the nullity of E on the candidate's highest-weight
+    space of K (``_weight_multiplicity``), under the same SV_GAP and
+    tolerance-flip refusals as ``intertwiner_space``, which answers
+    instead where K is not diagonal or its weights are too close to
+    sort (|q| near 1).
     """
     from .rings.su11 import uq_su11_ring
 
@@ -551,7 +596,7 @@ def fusion_crosscheck(n_max: int, q, *, t_branch: str = "principal") -> FusionCr
                     for k in range(n + m + 1):
                         for sigma in signs:
                             cand = rep(sigma, k)
-                            d = intertwiner_space(cand, big).dim
+                            d = _weight_multiplicity(cand, big)
                             if d:
                                 numeric[f"u{'+' if sigma == 1 else '-'}{k}"] = d
                     if numeric != symbolic:

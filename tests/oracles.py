@@ -252,3 +252,45 @@ def power_stage_one_exponent(provider, g, bound: int):
         if provider.stage_one_contains(acc):
             return n
     return None
+
+
+# ---------------------------------------------------------------------------
+# word-group enumeration by the weight loop that visits every letter weight
+
+
+def enumerate_words_reference(provider, count: int):
+    """The first ``count`` labels of a ``WordGroupProvider`` in its order.
+
+    Builds each weight layer from every lighter layer and every letter
+    weight up to the layer's own, asking the provider for the letters of
+    each weight afresh per stem, then sorts all words by weight, length
+    and letters: the loop ``enumerate`` ran before it capped letter
+    weights for finite-factor groups, listed each weight's letters once
+    and sorted layer by layer.
+    """
+
+    def word_key(w):
+        return (provider._weight(w), len(w), tuple((k, *provider._exp_key(e)) for k, e in w))
+
+    factors = provider.spec.factors
+    finite_weights = [m // 2 for m in factors if m != float("inf")]
+    max_lw = max(finite_weights, default=0)
+    all_finite = len(finite_weights) == len(factors)
+    words = [()]
+    by_weight = {0: [()]}
+    for weight in itertools.count(1):
+        if len(words) >= count:
+            break
+        layer = []
+        for j in range(1, weight + 1):
+            for stem in by_weight.get(weight - j, ()):
+                for letter in provider._letters_of_weight(j):
+                    if stem and stem[-1][0] == letter[0]:
+                        continue
+                    layer.append(stem + (letter,))
+        by_weight[weight] = layer
+        words.extend(layer)
+        if all_finite and all(not by_weight.get(weight - j) for j in range(max_lw)):
+            break
+    words.sort(key=word_key)
+    return [provider.parse_label(provider._spell(w)[0]) for w in words[:count]]

@@ -180,6 +180,13 @@ def test_dimideal_command(fixtures_dir, tmp_path, capsys):
     assert doc["report"]["recovered"] == ["sgn", "triv", "std"]
 
 
+def test_dimideal_on_infinite_ring_without_labels(capsys):
+    assert main(["dimideal", "--ring", "suq2"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: suq2: dimension-ideal recovery needs a finite ring\n"
+
+
 def test_uq_verify_alias_and_negative_q(capsys):
     assert main(["uq", "verify", "--q", "-1/2", "--nmax", "2"]) == 0
     out = capsys.readouterr().out

@@ -9,7 +9,7 @@ import pytest
 import oracles
 from fusionring import Budget, IrrLabel, UnknownLabel
 from fusionring.cli import parse_provider
-from fusionring.rings import so3_ring, suq2_ring, word_group
+from fusionring.rings import so3_ring, suq2_ring, uq_su11_ring, word_group
 from fusionring.torsion import n_sequence_cocommutative
 
 SPECS = [
@@ -88,6 +88,13 @@ def test_foreign_labels_raise_even_when_keys_collide():
             suq2.label_size(bad)
     # A key set by hand is not trusted: the id decides.
     assert suq2.label_size(IrrLabel("u3", 4, 5)) == 3
+
+
+def test_ladder_parsers_refuse_trailing_newlines():
+    for provider, text in ((suq2_ring(), "u3"), (so3_ring(), "v2"), (uq_su11_ring(), "u+1")):
+        assert provider.parse_label(text).id == text
+        with pytest.raises(UnknownLabel):
+            provider.parse_label(text + "\n")
 
 
 @pytest.mark.parametrize(

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from fusionring import uqnumeric
 from fusionring.errors import BadParameter, IllConditioned
 from fusionring.uqnumeric import (
-    QInt,
     RepMatrices,
+    _weight_multiplicity,
     build_pi,
     build_u,
     check_star,
@@ -34,7 +35,7 @@ def test_q_integers_match_hand_values():
         got = q_int(k, Fraction(-1, 2))
         assert got == expected
         assert isinstance(got, Fraction)
-    assert QInt.at(3, Fraction(-1, 2)).value == Fraction(21, 4)
+    assert q_int(3, Fraction(-1, 2)) == Fraction(21, 4)
 
 
 def test_q_int_rejects_degenerate_points():
@@ -233,6 +234,83 @@ def test_fusion_crosscheck_small_window():
     assert rep.ok
     assert rep.pairs_checked == 36
     assert rep.mismatches == []
+
+
+@pytest.mark.parametrize("branch", ["principal", "conjugate"])
+@pytest.mark.parametrize("q", [*Q_VALUES, Fraction(-1, 3), Fraction(-3, 2)], ids=str)
+def test_weight_multiplicity_matches_intertwiner_space(q, branch, monkeypatch):
+    oracle = intertwiner_space
+
+    def no_fallback(*args, **kwargs):
+        raise AssertionError("weight route fell back to intertwiner_space")
+
+    monkeypatch.setattr(uqnumeric, "intertwiner_space", no_fallback)
+    reps = {(s, k): build_u(s, k, q, t_branch=branch) for s in (1, -1) for k in range(11)}
+    signs = (1, -1)
+    for n in range(5):
+        for m in range(5):
+            for eps in signs:
+                for delta in signs:
+                    big = tensor_rep(reps[eps, n], reps[delta, m])
+                    for k in range(n + m + 3):
+                        for sigma in signs:
+                            cand = reps[sigma, k]
+                            assert _weight_multiplicity(cand, big) == oracle(cand, big).dim, (
+                                n, m, eps, delta, k, sigma,
+                            )
+
+
+def test_weight_multiplicity_falls_back_without_diagonal_k():
+    q = Fraction(-1, 2)
+    big = tensor_rep(build_u(1, 1, q), build_u(1, 2, q))
+    c, s = np.cos(0.3), np.sin(0.3)
+    P = np.eye(big.dim)
+    P[:2, :2] = [[c, -s], [s, c]]
+    rotated = RepMatrices(
+        n=None, E=P @ big.E @ P.T, F=P @ big.F @ P.T, K=P @ big.K @ P.T,
+        K_inv=P @ big.K_inv @ P.T, q=big.q, w=big.w, form_tag=big.form_tag,
+    )
+    for sign, k, expect in ((1, 1, 1), (1, 3, 1), (-1, 1, 0), (1, 2, 0)):
+        cand = build_u(sign, k, q)
+        assert _weight_multiplicity(cand, rotated) == expect
+        assert intertwiner_space(cand, rotated).dim == expect
+
+
+@pytest.mark.parametrize(
+    "singular_values, message",
+    [([1.0, 1.5e-9], "flips"), ([1.0, 2e-8, 3e-11], "gap")],
+)
+def test_weight_block_rank_decision_refuses(singular_values, message):
+    cand = _hand_rep([[0]], [[0]], [[1.0]])
+    cols = len(singular_values)
+    E = np.zeros((cols + 1, cols + 1))
+    E[:cols, :cols] = np.diag(singular_values)
+    big = _hand_rep(E, np.zeros_like(E), np.diag([1.0] * cols + [4.0]))
+    with pytest.raises(IllConditioned, match=message):
+        _weight_multiplicity(cand, big)
+
+
+@pytest.mark.parametrize("branch", ["principal", "conjugate"])
+def test_fusion_crosscheck_level_seven(branch):
+    rep = fusion_crosscheck(7, Fraction(-1, 2), t_branch=branch)
+    assert rep.ok, rep.mismatches[:2]
+    assert rep.pairs_checked == 256
+
+
+def test_fusion_crosscheck_near_minus_one_falls_back(monkeypatch):
+    # weights q^2 apart differ by 2e-11 relative: too close to sort, so
+    # those candidates go through the full intertwiner system
+    calls = []
+
+    def counted(a, b):
+        calls.append((a.dim, b.dim))
+        return intertwiner_space(a, b)
+
+    monkeypatch.setattr(uqnumeric, "intertwiner_space", counted)
+    rep = fusion_crosscheck(3, -(1 + Fraction(1, 10**11)))
+    assert rep.ok, rep.mismatches[:2]
+    assert rep.pairs_checked == 64
+    assert calls
 
 
 def test_full_verification_both_branches():

@@ -74,6 +74,20 @@ def test_enumerate_by_weight_layers():
     assert "a" in ids and "b" in ids and "b^-1" in ids
 
 
+@pytest.mark.parametrize(
+    "factors", [[2, 2], [3, math.inf], [2, math.inf], [math.inf, math.inf]], ids=str
+)
+def test_enumerate_matches_reference_loop(factors):
+    # The reference lists all words up to the first weight that reaches the
+    # window and sorts them by weight first, so its window w is the first w
+    # labels of its window 600.
+    want = oracles.enumerate_words_reference(word_group(factors), 600)
+    assert len(want) == 600
+    group = word_group(factors)
+    for window in range(1, 601):
+        assert group.enumerate(window) == want[:window], window
+
+
 def test_order_oracle_against_bruteforce():
     cases = [
         ([2, 2], ["e", "a", "b", "ab", "aba", "bab", "abab"]),
