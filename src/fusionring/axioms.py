@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import Budget, FusionProvider, IrrLabel, VirtualElement
+from .core import Budget, FusionProvider, VirtualElement
 
 __all__ = [
     "AxiomViolation",

@@ -131,7 +131,10 @@ def parse_budget(text: str | None) -> Budget:
             overrides[key] = int(value)
         except ValueError:
             raise ParseError(f"budget value for {key} must be an integer, got {value!r}") from None
-    return budget.replace(**overrides)
+    try:
+        return budget.replace(**overrides)
+    except ValueError as exc:
+        raise ParseError(f"bad budget: {exc}") from None
 
 
 def _split_labels(text: str) -> list[str]:

@@ -11,7 +11,7 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass
 
-from .core import Budget, Decomposition, FusionProvider, IrrLabel, VirtualElement, canonical_sort
+from .core import Budget, Decomposition, FusionProvider, IrrLabel, VirtualElement
 from .errors import UnsupportedProvider
 from .rings.products import FreeProductProvider
 from .torsion import (
@@ -20,6 +20,7 @@ from .torsion import (
     NormalityViolation,
     Subcategory,
     TorsionScanReport,
+    _conjugate,
     normality_consistency,
     torsion_subcategory,
 )
@@ -173,24 +174,11 @@ class ComponentReport:
 def _non_normal_witness(provider, violations):
     """Pick the forced conjugate behind the first usable violation."""
     for vio in violations:
-        ubar = provider.conj(vio.conjugator)
-        prod = provider.multiply_virtual(
-            provider.multiply_virtual(
-                VirtualElement.of(ubar), VirtualElement.of(vio.member)
-            ),
-            VirtualElement.of(vio.conjugator),
-        )
-        coeffs = prod.coeffs
+        coeffs = _conjugate(provider, vio.conjugator, vio.member).coeffs
         if len(coeffs) == 1 and next(iter(coeffs.values())) == 1:
             return next(iter(coeffs)), vio
     vio = violations[0]
-    support = provider.multiply_virtual(
-        provider.multiply_virtual(
-            VirtualElement.of(provider.conj(vio.conjugator)), VirtualElement.of(vio.member)
-        ),
-        VirtualElement.of(vio.conjugator),
-    ).support()
-    return support[0], vio
+    return _conjugate(provider, vio.conjugator, vio.member).support()[0], vio
 
 
 def _witness_evidence(provider, witness: IrrLabel) -> dict | None:
@@ -252,7 +240,7 @@ def identity_component_report(
         for a in s_labels
         for b in s_labels
     )
-    finite: bool | None = True if scan.subcategory.status == SATURATED else None
+    finite: bool | None = True if tensorial else None
     violations = normality_consistency(provider, s_set, budget.max_irreducibles)
 
     if violations:
@@ -274,7 +262,7 @@ def identity_component_report(
             torsion_degree_note=note,
         )
 
-    if tensorial and scan.subcategory.status == SATURATED:
+    if tensorial:
         window = provider.enumerate(min(budget.max_irreducibles, hom_table_bound))
         table = [
             [u.id, v.id, restriction_hom_dim(provider, s_set, u, v)]

@@ -225,43 +225,50 @@ def character_ring(source: str | Path | dict, name: str | None = None) -> Finite
     return FiniteTableProvider(name, unit, dims, conj, fusion)
 
 
-_SCHEMA_VERSION = "1"
-
-
 def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> FiniteTableProvider:
     """Load a finite fusion ring from its JSON table and validate it.
 
     Format: ``{"unit": id, "irreducibles": [{"id", "dim", "conj"}...],
     "fusion": [{"left", "right", "result": {id: mult}}...]}`` with every
     ordered pair present exactly once.  Structural problems and axiom
-    violations both raise InvalidRing; the violations ride on the error.
+    violations both raise InvalidRing; the violations ride on the error,
+    and so does a file that cannot be read or is not JSON.
     """
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            data = json.load(fh)
+        try:
+            with open(source) as fh:
+                data = json.load(fh)
+        except OSError as exc:
+            raise InvalidRing(f"cannot read ring file {str(source)!r}: {exc.strerror or exc}") from None
+        except ValueError as exc:
+            raise InvalidRing(f"ring file {str(source)!r} is not JSON: {exc}") from None
         name = f"json:{source}"
     else:
         data = source
         name = data.get("name", "json-ring")
     try:
-        unit = data["unit"]
+        unit = str(data["unit"])
         irr = data["irreducibles"]
         rows = data["fusion"]
     except (KeyError, TypeError) as exc:
         raise InvalidRing(f"malformed ring file: missing {exc}") from None
+    if not isinstance(irr, list) or not isinstance(rows, list):
+        raise InvalidRing("malformed ring file: 'irreducibles' and 'fusion' must be lists")
     dims, conj = {}, {}
     for entry in irr:
         try:
-            i, d, c = entry["id"], int(entry["dim"]), entry["conj"]
+            i, d, c = str(entry["id"]), int(entry["dim"]), str(entry["conj"])
         except (KeyError, TypeError, ValueError) as exc:
             raise InvalidRing(f"malformed irreducible entry {entry!r}: {exc}") from None
+        if d < 1:
+            raise InvalidRing(f"irreducible {i!r} has dim {d} < 1")
         if i in dims:
             raise InvalidRing(f"duplicate irreducible id {i!r}")
         dims[i], conj[i] = d, c
     table = {}
     for row in rows:
         try:
-            key = (row["left"], row["right"])
+            key = (str(row["left"]), str(row["right"]))
             result = {str(w): int(m) for w, m in row["result"].items()}
         except (KeyError, TypeError, ValueError, AttributeError) as exc:
             raise InvalidRing(f"malformed fusion row {row!r}: {exc}") from None

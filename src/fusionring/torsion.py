@@ -9,7 +9,7 @@ re-verification pass, and per-label torsion verdicts degrade to
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .core import Budget, FusionProvider, IrrLabel, VirtualElement, canonical_sort
 from .errors import NotFinite, NotSaturated, UnsupportedProvider
@@ -81,6 +81,30 @@ class Subcategory:
         return out
 
 
+def _sweep(provider: FusionProvider, labels):
+    """Lazily yield ``conj(u)`` for each label, then every constituent of ``a (x) b``.
+
+    ``labels`` is a snapshot (it must not change while the sweep runs),
+    visited in its own order.  A set is closed under conj and products
+    exactly when nothing the sweep yields lies outside it; callers that
+    only need the first escape can stop early.
+    """
+    for u in labels:
+        yield provider.conj(u)
+    for a in labels:
+        for b in labels:
+            for w, _m in provider.decompose(a, b):
+                yield w
+
+
+def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> VirtualElement:
+    """The product ``ubar (x) v (x) u``."""
+    return provider.multiply_virtual(
+        provider.multiply_virtual(VirtualElement.of(provider.conj(u)), VirtualElement.of(v)),
+        VirtualElement.of(u),
+    )
+
+
 def _close(
     provider: FusionProvider,
     kind: str,
@@ -90,61 +114,44 @@ def _close(
 ) -> Subcategory:
     """Shared closure loop: conj + products, plus an optional rule.
 
-    ``extra_candidates(members)`` yields further labels to adjoin.  The
-    loop is monotone and deterministic; the returned status comes from a
-    final verification pass over the finished set.
+    Each round admits everything ``_sweep`` reaches from a snapshot of
+    the members, then whatever ``extra_candidates(members)`` yields for
+    the updated members.  The loop is monotone and deterministic; the
+    returned status comes from a final verification pass over the
+    finished set, which runs the same sweep and rule and trusts nothing
+    from the loop bookkeeping.
     """
     members: dict[IrrLabel, None] = {}
     overflow: set[IrrLabel] = set()
 
-    def admit(lab: IrrLabel):
-        if lab in members or lab in overflow:
-            return
-        if provider.label_size(lab) > budget.max_label_size:
-            overflow.add(lab)
-        elif len(members) >= budget.max_irreducibles:
-            overflow.add(lab)
-        else:
-            members[lab] = None
+    def admit(labels):
+        for lab in labels:
+            if lab in members or lab in overflow:
+                continue
+            if provider.label_size(lab) > budget.max_label_size:
+                overflow.add(lab)
+            elif len(members) >= budget.max_irreducibles:
+                overflow.add(lab)
+            else:
+                members[lab] = None
 
-    admit(provider.unit())
-    for g in generators:
-        admit(g)
+    admit([provider.unit(), *generators])
 
     exhausted_rounds = True
     for _ in range(budget.max_rounds):
         before = len(members)
-        current = list(members)
-        for u in current:
-            admit(provider.conj(u))
-        for a in current:
-            for b in current:
-                for w, _m in provider.decompose(a, b):
-                    admit(w)
+        admit(_sweep(provider, list(members)))
         if extra_candidates is not None:
-            for lab in extra_candidates(list(members)):
-                admit(lab)
+            admit(extra_candidates(list(members)))
         if len(members) == before:
             exhausted_rounds = False
             break
 
-    # Final pass: trust nothing from the loop bookkeeping.
-    escaped: set[IrrLabel] = set()
     final = list(members)
     inside = set(final)
-    for u in final:
-        c = provider.conj(u)
-        if c not in inside:
-            escaped.add(c)
-    for a in final:
-        for b in final:
-            for w, _m in provider.decompose(a, b):
-                if w not in inside:
-                    escaped.add(w)
+    escaped = {lab for lab in _sweep(provider, final) if lab not in inside}
     if extra_candidates is not None:
-        for lab in extra_candidates(final):
-            if lab not in inside:
-                escaped.add(lab)
+        escaped.update(lab for lab in extra_candidates(final) if lab not in inside)
 
     frontier = overflow | escaped
     status = SATURATED if not frontier and not exhausted_rounds else BUDGET_EXCEEDED
@@ -178,13 +185,7 @@ def central_closure(
     def rule(members):
         for v in members:
             for u in window:
-                ubar = provider.conj(u)
-                prod = provider.multiply_virtual(
-                    provider.multiply_virtual(VirtualElement.of(ubar), VirtualElement.of(v)),
-                    VirtualElement.of(u),
-                )
-                for lab in canonical_sort(prod.support()):
-                    yield lab
+                yield from _conjugate(provider, u, v).support()
 
     return _close(provider, "central_closure", generators, budget, rule)
 
@@ -205,12 +206,7 @@ def normal_forcing_closure(
     def rule(members):
         for v in members:
             for u in window:
-                ubar = provider.conj(u)
-                prod = provider.multiply_virtual(
-                    provider.multiply_virtual(VirtualElement.of(ubar), VirtualElement.of(v)),
-                    VirtualElement.of(u),
-                )
-                coeffs = prod.coeffs
+                coeffs = _conjugate(provider, u, v).coeffs
                 if len(coeffs) == 1:
                     (lab, mult), = coeffs.items()
                     if mult == 1:
@@ -246,12 +242,7 @@ def normality_consistency(
     violations = []
     for v in canonical_sort(s_set):
         for u in window:
-            ubar = provider.conj(u)
-            prod = provider.multiply_virtual(
-                provider.multiply_virtual(VirtualElement.of(ubar), VirtualElement.of(v)),
-                VirtualElement.of(u),
-            )
-            support = prod.support()
+            support = _conjugate(provider, u, v).support()
             if not any(w in s_set for w in support):
                 violations.append(
                     NormalityViolation(v, u, tuple(w.id for w in support))
@@ -344,15 +335,7 @@ def torsion_subcategory(provider: FusionProvider, budget: Budget | None = None) 
     verdicts = [is_torsion(provider, u, budget) for u in window]
     certified = [v.label for v in verdicts if v.verdict == TORSION]
     inside = set(certified)
-    escaped: set[IrrLabel] = set()
-    for a in certified:
-        c = provider.conj(a)
-        if c not in inside:
-            escaped.add(c)
-        for b in certified:
-            for w, _m in provider.decompose(a, b):
-                if w not in inside:
-                    escaped.add(w)
+    escaped = {lab for lab in _sweep(provider, certified) if lab not in inside}
     sub = Subcategory(
         kind="torsion_set",
         labels=tuple(certified),
@@ -598,7 +581,9 @@ def dimension_ideal_recover(provider: FusionProvider, a_labels) -> DimensionIdea
     ``u - dim(u) * unit`` in it.  Exact arithmetic throughout.
 
     Raises NotFinite for infinite rings and NotSaturated when the given
-    labels are not a conj- and product-closed set containing the unit.
+    labels are not a conj- and product-closed set containing the unit;
+    the labels are checked in canonical order, so the error names the
+    same label in every run.
     """
     total = provider.num_irreducibles
     if not isinstance(total, int) or total == math.inf:
@@ -609,22 +594,19 @@ def dimension_ideal_recover(provider: FusionProvider, a_labels) -> DimensionIdea
     a_set = set(a_labels)
     if unit not in a_set:
         raise NotSaturated("the subset must contain the unit")
-    for a in a_set:
+    given = canonical_sort(a_set)
+    for a in given:
         if a not in index:
             raise NotSaturated(f"label {a.id!r} is not an irreducible of {provider.name}")
-        if provider.conj(a) not in a_set:
-            raise NotSaturated(f"subset not closed under conjugation at {a.id!r}")
-    for a in a_set:
-        for b in a_set:
-            for w, _m in provider.decompose(a, b):
-                if w not in a_set:
-                    raise NotSaturated(
-                        f"subset not closed under products: {a.id} (x) {b.id} contains {w.id}"
-                    )
+    for w in _sweep(provider, given):
+        if w not in a_set:
+            raise NotSaturated(
+                f"subset not closed under conjugation and products: {w.id!r} is reached but not listed"
+            )
 
     lattice = IntegerLattice(total)
     for r in all_irr:
-        for a in canonical_sort(a_set):
+        for a in given:
             if a == unit:
                 continue
             vec = [0] * total
@@ -642,7 +624,7 @@ def dimension_ideal_recover(provider: FusionProvider, a_labels) -> DimensionIdea
             recovered.append(u)
     return DimensionIdealReport(
         provider=provider.name,
-        given=tuple(l.id for l in canonical_sort(a_set)),
+        given=tuple(l.id for l in given),
         recovered=tuple(l.id for l in canonical_sort(recovered)),
         lattice_rank=lattice.rank,
     )
@@ -665,13 +647,7 @@ def enumerate_saturated_subrings(provider: FusionProvider, limit: int = 16) -> l
     out = []
     for mask in range(1 << len(rest)):
         subset = {unit} | {l for i, l in enumerate(rest) if mask >> i & 1}
-        ok = all(provider.conj(a) in subset for a in subset) and all(
-            w in subset
-            for a in subset
-            for b in subset
-            for w, _m in provider.decompose(a, b)
-        )
-        if ok:
+        if all(w in subset for w in _sweep(provider, subset)):
             out.append(tuple(canonical_sort(subset)))
     out.sort(key=lambda subs: (len(subs), [l.id for l in subs]))
     return out

@@ -294,3 +294,119 @@ def enumerate_words_reference(provider, count: int):
             break
     words.sort(key=word_key)
     return [provider.parse_label(provider._spell(w)[0]) for w in words[:count]]
+
+
+# ---------------------------------------------------------------------------
+# closure engine with every conj/product sweep and ubar (x) v (x) u product
+# written out at its call site
+
+
+def close_reference(provider, kind: str, generators, budget):
+    """The closure ``kind`` ("tensor_generated", "central_closure" or
+    "normal_forcing_closure") of ``generators`` as a ``Subcategory``.
+
+    The loop, its final verification pass and the two conjugation rules
+    are the library's closure engine as it stood before the sweep and the
+    triple product became shared helpers, kept line for line so that the
+    helpers can be compared against it at every cap.
+    """
+    # Imported here: perfbench loads this module before the package.
+    from fusionring.core import FusionProvider, IrrLabel, VirtualElement, canonical_sort
+    from fusionring.torsion import BUDGET_EXCEEDED, SATURATED, Subcategory
+
+    def _close(
+        provider: FusionProvider,
+        kind: str,
+        generators,
+        budget,
+        extra_candidates=None,
+    ) -> Subcategory:
+        members: dict[IrrLabel, None] = {}
+        overflow: set[IrrLabel] = set()
+
+        def admit(lab: IrrLabel):
+            if lab in members or lab in overflow:
+                return
+            if provider.label_size(lab) > budget.max_label_size:
+                overflow.add(lab)
+            elif len(members) >= budget.max_irreducibles:
+                overflow.add(lab)
+            else:
+                members[lab] = None
+
+        admit(provider.unit())
+        for g in generators:
+            admit(g)
+
+        exhausted_rounds = True
+        for _ in range(budget.max_rounds):
+            before = len(members)
+            current = list(members)
+            for u in current:
+                admit(provider.conj(u))
+            for a in current:
+                for b in current:
+                    for w, _m in provider.decompose(a, b):
+                        admit(w)
+            if extra_candidates is not None:
+                for lab in extra_candidates(list(members)):
+                    admit(lab)
+            if len(members) == before:
+                exhausted_rounds = False
+                break
+
+        # Final pass: trust nothing from the loop bookkeeping.
+        escaped: set[IrrLabel] = set()
+        final = list(members)
+        inside = set(final)
+        for u in final:
+            c = provider.conj(u)
+            if c not in inside:
+                escaped.add(c)
+        for a in final:
+            for b in final:
+                for w, _m in provider.decompose(a, b):
+                    if w not in inside:
+                        escaped.add(w)
+        if extra_candidates is not None:
+            for lab in extra_candidates(final):
+                if lab not in inside:
+                    escaped.add(lab)
+
+        frontier = overflow | escaped
+        status = SATURATED if not frontier and not exhausted_rounds else BUDGET_EXCEEDED
+        return Subcategory(kind=kind, labels=tuple(members), status=status, frontier=tuple(frontier))
+
+    window = provider.enumerate(budget.max_irreducibles)
+
+    def central_rule(members):
+        for v in members:
+            for u in window:
+                ubar = provider.conj(u)
+                prod = provider.multiply_virtual(
+                    provider.multiply_virtual(VirtualElement.of(ubar), VirtualElement.of(v)),
+                    VirtualElement.of(u),
+                )
+                for lab in canonical_sort(prod.support()):
+                    yield lab
+
+    def forcing_rule(members):
+        for v in members:
+            for u in window:
+                ubar = provider.conj(u)
+                prod = provider.multiply_virtual(
+                    provider.multiply_virtual(VirtualElement.of(ubar), VirtualElement.of(v)),
+                    VirtualElement.of(u),
+                )
+                coeffs = prod.coeffs
+                if len(coeffs) == 1:
+                    (lab, mult), = coeffs.items()
+                    if mult == 1:
+                        yield lab
+
+    rules = {
+        "tensor_generated": None,
+        "central_closure": central_rule,
+        "normal_forcing_closure": forcing_rule,
+    }
+    return _close(provider, kind, generators, budget, rules[kind])

@@ -1,6 +1,10 @@
 """Spec parsing, budgets, exit codes, and JSON determinism of the CLI."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -77,6 +81,10 @@ def test_parse_budget():
         parse_budget("max_rounds=three")
     with pytest.raises(ParseError):
         parse_budget("max_rounds")
+    with pytest.raises(ParseError):
+        parse_budget("max_irreducibles=0")
+    with pytest.raises(ParseError):
+        parse_budget("max_label_size=-2")
 
 
 def test_split_labels_respects_parens():
@@ -100,6 +108,9 @@ def test_usage_errors_exit_two(capsys):
     assert main(["torsion", "--ring", "free(so3,"]) == 2
     assert "offset 9" in capsys.readouterr().err
     assert main(["uqverify", "--q", "abc"]) == 2
+    capsys.readouterr()
+    assert main(["torsion", "--ring", "suq2", "--budget", "max_irreducibles=0"]) == 2
+    assert capsys.readouterr().err == "error: bad budget: max_irreducibles must be positive\n"
 
 
 def test_decompose_text_output(capsys):
@@ -178,6 +189,42 @@ def test_dimideal_command(fixtures_dir, tmp_path, capsys):
     doc = json.loads(capsys.readouterr().out)
     assert doc["report"]["exact"] is True
     assert doc["report"]["recovered"] == ["sgn", "triv", "std"]
+
+
+@pytest.mark.parametrize(
+    "name, content",
+    [
+        ("missing.json", None),
+        ("truncated.json", '{"unit": '),
+        ("scalar_irreducibles.json", '{"unit": "e", "irreducibles": 5, "fusion": []}'),
+        ("zero_dim.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": 0, "conj": "e"}], "fusion": []}'),
+        ("list_id.json", '{"unit": "e", "irreducibles": [{"id": ["e"], "dim": 1, "conj": "e"}], "fusion": []}'),
+    ],
+)
+def test_malformed_ring_file_is_an_invalid_ring(name, content, tmp_path, capsys):
+    path = tmp_path / name
+    if content is not None:
+        path.write_text(content)
+    assert main(["axioms", "--ring", f"json:{path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid ring: ")
+
+
+def test_not_saturated_error_is_independent_of_the_hash_seed():
+    # Set iteration order follows PYTHONHASHSEED; the error must not.
+    argv = ["dimideal", "--ring", "prod(word:Z2,word:Z3)", "--labels", "(e,e),(a,e),(e,a),(a,a)"]
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    errors = set()
+    for seed in ("1", "2", "3", "4"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-m", "fusionring.cli", *argv],
+                              capture_output=True, text=True, env=env, timeout=120)
+        assert done.returncode == 1
+        errors.add(done.stderr)
+    assert errors == {"error: subset not closed under conjugation and products: "
+                      "'(a,a^2)' is reached but not listed\n"}
 
 
 def test_dimideal_on_infinite_ring_without_labels(capsys):

@@ -8,9 +8,11 @@ from hypothesis import strategies as st
 
 from fusionring import Budget
 from fusionring.errors import NotFinite, NotSaturated, UnsupportedProvider
+from fusionring.cli import parse_provider
 from fusionring.rings import (
     au_ring,
     builtin_finite_rings,
+    character_ring,
     free_product,
     parse_word_group_spec,
     so3_ring,
@@ -31,7 +33,7 @@ from fusionring.torsion import (
     torsion_subcategory,
 )
 
-from oracles import bf_ball, bf_inv, bf_mul
+from oracles import bf_ball, bf_inv, bf_mul, close_reference
 
 
 def test_double_ladder_torsion_scan_is_the_sign_pair():
@@ -282,3 +284,41 @@ def test_dimension_ideal_rejects_bad_subsets():
         dimension_ideal_recover(uq_su11_ring(), [uq_su11_ring().unit()])
     with pytest.raises(NotFinite):
         enumerate_saturated_subrings(suq2_ring())
+
+
+# The rings and generators of the golden CLI digests.
+REFERENCE_RINGS = {
+    "suq2": "u1",
+    "uqsu11": "u-1",
+    "au": "uU",
+    "word:Z2*Z": "ab",
+    "free(so3,word:Z2)": "v1.a",
+    "prod(suq2,word:Z2)": "(u1,a)",
+    "S3 table": "std",
+}
+CLOSURES = {
+    "tensor_generated": generated_subring,
+    "central_closure": central_closure,
+    "normal_forcing_closure": normal_forcing_closure,
+}
+# Small enough that the count, size and round caps each cut some closure short.
+CAPPED_BUDGETS = [
+    Budget(max_irreducibles=n, max_label_size=size, max_rounds=rounds)
+    for n in (3, 8, 24)
+    for size in (1, 3)
+    for rounds in (1, 2)
+]
+
+
+@pytest.mark.parametrize("kind", CLOSURES)
+@pytest.mark.parametrize("spec", REFERENCE_RINGS)
+def test_closures_match_the_reference_engine_under_every_cap(spec, kind, fixtures_dir):
+    if spec == "S3 table":
+        ring = character_ring(fixtures_dir / "s3_characters.json")
+    else:
+        ring = parse_provider(spec)
+    gens = [ring.parse_label(REFERENCE_RINGS[spec])]
+    for budget in CAPPED_BUDGETS:
+        got = CLOSURES[kind](ring, gens, budget)
+        want = close_reference(ring, kind, gens, budget)
+        assert (got.labels, got.status, got.frontier) == (want.labels, want.status, want.frontier), budget
