@@ -14,7 +14,6 @@ from .components import (
     ComponentReport,
     ConnectednessReport,
     connectedness_probe,
-    factor_restriction,
     identity_component_report,
     restriction_hom_dim,
     s_part,

@@ -29,7 +29,7 @@ from .errors import (
     UnknownLabel,
     UnsupportedProvider,
 )
-from .rings.au import AuProvider, au_ring
+from .rings.au import au_ring
 from .rings.products import direct_product, free_product
 from .rings.su2 import so3_ring, suq2_ring
 from .rings.su11 import uq_su11_ring
@@ -272,20 +272,13 @@ def _cmd_component(args) -> int:
 
 
 def _cmd_chain(args) -> int:
+    if args.dmax < 1:
+        raise ParseError(f"--dmax must be positive, got {args.dmax}")
     provider = parse_provider(args.ring)
     budget = parse_budget(args.budget)
-    if isinstance(provider, AuProvider):
-        generators_for = provider.balanced_generator_family
-        size_cap_for = lambda d: d + 3
-    else:
-        window = [u for u in provider.enumerate(args.dmax + 1) if u != provider.unit()]
-
-        def generators_for(d):
-            return window[:d]
-
-        size_cap_for = None
     report = ascending_chain_probe(
-        provider, args.dmax, generators_for, budget=budget, size_cap_for=size_cap_for
+        provider, args.dmax, provider.chain_generators, budget=budget,
+        size_cap_for=provider.chain_size_cap,
     )
     lines = [f"ring: {provider.name}", f"strictly increasing up to: {report.strictly_increasing_up_to}"]
     for stage in report.stages:

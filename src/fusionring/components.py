@@ -12,8 +12,6 @@ import warnings
 from dataclasses import dataclass
 
 from .core import Budget, Decomposition, FusionProvider, IrrLabel, VirtualElement
-from .errors import UnsupportedProvider
-from .rings.products import FreeProductProvider
 from .torsion import (
     BUDGET_EXCEEDED,
     SATURATED,
@@ -31,7 +29,6 @@ __all__ = [
     "restriction_hom_dim",
     "connectedness_probe",
     "ConnectednessReport",
-    "factor_restriction",
     "identity_component_report",
     "ComponentReport",
 ]
@@ -126,13 +123,6 @@ def connectedness_probe(provider: FusionProvider, budget: Budget | None = None) 
     )
 
 
-def factor_restriction(provider: FusionProvider, u: IrrLabel, factor_index: int) -> VirtualElement:
-    """Restriction of a free-product irreducible to one factor's ring."""
-    if not isinstance(provider, FreeProductProvider):
-        raise UnsupportedProvider(f"{provider.name}: factor restriction needs a free product")
-    return provider.factor_restriction(u, factor_index)
-
-
 @dataclass
 class ComponentReport:
     provider: str
@@ -182,11 +172,8 @@ def _non_normal_witness(provider, violations):
 
 
 def _witness_evidence(provider, witness: IrrLabel) -> dict | None:
-    if not isinstance(provider, FreeProductProvider):
-        return None
-    for k in (0, 1):
+    for k, factor in enumerate(provider.free_factors()):
         restriction = provider.factor_restriction(witness, k)
-        factor = provider.factors[k]
         invariant = restriction.coeff(factor.unit())
         if invariant != witness.dim:
             return {
@@ -202,10 +189,8 @@ def _witness_evidence(provider, witness: IrrLabel) -> dict | None:
 
 
 def _adjoint_degree_note(provider, probe: int = 16) -> tuple[int | None, str]:
-    """Degree-one note when some factor window has no nontrivial 1-dim label."""
-    if not isinstance(provider, FreeProductProvider):
-        return None, ""
-    for k, factor in enumerate(provider.factors):
+    """Degree-one note when some free factor's window has no nontrivial 1-dim label."""
+    for k, factor in enumerate(provider.free_factors()):
         window = factor.enumerate(probe)
         funit = factor.unit()
         if not any(l.dim == 1 and l != funit for l in window):

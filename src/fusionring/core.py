@@ -11,6 +11,7 @@ is ``(dim, id)`` lexicographic.
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
@@ -209,13 +210,7 @@ class Budget:
                 raise ValueError(f"{name} must be positive")
 
     def replace(self, **kw) -> "Budget":
-        merged = {
-            "max_irreducibles": self.max_irreducibles,
-            "max_rounds": self.max_rounds,
-            "max_label_size": self.max_label_size,
-        }
-        merged.update(kw)
-        return Budget(**merged)
+        return dataclasses.replace(self, **kw)
 
 
 class FusionProvider(ABC):
@@ -229,8 +224,19 @@ class FusionProvider(ABC):
       ``sum mult*dim == dim(u)*dim(v)``.
     * ``enumerate(n)`` lists the first ``n`` irreducibles in a canonical,
       provider-documented order; longer listings extend shorter ones.
-    * ``order_oracle`` is implemented only by group-like backends, where
-      every irreducible is invertible; everything else raises.
+
+    Capabilities answer what only some backends can; the analysis layers
+    ask them instead of checking the backend's class.  Defaults:
+
+    * ``order_oracle(u)``, the exact tensor order (group-like backends):
+      raises UnsupportedProvider.
+    * ``torsion_quotient()`` and ``stage_one_exponent(u, bound)``, the
+      torsion-closure sequence (group rings): raise UnsupportedProvider.
+    * ``free_factors()`` and ``factor_restriction(u, k)`` (free
+      products): ``()`` and UnsupportedProvider.
+    * ``chain_generators(d)`` and ``chain_size_cap(d)``, the chain probe's
+      family (``au`` overrides both): the first ``d`` non-unit labels of
+      the enumeration, and None for the budget's own size cap.
 
     ``decompose`` results are memoized on the instance, so backends
     implement ``_decompose`` and must treat labels as immutable.
@@ -298,12 +304,35 @@ class FusionProvider(ABC):
         """Fusion coefficient of ``w`` in ``u (x) v``."""
         return self.decompose(u, v).multiplicity(w)
 
-    def order_oracle(self, u: IrrLabel) -> int | float:
-        """Tensor order of ``u``: positive int, or ``math.inf``.
+    # -- capabilities (see class docs) --------------------------------------
 
-        Only group-like backends can answer; the default refuses.
-        """
+    def order_oracle(self, u: IrrLabel) -> int | float:
+        """Tensor order of ``u``: positive int, or ``math.inf``."""
         raise UnsupportedProvider(f"{self.name}: no order oracle")
+
+    def torsion_quotient(self) -> tuple[bool, int]:
+        """Whether stage one (the normal closure of all torsion elements)
+        is trivial, and the free rank of the group modulo stage one."""
+        raise UnsupportedProvider(f"{self.name}: torsion-closure sequence needs a cocommutative (group) ring")
+
+    def stage_one_exponent(self, u: IrrLabel, bound: int) -> int | None:
+        """Least ``n <= bound`` with ``u^n`` in stage one, or None."""
+        raise UnsupportedProvider(f"{self.name}: torsion-closure sequence needs a cocommutative (group) ring")
+
+    def free_factors(self) -> tuple[FusionProvider, ...]:
+        return ()
+
+    def factor_restriction(self, u: IrrLabel, factor_index: int) -> VirtualElement:
+        """Image of ``u`` in the ring of free factor ``factor_index``."""
+        raise UnsupportedProvider(f"{self.name}: factor restriction needs a free product")
+
+    def chain_generators(self, d: int) -> list[IrrLabel]:
+        """Generators of stage ``d`` of the ascending chain probe."""
+        unit = self.unit()
+        return [u for u in self.enumerate(d + 1) if u != unit][:d]
+
+    def chain_size_cap(self, d: int) -> int | None:
+        return None
 
     @property
     def num_irreducibles(self) -> int | float:
@@ -314,16 +343,9 @@ class FusionProvider(ABC):
         """Size of a label in this provider's unit (see class docs)."""
         return 1
 
+    @abstractmethod
     def parse_label(self, text: str) -> IrrLabel:
         """Resolve an id string to a label; raises UnknownLabel."""
-        for lab in self.enumerate(min(self._parse_window(), 10_000)):
-            if lab.id == text:
-                return lab
-        raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
-
-    def _parse_window(self) -> int:
-        n = self.num_irreducibles
-        return n if isinstance(n, int) else 10_000
 
     # -- derived ring arithmetic ------------------------------------------
 

@@ -88,11 +88,14 @@ class AuProvider(FusionProvider):
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
         return self._label(word)
 
-    def balanced_generator_family(self, d: int) -> list[IrrLabel]:
-        """Generators U^r u^r for 1 <= r <= d (the canonical chain stages)."""
+    def chain_generators(self, d: int) -> list[IrrLabel]:
+        """The balanced family U^r u^r for 1 <= r <= d."""
         if d < 0:
             raise BadParameter(f"stage must be >= 0, got {d}")
         return [self._label("U" * r + "u" * r) for r in range(1, d + 1)]
+
+    def chain_size_cap(self, d: int) -> int:
+        return d + 3
 
 
 def au_ring(d_gen: int = 2) -> AuProvider:

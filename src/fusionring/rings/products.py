@@ -179,6 +179,9 @@ class FreeProductProvider(FusionProvider):
 
     # -- restriction to one factor ----------------------------------------
 
+    def free_factors(self) -> tuple[FusionProvider, FusionProvider]:
+        return self.factors
+
     def factor_restriction(self, u: IrrLabel, factor_index: int) -> VirtualElement:
         """Image of ``u`` in the chosen factor's ring.
 

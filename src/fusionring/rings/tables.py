@@ -10,7 +10,6 @@ fail it.
 from __future__ import annotations
 
 import json
-import math
 from fractions import Fraction
 from pathlib import Path
 
@@ -125,6 +124,16 @@ class FiniteGroupProvider(FiniteTableProvider):
                 raise InvalidRing("powers never reach the identity")
         return order
 
+    # Every element has finite order, so stage one of the torsion-closure
+    # sequence is the whole group and the quotient is trivial.
+
+    def torsion_quotient(self) -> tuple[bool, int]:
+        return len(self._order) == 1, 0
+
+    def stage_one_exponent(self, u: IrrLabel, bound: int) -> int:
+        self._check(u)
+        return 1
+
 
 def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") -> FiniteGroupProvider:
     """Group ring from a multiplication table ``(g, h) -> g*h``.
@@ -230,9 +239,9 @@ def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> F
 
     Format: ``{"unit": id, "irreducibles": [{"id", "dim", "conj"}...],
     "fusion": [{"left", "right", "result": {id: mult}}...]}`` with every
-    ordered pair present exactly once.  Structural problems and axiom
-    violations both raise InvalidRing; the violations ride on the error,
-    and so does a file that cannot be read or is not JSON.
+    ordered pair present exactly once.  A file that cannot be read or
+    does not hold a JSON object, structural problems and axiom violations
+    all raise InvalidRing; the violations ride on the error.
     """
     if isinstance(source, (str, Path)):
         try:
@@ -242,6 +251,8 @@ def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> F
             raise InvalidRing(f"cannot read ring file {str(source)!r}: {exc.strerror or exc}") from None
         except ValueError as exc:
             raise InvalidRing(f"ring file {str(source)!r} is not JSON: {exc}") from None
+        if not isinstance(data, dict):
+            raise InvalidRing(f"ring file {str(source)!r} must hold a JSON object")
         name = f"json:{source}"
     else:
         data = source
@@ -290,7 +301,7 @@ def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> F
 def dump_ring_json(provider: FusionProvider, path: str | Path | None = None) -> dict:
     """Serialize a finite ring to the JSON table format, deterministically."""
     n = provider.num_irreducibles
-    if not isinstance(n, int) or n == math.inf:
+    if not isinstance(n, int):
         raise InvalidRing("only finite rings can be dumped")
     window = provider.enumerate(n)
     data = {

@@ -125,12 +125,20 @@ class WordGroupProvider(FusionProvider):
         return letters
 
     def enumerate(self, count: int) -> list[IrrLabel]:
+        words: list[Word] = [()]
+        if len(self.spec.factors) == 1:
+            # A cyclic group: no word grows past one letter, so list the
+            # letters weight by weight until they run out.
+            for j in _count(1):
+                if len(words) >= count or not (letters_j := self._letters_of_weight(j)):
+                    break
+                words.extend((letter,) for letter in letters_j)
+            return [self._label(w) for w in words[:count]]
+        # Two or more factors give words of every weight.  With only finite
+        # factors, letters weigh at most max_lw.
         finite_weights = [m // 2 for m in self.spec.factors if m != math.inf]
-        # With only finite factors, letters weigh at most max_lw; once that
-        # many consecutive layers are empty no heavier word can exist.
         max_lw = max(finite_weights, default=0)
         all_finite = len(finite_weights) == len(self.spec.factors)
-        words: list[Word] = [()]
         by_weight: dict[int, list[Word]] = {0: [()]}
         letters: list[list[Letter]] = [[]]  # letters[j] weigh j
         letter_key: dict[Letter, tuple[int, int, int]] = {}
@@ -153,10 +161,6 @@ class WordGroupProvider(FusionProvider):
             layer.sort(key=lambda w: (len(w), tuple(map(letter_key.__getitem__, w))))
             by_weight[weight] = layer
             words.extend(layer)
-            if all_finite and all(
-                not by_weight.get(weight - j) for j in range(max_lw)
-            ):
-                break
         return [self._label(w) for w in words[:count]]
 
     @property
@@ -218,8 +222,11 @@ class WordGroupProvider(FusionProvider):
 
     # -- hooks for the torsion-closure sequence ----------------------------
 
-    def finite_factor_indices(self) -> list[int]:
-        return [k for k, m in enumerate(self.spec.factors) if m != math.inf]
+    def torsion_quotient(self) -> tuple[bool, int]:
+        """Stage one is trivial without finite factors; the quotient is
+        the free product of the infinite ones."""
+        free_rank = self.spec.factors.count(math.inf)
+        return free_rank == len(self.spec.factors), free_rank
 
     def kill_finite_factors(self, u: IrrLabel) -> Word:
         """Image of a word under the quotient deleting all finite factors.

@@ -12,10 +12,8 @@ import math
 from dataclasses import dataclass
 
 from .core import Budget, FusionProvider, IrrLabel, VirtualElement, canonical_sort
-from .errors import NotFinite, NotSaturated, UnsupportedProvider
+from .errors import BadParameter, NotFinite, NotSaturated, UnsupportedProvider
 from .lattice import IntegerLattice
-from .rings.tables import FiniteGroupProvider
-from .rings.words import WordGroupProvider
 
 __all__ = [
     "Subcategory",
@@ -382,88 +380,45 @@ def n_sequence_cocommutative(
 
     Stage one is the normal closure of all torsion elements; stage r+1
     adjoins roots of stage r.  Stabilization at stage one is never
-    assumed: every window element g with g^n in stage one for some
+    assumed: every scanned element g with g^n in stage one for some
     n <= exponent_bound must itself lie in stage one, and any
-    counterexample is reported instead of a degree.
+    counterexample is reported instead of a degree.  A finite group is
+    scanned whole, an infinite one over the budget's window.
 
-    Raises UnsupportedProvider for rings that are not group-like.
+    Raises UnsupportedProvider for rings that are not group rings (see
+    ``FusionProvider.torsion_quotient``).
     """
     budget = budget or Budget()
-    if isinstance(provider, WordGroupProvider):
-        return _n_sequence_words(provider, budget, exponent_bound)
-    if isinstance(provider, FiniteGroupProvider):
-        return _n_sequence_finite(provider, budget, exponent_bound)
-    raise UnsupportedProvider(
-        f"{provider.name}: torsion-closure sequence needs a cocommutative (group) ring"
+    if exponent_bound < 1:
+        raise BadParameter(f"exponent_bound must be positive, got {exponent_bound}")
+    connected, free_rank = provider.torsion_quotient()
+    total = provider.num_irreducibles
+    finite = isinstance(total, int)
+    window = provider.enumerate(total if finite else budget.max_irreducibles)
+    exponents = [provider.stage_one_exponent(g, exponent_bound) for g in window]
+    counterexample = next(
+        (f"{g.id}^{n}" for g, n in zip(window, exponents) if n is not None and n > 1), None
     )
-
-
-def _n_sequence_words(provider: WordGroupProvider, budget: Budget, exponent_bound: int) -> NSequenceReport:
-    window = provider.enumerate(budget.max_irreducibles)
-    finite_factors = provider.finite_factor_indices()
-    infinite_count = len(provider.spec.factors) - len(finite_factors)
-    connected = not finite_factors
-    totally_disconnected = infinite_count == 0
-
-    counterexample = None
-    for g in window:
-        n = provider.stage_one_exponent(g, exponent_bound)
-        if n is not None and n > 1:
-            counterexample = f"{g.id}^{n}"
-            break
-
-    stage_labels = [u for u in window if provider.stage_one_contains(u)]
-    stage_finite = connected or (len(provider.spec.factors) == 1 and not infinite_count)
     stage = Subcategory(
         kind="normal_forcing_closure",
-        labels=tuple(stage_labels),
-        status=SATURATED if stage_finite else BUDGET_EXCEEDED,
-    )
-    if connected:
-        degree: int | None = 0
-        stages: list[Subcategory] = []
-    elif counterexample is None:
-        degree = 1
-        stages = [stage]
-    else:
-        degree = None
-        stages = [stage]
-    quotient = (
-        "trivial quotient"
-        if totally_disconnected
-        else f"free product of {infinite_count} infinite cyclic factor(s)"
+        labels=tuple(g for g, n in zip(window, exponents) if n == 1),
+        status=SATURATED if finite else BUDGET_EXCEEDED,
     )
     return NSequenceReport(
         provider=provider.name,
-        degree=degree,
+        degree=0 if connected else (1 if counterexample is None else None),
         stabilized=counterexample is None,
         connected=connected,
-        totally_disconnected=totally_disconnected,
-        stages=stages,
-        quotient_note=quotient,
+        totally_disconnected=free_rank == 0,
+        stages=[] if connected else [stage],
+        quotient_note=(
+            "trivial quotient"
+            if free_rank == 0
+            else f"free product of {free_rank} infinite cyclic factor(s)"
+        ),
         scanned=len(window),
         exponent_bound=exponent_bound,
         counterexample=counterexample,
-    )
-
-
-def _n_sequence_finite(provider: FiniteGroupProvider, budget: Budget, exponent_bound: int) -> NSequenceReport:
-    window = provider.enumerate(provider.num_irreducibles)
-    # Every element has finite order, so stage one is the whole group.
-    stage = Subcategory(
-        kind="normal_forcing_closure", labels=tuple(window), status=SATURATED
-    )
-    trivial = len(window) == 1
-    return NSequenceReport(
-        provider=provider.name,
-        degree=0 if trivial else 1,
-        stabilized=True,
-        connected=trivial,
-        totally_disconnected=True,
-        stages=[] if trivial else [stage],
-        quotient_note="trivial quotient",
-        scanned=len(window),
-        exponent_bound=exponent_bound,
     )
 
 
@@ -509,13 +464,14 @@ def ascending_chain_probe(
     """Track the chain of generated subrings for a growing generator family.
 
     ``generators_for(d)`` gives stage d's generators (expected to grow
-    with d); ``size_cap_for(d)`` optionally overrides the label-size cap
-    per stage.  Stage d counts as strictly above stage d-1 when its new
-    generators land in its own closure but are absent from the previous
-    stage's closure; those generators are the recorded witnesses.  With
-    infinite rings the closures are necessarily truncated (the stage
-    status says so), which makes this a bounded certificate: absence is
-    checked against the explored part of the previous stage.
+    with d); ``size_cap_for(d)``, when given and not None, overrides the
+    label-size cap per stage.  Stage d counts as strictly above stage
+    d-1 when its new generators land in its own closure but are absent
+    from the previous stage's closure; those generators are the recorded
+    witnesses.  With infinite rings the closures are necessarily
+    truncated (the stage status says so), which makes this a bounded
+    certificate: absence is checked against the explored part of the
+    previous stage.
     """
     budget = budget or Budget()
     prev_closure: set[IrrLabel] = {provider.unit()}
@@ -525,9 +481,8 @@ def ascending_chain_probe(
     still = True
     for d in range(1, d_max + 1):
         gens = list(generators_for(d))
-        stage_budget = (
-            budget.replace(max_label_size=size_cap_for(d)) if size_cap_for else budget
-        )
+        cap = size_cap_for(d) if size_cap_for else None
+        stage_budget = budget if cap is None else budget.replace(max_label_size=cap)
         sub = generated_subring(provider, gens, stage_budget)
         inside = set(sub.labels)
         new_gens = canonical_sort(set(gens) - prev_gens)
@@ -586,7 +541,7 @@ def dimension_ideal_recover(provider: FusionProvider, a_labels) -> DimensionIdea
     same label in every run.
     """
     total = provider.num_irreducibles
-    if not isinstance(total, int) or total == math.inf:
+    if not isinstance(total, int):
         raise NotFinite(f"{provider.name}: dimension-ideal recovery needs a finite ring")
     all_irr = provider.enumerate(total)
     index = {lab: i for i, lab in enumerate(all_irr)}
@@ -637,7 +592,7 @@ def enumerate_saturated_subrings(provider: FusionProvider, limit: int = 16) -> l
     rings larger than ``limit`` are refused.
     """
     total = provider.num_irreducibles
-    if not isinstance(total, int) or total == math.inf:
+    if not isinstance(total, int):
         raise NotFinite(f"{provider.name}: subring enumeration needs a finite ring")
     if total > limit:
         raise NotFinite(f"{provider.name}: {total} irreducibles exceeds the limit {limit}")
@@ -646,8 +601,11 @@ def enumerate_saturated_subrings(provider: FusionProvider, limit: int = 16) -> l
     rest = [l for l in all_irr if l != unit]
     out = []
     for mask in range(1 << len(rest)):
-        subset = {unit} | {l for i, l in enumerate(rest) if mask >> i & 1}
-        if all(w in subset for w in _sweep(provider, subset)):
+        # A list in enumeration order, so the work does not follow the hash
+        # seed; products with the unit never escape, so the unit goes last.
+        subset = [l for i, l in enumerate(rest) if mask >> i & 1] + [unit]
+        inside = set(subset)
+        if all(w in inside for w in _sweep(provider, subset)):
             out.append(tuple(canonical_sort(subset)))
     out.sort(key=lambda subs: (len(subs), [l.id for l in subs]))
     return out

@@ -410,3 +410,98 @@ def close_reference(provider, kind: str, generators, budget):
         "normal_forcing_closure": forcing_rule,
     }
     return _close(provider, kind, generators, budget, rules[kind])
+
+
+# ---------------------------------------------------------------------------
+# torsion-closure sequence by backend class, one routine per backend
+
+
+def n_sequence_reference(provider, budget, exponent_bound: int = 64):
+    """The ``NSequenceReport`` of ``provider`` as the library computed it
+    when it picked a routine by backend class: word groups scanned over the
+    budget's window, finite group tables scanned whole.
+
+    Kept line for line, apart from reading the finite factors off the spec,
+    so that the single capability-driven path can be compared against it.
+    """
+    # Imported here: perfbench loads this module before the package.
+    import math
+
+    from fusionring.errors import UnsupportedProvider
+    from fusionring.rings import FiniteGroupProvider, WordGroupProvider
+    from fusionring.torsion import BUDGET_EXCEEDED, SATURATED, NSequenceReport, Subcategory
+
+    def _n_sequence_words(provider, budget, exponent_bound):
+        window = provider.enumerate(budget.max_irreducibles)
+        finite_factors = [k for k, m in enumerate(provider.spec.factors) if m != math.inf]
+        infinite_count = len(provider.spec.factors) - len(finite_factors)
+        connected = not finite_factors
+        totally_disconnected = infinite_count == 0
+
+        counterexample = None
+        for g in window:
+            n = provider.stage_one_exponent(g, exponent_bound)
+            if n is not None and n > 1:
+                counterexample = f"{g.id}^{n}"
+                break
+
+        stage_labels = [u for u in window if provider.stage_one_contains(u)]
+        stage_finite = connected or (len(provider.spec.factors) == 1 and not infinite_count)
+        stage = Subcategory(
+            kind="normal_forcing_closure",
+            labels=tuple(stage_labels),
+            status=SATURATED if stage_finite else BUDGET_EXCEEDED,
+        )
+        if connected:
+            degree = 0
+            stages = []
+        elif counterexample is None:
+            degree = 1
+            stages = [stage]
+        else:
+            degree = None
+            stages = [stage]
+        quotient = (
+            "trivial quotient"
+            if totally_disconnected
+            else f"free product of {infinite_count} infinite cyclic factor(s)"
+        )
+        return NSequenceReport(
+            provider=provider.name,
+            degree=degree,
+            stabilized=counterexample is None,
+            connected=connected,
+            totally_disconnected=totally_disconnected,
+            stages=stages,
+            quotient_note=quotient,
+            scanned=len(window),
+            exponent_bound=exponent_bound,
+            counterexample=counterexample,
+        )
+
+    def _n_sequence_finite(provider, budget, exponent_bound):
+        window = provider.enumerate(provider.num_irreducibles)
+        # Every element has finite order, so stage one is the whole group.
+        stage = Subcategory(
+            kind="normal_forcing_closure", labels=tuple(window), status=SATURATED
+        )
+        trivial = len(window) == 1
+        return NSequenceReport(
+            provider=provider.name,
+            degree=0 if trivial else 1,
+            stabilized=True,
+            connected=trivial,
+            totally_disconnected=True,
+            stages=[] if trivial else [stage],
+            quotient_note="trivial quotient",
+            scanned=len(window),
+            exponent_bound=exponent_bound,
+        )
+
+    if isinstance(provider, WordGroupProvider):
+        return _n_sequence_words(provider, budget, exponent_bound)
+    if isinstance(provider, FiniteGroupProvider):
+        return _n_sequence_finite(provider, budget, exponent_bound)
+    raise UnsupportedProvider(
+        f"{provider.name}: torsion-closure sequence needs a cocommutative (group) ring"
+    )

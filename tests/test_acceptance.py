@@ -142,7 +142,7 @@ def test_acceptance_5_block_chain_probe():
     report = ascending_chain_probe(
         ring,
         4,
-        generators_for=ring.balanced_generator_family,
+        generators_for=ring.chain_generators,
         size_cap_for=lambda d: d + 3,
     )
     assert report.strictly_increasing_up_to == 4

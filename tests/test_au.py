@@ -57,8 +57,9 @@ def test_label_size_counts_blocks():
 
 def test_balanced_generator_family():
     ring = au_ring()
-    fam = ring.balanced_generator_family(3)
+    fam = ring.chain_generators(3)
     assert [l.id for l in fam] == ["Uu", "UUuu", "UUUuuu"]
+    assert ring.chain_size_cap(3) == 6
     d4 = au_ring(4)
     assert d4.parse_label("u").dim == 4
     with pytest.raises(BadParameter):

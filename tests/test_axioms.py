@@ -53,6 +53,9 @@ class _Base(FusionProvider):
         j = self.labels.index(v)
         return Decomposition({self.labels[(i + j) % 3]: 1})
 
+    def parse_label(self, text):
+        return {l.id: l for l in self.labels}[text]
+
 
 def _violation_axioms(provider):
     report = check_axioms(provider, Budget(max_irreducibles=3), triple_samples=10, seed=0)

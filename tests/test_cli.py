@@ -111,6 +111,11 @@ def test_usage_errors_exit_two(capsys):
     capsys.readouterr()
     assert main(["torsion", "--ring", "suq2", "--budget", "max_irreducibles=0"]) == 2
     assert capsys.readouterr().err == "error: bad budget: max_irreducibles must be positive\n"
+    for dmax in ("0", "-3"):
+        assert main(["chain", "--ring", "au", "--dmax", dmax, "--json"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --dmax must be positive, got {dmax}\n"
 
 
 def test_decompose_text_output(capsys):
@@ -199,6 +204,8 @@ def test_dimideal_command(fixtures_dir, tmp_path, capsys):
         ("scalar_irreducibles.json", '{"unit": "e", "irreducibles": 5, "fusion": []}'),
         ("zero_dim.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": 0, "conj": "e"}], "fusion": []}'),
         ("list_id.json", '{"unit": "e", "irreducibles": [{"id": ["e"], "dim": 1, "conj": "e"}], "fusion": []}'),
+        ("list.json", "[1, 2]"),
+        ("string.json", '"x"'),
     ],
 )
 def test_malformed_ring_file_is_an_invalid_ring(name, content, tmp_path, capsys):

@@ -9,7 +9,6 @@ from fusionring.components import (
     ConsistencyWarning,
     ComponentReport,
     connectedness_probe,
-    factor_restriction,
     identity_component_report,
     restriction_hom_dim,
     s_part,
@@ -110,7 +109,7 @@ def test_witness_restriction_disagrees_with_dimension():
     ring = free_product(so3_ring(), word_group(parse_word_group_spec("Z2")))
     rep = identity_component_report(ring, Budget(max_irreducibles=12))
     witness = ring.parse_label(rep.witness)
-    restriction = factor_restriction(ring, witness, rep.witness_evidence["factor"])
+    restriction = ring.factor_restriction(witness, rep.witness_evidence["factor"])
     unit0 = ring.factors[0].unit()
     assert restriction.coeff(unit0) == 1
     assert witness.dim == 9
@@ -140,7 +139,7 @@ def test_connectedness_probe_verdicts():
 
 def test_factor_restriction_needs_a_free_product():
     with pytest.raises(UnsupportedProvider):
-        factor_restriction(uq_su11_ring(), uq_su11_ring().unit(), 0)
+        uq_su11_ring().factor_restriction(uq_su11_ring().unit(), 0)
 
 
 def test_component_report_serializes():

@@ -68,6 +68,10 @@ def test_budget_replace():
     c = b.replace(max_rounds=5)
     assert c.max_rounds == 5 and c.max_irreducibles == 64
     assert b.max_rounds == 32
+    with pytest.raises(ValueError):
+        b.replace(max_label_size=0)
+    with pytest.raises(TypeError):
+        b.replace(max_depth=3)
 
 
 class TinyRing(FusionProvider):
@@ -94,6 +98,12 @@ class TinyRing(FusionProvider):
         self.calls += 1
         return Decomposition({self._e if u == v else self._g: 1})
 
+    def parse_label(self, text):
+        try:
+            return {"e": self._e, "g": self._g}[text]
+        except KeyError:
+            raise UnknownLabel(f"tiny: no irreducible with id {text!r}") from None
+
 
 def test_provider_decompose_memoized():
     ring = TinyRing()
@@ -105,7 +115,8 @@ def test_provider_decompose_memoized():
     assert ring.multiplicity(g, g, g) == 0
 
 
-def test_provider_parse_label_window_scan():
+def test_provider_parse_label_is_the_backends_own():
+    assert "parse_label" in FusionProvider.__abstractmethods__
     ring = TinyRing()
     assert ring.parse_label("g").id == "g"
     with pytest.raises(UnknownLabel):
@@ -127,6 +138,22 @@ def test_default_order_oracle_unsupported():
     ring = TinyRing()
     with pytest.raises(UnsupportedProvider):
         ring.order_oracle(IrrLabel("g", 1))
+
+
+def test_default_capabilities():
+    from fusionring import UnsupportedProvider
+
+    ring = TinyRing()
+    g = IrrLabel("g", 1)
+    with pytest.raises(UnsupportedProvider):
+        ring.torsion_quotient()
+    with pytest.raises(UnsupportedProvider):
+        ring.stage_one_exponent(g, 8)
+    assert ring.free_factors() == ()
+    with pytest.raises(UnsupportedProvider):
+        ring.factor_restriction(g, 0)
+    assert ring.chain_generators(1) == [g] and ring.chain_generators(5) == [g]
+    assert ring.chain_size_cap(1) is None
 
 
 @given(st.lists(st.tuples(st.text("ab", min_size=1, max_size=3), st.integers(1, 5)), min_size=1, max_size=6))

@@ -1,16 +1,25 @@
-"""Source hygiene that no installed linter checks: every module-level import
-in the package is used by the module that makes it.
+"""Source hygiene that no installed linter checks.
 
-Package ``__init__`` modules are exempt (their imports are re-exports), and
-so are ``from __future__`` imports.
+* Every module-level import in the package is used by the module that
+  makes it.  Package ``__init__`` modules are exempt (their imports are
+  re-exports), and so are ``from __future__`` imports.
+* The analysis layers (``torsion.py``, ``components.py``) and the CLI ask
+  providers for capabilities instead of testing their class: no
+  ``isinstance`` against a ``*Provider`` class, no backend class imported
+  from ``fusionring.rings``, and nothing at all from ``fusionring.rings``
+  in the two analysis layers (the CLI imports the constructor functions).
 """
 
 from __future__ import annotations
 
 import ast
+import inspect
 from pathlib import Path
 
 import pytest
+
+import fusionring.rings
+from fusionring.core import FusionProvider
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fusionring"
 MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
@@ -41,3 +50,69 @@ def test_unused_import_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+ANALYSIS_LAYERS = ("torsion.py", "components.py")
+BACKEND_FREE = (*ANALYSIS_LAYERS, "cli.py")
+
+
+def _is_backend_class(name: str) -> bool:
+    obj = getattr(fusionring.rings, name, None)
+    return inspect.isclass(obj) and issubclass(obj, FusionProvider)
+
+
+def backend_dispatch(source: str, analysis_layer: bool) -> list[str]:
+    """``isinstance`` checks against ``*Provider`` classes and imports from
+    ``fusionring.rings``: every import when ``analysis_layer``, otherwise
+    only those of backend classes."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "isinstance":
+            for part in ast.walk(node.args[-1]):
+                name = getattr(part, "id", None) or getattr(part, "attr", None)
+                if name and name.endswith("Provider"):
+                    found.append(f"line {node.lineno}: isinstance against {name}")
+        elif isinstance(node, ast.ImportFrom):
+            module = "." * node.level + (node.module or "")
+            if module.startswith((".rings", "fusionring.rings")):
+                for alias in node.names:
+                    if analysis_layer or _is_backend_class(alias.name):
+                        found.append(f"line {node.lineno}: {alias.name} from {module}")
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("fusionring.rings") and analysis_layer:
+                    found.append(f"line {node.lineno}: import {alias.name}")
+    return found
+
+
+def test_backend_dispatch_is_detected():
+    dispatching_torsion = (
+        "from .rings.tables import FiniteGroupProvider\n"
+        "if isinstance(provider, FiniteGroupProvider):\n    pass\n"
+    )
+    assert backend_dispatch(dispatching_torsion, analysis_layer=True) == [
+        "line 1: FiniteGroupProvider from .rings.tables",
+        "line 2: isinstance against FiniteGroupProvider",
+    ]
+    dispatching_cli = (
+        "from .rings.au import AuProvider, au_ring\n"
+        "import fusionring.rings.words\n"
+        "ok = isinstance(p, (int, fusionring.rings.words.WordGroupProvider))\n"
+    )
+    assert backend_dispatch(dispatching_cli, analysis_layer=False) == [
+        "line 1: AuProvider from .rings.au",
+        "line 3: isinstance against WordGroupProvider",
+    ]
+    assert backend_dispatch(dispatching_cli, analysis_layer=True) == [
+        "line 1: AuProvider from .rings.au",
+        "line 1: au_ring from .rings.au",
+        "line 2: import fusionring.rings.words",
+        "line 3: isinstance against WordGroupProvider",
+    ]
+    assert backend_dispatch("from .rings.au import au_ring\n", analysis_layer=False) == []
+
+
+@pytest.mark.parametrize("name", BACKEND_FREE)
+def test_no_backend_dispatch_outside_the_backends(name):
+    source = (PACKAGE / name).read_text()
+    assert backend_dispatch(source, analysis_layer=name in ANALYSIS_LAYERS) == []

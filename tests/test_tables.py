@@ -122,3 +122,11 @@ def test_builtin_finite_rings_all_valid():
         assert isinstance(n, int) and n <= 8
         report = check_axioms(ring, Budget(max_irreducibles=n), triple_samples=20, seed=0)
         assert report.ok, (ring.name, report.violations)
+
+
+@pytest.mark.parametrize("content", ["[1, 2]", '"x"', "3"])
+def test_load_rejects_a_document_that_is_not_an_object(tmp_path, content):
+    path = tmp_path / "ring.json"
+    path.write_text(content)
+    with pytest.raises(InvalidRing, match="must hold a JSON object"):
+        load_ring_json(path)

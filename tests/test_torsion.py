@@ -1,13 +1,18 @@
 """Closures, torsion scans, chain and sequence probes, ideal recovery."""
 
+import math
+import os
 import re
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionring import Budget
-from fusionring.errors import NotFinite, NotSaturated, UnsupportedProvider
+from fusionring.errors import BadParameter, NotFinite, NotSaturated, UnsupportedProvider
 from fusionring.cli import parse_provider
 from fusionring.rings import (
     au_ring,
@@ -33,7 +38,7 @@ from fusionring.torsion import (
     torsion_subcategory,
 )
 
-from oracles import bf_ball, bf_inv, bf_mul, close_reference
+from oracles import bf_ball, bf_inv, bf_mul, close_reference, n_sequence_reference
 
 
 def test_double_ladder_torsion_scan_is_the_sign_pair():
@@ -132,7 +137,7 @@ def test_block_chain_probe_is_strict_through_stage_four():
     report = ascending_chain_probe(
         ring,
         4,
-        generators_for=ring.balanced_generator_family,
+        generators_for=ring.chain_generators,
         size_cap_for=lambda d: d + 3,
     )
     assert report.strictly_increasing_up_to == 4
@@ -151,7 +156,7 @@ def test_block_chain_probe_is_strict_through_stage_four():
 
 def test_chain_witnesses_missing_from_previous_stage():
     ring = au_ring()
-    fam = ring.balanced_generator_family
+    fam = ring.chain_generators
     report = ascending_chain_probe(
         ring, 4, generators_for=fam, size_cap_for=lambda d: d + 3
     )
@@ -243,6 +248,51 @@ def test_sequence_finite_group_degrees():
     assert len(rep.stages[0].labels) == 6
 
 
+NSEQUENCE_GROUPS = ["Z", "Z2", "Z5", "Z7", "Z*Z", "Z2*Z", "Z2*Z2", "Z3*Z", "Z2*Z3*Z", "Z*Z*Z",
+                    "Z2*Z3", "Z4*Z*Z"]
+
+
+@pytest.mark.parametrize("spec", NSEQUENCE_GROUPS)
+def test_sequence_matches_the_per_backend_reference(spec):
+    group = word_group(parse_word_group_spec(spec))
+    order = group.num_irreducibles
+    for window in range(1, 65):
+        got = n_sequence_cocommutative(group, Budget(max_irreducibles=window)).to_dict()
+        if isinstance(order, int) and window < order:
+            # The reference scanned a finite word group only over the window
+            # and called that slice stage one; the whole group is stage one.
+            want = n_sequence_reference(group, Budget(max_irreducibles=order)).to_dict()
+            assert n_sequence_reference(group, Budget(max_irreducibles=window)).to_dict() != got
+        else:
+            want = n_sequence_reference(group, Budget(max_irreducibles=window)).to_dict()
+        assert got == want, (spec, window)
+
+
+def test_sequence_matches_the_reference_on_builtin_finite_rings():
+    for ring in builtin_finite_rings():
+        for window in (1, 3, 64):
+            budget = Budget(max_irreducibles=window)
+            try:
+                want = n_sequence_reference(ring, budget).to_dict()
+            except UnsupportedProvider:
+                with pytest.raises(UnsupportedProvider):
+                    n_sequence_cocommutative(ring, budget)
+                continue
+            assert n_sequence_cocommutative(ring, budget).to_dict() == want, (ring.name, window)
+
+
+def test_sequence_needs_a_positive_exponent_bound():
+    with pytest.raises(BadParameter):
+        n_sequence_cocommutative(word_group([2, math.inf]), exponent_bound=0)
+
+
+def test_finite_word_group_stage_one_is_the_whole_group():
+    rep = n_sequence_cocommutative(word_group([5]), Budget(max_irreducibles=3))
+    assert rep.stages[0].label_ids == ["a", "a^2", "a^3", "a^4", "e"]
+    assert rep.stages[0].status == "saturated"
+    assert rep.scanned == 5
+
+
 def test_dimension_ideal_recovers_character_subrings():
     ring = _char_s3()
     by_id = {l.id: l for l in ring.enumerate(3)}
@@ -322,3 +372,28 @@ def test_closures_match_the_reference_engine_under_every_cap(spec, kind, fixture
         got = CLOSURES[kind](ring, gens, budget)
         want = close_reference(ring, kind, gens, budget)
         assert (got.labels, got.status, got.frontier) == (want.labels, want.status, want.frontier), budget
+
+
+SUBRING_WORK = """
+from fusionring.rings import direct_product, word_group
+from fusionring.torsion import enumerate_saturated_subrings
+ring = direct_product(word_group([2]), word_group([4]))
+calls = []
+real = ring.decompose
+ring.decompose = lambda u, v: calls.append(1) or real(u, v)
+print(len(enumerate_saturated_subrings(ring)), len(calls))
+"""
+
+
+def test_subring_enumeration_work_is_independent_of_the_hash_seed():
+    # Each candidate is swept in a fixed order, so the decompose calls made
+    # before the first escape do not follow PYTHONHASHSEED.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outputs = set()
+    for seed in ("0", "1", "2", "3"):
+        env = {**os.environ, "PYTHONHASHSEED": seed,
+               "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        done = subprocess.run([sys.executable, "-c", SUBRING_WORK], capture_output=True,
+                              text=True, env=env, timeout=120, check=True)
+        outputs.add(done.stdout)
+    assert outputs == {"8 173\n"}

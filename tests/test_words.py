@@ -75,7 +75,7 @@ def test_enumerate_by_weight_layers():
 
 
 @pytest.mark.parametrize(
-    "factors", [[2, 2], [3, math.inf], [2, math.inf], [math.inf, math.inf]], ids=str
+    "factors", [[2, 2], [3, math.inf], [2, math.inf], [math.inf, math.inf], [math.inf]], ids=str
 )
 def test_enumerate_matches_reference_loop(factors):
     # The reference lists all words up to the first weight that reaches the
@@ -85,6 +85,15 @@ def test_enumerate_matches_reference_loop(factors):
     assert len(want) == 600
     group = word_group(factors)
     for window in range(1, 601):
+        assert group.enumerate(window) == want[:window], window
+
+
+@pytest.mark.parametrize("order", [2, 3, 7, 8, 64])
+def test_cyclic_enumeration_matches_reference_loop(order):
+    want = oracles.enumerate_words_reference(word_group([order]), order + 3)
+    assert len(want) == order
+    group = word_group([order])
+    for window in range(1, order + 4):
         assert group.enumerate(window) == want[:window], window
 
 
