@@ -13,8 +13,9 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import operator
 from abc import ABC, abstractmethod
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
 from .errors import UnknownLabel, UnsupportedProvider
@@ -30,41 +31,43 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True, order=True, slots=True)
-class IrrLabel:
+class IrrLabel(tuple):
     """An irreducible, identified by a provider-unique id string.
 
     ``dim`` is the classical/quantum-independent integer dimension used by
     the ring-level machinery (restriction counts, dimension ideals).
 
-    Equality, ordering and hashing use ``(id, dim)`` only.  ``key`` is the
-    structure behind the id (a level, a word, a pair of factor labels),
-    owned by the provider that made the label and left out of every
-    comparison; a label built by hand has no key.
+    A label is the tuple ``(id, dim)`` and nothing more: equality, ordering
+    and hashing are the tuple's, computed in C.  The structure behind an
+    id (a level, a word, a pair of factor labels) is not stored on the
+    label; the provider that made it keeps it (see ``FusionProvider``).
     """
 
-    id: str
-    dim: int
-    key: object = field(default=None, compare=False, repr=False)
-    _hash: int = field(init=False, compare=False, repr=False)
+    __slots__ = ()
 
-    def __post_init__(self):
-        if not self.id:
+    # Written out so that a tracer can swap in a counting hash and restore
+    # this one from the class dict.
+    __hash__ = tuple.__hash__
+
+    id = property(operator.itemgetter(0), doc="Provider-unique id string.")
+    dim = property(operator.itemgetter(1), doc="Integer dimension, at least 1.")
+
+    def __new__(cls, id: str, dim: int):
+        if not id:
             raise ValueError("empty label id")
-        if self.dim < 1:
-            raise ValueError(f"label {self.id!r} has dim {self.dim} < 1")
-        object.__setattr__(self, "_hash", hash((self.id, self.dim)))
+        if dim < 1:
+            raise ValueError(f"label {id!r} has dim {dim} < 1")
+        return tuple.__new__(cls, (id, dim))
 
-    def __hash__(self) -> int:
-        return self._hash
+    def __getnewargs__(self):
+        return tuple(self)
 
-    def __reduce__(self):
-        # String hashes differ between processes: unpickling hashes afresh.
-        return (IrrLabel, (self.id, self.dim, self.key))
+    def __repr__(self) -> str:
+        return f"IrrLabel(id={self[0]!r}, dim={self[1]!r})"
 
 
-def canonical_key(label: IrrLabel) -> tuple[int, str]:
-    return (label.dim, label.id)
+# The canonical sort key ``(dim, id)``, read in C.
+canonical_key = operator.attrgetter("dim", "id")
 
 
 def canonical_sort(labels: Iterable[IrrLabel]) -> list[IrrLabel]:
@@ -81,15 +84,17 @@ class Decomposition:
     __slots__ = ("_entries", "_by_label")
 
     def __init__(self, counts: Mapping[IrrLabel, int]):
-        items = []
-        for lab, mult in counts.items():
-            if mult < 0:
-                raise ValueError(f"negative multiplicity {mult} for {lab.id}")
-            if mult > 0:
-                items.append((lab, int(mult)))
-        items.sort(key=lambda it: canonical_key(it[0]))
-        self._entries: tuple[tuple[IrrLabel, int], ...] = tuple(items)
-        self._by_label = {lab: m for lab, m in items}
+        if min(counts.values(), default=1) <= 0:
+            for lab, mult in counts.items():
+                if mult < 0:
+                    raise ValueError(f"negative multiplicity {mult} for {lab.id}")
+            counts = {lab: mult for lab, mult in counts.items() if mult > 0}
+        # Sorted, coerced and paired in C: no Python call per entry.
+        labels = sorted(counts, key=canonical_key)
+        self._entries: tuple[tuple[IrrLabel, int], ...] = tuple(
+            zip(labels, map(int, map(counts.__getitem__, labels)))
+        )
+        self._by_label = dict(self._entries)
 
     @property
     def entries(self) -> tuple[tuple[IrrLabel, int], ...]:
@@ -99,7 +104,7 @@ class Decomposition:
         return self._by_label.get(label, 0)
 
     def constituents(self) -> list[IrrLabel]:
-        return [lab for lab, _ in self._entries]
+        return list(self._by_label)
 
     def total_dim(self) -> int:
         return sum(m * lab.dim for lab, m in self._entries)
@@ -241,13 +246,15 @@ class FusionProvider(ABC):
     ``decompose`` results are memoized on the instance, so backends
     implement ``_decompose`` and must treat labels as immutable.
 
-    Labels compare by ``(id, dim)``; their ``key`` belongs to the provider.
-    A backend with structured labels makes one label per key and instance
-    through ``_label`` (which asks the backend's ``_spell`` for the id and
-    dim of a new key), and its methods read ``key_of(u)`` instead of
-    parsing ``u.id``.  ``parse_label`` is the only parser: it turns text
-    into labels, and ``key_of`` sends every label the instance did not
-    make (another instance's, or one built by hand) through it.
+    Labels are bare ``(id, dim)`` tuples; the structure behind an id is
+    a key that belongs to the provider.  A backend with structured labels
+    makes one label per key and instance through ``_label`` (which asks
+    the backend's ``_spell`` for the id and dim of a new key and records
+    the key in the instance's ``_keys``), and its methods read
+    ``key_of(u)`` instead of parsing ``u.id``.  ``parse_label`` is the
+    only parser: it turns text into labels, and ``key_of`` sends every
+    label equal to none the instance made (another instance's, or one
+    built by hand) through it.
     """
 
     name: str = "ring"
@@ -255,12 +262,14 @@ class FusionProvider(ABC):
     def __init__(self):
         self._decompose_cache: dict[tuple[IrrLabel, IrrLabel], Decomposition] = {}
         self._interned: dict[object, IrrLabel] = {}
+        self._keys: dict[IrrLabel, object] = {}
 
     def _label(self, key) -> IrrLabel:
         """This instance's label for ``key``, spelled on first use."""
         lab = self._interned.get(key)
         if lab is None:
-            lab = self._interned[key] = IrrLabel(*self._spell(key), key)
+            lab = self._interned[key] = IrrLabel(*self._spell(key))
+            self._keys[lab] = key
         return lab
 
     def _spell(self, key) -> tuple[str, int]:
@@ -269,12 +278,14 @@ class FusionProvider(ABC):
 
     def key_of(self, u: IrrLabel):
         """Key of this instance's label equal to ``u``; raises UnknownLabel."""
-        if self._interned.get(u.key) is u:
-            return u.key
+        try:
+            return self._keys[u]
+        except KeyError:
+            pass
         own = self.parse_label(u.id)
         if own.dim != u.dim:
             raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
-        return own.key
+        return self._keys[own]
 
     @abstractmethod
     def unit(self) -> IrrLabel:

@@ -1,6 +1,7 @@
 """Integer row lattices with exact membership tests.
 
-Rows are kept in echelon form with one pivot column per row, reduced
+Rows are kept in Hermite normal form (one positive pivot per row, the
+entries above each pivot reduced to least residues), maintained
 incrementally by extended-gcd row operations.  Insertion and membership
 are both O(rows * n) big-int work; no floating point anywhere.
 """
@@ -85,8 +86,11 @@ class IntegerLattice:
         return grew
 
     def _renormalize(self):
-        # cosmetic: reduce entries above each pivot to least residues
-        for q in sorted(self._rows, reverse=True):
+        # Reduce the entries above each pivot to least residues, which puts
+        # the basis in Hermite normal form and bounds its entries.  Pivots
+        # go in ascending order: reducing by a row changes only the columns
+        # from its pivot on, so no later step undoes an earlier one.
+        for q in sorted(self._rows):
             qrow = self._rows[q]
             for p in sorted(self._rows):
                 if p >= q:

@@ -1,10 +1,11 @@
 """Fusion rings with one self-conjugate generator: SU_q(2) and its even part.
 
-Labels carry a nonnegative integer level as their key.  The full ring
-has one irreducible ``u<n>`` of dimension ``n + 1`` per level, with the
-familiar truncation-free product ladder; the even part relabels the even
-levels as ``v<k>`` of dimension ``2k + 1`` and its ladder runs over every
-intermediate level.  Ids are parsed only by ``parse_label``.
+Each label's key, kept by the provider that made the label, is a
+nonnegative integer level.  The full ring has one irreducible ``u<n>`` of
+dimension ``n + 1`` per level, with the familiar truncation-free product
+ladder; the even part relabels the even levels as ``v<k>`` of dimension
+``2k + 1`` and its ladder runs over every intermediate level.  Ids are
+parsed only by ``parse_label``.
 """
 
 from __future__ import annotations

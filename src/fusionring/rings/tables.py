@@ -172,6 +172,21 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
     return FiniteGroupProvider(name, unit, dims, inv, fusion, dict(table))
 
 
+def _read_json_object(path: str | Path) -> dict:
+    """The JSON object in ``path``; InvalidRing when the file cannot be
+    read, is not JSON or holds something other than an object."""
+    try:
+        with open(path) as fh:
+            data = json.load(fh)
+    except OSError as exc:
+        raise InvalidRing(f"cannot read ring file {str(path)!r}: {exc.strerror or exc}") from None
+    except ValueError as exc:
+        raise InvalidRing(f"ring file {str(path)!r} is not JSON: {exc}") from None
+    if not isinstance(data, dict):
+        raise InvalidRing(f"ring file {str(path)!r} must hold a JSON object")
+    return data
+
+
 def character_ring(source: str | Path | dict, name: str | None = None) -> FiniteTableProvider:
     """Fusion ring of a finite group from an integer character table.
 
@@ -179,11 +194,12 @@ def character_ring(source: str | Path | dict, name: str | None = None) -> Finite
     ``class_sizes`` (identity class first, size 1) and ``characters``
     mapping irreducible ids to integer character value lists.  Only
     integer-valued tables are supported; fusion coefficients come from
-    the usual inner products and must land in nonnegative integers.
+    the usual inner products and must land in nonnegative integers.  A
+    file that cannot be read or does not hold a JSON object and a
+    malformed or inconsistent table all raise InvalidRing.
     """
     if isinstance(source, (str, Path)):
-        with open(source) as fh:
-            data = json.load(fh)
+        data = _read_json_object(source)
         if name is None:
             name = f"characters:{Path(source).name}"
     else:
@@ -244,15 +260,7 @@ def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> F
     all raise InvalidRing; the violations ride on the error.
     """
     if isinstance(source, (str, Path)):
-        try:
-            with open(source) as fh:
-                data = json.load(fh)
-        except OSError as exc:
-            raise InvalidRing(f"cannot read ring file {str(source)!r}: {exc.strerror or exc}") from None
-        except ValueError as exc:
-            raise InvalidRing(f"ring file {str(source)!r} is not JSON: {exc}") from None
-        if not isinstance(data, dict):
-            raise InvalidRing(f"ring file {str(source)!r} must hold a JSON object")
+        data = _read_json_object(source)
         name = f"json:{source}"
     else:
         data = source

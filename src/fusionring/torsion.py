@@ -9,7 +9,9 @@ re-verification pass, and per-label torsion verdicts degrade to
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from itertools import chain, filterfalse, islice, repeat
 
 from .core import Budget, FusionProvider, IrrLabel, VirtualElement, canonical_sort
 from .errors import BadParameter, NotFinite, NotSaturated, UnsupportedProvider
@@ -103,6 +105,11 @@ def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> VirtualEle
     )
 
 
+# A decomposition's constituents, in canonical order, read in C: the closure
+# loop maps it over a row of decompositions at once.
+_constituents = operator.attrgetter("_by_label")
+
+
 def _close(
     provider: FusionProvider,
     kind: str,
@@ -112,44 +119,73 @@ def _close(
 ) -> Subcategory:
     """Shared closure loop: conj + products, plus an optional rule.
 
-    Each round admits everything ``_sweep`` reaches from a snapshot of
-    the members, then whatever ``extra_candidates(members)`` yields for
-    the updated members.  The loop is monotone and deterministic; the
-    returned status comes from a final verification pass over the
-    finished set, which runs the same sweep and rule and trusts nothing
-    from the loop bookkeeping.
+    Each round admits, in ``_sweep``'s order over a snapshot of the
+    members, everything the sweep reaches, then whatever
+    ``extra_candidates(labels)`` yields for the members it has not been
+    given before.  A label is judged only the first time it is reached,
+    so the loop is semi-naive: a round visits only the conjugates and
+    pairs that involve a member admitted since the previous snapshot,
+    since everything else was reached before.  For the same reason the
+    rule must yield, label by label, candidates that depend on that label
+    alone.  The loop is monotone and deterministic; the returned status
+    comes from a final verification pass over the finished set, which
+    runs the whole sweep and rule and trusts nothing from the loop
+    bookkeeping.
     """
     members: dict[IrrLabel, None] = {}
     overflow: set[IrrLabel] = set()
+    cap, max_size = budget.max_irreducibles, budget.max_label_size
+    conj, decompose, label_size = provider.conj, provider.decompose, provider.label_size
+    is_member, is_overflow = members.__contains__, overflow.__contains__
 
     def admit(labels):
-        for lab in labels:
-            if lab in members or lab in overflow:
-                continue
-            if provider.label_size(lab) > budget.max_label_size:
+        if len(members) >= cap:
+            overflow.update(filterfalse(is_member, labels))
+            return
+        fresh = iter(dict.fromkeys(filterfalse(is_overflow, filterfalse(is_member, labels))))
+        for lab in fresh:
+            if len(members) >= cap:
                 overflow.add(lab)
-            elif len(members) >= budget.max_irreducibles:
+                overflow.update(fresh)
+                return
+            if label_size(lab) > max_size:
                 overflow.add(lab)
             else:
                 members[lab] = None
 
+    def reached_from(a, others):
+        """Every constituent of ``a (x) b`` for ``b`` in ``others``, in order."""
+        return chain.from_iterable(map(_constituents, map(decompose, repeat(a), others)))
+
     admit([provider.unit(), *generators])
 
     exhausted_rounds = True
+    swept = ruled = 0  # members[:swept] are swept pairwise; members[:ruled] ruled
     for _ in range(budget.max_rounds):
         before = len(members)
-        admit(_sweep(provider, list(members)))
+        snapshot = list(members)
+        old, new = snapshot[:swept], snapshot[swept:]
+        admit(map(conj, new))
+        for a in old:
+            admit(reached_from(a, new))
+        for a in new:
+            admit(reached_from(a, snapshot))
+        swept = before
         if extra_candidates is not None:
-            admit(extra_candidates(list(members)))
+            unruled = list(islice(members, ruled, None))
+            ruled += len(unruled)
+            admit(extra_candidates(unruled))
         if len(members) == before:
             exhausted_rounds = False
             break
 
     final = list(members)
-    inside = set(final)
-    escaped = {lab for lab in _sweep(provider, final) if lab not in inside}
+    reached = set(map(conj, final))
+    for a in final:
+        reached.update(reached_from(a, final))
     if extra_candidates is not None:
-        escaped.update(lab for lab in extra_candidates(final) if lab not in inside)
+        reached.update(extra_candidates(final))
+    escaped = reached.difference(members)
 
     frontier = overflow | escaped
     status = SATURATED if not frontier and not exhausted_rounds else BUDGET_EXCEEDED

@@ -505,3 +505,61 @@ def n_sequence_reference(provider, budget, exponent_bound: int = 64):
     raise UnsupportedProvider(
         f"{provider.name}: torsion-closure sequence needs a cocommutative (group) ring"
     )
+
+
+# ---------------------------------------------------------------------------
+# decomposition entries with one Python step per entry
+
+
+def decomposition_entries_reference(counts):
+    """The ``entries`` of ``Decomposition(counts)``, built as the library
+    built them before its constructor moved its work into C: one validation
+    step, coercion and sort-key call per entry, the same ValueError on a
+    negative multiplicity."""
+    items = []
+    for lab, mult in counts.items():
+        if mult < 0:
+            raise ValueError(f"negative multiplicity {mult} for {lab.id}")
+        if mult > 0:
+            items.append((lab, int(mult)))
+    items.sort(key=lambda it: (it[0].dim, it[0].id))
+    return tuple(items)
+
+
+# ---------------------------------------------------------------------------
+# Hermite normal form of a whole row set at once
+
+
+def hermite_normal_form(rows, n: int) -> list[list[int]]:
+    """Row Hermite normal form of the lattice spanned by ``rows`` in Z^n.
+
+    Column by column, Euclid's algorithm on all remaining rows at once
+    (the row of least absolute pivot entry reduces the others until one
+    nonzero entry is left), then every entry above a pivot is reduced to
+    its least nonnegative residue.  The result is unique for the lattice:
+    pivots positive and strictly moving right, nothing but zeros below.
+    """
+    rest = [list(r) for r in rows if any(r)]
+    out = []
+    for col in range(n):
+        while True:
+            live = [r for r in rest if r[col]]
+            if len(live) <= 1:
+                break
+            best = min(live, key=lambda r: abs(r[col]))
+            for r in live:
+                if r is not best:
+                    q = r[col] // best[col]
+                    r[:] = [a - q * b for a, b in zip(r, best)]
+        live = [r for r in rest if r[col]]
+        if live:
+            row = live[0]
+            rest = [r for r in rest if r is not row]
+            out.append(row if row[col] > 0 else [-a for a in row])
+        rest = [r for r in rest if any(r)]
+    pivots = [next(c for c, a in enumerate(r) if a) for r in out]
+    for i, (row, p) in enumerate(zip(out, pivots)):
+        for j in range(i):
+            q = out[j][p] // row[p]
+            out[j] = [a - q * b for a, b in zip(out[j], row)]
+    return out

@@ -1,7 +1,10 @@
 import math
+import pickle
 
 import pytest
 from hypothesis import given, strategies as st
+
+import oracles
 
 from fusionring import (
     Budget,
@@ -12,7 +15,9 @@ from fusionring import (
     VirtualElement,
     canonical_key,
     canonical_sort,
+    character_ring,
 )
+from fusionring.cli import parse_provider
 
 
 def test_label_validation():
@@ -22,6 +27,55 @@ def test_label_validation():
         IrrLabel("x", -3)
     lab = IrrLabel("x", 4)
     assert lab.id == "x" and lab.dim == 4
+
+
+LABEL_PARTS = st.tuples(st.text("ab", min_size=1, max_size=3), st.integers(1, 5))
+
+
+@given(LABEL_PARTS, LABEL_PARTS)
+def test_label_equality_hash_and_order_are_the_pairs(x, y):
+    a, b = IrrLabel(*x), IrrLabel(*y)
+    assert (a == b) == (x == y) and (a != b) == (x != y)
+    assert (a < b) == (x < y) and (a <= b) == (x <= y) and (a > b) == (x > y)
+    assert hash(a) == hash(x)
+    assert (a.id, a.dim) == x
+
+
+def test_label_repr_pickle_and_immutability():
+    lab = IrrLabel("u3", 4)
+    assert repr(lab) == "IrrLabel(id='u3', dim=4)"
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        again = pickle.loads(pickle.dumps(lab, protocol))
+        assert type(again) is IrrLabel and again == lab and hash(again) == hash(lab)
+    with pytest.raises(AttributeError):
+        lab.id = "u4"
+    with pytest.raises(AttributeError):
+        lab.key = 3
+    assert vars(IrrLabel)["__hash__"] is tuple.__hash__
+
+
+def test_label_hash_can_be_swapped_and_restored():
+    # What a tracer does to count label hashes: install a counting
+    # ``__hash__`` from the class dict, then put the original back.
+    labels = [IrrLabel(f"x{i}", i + 1) for i in range(50)]
+    table = {lab: i for i, lab in enumerate(labels)}
+    original = vars(IrrLabel)["__hash__"]
+    calls = []
+
+    def counted(label):
+        calls.append(1)
+        return original(label)
+
+    IrrLabel.__hash__ = counted
+    try:
+        assert all(table[IrrLabel(lab.id, lab.dim)] == i for i, lab in enumerate(labels))
+        assert len(calls) == len(labels)
+        assert IrrLabel("x0", 2) not in table
+    finally:
+        IrrLabel.__hash__ = original
+    assert vars(IrrLabel)["__hash__"] is tuple.__hash__
+    assert all(table[IrrLabel(lab.id, lab.dim)] == i for i, lab in enumerate(labels))
+    assert len(calls) == len(labels) + 1
 
 
 def test_canonical_order_dim_then_id():
@@ -47,6 +101,55 @@ def test_decomposition_rejects_bad_multiplicities():
     assert Decomposition({a: 0}).entries == ()  # zeros drop silently
     with pytest.raises(ValueError):
         Decomposition({a: -1})
+
+
+BACKENDS = [
+    "suq2", "so3", "uqsu11", "au", "word:Z2*Z", "free(so3,word:Z2)", "prod(suq2,word:Z2)", "S3 table",
+]
+
+
+@pytest.mark.parametrize("spec", BACKENDS)
+def test_decompositions_match_the_reference_constructor(spec, fixtures_dir, monkeypatch):
+    # Every mapping a backend builds for its window-20 products, fed to
+    # the constructor and to the per-entry reference.
+    inputs = []
+    build = Decomposition.__init__
+
+    def recording(self, counts):
+        inputs.append(dict(counts))
+        build(self, counts)
+
+    monkeypatch.setattr(Decomposition, "__init__", recording)
+    if spec == "S3 table":
+        ring = character_ring(fixtures_dir / "s3_characters.json")
+    else:
+        ring = parse_provider(spec)
+    window = ring.enumerate(20)
+    for a in window:
+        for b in window:
+            ring.decompose(a, b)
+    monkeypatch.undo()
+    assert inputs
+    for counts in inputs:
+        got = Decomposition(counts)
+        assert got.entries == oracles.decomposition_entries_reference(counts)
+        assert got.constituents() == [lab for lab, _ in got.entries]
+        assert all(type(m) is int and got.multiplicity(lab) == m for lab, m in got)
+
+
+@given(st.dictionaries(LABEL_PARTS, st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([0.0, 2.0, 2.5])),
+                       max_size=6))
+def test_decomposition_constructor_matches_the_reference(parts):
+    counts = {IrrLabel(*x): m for x, m in parts.items()}
+    try:
+        want = oracles.decomposition_entries_reference(counts)
+    except ValueError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            Decomposition(counts)
+        return
+    got = Decomposition(counts)
+    assert got.entries == want
+    assert [type(m) for _, m in got] == [int] * len(want)
 
 
 def test_virtual_element_arithmetic():

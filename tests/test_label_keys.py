@@ -44,7 +44,7 @@ def test_parse_label_returns_the_interned_label(spec):
     provider = parse_provider(spec)
     for lab in _labels(provider):
         again = provider.parse_label(lab.id)
-        assert again == lab and again.key == lab.key and again is lab
+        assert again == lab and provider.key_of(again) == provider.key_of(lab) and again is lab
 
 
 @pytest.mark.parametrize("spec", SPECS)
@@ -86,8 +86,8 @@ def test_foreign_labels_raise_even_when_keys_collide():
             suq2.decompose(bad, suq2.unit())
         with pytest.raises(UnknownLabel):
             suq2.label_size(bad)
-    # A key set by hand is not trusted: the id decides.
-    assert suq2.label_size(IrrLabel("u3", 4, 5)) == 3
+    # A label built by hand resolves through its id.
+    assert suq2.label_size(IrrLabel("u3", 4)) == 3
 
 
 def test_ladder_parsers_refuse_trailing_newlines():

@@ -3,6 +3,7 @@ import random
 from hypothesis import given, strategies as st
 
 from fusionring import IntegerLattice
+from oracles import hermite_normal_form
 
 
 def test_membership_hand_cases():
@@ -86,3 +87,23 @@ def test_basis_spans_the_same_lattice(data):
         assert rebuilt.contains(combo)
     for row in rows:
         assert rebuilt.contains(row)
+
+
+def test_basis_is_the_hermite_normal_form():
+    # Reducing above the pivots in descending order left [1, 0, -1] here.
+    lat = IntegerLattice(3)
+    for row in ([1, -1, 0], [-1, -1, 0], [0, -1, -1]):
+        lat.add(row)
+    assert lat.basis() == [[1, 0, 1], [0, 1, 1], [0, 0, 2]]
+
+
+@given(st.data())
+def test_basis_matches_the_hermite_normal_form_oracle(data):
+    n = data.draw(st.integers(1, 7))
+    rows = data.draw(
+        st.lists(st.lists(st.integers(-9, 9), min_size=n, max_size=n), min_size=1, max_size=8)
+    )
+    lat = IntegerLattice(n)
+    for i, row in enumerate(rows):
+        lat.add(row)
+        assert lat.basis() == hermite_normal_form(rows[: i + 1], n)

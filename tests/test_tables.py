@@ -130,3 +130,22 @@ def test_load_rejects_a_document_that_is_not_an_object(tmp_path, content):
     path.write_text(content)
     with pytest.raises(InvalidRing, match="must hold a JSON object"):
         load_ring_json(path)
+
+
+@pytest.mark.parametrize("loader", [load_ring_json, character_ring], ids=lambda f: f.__name__)
+@pytest.mark.parametrize(
+    "content, message",
+    [
+        (None, "cannot read ring file .*: No such file or directory"),
+        ("[1, 2]", "ring file .* must hold a JSON object"),
+        ("{", "ring file .* is not JSON"),
+    ],
+    ids=["missing", "list", "not-json"],
+)
+def test_unreadable_files_raise_invalid_ring(tmp_path, loader, content, message):
+    # Both loaders read files the same way and word their errors alike.
+    path = tmp_path / "ring.json"
+    if content is not None:
+        path.write_text(content)
+    with pytest.raises(InvalidRing, match=message):
+        loader(path)
