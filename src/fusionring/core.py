@@ -133,6 +133,12 @@ class Decomposition:
         return f"<Decomposition {body or '0'}>"
 
 
+# The constituents of a decomposition in canonical order, read in C: an
+# iterable view (to be iterated, not kept) that a caller can map over many
+# decompositions without a Python call per product.
+constituents_of = operator.attrgetter("_by_label")
+
+
 class VirtualElement:
     """Integer combination of irreducibles; coefficients of any sign."""
 

@@ -9,11 +9,17 @@ re-verification pass, and per-label torsion verdicts degrade to
 from __future__ import annotations
 
 import math
-import operator
 from dataclasses import dataclass
 from itertools import chain, filterfalse, islice, repeat
 
-from .core import Budget, FusionProvider, IrrLabel, VirtualElement, canonical_sort
+from .core import (
+    Budget,
+    FusionProvider,
+    IrrLabel,
+    VirtualElement,
+    canonical_sort,
+    constituents_of,
+)
 from .errors import BadParameter, NotFinite, NotSaturated, UnsupportedProvider
 from .lattice import IntegerLattice
 
@@ -81,20 +87,26 @@ class Subcategory:
         return out
 
 
+def _reached_from(provider: FusionProvider, a: IrrLabel, labels):
+    """Lazily yield every constituent of ``a (x) b`` for ``b`` in ``labels``, in order."""
+    return chain.from_iterable(
+        map(constituents_of, map(provider.decompose, repeat(a), labels))
+    )
+
+
 def _sweep(provider: FusionProvider, labels):
     """Lazily yield ``conj(u)`` for each label, then every constituent of ``a (x) b``.
 
     ``labels`` is a snapshot (it must not change while the sweep runs),
     visited in its own order.  A set is closed under conj and products
     exactly when nothing the sweep yields lies outside it; callers that
-    only need the first escape can stop early.
+    only need the first escape can stop early, since each product is
+    decomposed only when the sweep reaches it.
     """
-    for u in labels:
-        yield provider.conj(u)
-    for a in labels:
-        for b in labels:
-            for w, _m in provider.decompose(a, b):
-                yield w
+    return chain(
+        map(provider.conj, labels),
+        chain.from_iterable(_reached_from(provider, a, labels) for a in labels),
+    )
 
 
 def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> VirtualElement:
@@ -103,11 +115,6 @@ def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> VirtualEle
         provider.multiply_virtual(VirtualElement.of(provider.conj(u)), VirtualElement.of(v)),
         VirtualElement.of(u),
     )
-
-
-# A decomposition's constituents, in canonical order, read in C: the closure
-# loop maps it over a row of decompositions at once.
-_constituents = operator.attrgetter("_by_label")
 
 
 def _close(
@@ -135,13 +142,10 @@ def _close(
     members: dict[IrrLabel, None] = {}
     overflow: set[IrrLabel] = set()
     cap, max_size = budget.max_irreducibles, budget.max_label_size
-    conj, decompose, label_size = provider.conj, provider.decompose, provider.label_size
+    conj, label_size = provider.conj, provider.label_size
     is_member, is_overflow = members.__contains__, overflow.__contains__
 
     def admit(labels):
-        if len(members) >= cap:
-            overflow.update(filterfalse(is_member, labels))
-            return
         fresh = iter(dict.fromkeys(filterfalse(is_overflow, filterfalse(is_member, labels))))
         for lab in fresh:
             if len(members) >= cap:
@@ -153,10 +157,9 @@ def _close(
             else:
                 members[lab] = None
 
-    def reached_from(a, others):
-        """Every constituent of ``a (x) b`` for ``b`` in ``others``, in order."""
-        return chain.from_iterable(map(_constituents, map(decompose, repeat(a), others)))
-
+    generators = list(generators)
+    for g in generators:
+        label_size(g)  # a foreign generator raises here, even past the cap
     admit([provider.unit(), *generators])
 
     exhausted_rounds = True
@@ -167,9 +170,9 @@ def _close(
         old, new = snapshot[:swept], snapshot[swept:]
         admit(map(conj, new))
         for a in old:
-            admit(reached_from(a, new))
+            admit(_reached_from(provider, a, new))
         for a in new:
-            admit(reached_from(a, snapshot))
+            admit(_reached_from(provider, a, snapshot))
         swept = before
         if extra_candidates is not None:
             unruled = list(islice(members, ruled, None))
@@ -180,9 +183,7 @@ def _close(
             break
 
     final = list(members)
-    reached = set(map(conj, final))
-    for a in final:
-        reached.update(reached_from(a, final))
+    reached = set(_sweep(provider, final))
     if extra_candidates is not None:
         reached.update(extra_candidates(final))
     escaped = reached.difference(members)

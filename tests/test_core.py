@@ -18,6 +18,7 @@ from fusionring import (
     character_ring,
 )
 from fusionring.cli import parse_provider
+from fusionring.core import constituents_of
 
 
 def test_label_validation():
@@ -134,6 +135,7 @@ def test_decompositions_match_the_reference_constructor(spec, fixtures_dir, monk
         got = Decomposition(counts)
         assert got.entries == oracles.decomposition_entries_reference(counts)
         assert got.constituents() == [lab for lab, _ in got.entries]
+        assert list(constituents_of(got)) == got.constituents()
         assert all(type(m) is int and got.multiplicity(lab) == m for lab, m in got)
 
 

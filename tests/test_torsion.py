@@ -11,8 +11,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionring import Budget
-from fusionring.errors import BadParameter, NotFinite, NotSaturated, UnsupportedProvider
+from fusionring import Budget, IrrLabel
+from fusionring.errors import BadParameter, NotFinite, NotSaturated, UnknownLabel, UnsupportedProvider
 from fusionring.cli import parse_provider
 from fusionring.rings import (
     au_ring,
@@ -378,6 +378,20 @@ def test_closures_match_the_reference_engine_under_every_cap(spec, kind, fixture
         assert (got.labels, got.status, got.frontier) == (want.labels, want.status, want.frontier), budget
         if budget in lifted:
             assert len(got.labels) == budget.max_irreducibles
+
+
+@pytest.mark.parametrize("kind", CLOSURES)
+@pytest.mark.parametrize("cap", [1, 2])
+def test_foreign_generator_past_the_cap_is_refused(kind, cap):
+    # The unit fills a cap of 1; with a cap of 2 the foreign label comes
+    # after the cap is full.  Both engines must still refuse it.
+    ring = suq2_ring()
+    gens = [ring.parse_label("u1"), IrrLabel("zz", 3)][2 - cap:]
+    budget = Budget(max_irreducibles=cap)
+    with pytest.raises(UnknownLabel):
+        close_reference(ring, kind, gens, budget)
+    with pytest.raises(UnknownLabel):
+        CLOSURES[kind](ring, gens, budget)
 
 
 SUBRING_WORK = """
