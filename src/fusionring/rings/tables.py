@@ -140,17 +140,26 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
 
     Raises NotAGroup naming the first failed axiom: the table must be a
     total operation on one element set, with identity, inverses, and
-    associativity.
+    associativity.  Associativity is decided by Light's test: the
+    elements b with (ab)c = a(bc) for all a and c are closed under the
+    product, so it is enough to check b over a generating set, picked
+    greedily in sorted order.  A failure names a triple whose middle
+    element is one of those generators.
     """
     elems = sorted({g for g, _ in table} | {h for _, h in table})
     if not elems:
         raise NotAGroup("empty table")
+    elem_set = set(elems)
     for g in elems:
         for h in elems:
             prod = table.get((g, h))
             if prod is None:
                 raise NotAGroup(f"product ({g!r}, {h!r}) missing")
-            if prod not in elems:
+            try:
+                inside = prod in elem_set
+            except TypeError:  # an unhashable product is no element either
+                inside = False
+            if not inside:
                 raise NotAGroup(f"product ({g!r}, {h!r}) = {prod!r} leaves the element set")
     unit = next((e for e in elems if all(table[(e, g)] == g and table[(g, e)] == g for g in elems)), None)
     if unit is None:
@@ -161,8 +170,9 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
         if gi is None:
             raise NotAGroup(f"{g!r} has no inverse")
         inv[g] = gi
+    gens = _generators(table, elems)
     for a in elems:
-        for b in elems:
+        for b in gens:
             ab = table[(a, b)]
             for c in elems:
                 if table[(ab, c)] != table[(a, table[(b, c)])]:
@@ -170,6 +180,28 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
     dims = {g: 1 for g in elems}
     fusion = {(g, h): {table[(g, h)]: 1} for g in elems for h in elems}
     return FiniteGroupProvider(name, unit, dims, inv, fusion, dict(table))
+
+
+def _generators(table: dict[tuple[str, str], str], elems: list[str]) -> list[str]:
+    """Elements, in ``elems`` order, whose left-normed products reach every element.
+
+    An element joins when the left-normed products of the ones before it
+    do not reach it; each reached element is multiplied on the right by
+    each generator once.
+    """
+    gens: list[str] = []
+    reached: set[str] = set()
+    for x in elems:
+        if x in reached:
+            continue
+        todo = [x, *(table[(r, x)] for r in reached)]
+        gens.append(x)
+        while todo:
+            y = todo.pop()
+            if y not in reached:
+                reached.add(y)
+                todo.extend(table[(y, g)] for g in gens)
+    return gens
 
 
 def _read_json_object(path: str | Path) -> dict:
@@ -255,7 +287,9 @@ def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> F
 
     Format: ``{"unit": id, "irreducibles": [{"id", "dim", "conj"}...],
     "fusion": [{"left", "right", "result": {id: mult}}...]}`` with every
-    ordered pair present exactly once.  A file that cannot be read or
+    ordered pair present exactly once; dims and multiplicities must be
+    JSON integers (``1.9``, ``"1"`` and ``true`` are refused, not
+    coerced).  A file that cannot be read or
     does not hold a JSON object, structural problems and axiom violations
     all raise InvalidRing; the violations ride on the error.
     """
@@ -276,9 +310,11 @@ def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> F
     dims, conj = {}, {}
     for entry in irr:
         try:
-            i, d, c = str(entry["id"]), int(entry["dim"]), str(entry["conj"])
-        except (KeyError, TypeError, ValueError) as exc:
+            i, d, c = str(entry["id"]), entry["dim"], str(entry["conj"])
+        except (KeyError, TypeError) as exc:
             raise InvalidRing(f"malformed irreducible entry {entry!r}: {exc}") from None
+        if type(d) is not int:
+            raise InvalidRing(f"malformed irreducible entry {entry!r}: dim must be a JSON integer")
         if d < 1:
             raise InvalidRing(f"irreducible {i!r} has dim {d} < 1")
         if i in dims:
@@ -288,9 +324,11 @@ def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> F
     for row in rows:
         try:
             key = (str(row["left"]), str(row["right"]))
-            result = {str(w): int(m) for w, m in row["result"].items()}
-        except (KeyError, TypeError, ValueError, AttributeError) as exc:
+            result = {str(w): m for w, m in row["result"].items()}
+        except (KeyError, TypeError, AttributeError) as exc:
             raise InvalidRing(f"malformed fusion row {row!r}: {exc}") from None
+        if any(type(m) is not int for m in result.values()):
+            raise InvalidRing(f"malformed fusion row {row!r}: multiplicities must be JSON integers")
         if key in table:
             raise InvalidRing(f"pair {key} listed twice")
         table[key] = result

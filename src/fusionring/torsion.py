@@ -625,8 +625,11 @@ def dimension_ideal_recover(provider: FusionProvider, a_labels) -> DimensionIdea
 def enumerate_saturated_subrings(provider: FusionProvider, limit: int = 16) -> list[tuple[IrrLabel, ...]]:
     """All conj- and product-closed subsets containing the unit.
 
-    Brute force over subsets; only sensible for small finite rings, so
-    rings larger than ``limit`` are refused.
+    Searches the subring lattice from the unit subring: each subring
+    found, in discovery order, is extended by each label outside it, in
+    enumeration order, to the subring the two generate.  Every saturated
+    subring is generated by its own labels, so a chain of one-label
+    extensions reaches it.  Rings larger than ``limit`` are refused.
     """
     total = provider.num_irreducibles
     if not isinstance(total, int):
@@ -634,15 +637,24 @@ def enumerate_saturated_subrings(provider: FusionProvider, limit: int = 16) -> l
     if total > limit:
         raise NotFinite(f"{provider.name}: {total} irreducibles exceeds the limit {limit}")
     all_irr = provider.enumerate(total)
-    unit = provider.unit()
-    rest = [l for l in all_irr if l != unit]
-    out = []
-    for mask in range(1 << len(rest)):
-        # A list in enumeration order, so the work does not follow the hash
-        # seed; products with the unit never escape, so the unit goes last.
-        subset = [l for i, l in enumerate(rest) if mask >> i & 1] + [unit]
-        inside = set(subset)
-        if all(w in inside for w in _sweep(provider, subset)):
-            out.append(tuple(canonical_sort(subset)))
-    out.sort(key=lambda subs: (len(subs), [l.id for l in subs]))
-    return out
+    # Room for the whole ring, so every closure saturates.
+    budget = Budget(
+        max_irreducibles=total,
+        max_rounds=total,
+        max_label_size=max(map(provider.label_size, all_irr)),
+    )
+    found = [(provider.unit(),)]
+    seen = set(found)
+    for subring in found:  # grows while it is walked
+        inside = set(subring)
+        for x in all_irr:
+            if x in inside:
+                continue
+            sub = generated_subring(provider, [*subring, x], budget)
+            if sub.status != SATURATED:
+                raise NotSaturated(f"{provider.name}: the subring generated with {x.id!r} did not saturate")
+            if sub.labels not in seen:
+                seen.add(sub.labels)
+                found.append(sub.labels)
+    found.sort(key=lambda subs: (len(subs), [l.id for l in subs]))
+    return found

@@ -187,6 +187,12 @@ def _perm_compose(p, q):
     return tuple(p[q[i]] for i in range(3))
 
 
+def s3_group_table() -> dict[tuple[str, str], str]:
+    """Multiplication table of S3, each permutation named ``"p"`` and its images."""
+    name = {p: "p" + "".join(map(str, p)) for p in S3_ELEMENTS}
+    return {(name[p], name[q]): name[_perm_compose(p, q)] for p in S3_ELEMENTS for q in S3_ELEMENTS}
+
+
 def s3_character_value(name: str, perm) -> int:
     fixed = sum(1 for i in range(3) if perm[i] == i)
     parity = 1
@@ -563,3 +569,79 @@ def hermite_normal_form(rows, n: int) -> list[list[int]]:
             q = out[j][p] // row[p]
             out[j] = [a - q * b for a, b in zip(out[j], row)]
     return out
+
+
+# ---------------------------------------------------------------------------
+# saturated subrings by a scan over every subset
+
+
+def saturated_subrings_reference(provider):
+    """Every conj- and product-closed label set containing the unit, in
+    the library's order: the subset scan that ``enumerate_saturated_subrings``
+    ran before it searched the subring lattice, kept line for line with
+    the sweep written out.  It tests all 2^(n-1) subsets, so only small
+    finite rings are sensible inputs."""
+    from fusionring.core import canonical_sort
+
+    total = provider.num_irreducibles
+    all_irr = provider.enumerate(total)
+    unit = provider.unit()
+    rest = [l for l in all_irr if l != unit]
+    out = []
+    for mask in range(1 << len(rest)):
+        subset = [l for i, l in enumerate(rest) if mask >> i & 1] + [unit]
+        inside = set(subset)
+        closed = all(provider.conj(u) in inside for u in subset) and all(
+            w in inside for a in subset for b in subset for w, _ in provider.decompose(a, b)
+        )
+        if closed:
+            out.append(tuple(canonical_sort(subset)))
+    out.sort(key=lambda subs: (len(subs), [l.id for l in subs]))
+    return out
+
+
+# ---------------------------------------------------------------------------
+# finite abelian groups by tuple arithmetic
+
+
+def _abelian_name(x) -> str:
+    return "g" + "_".join(map(str, x))
+
+
+def abelian_group_table(orders) -> dict[tuple[str, str], str]:
+    """Multiplication table of Z_orders[0] x Z_orders[1] x ..., with the
+    element (k0, k1, ...) named ``"g" + "_".join(k)`` and ``g0_0...`` the
+    identity."""
+    elements = list(itertools.product(*(range(k) for k in orders)))
+    return {
+        (_abelian_name(x), _abelian_name(y)): _abelian_name(tuple((a + b) % k for a, b, k in zip(x, y, orders)))
+        for x in elements
+        for y in elements
+    }
+
+
+def bf_abelian_subgroups(orders) -> set[frozenset[str]]:
+    """Every subgroup of Z_orders[0] x ... as a set of the names used by
+    ``abelian_group_table``: the cyclic subgroups, then sums H + C of a
+    subgroup found and a cyclic one until no sum is new."""
+    elements = list(itertools.product(*(range(k) for k in orders)))
+    zero = elements[0]
+
+    def add(x, y):
+        return tuple((a + b) % k for a, b, k in zip(x, y, orders))
+
+    def cyclic(g):
+        seen, x = [zero], add(zero, g)
+        while x != zero:
+            seen.append(x)
+            x = add(x, g)
+        return frozenset(seen)
+
+    cyclics = {cyclic(g) for g in elements}
+    subgroups = set(cyclics)
+    while True:
+        sums = {frozenset(add(h, c) for h in sub for c in cyc) for sub in subgroups for cyc in cyclics}
+        if sums <= subgroups:
+            break
+        subgroups |= sums
+    return {frozenset(map(_abelian_name, sub)) for sub in subgroups}

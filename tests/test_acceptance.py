@@ -14,6 +14,7 @@ from fusionring.rings import (
     au_ring,
     builtin_finite_rings,
     direct_product,
+    finite_group_ring,
     free_product,
     parse_word_group_spec,
     so3_ring,
@@ -33,7 +34,14 @@ from fusionring.torsion import (
 )
 from fusionring.uqnumeric import full_verification, verify_conjugate_equations
 
-from oracles import bf_inv, bf_mul, bf_normal_closure_in_ball, su2_multiplicity
+from oracles import (
+    abelian_group_table,
+    bf_abelian_subgroups,
+    bf_inv,
+    bf_mul,
+    bf_normal_closure_in_ball,
+    su2_multiplicity,
+)
 
 TOL = 1e-9
 
@@ -206,6 +214,24 @@ def test_acceptance_7_dimension_ideal_recovery():
             total_subsets += 1
     _passline(7, f"exact recovery for all {total_subsets} saturated subrings "
                  f"across {len(builtin_finite_rings())} builtin rings")
+
+
+# Rank 3 included: Z2 x Z2 x Z8 has a subgroup that no two elements generate.
+LARGER_GROUPS = [(2, 16), (4, 8), (2, 2, 8)]
+
+
+def test_acceptance_7_on_group_rings_of_32_elements():
+    total_subsets = 0
+    for orders in LARGER_GROUPS:
+        provider = finite_group_ring(abelian_group_table(orders), f"group:{orders}")
+        found = enumerate_saturated_subrings(provider, limit=provider.num_irreducibles)
+        assert {frozenset(l.id for l in s) for s in found} == bf_abelian_subgroups(orders), orders
+        for subset in found:
+            report = dimension_ideal_recover(provider, subset)
+            assert report.exact, (provider.name, report.to_dict())
+            total_subsets += 1
+    _passline(7, f"every subgroup of {len(LARGER_GROUPS)} abelian groups of order 32 found "
+                 f"by the subring search; exact recovery for all {total_subsets}")
 
 
 def test_acceptance_8_non_normal_witness():

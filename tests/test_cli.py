@@ -206,6 +206,18 @@ def test_dimideal_command(fixtures_dir, tmp_path, capsys):
         ("list_id.json", '{"unit": "e", "irreducibles": [{"id": ["e"], "dim": 1, "conj": "e"}], "fusion": []}'),
         ("list.json", "[1, 2]"),
         ("string.json", '"x"'),
+        ("float_dim.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": 1.9, "conj": "e"}], '
+                           '"fusion": [{"left": "e", "right": "e", "result": {"e": 1}}]}'),
+        ("string_dim.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": "1", "conj": "e"}], '
+                            '"fusion": [{"left": "e", "right": "e", "result": {"e": 1}}]}'),
+        ("bool_dim.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": true, "conj": "e"}], '
+                          '"fusion": [{"left": "e", "right": "e", "result": {"e": 1}}]}'),
+        ("float_mult.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": 1, "conj": "e"}], '
+                            '"fusion": [{"left": "e", "right": "e", "result": {"e": 1.7}}]}'),
+        ("string_mult.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": 1, "conj": "e"}], '
+                             '"fusion": [{"left": "e", "right": "e", "result": {"e": "1"}}]}'),
+        ("bool_mult.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": 1, "conj": "e"}], '
+                           '"fusion": [{"left": "e", "right": "e", "result": {"e": true}}]}'),
     ],
 )
 def test_malformed_ring_file_is_an_invalid_ring(name, content, tmp_path, capsys):

@@ -10,11 +10,14 @@ from fusionring import (
     VirtualElement,
     check_axioms,
     direct_product,
+    finite_group_ring,
     free_product,
     so3_ring,
     suq2_ring,
     word_group,
 )
+
+import oracles
 
 
 def _fp():
@@ -171,3 +174,47 @@ def test_order_oracle_unsupported_on_free_products():
     fp = _fp()
     with pytest.raises(UnsupportedProvider):
         fp.order_oracle(fp.parse_label("a"))
+
+
+def test_direct_product_of_group_rings_matches_the_product_table():
+    left_table, right_table = oracles.abelian_group_table([3]), oracles.s3_group_table()
+    dp = direct_product(finite_group_ring(left_table, "Z3"), finite_group_ring(right_table, "S3"))
+    pairs = {(g, h) for g, _ in left_table for h, _ in right_table}
+    product = finite_group_ring(
+        {
+            (f"({g1},{h1})", f"({g2},{h2})"): f"({left_table[(g1, g2)]},{right_table[(h1, h2)]})"
+            for g1, h1 in pairs
+            for g2, h2 in pairs
+        },
+        "Z3xS3",
+    )
+    n = product.num_irreducibles
+    assert dp.num_irreducibles == n == 18
+    window = dp.enumerate(n)
+    assert sorted(u.id for u in window) == sorted(u.id for u in product.enumerate(n))
+    assert dp.unit().id == product.unit().id
+    same = {u: product.parse_label(u.id) for u in window}
+    for u in window:
+        assert (u.dim, dp.conj(u).id) == (same[u].dim, product.conj(same[u]).id)
+        assert dp.order_oracle(u) == product.order_oracle(same[u])
+        for v in window:
+            got = [(w.id, m) for w, m in dp.decompose(u, v)]
+            assert got == [(w.id, m) for w, m in product.decompose(same[u], same[v])], (u.id, v.id)
+
+
+def test_free_product_of_cyclic_groups_matches_the_word_group():
+    fp = free_product(word_group([2]), word_group([3]))
+    wg = word_group([2, 3])
+
+    def spell(u):
+        # Letters map 0:a -> a and factor 1's a^k -> b^k.
+        return "".join(lab.id if k == 0 else "b" + lab.id[1:] for k, lab in fp.key_of(u)) or "e"
+
+    window = fp.enumerate(64)
+    assert [spell(u) for u in window] == [w.id for w in wg.enumerate(64)]
+    same = {u: wg.parse_label(spell(u)) for u in window}
+    for u in window:
+        assert (u.dim, spell(fp.conj(u))) == (same[u].dim, wg.conj(same[u]).id)
+        for v in window:
+            got = [(spell(w), m) for w, m in fp.decompose(u, v)]
+            assert got == [(w.id, m) for w, m in wg.decompose(same[u], same[v])], (u.id, v.id)

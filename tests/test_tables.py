@@ -1,7 +1,8 @@
-import itertools
+import ast
 import json
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fusionring import (
     Budget,
@@ -18,18 +19,8 @@ from fusionring import (
 import oracles
 
 
-def _s3_group_table():
-    elems = list(itertools.permutations(range(3)))
-    ids = {g: "p" + "".join(map(str, g)) for g in elems}
-    table = {}
-    for g in elems:
-        for h in elems:
-            table[(ids[g], ids[h])] = ids[oracles._perm_compose(g, h)]
-    return table
-
-
 def test_s3_group_ring_from_permutations():
-    ring = finite_group_ring(_s3_group_table(), name="S3")
+    ring = finite_group_ring(oracles.s3_group_table(), name="S3")
     assert ring.num_irreducibles == 6
     report = check_axioms(ring, Budget(max_irreducibles=6), triple_samples=30, seed=0)
     assert report.ok
@@ -40,11 +31,91 @@ def test_s3_group_ring_from_permutations():
 
 
 def test_non_group_table_rejected():
-    table = _s3_group_table()
+    table = oracles.s3_group_table()
     # break inverses: redirect one product so a row loses the identity
     table[("p102", "p102")] = "p102"
     with pytest.raises(NotAGroup):
         finite_group_ring(table, name="broken")
+
+
+# Identity 0 and every element its own inverse, but (1*1)*2 = 2 while
+# 1*(1*2) = 1*3 = 4: a loop that passes every check before associativity.
+ORDER_5_LOOP = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+
+
+def _rows_table(rows):
+    return {(str(a), str(b)): str(c) for a, row in enumerate(rows) for b, c in enumerate(row)}
+
+
+def _failing_triples(table):
+    elems = sorted({g for g, _ in table})
+    return {
+        (a, b, c)
+        for a in elems
+        for b in elems
+        for c in elems
+        if table[(table[(a, b)], c)] != table[(a, table[(b, c)])]
+    }
+
+
+def test_order_5_loop_fails_associativity():
+    table = _rows_table(ORDER_5_LOOP)
+    with pytest.raises(NotAGroup, match="associativity fails at") as err:
+        finite_group_ring(table)
+    assert ast.literal_eval(str(err.value).split(" at ", 1)[1]) in _failing_triples(table)
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({("a", "a"): ["x"]}, "leaves the element set"),
+        ({("a", "a"): "x"}, "leaves the element set"),
+        ({("a", "a"): "a", ("a", "b"): "b"}, "missing"),
+        ({}, "empty table"),
+    ],
+    ids=["unhashable-product", "foreign-product", "missing-product", "empty"],
+)
+def test_bad_group_tables_raise_not_a_group(table, message):
+    with pytest.raises(NotAGroup, match=message):
+        finite_group_ring(table)
+
+
+# Groups of order <= 6 by their rows over elements 0..n-1, 0 the identity:
+# the cyclic groups, the Klein group and S3 (the identity permutation first).
+_S3 = oracles.S3_ELEMENTS
+_SMALL_GROUPS = [
+    *([[(a + b) % n for b in range(n)] for a in range(n)] for n in range(1, 7)),
+    [[a ^ b for b in range(4)] for a in range(4)],
+    [[_S3.index(oracles._perm_compose(p, q)) for q in _S3] for p in _S3],
+]
+
+
+@st.composite
+def _tables_with_identity_and_inverses(draw):
+    """A group table of order <= 6 under random names, with entries
+    outside the identity's row and column and off the inverse pairs
+    overwritten at random (all of them, some or none)."""
+    rows = [list(r) for r in draw(st.sampled_from(_SMALL_GROUPS))]
+    n = len(rows)
+    inverse = {a: rows[a].index(0) for a in range(n)}
+    free = [(a, b) for a in range(1, n) for b in range(1, n) if b != inverse[a]]
+    if free:
+        for a, b in draw(st.lists(st.sampled_from(free), max_size=len(free))):
+            rows[a][b] = draw(st.integers(0, n - 1))
+    names = draw(st.permutations("abcdef"[:n]))
+    return {(names[a], names[b]): names[c] for a, row in enumerate(rows) for b, c in enumerate(row)}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_with_identity_and_inverses())
+def test_light_test_agrees_with_brute_force(table):
+    failing = _failing_triples(table)
+    if not failing:
+        assert finite_group_ring(table).num_irreducibles == len({g for g, _ in table})
+        return
+    with pytest.raises(NotAGroup, match="associativity fails at") as err:
+        finite_group_ring(table)
+    assert ast.literal_eval(str(err.value).split(" at ", 1)[1]) in failing
 
 
 def test_character_ring_matches_element_sum_oracle(fixtures_dir):

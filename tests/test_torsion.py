@@ -18,6 +18,7 @@ from fusionring.rings import (
     au_ring,
     builtin_finite_rings,
     character_ring,
+    finite_group_ring,
     free_product,
     parse_word_group_spec,
     so3_ring,
@@ -38,7 +39,15 @@ from fusionring.torsion import (
     torsion_subcategory,
 )
 
-from oracles import bf_ball, bf_inv, bf_mul, close_reference, n_sequence_reference
+from oracles import (
+    abelian_group_table,
+    bf_ball,
+    bf_inv,
+    bf_mul,
+    close_reference,
+    n_sequence_reference,
+    saturated_subrings_reference,
+)
 
 
 def test_double_ladder_torsion_scan_is_the_sign_pair():
@@ -323,6 +332,33 @@ def test_saturated_subring_counts():
     }
 
 
+def _small_finite_rings(fixtures_dir):
+    """Every ring of at most 16 irreducibles the tests build."""
+    yield from builtin_finite_rings()
+    for orders in [(16,), (4, 4), (2, 8)]:
+        yield finite_group_ring(abelian_group_table(orders), f"group:{orders}")
+    yield parse_provider("prod(word:Z2,word:Z4)")
+    yield character_ring(fixtures_dir / "s3_characters.json")
+
+
+def test_subring_search_matches_the_subset_scan(fixtures_dir):
+    for ring in _small_finite_rings(fixtures_dir):
+        assert enumerate_saturated_subrings(ring) == saturated_subrings_reference(ring), ring.name
+
+
+def test_subring_search_refuses_a_ring_whose_products_leave_it():
+    # Z3 cut down to {e, a}: a (x) a = a^2 lies outside the two labels,
+    # so no closure through a can saturate.
+    z3 = word_group([3])
+
+    class CutZ3(type(z3)):
+        num_irreducibles = 2
+
+    ring = CutZ3(z3.spec)
+    with pytest.raises(NotSaturated):
+        enumerate_saturated_subrings(ring)
+
+
 def test_dimension_ideal_rejects_bad_subsets():
     ring = _char_s3()
     by_id = {l.id: l for l in ring.enumerate(3)}
@@ -406,8 +442,8 @@ print(len(enumerate_saturated_subrings(ring)), len(calls))
 
 
 def test_subring_enumeration_work_is_independent_of_the_hash_seed():
-    # Each candidate is swept in a fixed order, so the decompose calls made
-    # before the first escape do not follow PYTHONHASHSEED.
+    # Each closure of the search admits labels in a fixed order, so the
+    # decompose calls it makes do not follow PYTHONHASHSEED.
     src = str(Path(__file__).resolve().parents[1] / "src")
     outputs = set()
     for seed in ("0", "1", "2", "3"):
@@ -416,4 +452,4 @@ def test_subring_enumeration_work_is_independent_of_the_hash_seed():
         done = subprocess.run([sys.executable, "-c", SUBRING_WORK], capture_output=True,
                               text=True, env=env, timeout=120, check=True)
         outputs.add(done.stdout)
-    assert outputs == {"8 173\n"}
+    assert outputs == {"8 3032\n"}
