@@ -16,7 +16,6 @@ from .components import (
     connectedness_probe,
     identity_component_report,
     restriction_hom_dim,
-    s_part,
 )
 from .core import (
     Budget,

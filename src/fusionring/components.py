@@ -8,10 +8,9 @@ exhibit a witness against normality.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
-from .core import Budget, Decomposition, FusionProvider, IrrLabel, VirtualElement
+from .core import Budget, FusionProvider, IrrLabel
 from .torsion import (
     BUDGET_EXCEEDED,
     SATURATED,
@@ -19,13 +18,12 @@ from .torsion import (
     Subcategory,
     TorsionScanReport,
     _conjugate,
+    _forced,
     normality_consistency,
     torsion_subcategory,
 )
 
 __all__ = [
-    "ConsistencyWarning",
-    "s_part",
     "restriction_hom_dim",
     "connectedness_probe",
     "ConnectednessReport",
@@ -34,54 +32,16 @@ __all__ = [
 ]
 
 
-class ConsistencyWarning(UserWarning):
-    """The label set handed to a restriction count failed its consistency probe."""
-
-
-def s_part(provider: FusionProvider, s_labels, x) -> VirtualElement:
-    """Projection of an effective element onto the S-span.
-
-    ``x`` may be a label, a decomposition, or a VirtualElement with
-    nonnegative coefficients.
-    """
-    if isinstance(x, IrrLabel):
-        x = VirtualElement.of(x)
-    elif isinstance(x, Decomposition):
-        x = VirtualElement.from_decomposition(x)
-    if not x.is_effective():
-        raise ValueError("s_part is only defined for nonnegative combinations")
-    s_set = set(s_labels)
-    return VirtualElement({lab: c for lab, c in x.coeffs.items() if lab in s_set})
-
-
-def restriction_hom_dim(
-    provider: FusionProvider,
-    s_labels,
-    u: IrrLabel,
-    v: IrrLabel,
-    *,
-    check_consistency: bool = False,
-    consistency_bound: int = 16,
-) -> int:
+def restriction_hom_dim(provider: FusionProvider, s_labels, u: IrrLabel, v: IrrLabel) -> int:
     """Dimension of the intertwiner space of u and v after restricting
     along the subcategory S: ``sum over w in S of N^w_{ubar v} dim(w)``.
 
     Symmetric in u and v, and equal to dim(u)^2 when u = v lies in S.
-    With ``check_consistency`` the S set is first probed for conjugation
-    stability over a small window, warning on failure (the count is
-    still returned; it just loses its interpretation).
+    The count is a hom dimension only when S is conjugation-stable, which
+    ``normality_consistency`` probes over a window; this function does not
+    check it.
     """
     s_set = set(s_labels)
-    if check_consistency:
-        violations = normality_consistency(provider, s_set, consistency_bound)
-        if violations:
-            first = violations[0]
-            warnings.warn(
-                f"{provider.name}: S is not conjugation-stable over the probe window "
-                f"(member {first.member.id}, conjugator {first.conjugator.id})",
-                ConsistencyWarning,
-                stacklevel=2,
-            )
     dec = provider.decompose(provider.conj(u), v)
     return sum(m * w.dim for w, m in dec if w in s_set)
 
@@ -161,14 +121,18 @@ class ComponentReport:
         }
 
 
-def _non_normal_witness(provider, violations):
-    """Pick the forced conjugate behind the first usable violation."""
+def _non_normal_witness(provider, violations) -> IrrLabel:
+    """The forced conjugate behind the first violation that has one, else
+    the first constituent of the first violation's product."""
+    fallback = None
     for vio in violations:
-        coeffs = _conjugate(provider, vio.conjugator, vio.member).coeffs
-        if len(coeffs) == 1 and next(iter(coeffs.values())) == 1:
-            return next(iter(coeffs)), vio
-    vio = violations[0]
-    return _conjugate(provider, vio.conjugator, vio.member).support()[0], vio
+        product = _conjugate(provider, vio.conjugator, vio.member)
+        forced = _forced(product)
+        if forced is not None:
+            return forced
+        if fallback is None:
+            fallback = product.entries[0][0]
+    return fallback
 
 
 def _witness_evidence(provider, witness: IrrLabel) -> dict | None:
@@ -229,7 +193,7 @@ def identity_component_report(
     violations = normality_consistency(provider, s_set, budget.max_irreducibles)
 
     if violations:
-        witness, used = _non_normal_witness(provider, violations)
+        witness = _non_normal_witness(provider, violations)
         evidence = _witness_evidence(provider, witness)
         degree, note = _adjoint_degree_note(provider)
         return ComponentReport(

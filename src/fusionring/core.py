@@ -152,10 +152,6 @@ class VirtualElement:
     def of(cls, label: IrrLabel, coeff: int = 1) -> "VirtualElement":
         return cls({label: coeff})
 
-    @classmethod
-    def from_decomposition(cls, dec: Decomposition) -> "VirtualElement":
-        return cls(dict(dec.entries))
-
     @property
     def coeffs(self) -> dict[IrrLabel, int]:
         return dict(self._coeffs)
@@ -168,10 +164,6 @@ class VirtualElement:
 
     def is_zero(self) -> bool:
         return not self._coeffs
-
-    def is_effective(self) -> bool:
-        """True when every coefficient is nonnegative."""
-        return all(c >= 0 for c in self._coeffs.values())
 
     def __add__(self, other: "VirtualElement") -> "VirtualElement":
         out = dict(self._coeffs)
@@ -250,7 +242,12 @@ class FusionProvider(ABC):
       the enumeration, and None for the budget's own size cap.
 
     ``decompose`` results are memoized on the instance, so backends
-    implement ``_decompose`` and must treat labels as immutable.
+    implement ``_decompose`` and must treat labels as immutable.  Longer
+    products of irreducibles (the analysis layers' ``ubar (x) v (x) u``)
+    are built from those cached decompositions.  ``multiply_virtual``
+    extends ``decompose`` to signed combinations (``VirtualElement``):
+    ``check_axioms`` needs that for the difference in its associativity
+    report, and ``factor_restriction`` returns one.
 
     Labels are bare ``(id, dim)`` tuples; the structure behind an id is
     a key that belongs to the provider.  A backend with structured labels
@@ -374,10 +371,3 @@ class FusionProvider(ABC):
                 for w, m in self.decompose(a, b):
                     acc[w] = acc.get(w, 0) + ca * cb * m
         return VirtualElement(acc)
-
-    def product_element(self, labels: Iterable[IrrLabel]) -> VirtualElement:
-        """Left-to-right product of a sequence of irreducibles."""
-        out = VirtualElement.of(self.unit())
-        for lab in labels:
-            out = self.multiply_virtual(out, VirtualElement.of(lab))
-        return out

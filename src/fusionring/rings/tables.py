@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
+from itertools import chain
 from pathlib import Path
 
 from ..axioms import check_axioms
@@ -224,11 +225,13 @@ def character_ring(source: str | Path | dict, name: str | None = None) -> Finite
 
     ``source`` is a JSON file or an already-parsed dict with keys
     ``class_sizes`` (identity class first, size 1) and ``characters``
-    mapping irreducible ids to integer character value lists.  Only
-    integer-valued tables are supported; fusion coefficients come from
-    the usual inner products and must land in nonnegative integers.  A
-    file that cannot be read or does not hold a JSON object and a
-    malformed or inconsistent table all raise InvalidRing.
+    mapping irreducible ids to integer character value lists.  Sizes and
+    values must be integers (``1.9``, ``"1"`` and ``true`` are refused,
+    not coerced), so only integer-valued tables are supported; fusion
+    coefficients come from the usual inner products and must land in
+    nonnegative integers.  A file that cannot be read or does not hold a
+    JSON object and a malformed or inconsistent table all raise
+    InvalidRing.
     """
     if isinstance(source, (str, Path)):
         data = _read_json_object(source)
@@ -238,10 +241,12 @@ def character_ring(source: str | Path | dict, name: str | None = None) -> Finite
         data = source
     name = name or data.get("name", "characters")
     try:
-        sizes = [int(s) for s in data["class_sizes"]]
-        chars = {str(k): [int(x) for x in v] for k, v in data["characters"].items()}
-    except (KeyError, TypeError, ValueError) as exc:
+        sizes = list(data["class_sizes"])
+        chars = {str(k): list(v) for k, v in data["characters"].items()}
+    except (KeyError, TypeError, AttributeError) as exc:
         raise InvalidRing(f"malformed character table: {exc}") from None
+    if any(type(x) is not int for x in chain(sizes, *chars.values())):
+        raise InvalidRing("malformed character table: class sizes and character values must be integers")
     if not sizes or sizes[0] != 1:
         raise InvalidRing("first class must be the identity class of size 1")
     order = sum(sizes)

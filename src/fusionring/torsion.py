@@ -14,9 +14,9 @@ from itertools import chain, filterfalse, islice, repeat
 
 from .core import (
     Budget,
+    Decomposition,
     FusionProvider,
     IrrLabel,
-    VirtualElement,
     canonical_sort,
     constituents_of,
 )
@@ -109,12 +109,26 @@ def _sweep(provider: FusionProvider, labels):
     )
 
 
-def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> VirtualElement:
-    """The product ``ubar (x) v (x) u``."""
-    return provider.multiply_virtual(
-        provider.multiply_virtual(VirtualElement.of(provider.conj(u)), VirtualElement.of(v)),
-        VirtualElement.of(u),
-    )
+def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> Decomposition:
+    """The product ``ubar (x) v (x) u``, associated as ``(ubar (x) v) (x) u``.
+
+    Read from cached decompositions: ``ubar (x) v`` first, then each of
+    its constituents, in canonical order, times ``u``.
+    """
+    counts: dict[IrrLabel, int] = {}
+    for w, m in provider.decompose(provider.conj(u), v):
+        for x, n in provider.decompose(w, u):
+            counts[x] = counts.get(x, 0) + m * n
+    return Decomposition(counts)
+
+
+def _forced(product: Decomposition) -> IrrLabel | None:
+    """The irreducible ``product`` is, when it is one with multiplicity 1."""
+    if len(product) == 1:
+        (lab, mult), = product
+        if mult == 1:
+            return lab
+    return None
 
 
 def _close(
@@ -220,7 +234,7 @@ def central_closure(
     def rule(members):
         for v in members:
             for u in window:
-                yield from _conjugate(provider, u, v).support()
+                yield from _conjugate(provider, u, v).constituents()
 
     return _close(provider, "central_closure", generators, budget, rule)
 
@@ -241,11 +255,9 @@ def normal_forcing_closure(
     def rule(members):
         for v in members:
             for u in window:
-                coeffs = _conjugate(provider, u, v).coeffs
-                if len(coeffs) == 1:
-                    (lab, mult), = coeffs.items()
-                    if mult == 1:
-                        yield lab
+                lab = _forced(_conjugate(provider, u, v))
+                if lab is not None:
+                    yield lab
 
     return _close(provider, "normal_forcing_closure", generators, budget, rule)
 
@@ -277,10 +289,10 @@ def normality_consistency(
     violations = []
     for v in canonical_sort(s_set):
         for u in window:
-            support = _conjugate(provider, u, v).support()
-            if not any(w in s_set for w in support):
+            product = _conjugate(provider, u, v)
+            if s_set.isdisjoint(product.constituents()):
                 violations.append(
-                    NormalityViolation(v, u, tuple(w.id for w in support))
+                    NormalityViolation(v, u, tuple(w.id for w, _ in product))
                 )
     return violations
 

@@ -418,6 +418,20 @@ def close_reference(provider, kind: str, generators, budget):
     return _close(provider, kind, generators, budget, rules[kind])
 
 
+def conjugate_reference(provider, u, v):
+    """``ubar (x) v (x) u`` as ``(label, multiplicity)`` pairs in canonical
+    order, through two ``multiply_virtual`` calls on ``VirtualElement``s:
+    the route the library's triple product took before it was built from
+    cached decompositions."""
+    from fusionring.core import VirtualElement
+
+    prod = provider.multiply_virtual(
+        provider.multiply_virtual(VirtualElement.of(provider.conj(u)), VirtualElement.of(v)),
+        VirtualElement.of(u),
+    )
+    return tuple((lab, prod.coeff(lab)) for lab in prod.support())
+
+
 # ---------------------------------------------------------------------------
 # torsion-closure sequence by backend class, one routine per backend
 

@@ -3,10 +3,13 @@
 * Every module-level import in the package is used by the module that
   makes it.  Package ``__init__`` modules are exempt (their imports are
   re-exports), and so are ``from __future__`` imports.
-* The analysis layers (``torsion.py``, ``components.py``) and the CLI ask
-  providers for capabilities instead of testing their class: no
-  ``isinstance`` against a ``*Provider`` class, no backend class imported
-  from ``fusionring.rings``, and nothing at all from ``fusionring.rings``
+* The analysis layers (``torsion.py``, ``components.py``) build
+  ``ubar (x) v (x) u`` from cached decompositions: neither names
+  ``VirtualElement`` or ``multiply_virtual``.
+* The analysis layers and the CLI ask providers for capabilities
+  instead of testing their class: no ``isinstance`` against a
+  ``*Provider`` class, no backend class imported from
+  ``fusionring.rings``, and nothing at all from ``fusionring.rings``
   in the two analysis layers (the CLI imports the constructor functions).
 """
 
@@ -14,6 +17,7 @@ from __future__ import annotations
 
 import ast
 import inspect
+import re
 from pathlib import Path
 
 import pytest
@@ -116,3 +120,33 @@ def test_backend_dispatch_is_detected():
 def test_no_backend_dispatch_outside_the_backends(name):
     source = (PACKAGE / name).read_text()
     assert backend_dispatch(source, analysis_layer=name in ANALYSIS_LAYERS) == []
+
+
+SIGNED_ARITHMETIC = re.compile(r"\b(VirtualElement|multiply_virtual)\b")
+
+
+def signed_arithmetic(source: str) -> list[str]:
+    """Every line naming ``VirtualElement`` or ``multiply_virtual``, code,
+    comment or string."""
+    return [f"line {n}: {name}" for n, line in enumerate(source.splitlines(), 1)
+            for name in SIGNED_ARITHMETIC.findall(line)]
+
+
+def test_signed_arithmetic_is_detected():
+    source = (
+        "from .core import Decomposition, VirtualElement\n"
+        "x = provider.multiply_virtual(VirtualElement.of(u), y)\n"
+        "getattr(provider, 'multiply_virtual')\n"
+        "multiply_virtually = VirtualElements = 0\n"
+    )
+    assert signed_arithmetic(source) == [
+        "line 1: VirtualElement",
+        "line 2: multiply_virtual",
+        "line 2: VirtualElement",
+        "line 3: multiply_virtual",
+    ]
+
+
+@pytest.mark.parametrize("name", ANALYSIS_LAYERS)
+def test_analysis_layers_use_no_signed_arithmetic(name):
+    assert signed_arithmetic((PACKAGE / name).read_text()) == []

@@ -15,6 +15,7 @@ from fusionring import (
     finite_group_ring,
     load_ring_json,
 )
+from fusionring.rings.tables import S3_CHARACTER_TABLE
 
 import oracles
 
@@ -146,6 +147,28 @@ def test_character_ring_rejects_non_orthonormal():
                 "characters": {"triv": [1, 1, 1], "sgn": [1, -1, 1], "std": [2, 1, -1]},
             }
         )
+
+
+def test_character_ring_refuses_numbers_that_are_not_integers(fixtures_dir):
+    # Each size and value here used to be coerced by int(), which loaded
+    # the table as the Z2 character ring.
+    with pytest.raises(InvalidRing, match="must be integers"):
+        character_ring({"class_sizes": [1, 1.9], "characters": {"triv": [1, True], "sgn": ["1", -1.5]}})
+    z2 = {"class_sizes": [1, 1], "characters": {"triv": [1, 1], "sgn": [1, -1]}}
+    assert character_ring(z2).num_irreducibles == 2
+    for bad in ({"class_sizes": [1, 1.0]}, {"class_sizes": [True, 1]},
+                {"characters": {"triv": [1, True], "sgn": [1, -1]}},
+                {"characters": {"triv": [1, 1], "sgn": ["1", -1]}},
+                {"characters": {"triv": [1, 1], "sgn": [1, -1.0]}}):
+        with pytest.raises(InvalidRing, match="must be integers"):
+            character_ring({**z2, **bad})
+    assert character_ring(fixtures_dir / "s3_characters.json").num_irreducibles == 3
+    assert character_ring(S3_CHARACTER_TABLE).num_irreducibles == 3
+
+
+def test_character_ring_refuses_characters_that_are_not_a_mapping():
+    with pytest.raises(InvalidRing, match="malformed character table"):
+        character_ring({"class_sizes": [1], "characters": [[1]]})
 
 
 def test_load_dump_round_trip(tmp_path):

@@ -27,6 +27,7 @@ from fusionring.rings import (
     word_group,
 )
 from fusionring.torsion import (
+    _conjugate,
     ascending_chain_probe,
     central_closure,
     dimension_ideal_recover,
@@ -45,6 +46,7 @@ from oracles import (
     bf_inv,
     bf_mul,
     close_reference,
+    conjugate_reference,
     n_sequence_reference,
     saturated_subrings_reference,
 )
@@ -382,6 +384,14 @@ REFERENCE_RINGS = {
     "prod(suq2,word:Z2)": "(u1,a)",
     "S3 table": "std",
 }
+
+
+def _reference_ring(spec, fixtures_dir):
+    if spec == "S3 table":
+        return character_ring(fixtures_dir / "s3_characters.json")
+    return parse_provider(spec)
+
+
 CLOSURES = {
     "tensor_generated": generated_subring,
     "central_closure": central_closure,
@@ -402,10 +412,7 @@ LIFTED_RINGS = ("suq2", "au", "uqsu11")
 @pytest.mark.parametrize("kind", CLOSURES)
 @pytest.mark.parametrize("spec", REFERENCE_RINGS)
 def test_closures_match_the_reference_engine_under_every_cap(spec, kind, fixtures_dir):
-    if spec == "S3 table":
-        ring = character_ring(fixtures_dir / "s3_characters.json")
-    else:
-        ring = parse_provider(spec)
+    ring = _reference_ring(spec, fixtures_dir)
     gens = [ring.parse_label(REFERENCE_RINGS[spec])]
     lifted = LIFTED_BUDGETS if spec in LIFTED_RINGS else []
     for budget in CAPPED_BUDGETS + lifted:
@@ -414,6 +421,22 @@ def test_closures_match_the_reference_engine_under_every_cap(spec, kind, fixture
         assert (got.labels, got.status, got.frontier) == (want.labels, want.status, want.frontier), budget
         if budget in lifted:
             assert len(got.labels) == budget.max_irreducibles
+
+
+@pytest.mark.parametrize("spec", REFERENCE_RINGS)
+def test_conjugate_matches_the_virtual_element_route(spec, fixtures_dir):
+    ring = _reference_ring(spec, fixtures_dir)
+    window = ring.enumerate(16)
+    for u in window:
+        for v in window:
+            assert _conjugate(ring, u, v).entries == conjugate_reference(ring, u, v), (u.id, v.id)
+
+
+def test_conjugate_keeps_multiplicities(fixtures_dir):
+    ring = character_ring(fixtures_dir / "s3_characters.json")
+    std = ring.parse_label("std")
+    got = {lab.id: mult for lab, mult in _conjugate(ring, std, std)}
+    assert got == {"triv": 1, "sgn": 1, "std": 3}
 
 
 @pytest.mark.parametrize("kind", CLOSURES)
