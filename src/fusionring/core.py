@@ -77,11 +77,15 @@ def canonical_sort(labels: Iterable[IrrLabel]) -> list[IrrLabel]:
 class Decomposition:
     """A product of irreducibles expanded as ``sum mult * irreducible``.
 
-    Immutable.  Entries are kept in canonical order and every multiplicity
-    is a positive integer.
+    Immutable.  Every multiplicity is a positive integer.  The only
+    storage is one dict from label to multiplicity, in canonical order by
+    construction: ``Decomposition(counts)`` sorts, and ``ordered`` takes
+    labels already in that order.  ``entries``, the ``(label, mult)``
+    pairs, is built from it on each read, so a cached decomposition holds
+    no per-entry tuple.
     """
 
-    __slots__ = ("_entries", "_by_label")
+    __slots__ = ("_by_label",)
 
     def __init__(self, counts: Mapping[IrrLabel, int]):
         if min(counts.values(), default=1) <= 0:
@@ -91,14 +95,25 @@ class Decomposition:
             counts = {lab: mult for lab, mult in counts.items() if mult > 0}
         # Sorted, coerced and paired in C: no Python call per entry.
         labels = sorted(counts, key=canonical_key)
-        self._entries: tuple[tuple[IrrLabel, int], ...] = tuple(
+        self._by_label: dict[IrrLabel, int] = dict(
             zip(labels, map(int, map(counts.__getitem__, labels)))
         )
-        self._by_label = dict(self._entries)
+
+    @classmethod
+    def ordered(cls, labels: Iterable[IrrLabel]) -> "Decomposition":
+        """Each of ``labels`` once, with multiplicity 1.
+
+        The caller vouches that ``labels`` are distinct and already in
+        canonical order; nothing is sorted or checked, and there is no
+        Python call per entry.
+        """
+        dec = cls.__new__(cls)
+        dec._by_label = dict.fromkeys(labels, 1)
+        return dec
 
     @property
     def entries(self) -> tuple[tuple[IrrLabel, int], ...]:
-        return self._entries
+        return tuple(self._by_label.items())
 
     def multiplicity(self, label: IrrLabel) -> int:
         return self._by_label.get(label, 0)
@@ -107,13 +122,13 @@ class Decomposition:
         return list(self._by_label)
 
     def total_dim(self) -> int:
-        return sum(m * lab.dim for lab, m in self._entries)
+        return sum(m * lab.dim for lab, m in self._by_label.items())
 
     def __iter__(self) -> Iterator[tuple[IrrLabel, int]]:
-        return iter(self._entries)
+        return iter(self._by_label.items())
 
     def __len__(self) -> int:
-        return len(self._entries)
+        return len(self._by_label)
 
     def __contains__(self, label: IrrLabel) -> bool:
         return label in self._by_label
@@ -121,14 +136,15 @@ class Decomposition:
     def __eq__(self, other) -> bool:
         if not isinstance(other, Decomposition):
             return NotImplemented
-        return self._entries == other._entries
+        # Both dicts are in canonical order, so equal dicts have equal entries.
+        return self._by_label == other._by_label
 
     def __hash__(self) -> int:
-        return hash(self._entries)
+        return hash(self.entries)
 
     def __repr__(self) -> str:
         body = " + ".join(
-            (f"{m}*{lab.id}" if m != 1 else lab.id) for lab, m in self._entries
+            (f"{m}*{lab.id}" if m != 1 else lab.id) for lab, m in self._by_label.items()
         )
         return f"<Decomposition {body or '0'}>"
 
@@ -244,7 +260,11 @@ class FusionProvider(ABC):
     ``decompose`` results are memoized on the instance, so backends
     implement ``_decompose`` and must treat labels as immutable.  Longer
     products of irreducibles (the analysis layers' ``ubar (x) v (x) u``)
-    are built from those cached decompositions.  ``multiply_virtual``
+    are built from those cached decompositions and memoized per ``(u, v)``
+    in ``_conjugate_cache``, next to ``_decompose_cache``.  A backend whose
+    products run along a ladder of levels (``suq2``, ``so3``, ``uqsu11``)
+    keeps its labels in a per-instance list indexed by level and returns a
+    slice of it through ``Decomposition.ordered``.  ``multiply_virtual``
     extends ``decompose`` to signed combinations (``VirtualElement``):
     ``check_axioms`` needs that for the difference in its associativity
     report, and ``factor_restriction`` returns one.
@@ -264,6 +284,7 @@ class FusionProvider(ABC):
 
     def __init__(self):
         self._decompose_cache: dict[tuple[IrrLabel, IrrLabel], Decomposition] = {}
+        self._conjugate_cache: dict[tuple[IrrLabel, IrrLabel], Decomposition] = {}
         self._interned: dict[object, IrrLabel] = {}
         self._keys: dict[IrrLabel, object] = {}
 

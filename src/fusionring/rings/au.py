@@ -14,6 +14,28 @@ the word: a repeated letter multiplies by ``d``, an alternation
 multiplies by ``d`` and subtracts the dimension two steps back.  For
 ``d = 2`` the alternating words give 1, 2, 3, 4, ...  Ids are parsed
 only by ``parse_label``.
+
+The words of a product fall strictly in dimension along the chain above
+(each drops the junction pair ``a b`` of the one before), so the chain
+read backwards is in canonical ``(dim, id)`` order and goes to
+``Decomposition.ordered`` unsorted.  Proof.  ``dim(w)`` is the
+determinant of the tridiagonal matrix with ``d`` on the diagonal and 1
+beside it wherever neighbouring letters differ, so it is unchanged by
+reading ``w`` backwards.  Along a word, the prefix dimensions ``P_k``
+satisfy ``P_(k+1) >= 2 P_k - P_(k-1)`` (as ``d >= 2``), so they rise by
+steps that never shrink, the first being ``d - 1 >= 1``; read backwards,
+the same holds for suffixes.  Take consecutive words ``x a b y`` and
+``x y`` of a chain, with ``P = dim x``, ``Q = dim y``, ``P + alpha =
+dim(x a)``, ``Q + gamma = dim(b y)``.  The dimension identity for
+``(x a) (x) (b y)`` gives ``dim(x a b y) = (P + alpha)(Q + gamma) - PQ``.
+If the chain goes on past ``x y``, then ``dim(x y) = PQ - (P - beta)(Q -
+delta)`` with ``alpha >= beta >= 1`` and ``gamma >= delta >= 1`` the
+steps on either side of ``x`` and ``y``, and the difference is ``P(gamma
+- delta) + Q(alpha - beta) + alpha gamma + beta delta > 0``.  If it
+stops, ``dim(x y) = PQ`` and ``x`` or ``y`` is empty or the last letter
+of ``x`` is the first of ``y``; either way ``x a`` or ``b y`` starts the
+word or repeats a letter, so ``P + alpha = dP`` or ``Q + gamma = dQ``,
+and ``(P + alpha)(Q + gamma) > 2PQ``.
 """
 
 from __future__ import annotations
@@ -65,7 +87,8 @@ class AuProvider(FusionProvider):
         while w1 and w2 and w1[-1] != w2[0]:
             w1, w2 = w1[:-1], w2[1:]
             words.append(w1 + w2)
-        return Decomposition({self._label(w): 1 for w in words})
+        # Shortest word first is canonical order (module docstring).
+        return Decomposition.ordered(map(self._label, reversed(words)))
 
     def enumerate(self, count: int) -> list[IrrLabel]:
         out = [self._label("")]

@@ -31,6 +31,17 @@ class UqSU11Provider(FusionProvider):
 
     name = "uqsu11"
 
+    def __init__(self):
+        super().__init__()
+        self._levels: dict[int, list[IrrLabel]] = {1: [], -1: []}
+
+    def _ladder(self, sign: int, top: int) -> list[IrrLabel]:
+        """The labels of ``sign`` by level, grown to hold every level up to ``top``."""
+        levels = self._levels[sign]
+        if len(levels) <= top:
+            levels.extend(self._label((sign, n)) for n in range(len(levels), top + 1))
+        return levels
+
     def unit(self) -> IrrLabel:
         return self._label((1, 0))
 
@@ -46,9 +57,8 @@ class UqSU11Provider(FusionProvider):
         eps, n = self.key_of(u)
         delta, m = self.key_of(v)
         out_sign = -eps * delta if (n % 2 and m % 2) else eps * delta
-        return Decomposition(
-            {self._label((out_sign, k)): 1 for k in range(abs(n - m), n + m + 1, 2)}
-        )
+        # One sign, dims k + 1 rising with the level: the slice is in canonical order.
+        return Decomposition.ordered(self._ladder(out_sign, n + m)[abs(n - m) : n + m + 1 : 2])
 
     def enumerate(self, count: int) -> list[IrrLabel]:
         out = []

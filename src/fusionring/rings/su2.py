@@ -18,7 +18,22 @@ from ..errors import UnknownLabel
 __all__ = ["SU2Provider", "SO3Provider", "suq2_ring", "so3_ring"]
 
 
-class SU2Provider(FusionProvider):
+class _LadderProvider(FusionProvider):
+    """Keeps this instance's labels in a list indexed by level."""
+
+    def __init__(self):
+        super().__init__()
+        self._levels: list[IrrLabel] = []
+
+    def _ladder(self, top: int) -> list[IrrLabel]:
+        """The level list, grown to hold every level up to ``top``."""
+        levels = self._levels
+        if len(levels) <= top:
+            levels.extend(map(self._label, range(len(levels), top + 1)))
+        return levels
+
+
+class SU2Provider(_LadderProvider):
     """One irreducible per level n >= 0; u_m (x) u_n runs |m-n| .. m+n by 2."""
 
     name = "suq2"
@@ -35,11 +50,12 @@ class SU2Provider(FusionProvider):
         return u
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
+        # Dims n + 1 rise with the level, so the slice is in canonical order.
         m, n = self.key_of(u), self.key_of(v)
-        return Decomposition({self._label(k): 1 for k in range(abs(m - n), m + n + 1, 2)})
+        return Decomposition.ordered(self._ladder(m + n)[abs(m - n) : m + n + 1 : 2])
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        return [self._label(n) for n in range(count)]
+        return self._ladder(count - 1)[: max(count, 0)]
 
     def label_size(self, u: IrrLabel) -> int:
         return self.key_of(u)
@@ -51,7 +67,7 @@ class SU2Provider(FusionProvider):
         return self._label(int(match.group(1)))
 
 
-class SO3Provider(FusionProvider):
+class SO3Provider(_LadderProvider):
     """Even-level part of the ladder ring, relabeled; v_j (x) v_k runs |j-k| .. j+k."""
 
     name = "so3"
@@ -68,11 +84,12 @@ class SO3Provider(FusionProvider):
         return u
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
+        # Dims 2k + 1 rise with the level, so the slice is in canonical order.
         j, k = self.key_of(u), self.key_of(v)
-        return Decomposition({self._label(i): 1 for i in range(abs(j - k), j + k + 1)})
+        return Decomposition.ordered(self._ladder(j + k)[abs(j - k) : j + k + 1])
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        return [self._label(k) for k in range(count)]
+        return self._ladder(count - 1)[: max(count, 0)]
 
     def label_size(self, u: IrrLabel) -> int:
         return self.key_of(u)

@@ -227,11 +227,11 @@ def character_ring(source: str | Path | dict, name: str | None = None) -> Finite
     ``class_sizes`` (identity class first, size 1) and ``characters``
     mapping irreducible ids to integer character value lists.  Sizes and
     values must be integers (``1.9``, ``"1"`` and ``true`` are refused,
-    not coerced), so only integer-valued tables are supported; fusion
-    coefficients come from the usual inner products and must land in
-    nonnegative integers.  A file that cannot be read or does not hold a
-    JSON object and a malformed or inconsistent table all raise
-    InvalidRing.
+    not coerced), so only integer-valued tables are supported, and every
+    class size must be at least 1; fusion coefficients come from the
+    usual inner products and must land in nonnegative integers.  A file
+    that cannot be read or does not hold a JSON object and a malformed or
+    inconsistent table all raise InvalidRing.
     """
     if isinstance(source, (str, Path)):
         data = _read_json_object(source)
@@ -249,6 +249,8 @@ def character_ring(source: str | Path | dict, name: str | None = None) -> Finite
         raise InvalidRing("malformed character table: class sizes and character values must be integers")
     if not sizes or sizes[0] != 1:
         raise InvalidRing("first class must be the identity class of size 1")
+    if min(sizes) < 1:
+        raise InvalidRing(f"class size {min(sizes)} below 1")
     order = sum(sizes)
     k = len(sizes)
     if len(chars) != k or any(len(v) != k for v in chars.values()):

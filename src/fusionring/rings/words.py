@@ -111,7 +111,7 @@ class WordGroupProvider(FusionProvider):
         return self._label(self._inv_word(self.key_of(u)))
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        return Decomposition({self._label(self._mul_words(self.key_of(u), self.key_of(v))): 1})
+        return Decomposition.ordered((self._label(self._mul_words(self.key_of(u), self.key_of(v))),))
 
     def _letters_of_weight(self, j: int) -> list[Letter]:
         letters = []

@@ -113,13 +113,18 @@ def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> Decomposit
     """The product ``ubar (x) v (x) u``, associated as ``(ubar (x) v) (x) u``.
 
     Read from cached decompositions: ``ubar (x) v`` first, then each of
-    its constituents, in canonical order, times ``u``.
+    its constituents, in canonical order, times ``u``.  The result is
+    memoized per ``(u, v)`` on the provider instance.
     """
-    counts: dict[IrrLabel, int] = {}
-    for w, m in provider.decompose(provider.conj(u), v):
-        for x, n in provider.decompose(w, u):
-            counts[x] = counts.get(x, 0) + m * n
-    return Decomposition(counts)
+    key = (u, v)
+    hit = provider._conjugate_cache.get(key)
+    if hit is None:
+        counts: dict[IrrLabel, int] = {}
+        for w, m in provider.decompose(provider.conj(u), v):
+            for x, n in provider.decompose(w, u):
+                counts[x] = counts.get(x, 0) + m * n
+        hit = provider._conjugate_cache[key] = Decomposition(counts)
+    return hit
 
 
 def _forced(product: Decomposition) -> IrrLabel | None:

@@ -109,10 +109,37 @@ BACKENDS = [
 ]
 
 
+# Backends whose products go through ``Decomposition.ordered``.
+ORDERED_BACKENDS = {"suq2", "so3", "uqsu11", "au", "word:Z2*Z"}
+
+
+def _record_ordered(monkeypatch) -> list:
+    """Patch ``Decomposition.ordered`` to keep every label run it is given."""
+    runs = []
+    ordered = Decomposition.ordered.__func__
+
+    def recording(cls, labels):
+        runs.append(list(labels))
+        return ordered(cls, runs[-1])
+
+    monkeypatch.setattr(Decomposition, "ordered", classmethod(recording))
+    return runs
+
+
+def _check_ordered_run(labels):
+    got = Decomposition.ordered(labels)
+    assert len(set(labels)) == len(labels)
+    assert got.entries == oracles.decomposition_entries_reference(dict.fromkeys(labels, 1))
+    assert got == Decomposition(dict.fromkeys(labels, 1))
+    assert list(constituents_of(got)) == got.constituents() == labels
+
+
 @pytest.mark.parametrize("spec", BACKENDS)
 def test_decompositions_match_the_reference_constructor(spec, fixtures_dir, monkeypatch):
     # Every mapping a backend builds for its window-20 products, fed to
-    # the constructor and to the per-entry reference.
+    # the sorting constructor and to the per-entry reference, and every
+    # label run it hands to ``Decomposition.ordered``, against the same
+    # reference with multiplicity 1.
     inputs = []
     build = Decomposition.__init__
 
@@ -121,6 +148,7 @@ def test_decompositions_match_the_reference_constructor(spec, fixtures_dir, monk
         build(self, counts)
 
     monkeypatch.setattr(Decomposition, "__init__", recording)
+    runs = _record_ordered(monkeypatch)
     if spec == "S3 table":
         ring = character_ring(fixtures_dir / "s3_characters.json")
     else:
@@ -130,13 +158,35 @@ def test_decompositions_match_the_reference_constructor(spec, fixtures_dir, monk
         for b in window:
             ring.decompose(a, b)
     monkeypatch.undo()
-    assert inputs
+    assert inputs or runs
+    if spec in ORDERED_BACKENDS:
+        assert runs and not inputs
     for counts in inputs:
         got = Decomposition(counts)
         assert got.entries == oracles.decomposition_entries_reference(counts)
         assert got.constituents() == [lab for lab, _ in got.entries]
         assert list(constituents_of(got)) == got.constituents()
         assert all(type(m) is int and got.multiplicity(lab) == m for lab, m in got)
+    for labels in runs:
+        _check_ordered_run(labels)
+
+
+@pytest.mark.parametrize("spec", ["suq2", "so3", "uqsu11", "au", "au:3"])
+def test_ordered_products_are_canonical_over_a_wide_window(spec, monkeypatch):
+    # Products reach level 598 (suq2, so3) or 298 (uqsu11) and au words
+    # of 16 letters; pairing each label with every 23rd one both ways
+    # keeps the per-entry reference affordable.
+    runs = _record_ordered(monkeypatch)
+    ring = parse_provider(spec)
+    window = ring.enumerate(300)
+    for a in window:
+        for b in window[::23]:
+            ring.decompose(a, b)
+            ring.decompose(b, a)
+    monkeypatch.undo()
+    assert len(runs) == len(ring._decompose_cache)
+    for labels in runs:
+        _check_ordered_run(labels)
 
 
 @given(st.dictionaries(LABEL_PARTS, st.one_of(st.integers(-1, 3), st.booleans(), st.sampled_from([0.0, 2.0, 2.5])),

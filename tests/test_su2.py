@@ -1,3 +1,5 @@
+import gc
+
 import pytest
 
 from fusionring import UnknownLabel, so3_ring, suq2_ring
@@ -52,3 +54,24 @@ def test_label_size_is_level():
     ring = suq2_ring()
     assert ring.label_size(ring.parse_label("u5")) == 5
     assert ring.label_size(ring.unit()) == 0
+
+
+def _tracked_after(action) -> int:
+    """GC-tracked objects that ``action()`` leaves behind."""
+    gc.collect()
+    before = len(gc.get_objects())
+    action()
+    return len(gc.get_objects()) - before
+
+
+def test_a_cache_miss_product_keeps_a_fixed_number_of_tracked_objects():
+    # A cached decomposition holds one dict, not a tuple per constituent,
+    # so u60 (x) u60 (61 constituents) costs the cyclic GC what u1 (x) u1
+    # (2 constituents) does.
+    ring = suq2_ring()
+    u0, u1, u60, u120 = map(ring.parse_label, ["u0", "u1", "u60", "u120"])
+    ring.decompose(u0, u120)  # grows the level list past level 120
+    small = _tracked_after(lambda: ring.decompose(u1, u1))
+    large = _tracked_after(lambda: ring.decompose(u60, u60))
+    assert len(ring.decompose(u60, u60)) == 61
+    assert small == large <= 4

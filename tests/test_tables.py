@@ -166,6 +166,15 @@ def test_character_ring_refuses_numbers_that_are_not_integers(fixtures_dir):
     assert character_ring(S3_CHARACTER_TABLE).num_irreducibles == 3
 
 
+def test_character_ring_refuses_class_sizes_below_one():
+    # [1, -1] makes the group order 0, which used to end the inner
+    # products in ZeroDivisionError.
+    chars = {"triv": [1, 1], "sgn": [1, -1]}
+    for sizes in ([1, -1], [1, 0]):
+        with pytest.raises(InvalidRing, match="below 1"):
+            character_ring({"class_sizes": sizes, "characters": chars})
+
+
 def test_character_ring_refuses_characters_that_are_not_a_mapping():
     with pytest.raises(InvalidRing, match="malformed character table"):
         character_ring({"class_sizes": [1], "characters": [[1]]})

@@ -439,6 +439,28 @@ def test_conjugate_keeps_multiplicities(fixtures_dir):
     assert got == {"triv": 1, "sgn": 1, "std": 3}
 
 
+def test_conjugate_is_memoized_per_instance(monkeypatch):
+    ring, other = uq_su11_ring(), uq_su11_ring()
+    u, v = ring.parse_label("u+3"), ring.parse_label("u-2")
+    first = _conjugate(ring, u, v)
+    calls = []
+    decompose = ring.decompose
+
+    def counted(a, b):
+        calls.append((a, b))
+        return decompose(a, b)
+
+    monkeypatch.setattr(ring, "decompose", counted)
+    again = _conjugate(ring, u, v)
+    assert again == first and not calls
+    assert _conjugate(ring, v, u) != first and calls
+    # Another instance fills its own memo through its own decompose.
+    assert not other._conjugate_cache
+    assert _conjugate(other, u, v) == first
+    assert other._conjugate_cache[u, v] is not first
+    assert set(other._conjugate_cache) == {(u, v)}
+
+
 @pytest.mark.parametrize("kind", CLOSURES)
 @pytest.mark.parametrize("cap", [1, 2])
 def test_foreign_generator_past_the_cap_is_refused(kind, cap):
