@@ -263,8 +263,10 @@ class FusionProvider(ABC):
     are built from those cached decompositions and memoized per ``(u, v)``
     in ``_conjugate_cache``, next to ``_decompose_cache``.  A backend whose
     products run along a ladder of levels (``suq2``, ``so3``, ``uqsu11``)
-    keeps its labels in a per-instance list indexed by level and returns a
-    slice of it through ``Decomposition.ordered``.  ``multiply_virtual``
+    keeps its labels in a per-instance list indexed by level, read and
+    grown only by ``rings.su2.ladder`` (a product costs O(step x
+    constituents) however high its levels), and returns each product
+    through ``Decomposition.ordered``.  ``multiply_virtual``
     extends ``decompose`` to signed combinations (``VirtualElement``):
     ``check_axioms`` needs that for the difference in its associativity
     report, and ``factor_restriction`` returns one.

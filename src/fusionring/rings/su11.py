@@ -9,8 +9,9 @@ fourth-root-of-unity grading: the sign attached to (eps, n) is
 phases.  Concretely the output sign is ``-eps*delta`` when both levels
 are odd and ``eps*delta`` otherwise, constant across the ladder.
 
-Conjugation fixes even levels and flips the sign on odd ones.  Ids are
-parsed only by ``parse_label``.
+Conjugation fixes even levels and flips the sign on odd ones.  Each sign
+keeps its own level list, read and grown only through ``su2.ladder``.  Ids
+are parsed only by ``parse_label``.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ import re
 
 from ..core import Decomposition, FusionProvider, IrrLabel
 from ..errors import UnknownLabel
+from .su2 import ladder
 
 __all__ = ["UqSU11Provider", "uq_su11_ring"]
 
@@ -35,12 +37,8 @@ class UqSU11Provider(FusionProvider):
         super().__init__()
         self._levels: dict[int, list[IrrLabel]] = {1: [], -1: []}
 
-    def _ladder(self, sign: int, top: int) -> list[IrrLabel]:
-        """The labels of ``sign`` by level, grown to hold every level up to ``top``."""
-        levels = self._levels[sign]
-        if len(levels) <= top:
-            levels.extend(self._label((sign, n)) for n in range(len(levels), top + 1))
-        return levels
+    def _ladder(self, sign: int, start: int, stop: int, step: int = 1) -> list[IrrLabel]:
+        return ladder(self._levels[sign], lambda n: self._label((sign, n)), start, stop, step)
 
     def unit(self) -> IrrLabel:
         return self._label((1, 0))
@@ -58,16 +56,13 @@ class UqSU11Provider(FusionProvider):
         delta, m = self.key_of(v)
         out_sign = -eps * delta if (n % 2 and m % 2) else eps * delta
         # One sign, dims k + 1 rising with the level: the slice is in canonical order.
-        return Decomposition.ordered(self._ladder(out_sign, n + m)[abs(n - m) : n + m + 1 : 2])
+        return Decomposition.ordered(self._ladder(out_sign, abs(n - m), n + m + 1, 2))
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        out = []
-        level = 0
-        while len(out) < count:
-            out.append(self._label((1, level)))
-            if len(out) < count:
-                out.append(self._label((-1, level)))
-            level += 1
+        count = max(count, 0)
+        out: list[IrrLabel] = [None] * count
+        out[0::2] = self._ladder(1, 0, (count + 1) // 2)
+        out[1::2] = self._ladder(-1, 0, count // 2)
         return out
 
     def label_size(self, u: IrrLabel) -> int:

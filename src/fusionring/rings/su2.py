@@ -4,13 +4,19 @@ Each label's key, kept by the provider that made the label, is a
 nonnegative integer level.  The full ring has one irreducible ``u<n>`` of
 dimension ``n + 1`` per level, with the familiar truncation-free product
 ladder; the even part relabels the even levels as ``v<k>`` of dimension
-``2k + 1`` and its ladder runs over every intermediate level.  Ids are
-parsed only by ``parse_label``.
+``2k + 1`` and its ladder runs over every intermediate level.  The two
+differ only in ``_spell``, the id pattern and the ladder's step, so
+``SO3Provider`` subclasses ``SU2Provider``.  Ids are parsed only by
+``parse_label``.
+
+``ladder`` is the one way a ladder ring (these two and ``uqsu11``) reads
+and grows its level list; see its docstring.
 """
 
 from __future__ import annotations
 
 import re
+from collections.abc import Callable
 
 from ..core import Decomposition, FusionProvider, IrrLabel
 from ..errors import UnknownLabel
@@ -18,26 +24,35 @@ from ..errors import UnknownLabel
 __all__ = ["SU2Provider", "SO3Provider", "suq2_ring", "so3_ring"]
 
 
-class _LadderProvider(FusionProvider):
-    """Keeps this instance's labels in a list indexed by level."""
+def ladder(levels: list[IrrLabel], label: Callable[[int], IrrLabel], start: int, stop: int,
+           step: int = 1) -> list[IrrLabel]:
+    """The labels of levels ``start, start + step, ...`` below ``stop``.
 
-    def __init__(self):
-        super().__init__()
-        self._levels: list[IrrLabel] = []
+    ``levels`` holds ``label(n)`` at index ``n`` for every level below its
+    length.  It grows only when the slice starts inside it or at its end,
+    and then only up to ``stop``; a slice that starts further out is
+    labelled level by level and leaves the list alone.  Either way a
+    product costs O(step x constituents): a closure, whose products stay
+    near the levels it has seen, slices one contiguous list, and a far
+    product such as ``u3000000 (x) u1`` labels just its two constituents.
+    """
+    have = len(levels)
+    if stop > have:
+        if start > have:
+            return [label(n) for n in range(start, stop, step)]
+        levels.extend(map(label, range(have, stop)))
+    return levels[start:stop:step]
 
-    def _ladder(self, top: int) -> list[IrrLabel]:
-        """The level list, grown to hold every level up to ``top``."""
-        levels = self._levels
-        if len(levels) <= top:
-            levels.extend(map(self._label, range(len(levels), top + 1)))
-        return levels
 
-
-class SU2Provider(_LadderProvider):
+class SU2Provider(FusionProvider):
     """One irreducible per level n >= 0; u_m (x) u_n runs |m-n| .. m+n by 2."""
 
     name = "suq2"
     _id_re = re.compile(r"u(0|[1-9]\d*)")
+
+    def __init__(self):
+        super().__init__()
+        self._levels: list[IrrLabel] = []
 
     def unit(self) -> IrrLabel:
         return self._label(0)
@@ -52,10 +67,10 @@ class SU2Provider(_LadderProvider):
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
         # Dims n + 1 rise with the level, so the slice is in canonical order.
         m, n = self.key_of(u), self.key_of(v)
-        return Decomposition.ordered(self._ladder(m + n)[abs(m - n) : m + n + 1 : 2])
+        return Decomposition.ordered(ladder(self._levels, self._label, abs(m - n), m + n + 1, 2))
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        return self._ladder(count - 1)[: max(count, 0)]
+        return ladder(self._levels, self._label, 0, max(count, 0))
 
     def label_size(self, u: IrrLabel) -> int:
         return self.key_of(u)
@@ -67,38 +82,19 @@ class SU2Provider(_LadderProvider):
         return self._label(int(match.group(1)))
 
 
-class SO3Provider(_LadderProvider):
+class SO3Provider(SU2Provider):
     """Even-level part of the ladder ring, relabeled; v_j (x) v_k runs |j-k| .. j+k."""
 
     name = "so3"
     _id_re = re.compile(r"v(0|[1-9]\d*)")
 
-    def unit(self) -> IrrLabel:
-        return self._label(0)
-
     def _spell(self, k: int) -> tuple[str, int]:
         return f"v{k}", 2 * k + 1
-
-    def conj(self, u: IrrLabel) -> IrrLabel:
-        self.key_of(u)
-        return u
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
         # Dims 2k + 1 rise with the level, so the slice is in canonical order.
         j, k = self.key_of(u), self.key_of(v)
-        return Decomposition.ordered(self._ladder(j + k)[abs(j - k) : j + k + 1])
-
-    def enumerate(self, count: int) -> list[IrrLabel]:
-        return self._ladder(count - 1)[: max(count, 0)]
-
-    def label_size(self, u: IrrLabel) -> int:
-        return self.key_of(u)
-
-    def parse_label(self, text: str) -> IrrLabel:
-        match = self._id_re.fullmatch(text)
-        if not match:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
-        return self._label(int(match.group(1)))
+        return Decomposition.ordered(ladder(self._levels, self._label, abs(j - k), j + k + 1))
 
 
 def suq2_ring() -> SU2Provider:

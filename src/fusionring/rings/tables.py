@@ -220,7 +220,7 @@ def _read_json_object(path: str | Path) -> dict:
     return data
 
 
-def character_ring(source: str | Path | dict, name: str | None = None) -> FiniteTableProvider:
+def character_ring(source: str | Path | dict) -> FiniteTableProvider:
     """Fusion ring of a finite group from an integer character table.
 
     ``source`` is a JSON file or an already-parsed dict with keys
@@ -235,11 +235,10 @@ def character_ring(source: str | Path | dict, name: str | None = None) -> Finite
     """
     if isinstance(source, (str, Path)):
         data = _read_json_object(source)
-        if name is None:
-            name = f"characters:{Path(source).name}"
+        name = f"characters:{Path(source).name}"
     else:
         data = source
-    name = name or data.get("name", "characters")
+        name = data.get("name", "characters")
     try:
         sizes = list(data["class_sizes"])
         chars = {str(k): list(v) for k, v in data["characters"].items()}
@@ -289,7 +288,7 @@ def character_ring(source: str | Path | dict, name: str | None = None) -> Finite
     return FiniteTableProvider(name, unit, dims, conj, fusion)
 
 
-def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> FiniteTableProvider:
+def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
     """Load a finite fusion ring from its JSON table and validate it.
 
     Format: ``{"unit": id, "irreducibles": [{"id", "dim", "conj"}...],
@@ -340,8 +339,7 @@ def load_ring_json(source: str | Path | dict, budget: Budget | None = None) -> F
             raise InvalidRing(f"pair {key} listed twice")
         table[key] = result
     provider = FiniteTableProvider(name, unit, dims, conj, table)
-    window = provider.num_irreducibles
-    report = check_axioms(provider, (budget or Budget()).replace(max_irreducibles=window))
+    report = check_axioms(provider, Budget(max_irreducibles=provider.num_irreducibles))
     if not report.ok:
         raise InvalidRing(
             f"{name}: {len(report.violations)} axiom violation(s), first: "

@@ -20,7 +20,7 @@ from .core import (
     canonical_sort,
     constituents_of,
 )
-from .errors import BadParameter, NotFinite, NotSaturated, UnsupportedProvider
+from .errors import NotFinite, NotSaturated, UnsupportedProvider
 from .lattice import IntegerLattice
 
 __all__ = [
@@ -348,7 +348,6 @@ def is_torsion(
 @dataclass
 class TorsionScanReport:
     provider: str
-    budget: Budget
     verdicts: list[TorsionVerdict]
     subcategory: Subcategory
 
@@ -394,7 +393,7 @@ def torsion_subcategory(provider: FusionProvider, budget: Budget | None = None) 
         status=SATURATED if not escaped else BUDGET_EXCEEDED,
         frontier=tuple(escaped),
     )
-    return TorsionScanReport(provider.name, budget, verdicts, sub)
+    return TorsionScanReport(provider.name, verdicts, sub)
 
 
 @dataclass
@@ -425,17 +424,13 @@ class NSequenceReport:
         }
 
 
-def n_sequence_cocommutative(
-    provider: FusionProvider,
-    budget: Budget | None = None,
-    exponent_bound: int = EXPONENT_BOUND,
-) -> NSequenceReport:
+def n_sequence_cocommutative(provider: FusionProvider, budget: Budget | None = None) -> NSequenceReport:
     """Stage sets of the iterated torsion-closure sequence for group rings.
 
     Stage one is the normal closure of all torsion elements; stage r+1
     adjoins roots of stage r.  Stabilization at stage one is never
     assumed: every scanned element g with g^n in stage one for some
-    n <= exponent_bound must itself lie in stage one, and any
+    n <= EXPONENT_BOUND must itself lie in stage one, and any
     counterexample is reported instead of a degree.  A finite group is
     scanned whole, an infinite one over the budget's window.
 
@@ -443,13 +438,11 @@ def n_sequence_cocommutative(
     ``FusionProvider.torsion_quotient``).
     """
     budget = budget or Budget()
-    if exponent_bound < 1:
-        raise BadParameter(f"exponent_bound must be positive, got {exponent_bound}")
     connected, free_rank = provider.torsion_quotient()
     total = provider.num_irreducibles
     finite = isinstance(total, int)
     window = provider.enumerate(total if finite else budget.max_irreducibles)
-    exponents = [provider.stage_one_exponent(g, exponent_bound) for g in window]
+    exponents = [provider.stage_one_exponent(g, EXPONENT_BOUND) for g in window]
     counterexample = next(
         (f"{g.id}^{n}" for g, n in zip(window, exponents) if n is not None and n > 1), None
     )
@@ -471,7 +464,7 @@ def n_sequence_cocommutative(
             else f"free product of {free_rank} infinite cyclic factor(s)"
         ),
         scanned=len(window),
-        exponent_bound=exponent_bound,
+        exponent_bound=EXPONENT_BOUND,
         counterexample=counterexample,
     )
 

@@ -10,7 +10,8 @@ of basis makes them star-preserving.
 
 Everything is double precision with a pinned residual tolerance; rank
 decisions use a hard relative singular-value gap and refuse to answer
-without one.
+without one.  A q that does not fit a double, or whose q-integers at the
+requested levels do not, is refused with BadParameter.
 
 Hom spaces come by two routes.  ``intertwiner_space`` solves the full
 Kronecker system T a(X) = b(X) T for X in {E, F, K}; it is the general
@@ -27,6 +28,7 @@ from __future__ import annotations
 
 import cmath
 from dataclasses import dataclass
+from decimal import Context
 from fractions import Fraction
 from numbers import Rational
 
@@ -73,6 +75,13 @@ def q_int(k: int, q):
     return (q**k - q**-k) / (q - 1 / q)
 
 
+def _out_of_range(q) -> BadParameter:
+    """The refusal of a q that, or one of whose q-integers, overflows a double."""
+    qx = Fraction(q)
+    shown = Context(prec=6).divide(qx.numerator, qx.denominator).normalize()
+    return BadParameter(f"q = {shown:g} is out of range for double precision")
+
+
 def _validate_q(q) -> float:
     if isinstance(q, complex):
         raise BadParameter(f"q must be real, got {q!r}")
@@ -80,6 +89,8 @@ def _validate_q(q) -> float:
         qf = float(q)
     except (TypeError, ValueError):
         raise BadParameter(f"q must be a real number, got {q!r}") from None
+    except OverflowError:
+        raise _out_of_range(q) from None
     if qf == 0.0 or qf == 1.0 or qf == -1.0:
         raise BadParameter(f"q must avoid 0 and +-1, got {q}")
     return qf
@@ -103,12 +114,11 @@ def _t_value(q: float, t_branch: str) -> complex:
 class RepMatrices:
     """Matrices of one representation (or a tensor product of them).
 
-    ``n`` is the highest weight (dimension minus one) for the irreducible
-    builders and None for tensor products.  ``form_tag`` records which
-    star form the matrices are meant for: "sl2" (none), "su2", "su11".
+    ``form_tag`` records which star form the matrices are meant for:
+    "sl2" (none), "su2", "su11", and "mixed" for a tensor product whose
+    factors differ in it.
     """
 
-    n: int | None
     E: np.ndarray
     F: np.ndarray
     K: np.ndarray
@@ -156,7 +166,10 @@ def build_pi(w, n: int, q, *, t_branch: str = "principal") -> RepMatrices:
     wc = _validate_w(w)
     t = _t_value(qf, t_branch)
     qx = Fraction(q) if isinstance(q, Rational) else qf
-    ints = [complex(q_int(k, qx)) for k in range(n + 1)]
+    try:
+        ints = [complex(q_int(k, qx)) for k in range(n + 1)]
+    except OverflowError:
+        raise _out_of_range(q) from None
     dim = n + 1
     E = np.zeros((dim, dim), dtype=complex)
     F = np.zeros((dim, dim), dtype=complex)
@@ -168,7 +181,7 @@ def build_pi(w, n: int, q, *, t_branch: str = "principal") -> RepMatrices:
     for r in range(dim):
         K[r, r] = wc * t ** (n - 2 * r)
     K_inv = np.diag(1 / np.diag(K))
-    return RepMatrices(n=n, E=E, F=F, K=K, K_inv=K_inv, q=qf, w=wc, form_tag="sl2", t_branch=t_branch)
+    return RepMatrices(E=E, F=F, K=K, K_inv=K_inv, q=qf, w=wc, form_tag="sl2", t_branch=t_branch)
 
 
 def _phase_ratio(w: complex) -> complex:
@@ -218,7 +231,6 @@ def build_u(sign: int, n: int, q, *, t_branch: str = "principal") -> RepMatrices
         raise BadParameter(f"no star-preserving model at (sign={sign}, n={n}, q={q})")
     T_inv = np.diag(1 / np.diag(T))
     return RepMatrices(
-        n=n,
         E=T @ base.E @ T_inv,
         F=T @ base.F @ T_inv,
         K=base.K,
@@ -240,7 +252,7 @@ class StarReport:
         return {"form": self.form, "residual": self.residual, "ok": self.ok}
 
 
-def check_star(rep: RepMatrices, form: str | None = None, tol: float = RESIDUAL_TOL) -> StarReport:
+def check_star(rep: RepMatrices, form: str | None = None) -> StarReport:
     """Residual of the star relations for the chosen form.
 
     su2:  E* = F,  K* = K.   su11:  E* = -F,  K* = K.
@@ -252,7 +264,7 @@ def check_star(rep: RepMatrices, form: str | None = None, tol: float = RESIDUAL_
         residual = max(_maxabs(rep.E.conj().T + rep.F), _maxabs(rep.K.conj().T - rep.K))
     else:
         raise BadParameter(f"no star structure for form {form!r}")
-    return StarReport(form=form, residual=residual, ok=residual <= tol)
+    return StarReport(form=form, residual=residual, ok=residual <= RESIDUAL_TOL)
 
 
 @dataclass
@@ -333,9 +345,7 @@ def tensor_rep(a: RepMatrices, b: RepMatrices) -> RepMatrices:
     K = np.kron(a.K, b.K)
     K_inv = np.kron(a.K_inv, b.K_inv)
     form = a.form_tag if a.form_tag == b.form_tag else "mixed"
-    return RepMatrices(
-        n=None, E=E, F=F, K=K, K_inv=K_inv, q=a.q, w=a.w * b.w, form_tag=form, t_branch=a.t_branch
-    )
+    return RepMatrices(E=E, F=F, K=K, K_inv=K_inv, q=a.q, w=a.w * b.w, form_tag=form, t_branch=a.t_branch)
 
 
 @dataclass
@@ -352,14 +362,15 @@ def _nullity_at(s: np.ndarray, tol: float, scale: float) -> int:
     return int(np.sum(s <= tol * scale))
 
 
-def _stable_nullity(s: np.ndarray, tol: float) -> int:
+def _stable_nullity(s: np.ndarray) -> int:
     """Nullity of a matrix with no more columns than rows, from its
     descending singular values ``s``.
 
     The rank decision demands a relative gap of SV_GAP between the kept
     and discarded singular values and must not move when the tolerance
-    shifts a decade either way; otherwise IllConditioned.
+    shifts a decade either way from RESIDUAL_TOL; otherwise IllConditioned.
     """
+    tol = RESIDUAL_TOL
     scale = s[0] if s.size and s[0] > 0 else 1.0
     nullity = _nullity_at(s, tol, scale)
     for other in (tol / 10, tol * 10):
@@ -378,7 +389,7 @@ def _stable_nullity(s: np.ndarray, tol: float) -> int:
     return nullity
 
 
-def intertwiner_space(a: RepMatrices, b: RepMatrices, tol: float = RESIDUAL_TOL) -> IntertwinerSpace:
+def intertwiner_space(a: RepMatrices, b: RepMatrices) -> IntertwinerSpace:
     """Solutions T of T a(X) = b(X) T for X in {E, F, K}, by SVD nullspace.
 
     The rank decision follows the module's rules (``_stable_nullity``):
@@ -394,7 +405,7 @@ def intertwiner_space(a: RepMatrices, b: RepMatrices, tol: float = RESIDUAL_TOL)
     M = np.vstack(blocks)
     # M is tall, so len(s) == db * da and vh is square without the full U
     _, s, vh = np.linalg.svd(M, full_matrices=False)
-    nullity = _stable_nullity(s, tol)
+    nullity = _stable_nullity(s)
     total = db * da
     # null vectors are columns of V, i.e. conjugated rows of vh
     basis = [vh[row].conj().reshape(db, da) for row in range(total - nullity, total)]
@@ -426,7 +437,7 @@ def _weight_multiplicity(cand: RepMatrices, big: RepMatrices) -> int:
     same = apart <= RESIDUAL_TOL / SV_GAP
     if np.count_nonzero(big.K - np.diag(k_diag)) or np.any(~same & (apart < RESIDUAL_TOL)):
         return intertwiner_space(cand, big).dim
-    return _stable_nullity(np.linalg.svd(big.E[:, same], compute_uv=False), RESIDUAL_TOL)
+    return _stable_nullity(np.linalg.svd(big.E[:, same], compute_uv=False))
 
 
 @dataclass
@@ -449,7 +460,7 @@ class ConjugateEquationsReport:
         }
 
 
-def verify_conjugate_equations(q, *, t_branch: str = "principal", tol: float = RESIDUAL_TOL) -> ConjugateEquationsReport:
+def verify_conjugate_equations(q, *, t_branch: str = "principal") -> ConjugateEquationsReport:
     """Check the duality pair for the level-1 irreducible.
 
     R = psi_0 (x) psi_1 - |q| psi_1 (x) psi_0 is invariant in both
@@ -487,10 +498,10 @@ def verify_conjugate_equations(q, *, t_branch: str = "principal", tol: float = R
     )
     norm_sq = float((R.conj().T @ R).real[0, 0])
     ok = (
-        inv_res <= tol
-        and snake_res <= tol
-        and abs(c - (-aq)) <= tol
-        and abs(norm_sq - (1 + qf * qf)) <= tol
+        inv_res <= RESIDUAL_TOL
+        and snake_res <= RESIDUAL_TOL
+        and abs(c - (-aq)) <= RESIDUAL_TOL
+        and abs(norm_sq - (1 + qf * qf)) <= RESIDUAL_TOL
     )
     return ConjugateEquationsReport(
         q=qf, c=c, norm_sq=norm_sq, invariance_residual=inv_res, snake_residual=snake_res, ok=ok
@@ -515,7 +526,7 @@ class PermutationReport:
         }
 
 
-def verify_permutation_intertwiner(n: int, q, *, t_branch: str = "principal", tol: float = RESIDUAL_TOL) -> PermutationReport:
+def verify_permutation_intertwiner(n: int, q, *, t_branch: str = "principal") -> PermutationReport:
     """The flip intertwines (-,0) (x) (+,n) with (+,n) (x) (-,0).
 
     Both orders act on the same (n+1)-dimensional space and the flip is
@@ -530,7 +541,7 @@ def verify_permutation_intertwiner(n: int, q, *, t_branch: str = "principal", to
     residual = max(_maxabs(a.E - b.E), _maxabs(a.F - b.F), _maxabs(a.K - b.K))
     space = intertwiner_space(a, b)
     return PermutationReport(
-        n=n, q=float(q), residual=residual, hom_dim=space.dim, ok=residual <= tol and space.dim == 1
+        n=n, q=float(q), residual=residual, hom_dim=space.dim, ok=residual <= RESIDUAL_TOL and space.dim == 1
     )
 
 
@@ -629,7 +640,10 @@ class UqVerifyReport:
 
 def full_verification(q, n_max: int = 6, *, t_branch: str = "principal") -> UqVerifyReport:
     """Run the whole numerical battery at one q; every line is pinned to
-    the module tolerances."""
+    the module tolerances.  A negative ``n_max`` would check nothing and
+    raises BadParameter."""
+    if n_max < 0:
+        raise BadParameter(f"n_max must be nonnegative, got {n_max}")
     qf = _validate_q(q)
     checks: list[tuple[str, bool, str]] = []
 

@@ -264,6 +264,45 @@ def test_uq_verify_alias_and_negative_q(capsys):
     assert doc["report"]["q"] == -2 / 3
 
 
+OUT_OF_RANGE_Q = [("-1e80", "-1e+80"), ("-1e200", "-1e+200"), ("-1e400", "-1e+400"), ("-1e-200", "-1e-200")]
+
+
+@pytest.mark.parametrize("q, shown", OUT_OF_RANGE_Q, ids=[q for q, _ in OUT_OF_RANGE_Q])
+def test_uq_verify_refuses_q_out_of_double_range(q, shown, capsys):
+    # -1e400 does not fit a double; the others do, but their q-integers
+    # up to level 6 do not.
+    assert main(["uq", "verify", "--q", q]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q = {shown} is out of range for double precision\n"
+
+
+def test_uq_verify_refuses_a_negative_nmax(capsys):
+    # A battery over no levels would check nothing and report "ok".
+    assert main(["uq", "verify", "--q", "-1/2", "--nmax", "-1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: n_max must be nonnegative, got -1\n"
+
+
+@pytest.mark.parametrize("argv", [["--q", "-1e80"], ["--q", "-1e400"], ["--q", "-1/2", "--nmax", "-1"]])
+def test_numeric_refusals_exit_two_without_a_traceback(argv):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    done = subprocess.run([sys.executable, "-m", "fusionring.cli", "uq", "verify", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 2
+    assert "Traceback" not in done.stderr
+    assert done.stderr.splitlines()[-1].startswith("error: ")
+
+
+def test_uq_verify_at_large_but_representable_q_still_runs(capsys):
+    # At -1e40 every q-integer up to level 6 fits a double: the battery
+    # runs and reports its failures instead of refusing q.
+    assert main(["uq", "verify", "--q", "-1e40"]) == 1
+    assert capsys.readouterr().out.strip().endswith("FAILED")
+
+
 def test_deep_au_cancellation_exits_cleanly(capsys):
     assert main(["decompose", "--ring", "au", "u" * 1500, "U" * 1500, "--json"]) == 0
     terms = json.loads(capsys.readouterr().out)["report"]["terms"]

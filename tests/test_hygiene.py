@@ -11,6 +11,8 @@
   ``*Provider`` class, no backend class imported from
   ``fusionring.rings``, and nothing at all from ``fusionring.rings``
   in the two analysis layers (the CLI imports the constructor functions).
+* The ladder rings (``suq2``, ``so3``, ``uqsu11``) share one growth
+  policy: only ``rings/su2.py``'s ``ladder`` grows a level list.
 """
 
 from __future__ import annotations
@@ -150,3 +152,60 @@ def test_signed_arithmetic_is_detected():
 @pytest.mark.parametrize("name", ANALYSIS_LAYERS)
 def test_analysis_layers_use_no_signed_arithmetic(name):
     assert signed_arithmetic((PACKAGE / name).read_text()) == []
+
+
+GROWERS = {"append", "extend", "insert"}
+
+
+def level_list_growth(source: str) -> list[str]:
+    """Every statement that grows or stores into a ladder level list (any
+    name or attribute containing ``levels``), with its enclosing function."""
+    found = []
+
+    def names_levels(node) -> bool:
+        return any("levels" in (getattr(part, "id", None) or getattr(part, "attr", None) or "")
+                   for part in ast.walk(node))
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        grows = (
+            isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+            and node.func.attr in GROWERS and names_levels(node.func.value)
+        ) or (
+            isinstance(node, ast.AugAssign) and names_levels(node.target)
+        ) or (
+            isinstance(node, ast.Assign)
+            and any(isinstance(t, ast.Subscript) and names_levels(t.value) for t in node.targets)
+        )
+        if grows:
+            found.append(f"line {node.lineno}: in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_level_list_growth_is_detected():
+    source = (
+        "def ladder(levels, label, stop):\n"
+        "    levels.extend(map(label, range(len(levels), stop)))\n"
+        "class Ring:\n"
+        "    def _decompose(self, u, v):\n"
+        "        self._levels[1].append(u)\n"
+        "        self._levels += [v]\n"
+        "        self.levels[3:] = [u, v]\n"
+        "        return sorted(self._levels)\n"
+    )
+    assert level_list_growth(source) == [
+        "line 2: in ladder", "line 5: in _decompose", "line 6: in _decompose", "line 7: in _decompose",
+    ]
+
+
+def test_only_the_shared_helper_grows_a_ladder_level_list():
+    # suq2, so3 and uqsu11 grow their level lists through ``su2.ladder`` alone.
+    found = {str(path.relative_to(PACKAGE)): level_list_growth(path.read_text()) for path in MODULES}
+    helper = found.pop("rings/su2.py")
+    assert helper and all(entry.endswith(": in ladder") for entry in helper)
+    assert {name: lines for name, lines in found.items() if lines} == {}

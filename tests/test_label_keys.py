@@ -106,5 +106,5 @@ def test_incremental_stage_one_pass_matches_power_search(factors):
     want = {g: oracles.power_stage_one_exponent(group, g, 64) for g in window}
     assert {g: group.stage_one_exponent(g, 64) for g in window} == want
     counterexample = next((f"{g.id}^{n}" for g, n in want.items() if n is not None and n > 1), None)
-    report = n_sequence_cocommutative(group, Budget(max_irreducibles=100), exponent_bound=64)
+    report = n_sequence_cocommutative(group, Budget(max_irreducibles=100))
     assert report.counterexample == counterexample

@@ -183,10 +183,10 @@ def test_character_ring_refuses_characters_that_are_not_a_mapping():
 def test_load_dump_round_trip(tmp_path):
     ring = character_ring(
         {
+            "name": "s3chars",
             "class_sizes": [1, 3, 2],
             "characters": {"triv": [1, 1, 1], "sgn": [1, -1, 1], "std": [2, 0, -1]},
-        },
-        name="s3chars",
+        }
     )
     path = tmp_path / "ring.json"
     dumped = dump_ring_json(ring, path)

@@ -1,6 +1,5 @@
 """Closures, torsion scans, chain and sequence probes, ideal recovery."""
 
-import math
 import os
 import re
 import subprocess
@@ -12,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionring import Budget, IrrLabel
-from fusionring.errors import BadParameter, NotFinite, NotSaturated, UnknownLabel, UnsupportedProvider
+from fusionring.errors import NotFinite, NotSaturated, UnknownLabel, UnsupportedProvider
 from fusionring.cli import parse_provider
 from fusionring.rings import (
     au_ring,
@@ -290,11 +289,6 @@ def test_sequence_matches_the_reference_on_builtin_finite_rings():
                     n_sequence_cocommutative(ring, budget)
                 continue
             assert n_sequence_cocommutative(ring, budget).to_dict() == want, (ring.name, window)
-
-
-def test_sequence_needs_a_positive_exponent_bound():
-    with pytest.raises(BadParameter):
-        n_sequence_cocommutative(word_group([2, math.inf]), exponent_bound=0)
 
 
 def test_finite_word_group_stage_one_is_the_whole_group():

@@ -178,7 +178,6 @@ def test_intertwiner_basis_satisfies_the_equations():
 
 def _hand_rep(E, F, K):
     return RepMatrices(
-        n=None,
         E=np.asarray(E, dtype=complex),
         F=np.asarray(F, dtype=complex),
         K=np.asarray(K, dtype=complex),
@@ -267,7 +266,7 @@ def test_weight_multiplicity_falls_back_without_diagonal_k():
     P = np.eye(big.dim)
     P[:2, :2] = [[c, -s], [s, c]]
     rotated = RepMatrices(
-        n=None, E=P @ big.E @ P.T, F=P @ big.F @ P.T, K=P @ big.K @ P.T,
+        E=P @ big.E @ P.T, F=P @ big.F @ P.T, K=P @ big.K @ P.T,
         K_inv=P @ big.K_inv @ P.T, q=big.q, w=big.w, form_tag=big.form_tag,
     )
     for sign, k, expect in ((1, 1, 1), (1, 3, 1), (-1, 1, 0), (1, 2, 0)):
