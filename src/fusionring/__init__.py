@@ -7,6 +7,11 @@ normality-forced), torsion certification, identity-component analysis,
 ascending-chain probes, dimension-ideal recovery, and a numerical module
 that builds concrete matrix models for the sign-graded ladder ring at
 real q < 0 and verifies them against the symbolic fusion rules.
+
+Everything but the numerical module is exact integer arithmetic and needs
+only the standard library.  ``uqnumeric`` and its re-exports here load on
+first attribute access (PEP 562), so numpy is imported only by code that
+uses them.
 """
 
 from .axioms import AxiomReport, AxiomViolation, check_axioms
@@ -82,23 +87,40 @@ from .torsion import (
     normality_consistency,
     torsion_subcategory,
 )
-from .uqnumeric import (
-    RESIDUAL_TOL,
-    SV_GAP,
-    RepMatrices,
-    build_pi,
-    build_u,
-    check_star,
-    full_verification,
-    fusion_crosscheck,
-    intertwiner_space,
-    q_int,
-    tensor_rep,
-    unitarizability_witness,
-    verify_conjugate_equations,
-    verify_permutation_intertwiner,
-)
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+# Re-exported from ``uqnumeric`` by ``__getattr__``, which imports it (and
+# numpy) only when one of them is first asked for.
+_NUMERIC = frozenset({
+    "RESIDUAL_TOL",
+    "SV_GAP",
+    "RepMatrices",
+    "build_pi",
+    "build_u",
+    "check_star",
+    "full_verification",
+    "fusion_crosscheck",
+    "intertwiner_space",
+    "q_int",
+    "tensor_rep",
+    "unitarizability_witness",
+    "verify_conjugate_equations",
+    "verify_permutation_intertwiner",
+})
+
+__all__ = sorted({*(name for name in dir() if not name.startswith("_")), *_NUMERIC, "uqnumeric"})
+
+
+def __getattr__(name: str):
+    if name in _NUMERIC or name == "uqnumeric":
+        # import_module, not ``from . import``: the latter probes this hook again
+        from importlib import import_module
+
+        module = import_module(f"{__name__}.uqnumeric")
+        return module if name == "uqnumeric" else getattr(module, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *__all__})

@@ -44,7 +44,6 @@ from .torsion import (
     normal_forcing_closure,
     torsion_subcategory,
 )
-from .uqnumeric import full_verification
 
 SCHEMA_VERSION = "1"
 
@@ -313,6 +312,9 @@ def _cmd_dimideal(args) -> int:
 
 
 def _cmd_uqverify(args) -> int:
+    # the one numpy user: other commands start without loading it
+    from .uqnumeric import full_verification
+
     try:
         q = Fraction(args.q)
     except (ValueError, ZeroDivisionError):

@@ -27,6 +27,7 @@ goes through the full system.
 from __future__ import annotations
 
 import cmath
+import functools
 from dataclasses import dataclass
 from decimal import Context
 from fractions import Fraction
@@ -335,14 +336,18 @@ def unitarizability_witness(w, n: int, q, form: str = "su11", *, t_branch: str =
     )
 
 
+def _tensor_e_k(a: RepMatrices, b: RepMatrices) -> tuple[np.ndarray, np.ndarray]:
+    """E and K of ``tensor_rep(a, b)``, the two matrices the weight route reads."""
+    return np.kron(a.E, b.K_inv) + np.kron(a.K, b.E), np.kron(a.K, b.K)
+
+
 def tensor_rep(a: RepMatrices, b: RepMatrices) -> RepMatrices:
     """Tensor product along the coproduct D(E) = E (x) K^-1 + K (x) E,
     D(F) = F (x) K^-1 + K (x) F, D(K) = K (x) K."""
     if abs(a.q - b.q) > 0 or a.t_branch != b.t_branch:
         raise BadParameter("tensor factors must share q and t_branch")
-    E = np.kron(a.E, b.K_inv) + np.kron(a.K, b.E)
+    E, K = _tensor_e_k(a, b)
     F = np.kron(a.F, b.K_inv) + np.kron(a.K, b.F)
-    K = np.kron(a.K, b.K)
     K_inv = np.kron(a.K_inv, b.K_inv)
     form = a.form_tag if a.form_tag == b.form_tag else "mixed"
     return RepMatrices(E=E, F=F, K=K, K_inv=K_inv, q=a.q, w=a.w * b.w, form_tag=form, t_branch=a.t_branch)
@@ -431,13 +436,19 @@ def _weight_multiplicity(cand: RepMatrices, big: RepMatrices) -> int:
     cannot be read off and the full ``intertwiner_space`` system answers
     instead.
     """
-    k_diag = np.diag(big.K)
+    return _weight_count(cand, big.E, big.K, lambda: big)
+
+
+def _weight_count(cand: RepMatrices, E: np.ndarray, K: np.ndarray, full) -> int:
+    """``_weight_multiplicity`` for a module given by its E and K alone;
+    ``full()`` returns the whole module for the fallback."""
+    k_diag = np.diag(K)
     lam = cand.K[0, 0]
     apart = np.abs(k_diag - lam) / abs(lam)
     same = apart <= RESIDUAL_TOL / SV_GAP
-    if np.count_nonzero(big.K - np.diag(k_diag)) or np.any(~same & (apart < RESIDUAL_TOL)):
-        return intertwiner_space(cand, big).dim
-    return _stable_nullity(np.linalg.svd(big.E[:, same], compute_uv=False))
+    if np.count_nonzero(K - np.diag(k_diag)) or np.any(~same & (apart < RESIDUAL_TOL)):
+        return intertwiner_space(cand, full()).dim
+    return _stable_nullity(np.linalg.svd(E[:, same], compute_uv=False))
 
 
 @dataclass
@@ -576,7 +587,9 @@ def fusion_crosscheck(n_max: int, q, *, t_branch: str = "principal") -> FusionCr
     space of K (``_weight_multiplicity``), under the same SV_GAP and
     tolerance-flip refusals as ``intertwiner_space``, which answers
     instead where K is not diagonal or its weights are too close to
-    sort (|q| near 1).
+    sort (|q| near 1).  Only E and K of each product are formed, by
+    ``tensor_rep``'s expressions; a pair builds the full ``tensor_rep``
+    only when one of its candidates falls back.
     """
     from .rings.su11 import uq_su11_ring
 
@@ -602,12 +615,15 @@ def fusion_crosscheck(n_max: int, q, *, t_branch: str = "principal") -> FusionCr
                     symbolic = {
                         w.id: mult for w, mult in ring.decompose(a, b)
                     }
-                    big = tensor_rep(rep(eps, n), rep(delta, m))
+                    left, right = rep(eps, n), rep(delta, m)
+                    E, K = _tensor_e_k(left, right)
+                    # F and K^-1 only for a candidate that falls back
+                    full = functools.cache(lambda: tensor_rep(left, right))
                     numeric: dict[str, int] = {}
                     for k in range(n + m + 1):
                         for sigma in signs:
                             cand = rep(sigma, k)
-                            d = _weight_multiplicity(cand, big)
+                            d = _weight_count(cand, E, K, full)
                             if d:
                                 numeric[f"u{'+' if sigma == 1 else '-'}{k}"] = d
                     if numeric != symbolic:

@@ -13,6 +13,10 @@
   in the two analysis layers (the CLI imports the constructor functions).
 * The ladder rings (``suq2``, ``so3``, ``uqsu11``) share one growth
   policy: only ``rings/su2.py``'s ``ladder`` grows a level list.
+* Only the numerical layer loads numpy: ``uqnumeric.py`` is the one
+  module that imports numpy when it loads, and no module imports
+  ``uqnumeric`` when it loads (the package ``__init__`` hook and the
+  CLI's ``uq verify`` import it inside a function).
 """
 
 from __future__ import annotations
@@ -28,7 +32,8 @@ import fusionring.rings
 from fusionring.core import FusionProvider
 
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fusionring"
-MODULES = sorted(p for p in PACKAGE.rglob("*.py") if p.name != "__init__.py")
+SOURCES = sorted(PACKAGE.rglob("*.py"))
+MODULES = [p for p in SOURCES if p.name != "__init__.py"]
 
 
 def unused_imports(source: str) -> list[str]:
@@ -209,3 +214,65 @@ def test_only_the_shared_helper_grows_a_ladder_level_list():
     helper = found.pop("rings/su2.py")
     assert helper and all(entry.endswith(": in ladder") for entry in helper)
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+def eager_imports(source: str) -> list[tuple[int, str]]:
+    """(line, dotted name) of every import that runs when the module loads,
+    that is every one outside a function body; ``from m import n`` gives
+    ``m.n``, with the leading dots of a relative import kept."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, alias.name) for alias in child.names)
+            elif isinstance(child, ast.ImportFrom):
+                base = "." * child.level + (child.module or "")
+                sep = "" if base.endswith(".") else "."
+                found.extend((child.lineno, f"{base}{sep}{alias.name}") for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def numeric_imports(source: str, may_load_numpy: bool) -> list[str]:
+    """Imports run at load time that pull in ``uqnumeric``, or numpy
+    unless ``may_load_numpy``."""
+    found = []
+    for line, name in eager_imports(source):
+        parts = name.lstrip(".").split(".")
+        if "uqnumeric" in parts or (parts[0] == "numpy" and not may_load_numpy):
+            found.append(f"line {line}: {name}")
+    return found
+
+
+def test_numeric_import_is_detected():
+    source = (
+        "import numpy as np\n"
+        "from numpy.linalg import svd\n"
+        "from .uqnumeric import build_u\n"
+        "from .. import uqnumeric\n"
+        "import fusionring.uqnumeric\n"
+        "if True:\n    from fusionring import uqnumeric as un\n"
+        "class C:\n    import numpy\n"
+        "def f():\n    import numpy\n    from .uqnumeric import full_verification\n"
+        "from .numpy_free import x\n"
+    )
+    assert numeric_imports(source, may_load_numpy=False) == [
+        "line 1: numpy", "line 2: numpy.linalg.svd", "line 3: .uqnumeric.build_u",
+        "line 4: ..uqnumeric", "line 5: fusionring.uqnumeric", "line 7: fusionring.uqnumeric",
+        "line 9: numpy",
+    ]
+    assert numeric_imports(source, may_load_numpy=True) == [
+        "line 3: .uqnumeric.build_u", "line 4: ..uqnumeric", "line 5: fusionring.uqnumeric",
+        "line 7: fusionring.uqnumeric",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_only_the_numerical_layer_loads_numpy(path):
+    may_load_numpy = path == PACKAGE / "uqnumeric.py"
+    assert numeric_imports(path.read_text(), may_load_numpy) == []

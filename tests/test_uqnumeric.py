@@ -296,6 +296,42 @@ def test_fusion_crosscheck_level_seven(branch):
     assert rep.pairs_checked == 256
 
 
+@pytest.mark.parametrize("branch", ["principal", "conjugate"])
+@pytest.mark.parametrize("q, route", [(Fraction(-1, 2), "weights"),
+                                      (-(1 + Fraction(1, 10**11)), "fallback")],
+                         ids=["weights", "fallback"])
+def test_fusion_crosscheck_forms_only_e_and_k(q, route, branch, monkeypatch):
+    # every pair's E and K are tensor_rep's, bit for bit, and the whole
+    # product is built only for a pair with a candidate that falls back
+    formed, built = [], []
+    tensor_e_k = uqnumeric._tensor_e_k
+
+    def recorded_e_k(a, b):
+        E, K = tensor_e_k(a, b)
+        formed.append((a, b, E, K))
+        return E, K
+
+    def recorded_tensor_rep(a, b):
+        built.append((a, b))
+        return tensor_rep(a, b)
+
+    monkeypatch.setattr(uqnumeric, "_tensor_e_k", recorded_e_k)
+    monkeypatch.setattr(uqnumeric, "tensor_rep", recorded_tensor_rep)
+    rep = fusion_crosscheck(3, q, t_branch=branch)
+    monkeypatch.undo()
+    assert rep.ok, rep.mismatches[:2]
+    # tensor_rep forms its own E and K through the same helper
+    assert len(formed) == rep.pairs_checked + len(built) == 64 + len(built)
+    for a, b, E, K in formed:
+        full = tensor_rep(a, b)
+        assert np.array_equal(E, full.E) and np.array_equal(K, full.K)
+        assert np.array_equal(E, np.kron(a.E, b.K_inv) + np.kron(a.K, b.E))
+        assert np.array_equal(K, np.kron(a.K, b.K))
+    pairs = [(id(a), id(b)) for a, b in built]
+    assert len(set(pairs)) == len(pairs)
+    assert (len(built) > 0) == (route == "fallback")
+
+
 def test_fusion_crosscheck_near_minus_one_falls_back(monkeypatch):
     # weights q^2 apart differ by 2e-11 relative: too close to sort, so
     # those candidates go through the full intertwiner system
