@@ -659,3 +659,27 @@ def bf_abelian_subgroups(orders) -> set[frozenset[str]]:
             break
         subgroups |= sums
     return {frozenset(map(_abelian_name, sub)) for sub in subgroups}
+
+
+# ---------------------------------------------------------------------------
+# one weight-space multiplicity at a time
+
+
+def weight_count_reference(cand, E, K, full) -> int:
+    """dim Hom(cand, M) for one irreducible ladder model ``cand``, M given
+    by its E and K alone, ``full()`` returning the whole module: the
+    per-candidate routine the per-pair ``uqnumeric._weight_counts``
+    replaced, kept as written.  It reads K's diagonal and runs the
+    off-diagonal test for every candidate, and decomposes a weight block
+    even when it has no columns."""
+    import numpy as np
+
+    from fusionring.uqnumeric import RESIDUAL_TOL, SV_GAP, _stable_nullity, intertwiner_space
+
+    k_diag = np.diag(K)
+    lam = cand.K[0, 0]
+    apart = np.abs(k_diag - lam) / abs(lam)
+    same = apart <= RESIDUAL_TOL / SV_GAP
+    if np.count_nonzero(K - np.diag(k_diag)) or np.any(~same & (apart < RESIDUAL_TOL)):
+        return intertwiner_space(cand, full()).dim
+    return _stable_nullity(np.linalg.svd(E[:, same], compute_uv=False))

@@ -60,6 +60,11 @@ def commands() -> list[list[str]]:
     # Dimension-ideal recovery needs a finite ring.
     out += [["dimideal", "--ring", f"json:{TABLE}"],
             ["dimideal", "--ring", f"json:{TABLE}", "--labels", "triv,sgn"]]
+    # The numerical battery, whose report prints residuals and the
+    # cross-check's pair count.
+    for q in ("-1/2", "-2/3", "-3/2"):
+        for branch in ("principal", "conjugate"):
+            out.append(["uq", "verify", "--q", q, "--nmax", "6", "--t-branch", branch])
     return out
 
 

@@ -17,6 +17,11 @@
   module that imports numpy when it loads, and no module imports
   ``uqnumeric`` when it loads (the package ``__init__`` hook and the
   CLI's ``uq verify`` import it inside a function).
+* No memo outlives the call that made it: no function is wrapped in
+  ``functools.cache`` or ``lru_cache`` at module or class level, by a
+  decorator or a call, so a second CLI run or benchmark task in the same
+  process pays for its own work.  A memo made inside a function body,
+  like ``fusion_crosscheck``'s ``full``, is allowed.
 """
 
 from __future__ import annotations
@@ -276,3 +281,70 @@ def test_numeric_import_is_detected():
 def test_only_the_numerical_layer_loads_numpy(path):
     may_load_numpy = path == PACKAGE / "uqnumeric.py"
     assert numeric_imports(path.read_text(), may_load_numpy) == []
+
+
+MEMOS = ("cache", "lru_cache")
+
+
+def persistent_memos(source: str) -> list[str]:
+    """``functools.cache`` or ``lru_cache`` applied outside every function
+    body: as a decorator (called or not) of a module- or class-level
+    function, or called at module or class level.  Names imported from
+    ``functools`` under another name count too."""
+    tree = ast.parse(source)
+    names = set(MEMOS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            names |= {alias.asname for alias in node.names if alias.name in MEMOS and alias.asname}
+
+    def memo(expr) -> str | None:
+        if isinstance(expr, ast.Call):
+            expr = expr.func
+        if isinstance(expr, ast.Name) and expr.id in names:
+            return expr.id
+        if isinstance(expr, ast.Attribute) and expr.attr in MEMOS:
+            return expr.attr
+        return None
+
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                found.extend(f"line {d.lineno}: @{memo(d)} on {child.name}"
+                             for d in child.decorator_list if memo(d))
+                continue
+            if isinstance(child, ast.Lambda):
+                continue
+            if isinstance(child, ast.Call) and memo(child.func):
+                found.append(f"line {child.lineno}: {memo(child.func)}(...)")
+            visit(child)
+
+    visit(tree)
+    return found
+
+
+def test_persistent_memo_is_detected():
+    source = (
+        "import functools\n"
+        "from functools import lru_cache, cache as memo\n"
+        "@functools.cache\ndef a(): pass\n"
+        "@lru_cache(maxsize=None)\ndef b(): pass\n"
+        "class C:\n    @memo\n    def c(self): pass\n"
+        "    @staticmethod\n    @functools.lru_cache\n    def d(): pass\n"
+        "e = functools.cache(len)\n"
+        "def f():\n"
+        "    g = functools.cache(lambda: 1)\n"
+        "    @functools.cache\n    def h(): pass\n"
+        "    return g, h\n"
+        "@functools.wraps(f)\ndef i(): pass\n"
+    )
+    assert persistent_memos(source) == [
+        "line 3: @cache on a", "line 5: @lru_cache on b", "line 8: @memo on c",
+        "line 11: @lru_cache on d", "line 13: cache(...)",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_memo_outlives_its_call(path):
+    assert persistent_memos(path.read_text()) == []

@@ -1,5 +1,10 @@
 """Numerical ladder models: relations, star forms, duality, crosschecks."""
 
+import contextlib
+import functools
+import hashlib
+import io
+import json
 from fractions import Fraction
 
 import numpy as np
@@ -8,9 +13,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from fusionring import uqnumeric
+from fusionring.cli import main
 from fusionring.errors import BadParameter, IllConditioned
 from fusionring.uqnumeric import (
     RepMatrices,
+    _kron,
+    _weight_counts,
     _weight_multiplicity,
     build_pi,
     build_u,
@@ -25,7 +33,7 @@ from fusionring.uqnumeric import (
     verify_permutation_intertwiner,
 )
 
-from oracles import QINT_AT_MINUS_HALF
+from oracles import QINT_AT_MINUS_HALF, weight_count_reference
 
 Q_VALUES = (Fraction(-1, 2), Fraction(-2, 3))
 
@@ -361,3 +369,149 @@ def test_full_verification_both_branches():
         "permutation intertwiner",
         "fusion crosscheck",
     ]
+
+
+NEAR_MINUS_ONE = -(1 + Fraction(1, 10**11))
+
+
+@pytest.mark.parametrize("branch", ["principal", "conjugate"])
+@pytest.mark.parametrize("q", [*Q_VALUES, Fraction(-1, 3), Fraction(-3, 2), NEAR_MINUS_ONE], ids=str)
+def test_weight_counts_match_the_per_candidate_reference(q, branch, monkeypatch):
+    # every pair of the (n, m <= 4) grid, every candidate of its
+    # cross-check, counted per pair and one at a time: the same counts,
+    # and the same candidates sent to the full system, in the same order
+    # (near -1 most of them; each system is solved once for both routes)
+    sent, solved = [], {}
+
+    def solve_once(a, b):
+        sent.append(id(a))
+        # the entry holds a and b, so their ids are not reused meanwhile
+        if (id(a), id(b)) not in solved:
+            solved[id(a), id(b)] = (a, b, intertwiner_space(a, b))
+        return solved[id(a), id(b)][2]
+
+    monkeypatch.setattr(uqnumeric, "intertwiner_space", solve_once)
+    reps = {(s, k): build_u(s, k, q, t_branch=branch) for s in (1, -1) for k in range(9)}
+    signs = (1, -1)
+    for n in range(5):
+        for m in range(5):
+            for eps in signs:
+                for delta in signs:
+                    left, right = reps[eps, n], reps[delta, m]
+                    E, K = uqnumeric._tensor_e_k(left, right)
+                    full = functools.cache(lambda: tensor_rep(left, right))
+                    cands = [reps[sigma, k] for k in range(n + m + 1) for sigma in signs]
+                    sent.clear()
+                    expected = [weight_count_reference(cand, E, K, full) for cand in cands]
+                    expected_sent = list(sent)
+                    sent.clear()
+                    assert _weight_counts(cands, E, K, full) == expected, (n, m, eps, delta)
+                    assert sent == expected_sent, (n, m, eps, delta)
+    assert bool(solved) == (q == NEAR_MINUS_ONE)
+
+
+def _refusal(call):
+    with pytest.raises(IllConditioned) as caught:
+        call()
+    return str(caught.value)
+
+
+@pytest.mark.parametrize("singular_values", [[1.0, 1.5e-9], [1.0, 2e-8, 3e-11]])
+def test_weight_counts_refuse_like_the_reference(singular_values):
+    # the blocks of test_weight_block_rank_decision_refuses, behind a
+    # candidate whose weight has no column and one that is fine
+    cand = _hand_rep([[0]], [[0]], [[1.0]])
+    cols = len(singular_values)
+    E = np.zeros((cols + 1, cols + 1))
+    E[:cols, :cols] = np.diag(singular_values)
+    big = _hand_rep(E, np.zeros_like(E), np.diag([1.0] * cols + [4.0]))
+    absent = _hand_rep([[0]], [[0]], [[2.0]])
+    fine = _hand_rep([[0]], [[0]], [[4.0]])
+    assert _weight_counts([absent, fine], big.E, big.K, lambda: big) == [0, 1]
+    expected = _refusal(lambda: weight_count_reference(cand, big.E, big.K, lambda: big))
+    assert _refusal(lambda: _weight_counts([absent, fine, cand], big.E, big.K, lambda: big)) == expected
+    assert _refusal(lambda: _weight_multiplicity(cand, big)) == expected
+
+
+def test_weight_route_never_decomposes_an_empty_block(monkeypatch):
+    shapes = []
+    svd = np.linalg.svd
+
+    def recorded(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return svd(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", recorded)
+    rep = fusion_crosscheck(4, Fraction(-1, 2))
+    monkeypatch.undo()
+    assert rep.ok and rep.pairs_checked == 100
+    assert shapes and all(cols > 0 for _rows, cols in shapes)
+    # only candidates whose highest weight occurs are decomposed: of the
+    # 2(n + m + 1), the one sign and the levels k <= n + m of the parity
+    # of n + m that the product's twist allows
+    assert len(shapes) == sum((n + m) // 2 + 1 for n in range(5) for m in range(5)) * 4
+
+
+def test_kron_is_numpy_kron_bit_for_bit():
+    rng = np.random.default_rng(5)
+    for shape_a, shape_b in (((3, 3), (4, 4)), ((2, 5), (3, 1)), ((1, 1), (6, 6)), ((0, 2), (2, 2))):
+        a = rng.normal(size=shape_a) + 1j * rng.normal(size=shape_a)
+        b = rng.normal(size=shape_b) + 1j * rng.normal(size=shape_b)
+        got, want = _kron(a, b), np.kron(a, b)
+        assert got.shape == want.shape and got.tobytes() == want.tobytes()
+
+
+# SHA-256 of the sorted JSON of fusion_crosscheck's report, recorded on
+# the per-candidate weight route; both branches give the same report.
+CROSSCHECK_DIGESTS = {
+    (4, Fraction(-1, 2)): "056d8aed0a378a24391424b417800986c8c835e97bdd05b1b319ec1304adc34a",
+    (5, Fraction(-3, 2)): "b1a8900263f027437ddadaa811545592e409386f94653a620f4e5c5782c76e70",
+    (3, NEAR_MINUS_ONE): "ed7262230e9a725968631ec3ae71fba000fe4c82ac7af01794dd187de7d7f84a",
+    (4, Fraction(-4, 5)): "d7eb027a482247da994f78ba7dcaa5bfead53ec35fa54466ea1c97d6022a9f76",
+    (7, Fraction(-3, 7)): "579e426bd6d61df261c99d3439e0e0571f0175d2d6213f641179d9fca06b8610",
+}
+
+
+@pytest.mark.parametrize("branch", ["principal", "conjugate"])
+@pytest.mark.parametrize("n_max, q", list(CROSSCHECK_DIGESTS), ids=lambda v: str(v))
+def test_fusion_crosscheck_reports_are_pinned(n_max, q, branch):
+    report = fusion_crosscheck(n_max, q, t_branch=branch)
+    text = json.dumps(report.to_dict(), sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == CROSSCHECK_DIGESTS[n_max, q]
+
+
+def _uq_verify(q: str) -> tuple[int, dict]:
+    buf = io.StringIO()
+    with contextlib.redirect_stdout(buf):
+        code = main(["uq", "verify", "--q", q, "--nmax", "6", "--json"])
+    return code, json.loads(buf.getvalue())["report"]
+
+
+@pytest.mark.parametrize("q, residual", [("-1e2", "3.586e-06"), ("-1e3", "3.750e-01")])
+def test_correct_models_pass_at_large_q(q, residual):
+    # K^2 reaches |q|^6: residuals far above RESIDUAL_TOL are rounding,
+    # about 1e-19 of the entries compared
+    code, report = _uq_verify(q)
+    assert code == 0 and report["ok"], report
+    assert report["checks"][0]["detail"] == f"max residual {residual} over n <= 6"
+
+
+def test_relative_judgement_still_fails_a_wrong_model_at_large_q(monkeypatch):
+    # E off by one part in 10^6 breaks [E, F] and E* = -F relative to
+    # their entries, far above the RESIDUAL_TOL rounding allowance
+    build = uqnumeric.build_u
+
+    def scaled(*args, **kwargs):
+        rep = build(*args, **kwargs)
+        rep.E = rep.E * (1 + 1e-6)
+        return rep
+
+    monkeypatch.setattr(uqnumeric, "build_u", scaled)
+    code, report = _uq_verify("-1e3")
+    verdicts = {check["name"]: check["ok"] for check in report["checks"]}
+    assert code == 1 and not report["ok"]
+    assert not verdicts["relations"] and not verdicts["star"]
+    q = -1e3
+    rep = scaled(1, 3, q)
+    assert rep.relation_check()[1] is False and not check_star(rep).ok
+    assert build(1, 3, q).relation_check()[1] is True and check_star(build(1, 3, q)).ok
