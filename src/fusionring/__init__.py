@@ -27,7 +27,6 @@ from .core import (
     Decomposition,
     FusionProvider,
     IrrLabel,
-    VirtualElement,
     canonical_key,
     canonical_sort,
 )

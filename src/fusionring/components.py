@@ -138,14 +138,12 @@ def _non_normal_witness(provider, violations) -> IrrLabel:
 def _witness_evidence(provider, witness: IrrLabel) -> dict | None:
     for k, factor in enumerate(provider.free_factors()):
         restriction = provider.factor_restriction(witness, k)
-        invariant = restriction.coeff(factor.unit())
+        invariant = restriction.multiplicity(factor.unit())
         if invariant != witness.dim:
             return {
                 "factor": k,
                 "factor_name": factor.name,
-                "restriction": {lab.id: c for lab, c in sorted(
-                    restriction.coeffs.items(), key=lambda it: (it[0].dim, it[0].id)
-                )},
+                "restriction": {lab.id: c for lab, c in restriction},
                 "invariant_multiplicity": invariant,
                 "dim": witness.dim,
             }
@@ -189,66 +187,42 @@ def identity_component_report(
         for a in s_labels
         for b in s_labels
     )
-    finite: bool | None = True if tensorial else None
     violations = normality_consistency(provider, s_set, budget.max_irreducibles)
-
-    if violations:
-        witness = _non_normal_witness(provider, violations)
-        evidence = _witness_evidence(provider, witness)
-        degree, note = _adjoint_degree_note(provider)
-        return ComponentReport(
-            provider=provider.name,
-            torsion_set=scan.subcategory,
-            unknowns=tuple(l.id for l in scan.unknowns),
-            tensorial=tensorial,
-            commutative=commutative,
-            finite=finite,
-            normality_violations=violations,
-            verdict="non_normal_witness",
-            witness=witness.id,
-            witness_evidence=evidence,
-            torsion_degree_bound=degree,
-            torsion_degree_note=note,
-        )
-
-    if tensorial:
-        window = provider.enumerate(min(budget.max_irreducibles, hom_table_bound))
-        table = [
-            [u.id, v.id, restriction_hom_dim(provider, s_set, u, v)]
-            for u in window
-            for v in window
-        ]
-        order = sum(l.dim * l.dim for l in s_labels)
-        return ComponentReport(
-            provider=provider.name,
-            torsion_set=scan.subcategory,
-            unknowns=tuple(l.id for l in scan.unknowns),
-            tensorial=True,
-            commutative=commutative,
-            finite=True,
-            normality_violations=[],
-            verdict="normal_with_finite_component_group",
-            component_group_order=order,
-            hom_table=table,
-            torsion_degree_bound=1,
-            torsion_degree_note=(
-                "certified torsion set is finite and conjugation-stable over the window; "
-                "its closure sequence stabilizes after one step"
-            ),
-        )
-
-    return ComponentReport(
+    report = ComponentReport(
         provider=provider.name,
         torsion_set=scan.subcategory,
         unknowns=tuple(l.id for l in scan.unknowns),
         tensorial=tensorial,
         commutative=commutative,
-        finite=finite,
-        normality_violations=[],
+        finite=True if tensorial else None,
+        normality_violations=violations,
         verdict="inconclusive",
-        inconclusive_reason=(
+    )
+
+    if violations:
+        witness = _non_normal_witness(provider, violations)
+        report.verdict = "non_normal_witness"
+        report.witness = witness.id
+        report.witness_evidence = _witness_evidence(provider, witness)
+        report.torsion_degree_bound, report.torsion_degree_note = _adjoint_degree_note(provider)
+    elif tensorial:
+        window = provider.enumerate(min(budget.max_irreducibles, hom_table_bound))
+        report.verdict = "normal_with_finite_component_group"
+        report.component_group_order = sum(l.dim * l.dim for l in s_labels)
+        report.hom_table = [
+            [u.id, v.id, restriction_hom_dim(provider, s_set, u, v)]
+            for u in window
+            for v in window
+        ]
+        report.torsion_degree_bound = 1
+        report.torsion_degree_note = (
+            "certified torsion set is finite and conjugation-stable over the window; "
+            "its closure sequence stabilizes after one step"
+        )
+    else:
+        report.inconclusive_reason = (
             "certified torsion set failed closure re-verification"
             if scan.subcategory.status == BUDGET_EXCEEDED
             else "budget exhausted before certification"
-        ),
-    )
+        )
+    return report

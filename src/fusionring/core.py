@@ -23,7 +23,6 @@ from .errors import UnknownLabel, UnsupportedProvider
 __all__ = [
     "IrrLabel",
     "Decomposition",
-    "VirtualElement",
     "Budget",
     "FusionProvider",
     "canonical_key",
@@ -155,62 +154,6 @@ class Decomposition:
 constituents_of = operator.attrgetter("_by_label")
 
 
-class VirtualElement:
-    """Integer combination of irreducibles; coefficients of any sign."""
-
-    __slots__ = ("_coeffs",)
-
-    def __init__(self, coeffs: Mapping[IrrLabel, int] = ()):
-        cleaned = {lab: int(c) for lab, c in dict(coeffs).items() if c != 0}
-        self._coeffs = cleaned
-
-    @classmethod
-    def of(cls, label: IrrLabel, coeff: int = 1) -> "VirtualElement":
-        return cls({label: coeff})
-
-    @property
-    def coeffs(self) -> dict[IrrLabel, int]:
-        return dict(self._coeffs)
-
-    def coeff(self, label: IrrLabel) -> int:
-        return self._coeffs.get(label, 0)
-
-    def support(self) -> list[IrrLabel]:
-        return canonical_sort(self._coeffs)
-
-    def is_zero(self) -> bool:
-        return not self._coeffs
-
-    def __add__(self, other: "VirtualElement") -> "VirtualElement":
-        out = dict(self._coeffs)
-        for lab, c in other._coeffs.items():
-            out[lab] = out.get(lab, 0) + c
-        return VirtualElement(out)
-
-    def __sub__(self, other: "VirtualElement") -> "VirtualElement":
-        out = dict(self._coeffs)
-        for lab, c in other._coeffs.items():
-            out[lab] = out.get(lab, 0) - c
-        return VirtualElement(out)
-
-    def __mul__(self, scalar: int) -> "VirtualElement":
-        return VirtualElement({lab: c * scalar for lab, c in self._coeffs.items()})
-
-    __rmul__ = __mul__
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, VirtualElement):
-            return NotImplemented
-        return self._coeffs == other._coeffs
-
-    def __hash__(self) -> int:
-        return hash(tuple(sorted(((canonical_key(l), c) for l, c in self._coeffs.items()))))
-
-    def __repr__(self) -> str:
-        parts = [f"{c}*{lab.id}" for lab, c in sorted(self._coeffs.items(), key=lambda it: canonical_key(it[0]))]
-        return f"<VirtualElement {' + '.join(parts) or '0'}>"
-
-
 @dataclass(frozen=True)
 class Budget:
     """Caps for closure and scan computations.
@@ -266,10 +209,12 @@ class FusionProvider(ABC):
     keeps its labels in a per-instance list indexed by level, read and
     grown only by ``rings.su2.ladder`` (a product costs O(step x
     constituents) however high its levels), and returns each product
-    through ``Decomposition.ordered``.  ``multiply_virtual``
-    extends ``decompose`` to signed combinations (``VirtualElement``):
-    ``check_axioms`` needs that for the difference in its associativity
-    report, and ``factor_restriction`` returns one.
+    through ``Decomposition.ordered``.  ``multiply_virtual`` extends
+    ``decompose`` bilinearly to integer combinations of any sign, given
+    and returned as plain label-to-coefficient dicts: ``check_axioms``
+    compares its two associations with it, and ``factor_restriction``
+    multiplies out one factor's letters with it and returns the result,
+    a representation, as a ``Decomposition``.
 
     Labels are bare ``(id, dim)`` tuples; the structure behind an id is
     a key that belongs to the provider.  A backend with structured labels
@@ -359,7 +304,7 @@ class FusionProvider(ABC):
     def free_factors(self) -> tuple[FusionProvider, ...]:
         return ()
 
-    def factor_restriction(self, u: IrrLabel, factor_index: int) -> VirtualElement:
+    def factor_restriction(self, u: IrrLabel, factor_index: int) -> Decomposition:
         """Image of ``u`` in the ring of free factor ``factor_index``."""
         raise UnsupportedProvider(f"{self.name}: factor restriction needs a free product")
 
@@ -386,11 +331,15 @@ class FusionProvider(ABC):
 
     # -- derived ring arithmetic ------------------------------------------
 
-    def multiply_virtual(self, x: VirtualElement, y: VirtualElement) -> VirtualElement:
-        """Bilinear extension of ``decompose`` to integer combinations."""
+    def multiply_virtual(
+        self, x: Mapping[IrrLabel, int], y: Mapping[IrrLabel, int]
+    ) -> dict[IrrLabel, int]:
+        """Bilinear extension of ``decompose`` to integer combinations,
+        each a map from label to coefficient of any sign; the product has
+        no zero coefficient."""
         acc: dict[IrrLabel, int] = {}
-        for a, ca in x.coeffs.items():
-            for b, cb in y.coeffs.items():
+        for a, ca in x.items():
+            for b, cb in y.items():
                 for w, m in self.decompose(a, b):
                     acc[w] = acc.get(w, 0) + ca * cb * m
-        return VirtualElement(acc)
+        return {w: c for w, c in acc.items() if c}

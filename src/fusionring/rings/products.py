@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import re
 
-from ..core import Decomposition, FusionProvider, IrrLabel, VirtualElement
+from ..core import Decomposition, FusionProvider, IrrLabel
 from ..errors import UnknownLabel, UnsupportedProvider
 
 __all__ = ["FreeProductProvider", "DirectProductProvider", "free_product", "direct_product"]
@@ -182,7 +182,7 @@ class FreeProductProvider(FusionProvider):
     def free_factors(self) -> tuple[FusionProvider, FusionProvider]:
         return self.factors
 
-    def factor_restriction(self, u: IrrLabel, factor_index: int) -> VirtualElement:
+    def factor_restriction(self, u: IrrLabel, factor_index: int) -> Decomposition:
         """Image of ``u`` in the chosen factor's ring.
 
         Letters from the other factor only contribute their dimension as
@@ -192,13 +192,13 @@ class FreeProductProvider(FusionProvider):
             raise ValueError("factor_index must be 0 or 1")
         factor = self.factors[factor_index]
         scalar = 1
-        out = VirtualElement.of(factor.unit())
+        out = {factor.unit(): 1}
         for k, lab in self.key_of(u):
             if k == factor_index:
-                out = factor.multiply_virtual(out, VirtualElement.of(lab))
+                out = factor.multiply_virtual(out, {lab: 1})
             else:
                 scalar *= lab.dim
-        return out * scalar
+        return Decomposition({lab: c * scalar for lab, c in out.items()})
 
 
 class DirectProductProvider(FusionProvider):

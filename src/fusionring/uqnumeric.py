@@ -12,7 +12,8 @@ Everything is double precision with a pinned residual tolerance,
 relative to the size of the entries compared (they grow like |q|^n);
 rank decisions use a hard relative singular-value gap and refuse to
 answer without one.  A q that does not fit a double, or whose q-integers
-at the requested levels do not, is refused with BadParameter.
+or powers q^n and q^-n at the requested levels do not, is refused with
+BadParameter.
 
 Hom spaces come by two routes.  ``intertwiner_space`` solves the full
 Kronecker system T a(X) = b(X) T for X in {E, F, K}; it is the general
@@ -82,7 +83,8 @@ def q_int(k: int, q):
 
 
 def _out_of_range(q) -> BadParameter:
-    """The refusal of a q that, or one of whose q-integers, overflows a double."""
+    """The refusal of a q that, or one of whose q-integers or powers,
+    overflows a double."""
     qx = Fraction(q)
     shown = Context(prec=6).divide(qx.numerator, qx.denominator).normalize()
     return BadParameter(f"q = {shown:g} is out of range for double precision")
@@ -150,12 +152,6 @@ class RepMatrices:
             "KK^-1=1": (self.K @ self.K_inv, np.eye(self.dim)),
         }
 
-    def relation_residuals(self) -> dict[str, float]:
-        return {name: _maxabs(lhs - rhs) for name, (lhs, rhs) in self._relation_sides().items()}
-
-    def max_relation_residual(self) -> float:
-        return max(self.relation_residuals().values())
-
     def relation_check(self) -> tuple[float, bool]:
         """The largest relation residual, and whether every relation holds
         to RESIDUAL_TOL relative to its two sides (``_judged``)."""
@@ -184,9 +180,13 @@ def _judged(sides) -> tuple[float, bool]:
 
 def _q_ints(n: int, q) -> list[float]:
     """The q-integers [0], ..., [n] as doubles: exact for rational q and
-    rounded once, or in double precision for a float q."""
+    rounded once, or in double precision for a float q.  Refused, like an
+    overflowing q-integer, when q^n or q^-n does not fit a double: those
+    are the extreme entries of K^2 and K^-2 in the level-n model, which
+    the relation check forms."""
     qx = Fraction(q) if isinstance(q, Rational) else float(q)
     try:
+        float(qx**n), float(qx**-n)
         return [float(q_int(k, qx)) for k in range(n + 1)]
     except OverflowError:
         raise _out_of_range(q) from None

@@ -317,7 +317,7 @@ def close_reference(provider, kind: str, generators, budget):
     helpers can be compared against it at every cap.
     """
     # Imported here: perfbench loads this module before the package.
-    from fusionring.core import FusionProvider, IrrLabel, VirtualElement, canonical_sort
+    from fusionring.core import FusionProvider, IrrLabel, canonical_sort
     from fusionring.torsion import BUDGET_EXCEEDED, SATURATED, Subcategory
 
     def _close(
@@ -390,10 +390,9 @@ def close_reference(provider, kind: str, generators, budget):
             for u in window:
                 ubar = provider.conj(u)
                 prod = provider.multiply_virtual(
-                    provider.multiply_virtual(VirtualElement.of(ubar), VirtualElement.of(v)),
-                    VirtualElement.of(u),
+                    provider.multiply_virtual({ubar: 1}, {v: 1}), {u: 1}
                 )
-                for lab in canonical_sort(prod.support()):
+                for lab in canonical_sort(prod):
                     yield lab
 
     def forcing_rule(members):
@@ -401,12 +400,10 @@ def close_reference(provider, kind: str, generators, budget):
             for u in window:
                 ubar = provider.conj(u)
                 prod = provider.multiply_virtual(
-                    provider.multiply_virtual(VirtualElement.of(ubar), VirtualElement.of(v)),
-                    VirtualElement.of(u),
+                    provider.multiply_virtual({ubar: 1}, {v: 1}), {u: 1}
                 )
-                coeffs = prod.coeffs
-                if len(coeffs) == 1:
-                    (lab, mult), = coeffs.items()
+                if len(prod) == 1:
+                    (lab, mult), = prod.items()
                     if mult == 1:
                         yield lab
 
@@ -420,16 +417,15 @@ def close_reference(provider, kind: str, generators, budget):
 
 def conjugate_reference(provider, u, v):
     """``ubar (x) v (x) u`` as ``(label, multiplicity)`` pairs in canonical
-    order, through two ``multiply_virtual`` calls on ``VirtualElement``s:
+    order, through two ``multiply_virtual`` calls on integer combinations:
     the route the library's triple product took before it was built from
     cached decompositions."""
-    from fusionring.core import VirtualElement
+    from fusionring.core import canonical_sort
 
     prod = provider.multiply_virtual(
-        provider.multiply_virtual(VirtualElement.of(provider.conj(u)), VirtualElement.of(v)),
-        VirtualElement.of(u),
+        provider.multiply_virtual({provider.conj(u): 1}, {v: 1}), {u: 1}
     )
-    return tuple((lab, prod.coeff(lab)) for lab in prod.support())
+    return tuple((lab, prod[lab]) for lab in canonical_sort(prod))
 
 
 # ---------------------------------------------------------------------------

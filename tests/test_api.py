@@ -33,7 +33,7 @@ PUBLIC = [
     "NSequenceReport", "NormalityViolation", "NotAGroup", "NotFinite", "NotSaturated", "ParseError",
     "RESIDUAL_TOL", "RepMatrices", "SO3Provider", "SU2Provider", "SV_GAP", "Subcategory",
     "TorsionScanReport", "TorsionVerdict", "UnknownLabel", "UnsupportedProvider", "UqSU11Provider",
-    "VirtualElement", "WordGroupProvider", "WordGroupSpec", "ascending_chain_probe", "au_ring",
+    "WordGroupProvider", "WordGroupSpec", "ascending_chain_probe", "au_ring",
     "axioms", "build_pi", "build_u", "builtin_finite_rings", "canonical_key", "canonical_sort",
     "central_closure", "character_ring", "check_axioms", "check_star", "components",
     "connectedness_probe", "core", "dimension_ideal_recover", "direct_product", "dump_ring_json",
@@ -58,7 +58,7 @@ def run_fresh(code: str, *args: str) -> dict:
 
 
 def test_all_is_the_frozen_public_surface():
-    assert len(PUBLIC) == 87
+    assert len(PUBLIC) == 86
     assert fusionring.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(fusionring, name)

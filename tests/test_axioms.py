@@ -137,3 +137,22 @@ def test_seeded_triples_count():
     report = check_axioms(suq2_ring(), Budget(max_irreducibles=6), triple_samples=50, seed=3)
     # exhaustive prefix cube plus the seeded samples
     assert report.triples_checked == 4**3 + 50
+
+
+def test_associativity_violation_text():
+    class Bad(_Base):
+        def _decompose(self, u, v):
+            if (u.id, v.id) == ("g2", "g2"):
+                return Decomposition({self.labels[2]: 1})
+            return super()._decompose(u, v)
+
+    report = check_axioms(Bad(), Budget(max_irreducibles=3), triple_samples=10, seed=0)
+    found = [(v.labels, v.detail) for v in report.violations if v.axiom == "associativity"]
+    assert found == [
+        (("g1", "g1", "g2"), "difference g1:-1, g2:+1"),
+        (("g1", "g2", "g2"), "difference e:-1, g2:+1"),
+        (("g2", "g1", "g1"), "difference g1:+1, g2:-1"),
+        (("g2", "g2", "g1"), "difference e:+1, g2:-1"),
+        (("g1", "g2", "g2"), "difference e:-1, g2:+1"),
+        (("g2", "g1", "g1"), "difference g1:+1, g2:-1"),
+    ]

@@ -264,13 +264,15 @@ def test_uq_verify_alias_and_negative_q(capsys):
     assert doc["report"]["q"] == -2 / 3
 
 
-OUT_OF_RANGE_Q = [("-1e80", "-1e+80"), ("-1e200", "-1e+200"), ("-1e400", "-1e+400"), ("-1e-200", "-1e-200")]
+OUT_OF_RANGE_Q = [("-1e80", "-1e+80"), ("-1e200", "-1e+200"), ("-1e400", "-1e+400"), ("-1e-200", "-1e-200"),
+                  ("-1e60", "-1e+60"), ("-1e-55", "-1e-55")]
 
 
 @pytest.mark.parametrize("q, shown", OUT_OF_RANGE_Q, ids=[q for q, _ in OUT_OF_RANGE_Q])
 def test_uq_verify_refuses_q_out_of_double_range(q, shown, capsys):
     # -1e400 does not fit a double; the others do, but their q-integers
-    # up to level 6 do not.
+    # or their powers q^n and q^-n up to level 6 do not.  At -1e60 and
+    # -1e-55 only q^6 or q^-6 overflows.
     assert main(["uq", "verify", "--q", q]) == 2
     captured = capsys.readouterr()
     assert captured.out == ""
@@ -293,7 +295,9 @@ def test_numeric_refusals_exit_two_without_a_traceback(argv):
                           capture_output=True, text=True, env=env, timeout=120)
     assert done.returncode == 2
     assert "Traceback" not in done.stderr
-    assert done.stderr.splitlines()[-1].startswith("error: ")
+    # The error line is all: no warning from a model past double range.
+    (line,) = done.stderr.splitlines(keepends=True)
+    assert line.startswith("error: ") and line.endswith("\n")
 
 
 def test_uq_verify_at_large_but_representable_q_still_runs(capsys):

@@ -93,9 +93,9 @@ def test_witness_restriction_disagrees_with_dimension():
     witness = ring.parse_label(rep.witness)
     restriction = ring.factor_restriction(witness, rep.witness_evidence["factor"])
     unit0 = ring.factors[0].unit()
-    assert restriction.coeff(unit0) == 1
+    assert restriction.multiplicity(unit0) == 1
     assert witness.dim == 9
-    assert sum(c * l.dim for l, c in restriction.coeffs.items()) == witness.dim
+    assert sum(c * l.dim for l, c in restriction) == witness.dim
 
 
 def test_group_ring_component_order_is_group_order():

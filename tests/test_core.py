@@ -12,7 +12,6 @@ from fusionring import (
     FusionProvider,
     IrrLabel,
     UnknownLabel,
-    VirtualElement,
     canonical_key,
     canonical_sort,
     character_ring,
@@ -204,18 +203,6 @@ def test_decomposition_constructor_matches_the_reference(parts):
     assert [type(m) for _, m in got] == [int] * len(want)
 
 
-def test_virtual_element_arithmetic():
-    a, b = IrrLabel("a", 2), IrrLabel("b", 3)
-    x = VirtualElement.of(a) + VirtualElement.of(b) * 2
-    assert x.coeff(a) == 1 and x.coeff(b) == 2
-    y = x - VirtualElement.of(a)
-    assert y.coeff(a) == 0 and not y.is_zero()
-    z = y - VirtualElement.of(b) * 3
-    assert z.coeff(b) == -1
-    assert (x - x).is_zero()
-    assert set(x.support()) == {a, b}
-
-
 def test_budget_replace():
     b = Budget()
     assert (b.max_irreducibles, b.max_rounds, b.max_label_size) == (64, 32, 8)
@@ -279,9 +266,13 @@ def test_provider_parse_label_is_the_backends_own():
 
 def test_multiply_virtual():
     ring = TinyRing()
-    g = IrrLabel("g", 1)
-    x = ring.multiply_virtual(VirtualElement.of(g), VirtualElement.of(g))
-    assert x.coeff(ring.unit()) == 1
+    e, g = ring.unit(), IrrLabel("g", 1)
+    assert ring.multiply_virtual({g: 1}, {g: 1}) == {e: 1}
+    # signed coefficients multiply bilinearly: (2e - 3g)(e + g) = -e - g
+    assert ring.multiply_virtual({e: 2, g: -3}, {e: 1, g: 1}) == {e: -1, g: -1}
+    # (e - g)(e + g) = e - e: a cancelled coefficient is dropped, not kept as 0
+    assert ring.multiply_virtual({e: 1, g: -1}, {e: 1, g: 1}) == {}
+    assert ring.multiply_virtual({}, {g: 5}) == {}
 
 
 def test_default_order_oracle_unsupported():
@@ -306,15 +297,3 @@ def test_default_capabilities():
         ring.factor_restriction(g, 0)
     assert ring.chain_generators(1) == [g] and ring.chain_generators(5) == [g]
     assert ring.chain_size_cap(1) is None
-
-
-@given(st.lists(st.tuples(st.text("ab", min_size=1, max_size=3), st.integers(1, 5)), min_size=1, max_size=6))
-def test_virtual_element_addition_commutes(pairs):
-    elems = [VirtualElement.of(IrrLabel(s, d)) for s, d in pairs]
-    total = elems[0]
-    for e in elems[1:]:
-        total = total + e
-    rtotal = elems[-1]
-    for e in reversed(elems[:-1]):
-        rtotal = rtotal + e
-    assert total.coeffs == rtotal.coeffs

@@ -7,7 +7,6 @@ from fusionring import (
     Budget,
     UnknownLabel,
     UnsupportedProvider,
-    VirtualElement,
     check_axioms,
     direct_product,
     finite_group_ring,
@@ -74,11 +73,8 @@ def test_conjugating_factor_label_by_other_factor():
     fp = _fp()
     a = fp.parse_label("a")
     v1 = fp.parse_label("v1")
-    prod = fp.multiply_virtual(
-        fp.multiply_virtual(VirtualElement.of(v1), VirtualElement.of(a)),
-        VirtualElement.of(v1),
-    )
-    ids = {l.id for l in prod.support()}
+    prod = fp.multiply_virtual(fp.multiply_virtual({v1: 1}, {a: 1}), {v1: 1})
+    ids = {l.id for l in prod}
     assert "v1.a.v1" in ids
 
 
@@ -87,12 +83,12 @@ def test_factor_restriction_counts_foreign_as_scalar():
     wit = fp.parse_label("v1.a.v1")
     res = fp.factor_restriction(wit, 0)
     so3 = so3_ring()
-    got = {l.id: c for l, c in res.coeffs.items() if c}
+    got = {l.id: c for l, c in res}
     # v1 (x) v1 with the middle letter contributing dim 1
     assert got == {"v0": 1, "v1": 1, "v2": 1}
     res1 = fp.factor_restriction(wit, 1)
     # restriction to the word factor: v-letters become scalars 3 * 3 = 9
-    total = sum(c for c in res1.coeffs.values())
+    total = sum(c for _, c in res1)
     assert total == 9
 
 
@@ -122,14 +118,12 @@ def test_factor_restriction_multiplicative(data):
     lhs = fp.factor_restriction(a, k)
     rhs = fp.factor_restriction(b, k)
     factor = fp.factors[k]
-    prod_of_res = factor.multiply_virtual(lhs, rhs)
+    prod_of_res = factor.multiply_virtual(dict(lhs), dict(rhs))
     res_of_prod_coeffs = {}
     for lab, mult in fp.decompose(a, b):
-        for flab, c in fp.factor_restriction(lab, k).coeffs.items():
+        for flab, c in fp.factor_restriction(lab, k):
             res_of_prod_coeffs[flab] = res_of_prod_coeffs.get(flab, 0) + mult * c
-    assert {l: c for l, c in prod_of_res.coeffs.items() if c} == {
-        l: c for l, c in res_of_prod_coeffs.items() if c
-    }
+    assert prod_of_res == {l: c for l, c in res_of_prod_coeffs.items() if c}
 
 
 def test_direct_product_componentwise():
