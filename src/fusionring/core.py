@@ -217,14 +217,16 @@ class FusionProvider(ABC):
     a representation, as a ``Decomposition``.
 
     Labels are bare ``(id, dim)`` tuples; the structure behind an id is
-    a key that belongs to the provider.  A backend with structured labels
+    a key that belongs to the provider (a level, a word, a pair of factor
+    labels, or, for the finite tables, the id itself).  Every backend
     makes one label per key and instance through ``_label`` (which asks
     the backend's ``_spell`` for the id and dim of a new key and records
     the key in the instance's ``_keys``), and its methods read
     ``key_of(u)`` instead of parsing ``u.id``.  ``parse_label`` is the
-    only parser: it turns text into labels, and ``key_of`` sends every
-    label equal to none the instance made (another instance's, or one
-    built by hand) through it.
+    only parser: it turns text into the label spelled exactly that way,
+    and ``key_of`` sends every label equal to none the instance made
+    (another instance's, or one built by hand) through it, accepting the
+    result only when it is the whole label ``u`` again.
     """
 
     name: str = "ring"
@@ -248,13 +250,17 @@ class FusionProvider(ABC):
         raise NotImplementedError
 
     def key_of(self, u: IrrLabel):
-        """Key of this instance's label equal to ``u``; raises UnknownLabel."""
+        """Key of this instance's label equal to ``u``; raises UnknownLabel.
+
+        A label the instance did not make is parsed from its id and
+        accepted only when ``parse_label`` gives back ``u`` itself, id and
+        dim alike."""
         try:
             return self._keys[u]
         except KeyError:
             pass
         own = self.parse_label(u.id)
-        if own.dim != u.dim:
+        if own != u:
             raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
         return self._keys[own]
 
@@ -327,7 +333,7 @@ class FusionProvider(ABC):
 
     @abstractmethod
     def parse_label(self, text: str) -> IrrLabel:
-        """Resolve an id string to a label; raises UnknownLabel."""
+        """The label whose id is ``text``; raises UnknownLabel."""
 
     # -- derived ring arithmetic ------------------------------------------
 

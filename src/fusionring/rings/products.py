@@ -39,6 +39,10 @@ class FreeProductProvider(FusionProvider):
     factor index); with an infinite factor the window therefore stays
     inside length-one words, and longer words enter only through
     decompositions.  ``label_size`` sums the letters' own sizes.
+
+    Nested products can spell two words alike: the one-letter word of an
+    inner ``0:a.a^2`` is spelled ``0:a.a^2`` and reads back as ``a.a^2``.
+    ``parse_label`` refuses every id that does not read back as itself.
     """
 
     def __init__(self, left: FusionProvider, right: FusionProvider):
@@ -144,7 +148,6 @@ class FreeProductProvider(FusionProvider):
         out = [self.unit()]
         letters = self._letters(count)
         current: list[tuple[tuple, FWord]] = [((), ())]
-        length = 1
         while len(out) < count and current:
             layer: list[tuple[tuple, FWord]] = []
             for stem_key, stem in current:
@@ -158,7 +161,6 @@ class FreeProductProvider(FusionProvider):
                 if len(out) >= count:
                     break
             current = layer
-            length += 1
         return out[:count]
 
     @property
@@ -175,7 +177,10 @@ class FreeProductProvider(FusionProvider):
         return sum(max(1, self.factors[k].label_size(lab)) for k, lab in word)
 
     def parse_label(self, text: str) -> IrrLabel:
-        return self._label(self._parse_word(text))
+        lab = self._label(self._parse_word(text))
+        if lab.id != text:
+            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r} (it parses as {lab.id!r})")
+        return lab
 
     # -- restriction to one factor ----------------------------------------
 
@@ -251,10 +256,7 @@ class DirectProductProvider(FusionProvider):
         return Decomposition(counts)
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        na = self.factors[0].num_irreducibles
-        nb = self.factors[1].num_irreducibles
-        wa = self.factors[0].enumerate(count if na == math.inf else min(count, na))
-        wb = self.factors[1].enumerate(count if nb == math.inf else min(count, nb))
+        wa, wb = (f.enumerate(min(count, f.num_irreducibles)) for f in self.factors)
         out = []
         for total in range(len(wa) + len(wb) - 1):
             lo = max(0, total - len(wb) + 1)

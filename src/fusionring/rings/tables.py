@@ -32,6 +32,11 @@ __all__ = [
 class FiniteTableProvider(FusionProvider):
     """Fusion ring with an explicit, finite multiplication table.
 
+    A label's key is its id: every irreducible is interned through
+    ``_label`` when the table is built, ``conj`` and ``_decompose`` read
+    maps keyed by ``key_of(u)``, and ``parse_label`` knows exactly the
+    table's ids.
+
     ``enumerate`` lists the unit first, then the rest in (dim, id) order.
     """
 
@@ -47,8 +52,9 @@ class FiniteTableProvider(FusionProvider):
         self.name = name
         if unit_id not in dims:
             raise InvalidRing(f"unit {unit_id!r} not among irreducibles")
-        self._labels = {i: IrrLabel(i, d) for i, d in dims.items()}
-        self._unit = self._labels[unit_id]
+        self._dims = dims
+        labels = list(map(self._label, dims))
+        unit = self._label(unit_id)
         for i, j in conj.items():
             if i not in dims or j not in dims:
                 raise InvalidRing(f"conjugation mentions unknown id {i!r} or {j!r}")
@@ -56,7 +62,7 @@ class FiniteTableProvider(FusionProvider):
                 raise InvalidRing(f"conjugation not an involution at {i!r}")
         if set(conj) != set(dims):
             raise InvalidRing("conjugation map must cover every irreducible")
-        self._conj = conj
+        self._conj = {i: self._label(j) for i, j in conj.items()}
         pairs = {(a, b) for a in dims for b in dims}
         extra = set(table) - pairs
         if extra:
@@ -71,23 +77,22 @@ class FiniteTableProvider(FusionProvider):
                 if not isinstance(m, int) or m < 0:
                     raise InvalidRing(f"product {key} has bad multiplicity {m!r} for {w!r}")
         self._table = {
-            key: Decomposition({self._labels[w]: m for w, m in counts.items()})
+            key: Decomposition({self._label(w): m for w, m in counts.items()})
             for key, counts in table.items()
         }
-        rest = canonical_sort(l for l in self._labels.values() if l != self._unit)
-        self._order = [self._unit, *rest]
+        self._order = [unit, *canonical_sort(l for l in labels if l != unit)]
+
+    def _spell(self, i: str) -> tuple[str, int]:
+        return i, self._dims[i]
 
     def unit(self) -> IrrLabel:
-        return self._unit
+        return self._order[0]
 
     def conj(self, u: IrrLabel) -> IrrLabel:
-        self._check(u)
-        return self._labels[self._conj[u.id]]
+        return self._conj[self.key_of(u)]
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        self._check(u)
-        self._check(v)
-        return self._table[(u.id, v.id)]
+        return self._table[self.key_of(u), self.key_of(v)]
 
     def enumerate(self, count: int) -> list[IrrLabel]:
         return self._order[:count]
@@ -97,29 +102,20 @@ class FiniteTableProvider(FusionProvider):
         return len(self._order)
 
     def parse_label(self, text: str) -> IrrLabel:
-        lab = self._labels.get(text)
-        if lab is None:
+        if text not in self._dims:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
-        return lab
-
-    def _check(self, u: IrrLabel):
-        if self._labels.get(u.id) != u:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
+        return self._label(text)
 
 
 class FiniteGroupProvider(FiniteTableProvider):
-    """Group ring of a finite group; every basis element is invertible."""
-
-    def __init__(self, name, unit_id, dims, conj, table, mul):
-        super().__init__(name, unit_id, dims, conj, table)
-        self._mul = mul
+    """Group ring of a finite group; every basis element is invertible,
+    so every product is a single label."""
 
     def order_oracle(self, u: IrrLabel) -> int:
-        self._check(u)
-        seen = u.id
-        order = 1
-        while seen != self._unit.id:
-            seen = self._mul[(seen, u.id)]
+        unit = self.unit()
+        power, order = u, 1
+        while power != unit:
+            (power,) = self.decompose(power, u).constituents()
             order += 1
             if order > len(self._order):
                 raise InvalidRing("powers never reach the identity")
@@ -132,7 +128,7 @@ class FiniteGroupProvider(FiniteTableProvider):
         return len(self._order) == 1, 0
 
     def stage_one_exponent(self, u: IrrLabel, bound: int) -> int:
-        self._check(u)
+        self.key_of(u)
         return 1
 
 
@@ -180,7 +176,7 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
                     raise NotAGroup(f"associativity fails at ({a!r}, {b!r}, {c!r})")
     dims = {g: 1 for g in elems}
     fusion = {(g, h): {table[(g, h)]: 1} for g in elems for h in elems}
-    return FiniteGroupProvider(name, unit, dims, inv, fusion, dict(table))
+    return FiniteGroupProvider(name, unit, dims, inv, fusion)
 
 
 def _generators(table: dict[tuple[str, str], str], elems: list[str]) -> list[str]:

@@ -229,23 +229,10 @@ class WordGroupProvider(FusionProvider):
         return free_rank == len(self.spec.factors), free_rank
 
     def kill_finite_factors(self, u: IrrLabel) -> Word:
-        """Image of a word under the quotient deleting all finite factors.
-
-        Letters from finite factors drop out; what remains is freely
-        reduced in the free product of the infinite factors.
-        """
-        out: list[Letter] = []
-        for k, e in self.key_of(u):
-            if self.spec.factors[k] != math.inf:
-                continue
-            if out and out[-1][0] == k:
-                e2 = out[-1][1] + e
-                out.pop()
-                if e2:
-                    out.append((k, e2))
-            else:
-                out.append((k, e))
-        return tuple(out)
+        """Image of a word under the quotient deleting all finite factors:
+        the letters of the infinite factors, freely reduced."""
+        factors = self.spec.factors
+        return self._mul_words((), [(k, e) for k, e in self.key_of(u) if factors[k] == math.inf])
 
     def stage_one_contains(self, u: IrrLabel) -> bool:
         """Membership in the normal closure of all torsion elements.

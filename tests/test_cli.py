@@ -102,6 +102,13 @@ def test_axioms_exit_codes(fixtures_dir, capsys):
     assert "invalid ring" in err
 
 
+def test_decompose_refuses_an_id_that_spells_another_word(capsys):
+    # On this nested product 0:a.a^2 names a one-letter word but parses as a.a^2.
+    assert main(["decompose", "--ring", "free(word:Z2,free(word:Z2,word:Z3))", "0:a.a^2", "a"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "no irreducible with id '0:a.a^2'" in captured.err
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["nsequence", "--ring", "suq2"]) == 2
     assert main(["decompose", "--ring", "so3", "v1", "nope"]) == 2

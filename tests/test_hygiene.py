@@ -17,6 +17,9 @@
   module that imports numpy when it loads, and no module imports
   ``uqnumeric`` when it loads (the package ``__init__`` hook and the
   CLI's ``uq verify`` import it inside a function).
+* Backends read a label's structure from its key, not its id: modules
+  under ``rings/`` read an ``.id`` attribute only inside ``_spell``,
+  ``parse_label`` and ``dump_ring_json``.
 * No memo outlives the call that made it: no function is wrapped in
   ``functools.cache`` or ``lru_cache`` at module or class level, by a
   decorator or a call, so a second CLI run or benchmark task in the same
@@ -217,6 +220,47 @@ def test_only_the_shared_helper_grows_a_ladder_level_list():
     helper = found.pop("rings/su2.py")
     assert helper and all(entry.endswith(": in ladder") for entry in helper)
     assert {name: lines for name, lines in found.items() if lines} == {}
+
+
+ID_READERS = {"_spell", "parse_label", "dump_ring_json"}
+RING_MODULES = sorted((PACKAGE / "rings").glob("*.py"))
+
+
+def id_reads(source: str) -> list[str]:
+    """Every read of an ``.id`` attribute outside the functions named in
+    ``ID_READERS``, with its enclosing function."""
+    found = []
+
+    def visit(node, function):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        if (isinstance(node, ast.Attribute) and node.attr == "id" and isinstance(node.ctx, ast.Load)
+                and function not in ID_READERS):
+            found.append(f"line {node.lineno}: in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_id_read_is_detected():
+    source = (
+        "def _spell(self, key):\n    return key.id, 1\n"
+        "class Ring:\n"
+        "    def conj(self, u):\n        return self._conj[u.id]\n"
+        "    def parse_label(self, text):\n        lab = self._label(text)\n"
+        "        return lab if lab.id == text else None\n"
+        "    def _decompose(self, u, v):\n        ids = [w.id for w in (u, v)]\n"
+        "        u.id = 1\n        return ids\n"
+        "first = LABEL.id\n"
+    )
+    assert id_reads(source) == ["line 5: in conj", "line 10: in _decompose", "line 13: in <module>"]
+
+
+@pytest.mark.parametrize("path", RING_MODULES, ids=lambda p: p.name)
+def test_backends_read_label_ids_only_to_spell_parse_and_dump(path):
+    assert id_reads(path.read_text()) == []
 
 
 def eager_imports(source: str) -> list[tuple[int, str]]:
