@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import Budget, FusionProvider, canonical_sort
+from .core import Budget, FusionProvider, Report, canonical_sort
 
 __all__ = [
     "AxiomViolation",
@@ -30,17 +30,14 @@ _EXHAUSTIVE_TRIPLE_PREFIX = 4
 
 
 @dataclass(frozen=True)
-class AxiomViolation:
+class AxiomViolation(Report):
     axiom: str
     labels: tuple[str, ...]
     detail: str
 
-    def to_dict(self) -> dict:
-        return {"axiom": self.axiom, "labels": list(self.labels), "detail": self.detail}
-
 
 @dataclass
-class AxiomReport:
+class AxiomReport(Report):
     provider: str
     window: int
     pairs_checked: int
@@ -53,15 +50,7 @@ class AxiomReport:
         return not self.violations
 
     def to_dict(self) -> dict:
-        return {
-            "provider": self.provider,
-            "window": self.window,
-            "pairs_checked": self.pairs_checked,
-            "triples_checked": self.triples_checked,
-            "seed": self.seed,
-            "ok": self.ok,
-            "violations": [v.to_dict() for v in self.violations],
-        }
+        return {**super().to_dict(), "ok": self.ok}
 
 
 def check_axioms(

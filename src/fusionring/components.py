@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .core import Budget, FusionProvider, IrrLabel
+from .core import Budget, FusionProvider, IrrLabel, Report
 from .torsion import (
     BUDGET_EXCEEDED,
     SATURATED,
@@ -47,21 +47,12 @@ def restriction_hom_dim(provider: FusionProvider, s_labels, u: IrrLabel, v: IrrL
 
 
 @dataclass
-class ConnectednessReport:
+class ConnectednessReport(Report):
     provider: str
     verdict: str  # "torsion_found" | "no_torsion_found"
     witness: str | None
     unknowns: list[str]
     scanned: int
-
-    def to_dict(self) -> dict:
-        return {
-            "provider": self.provider,
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "unknowns": self.unknowns,
-            "scanned": self.scanned,
-        }
 
 
 def connectedness_probe(provider: FusionProvider, budget: Budget | None = None) -> ConnectednessReport:
@@ -84,7 +75,7 @@ def connectedness_probe(provider: FusionProvider, budget: Budget | None = None) 
 
 
 @dataclass
-class ComponentReport:
+class ComponentReport(Report):
     provider: str
     torsion_set: Subcategory
     unknowns: tuple[str, ...]
@@ -100,25 +91,6 @@ class ComponentReport:
     torsion_degree_bound: int | None = None
     torsion_degree_note: str = ""
     inconclusive_reason: str = ""
-
-    def to_dict(self) -> dict:
-        return {
-            "provider": self.provider,
-            "torsion_set": self.torsion_set.to_dict(),
-            "unknowns": list(self.unknowns),
-            "tensorial": self.tensorial,
-            "commutative": self.commutative,
-            "finite": self.finite,
-            "normality_violations": [v.to_dict() for v in self.normality_violations],
-            "verdict": self.verdict,
-            "witness": self.witness,
-            "witness_evidence": self.witness_evidence,
-            "component_group_order": self.component_group_order,
-            "hom_table": self.hom_table,
-            "torsion_degree_bound": self.torsion_degree_bound,
-            "torsion_degree_note": self.torsion_degree_note,
-            "inconclusive_reason": self.inconclusive_reason,
-        }
 
 
 def _non_normal_witness(provider, violations) -> IrrLabel:

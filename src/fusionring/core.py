@@ -7,6 +7,9 @@ arithmetic is exact; nothing in this module touches floating point.
 
 Canonical label order, used everywhere a deterministic listing is needed,
 is ``(dim, id)`` lexicographic.
+
+``Report`` is the base of the analysis layers' report dataclasses and
+holds their one JSON convention.
 """
 
 from __future__ import annotations
@@ -152,6 +155,33 @@ class Decomposition:
 # iterable view (to be iterated, not kept) that a caller can map over many
 # decompositions without a Python call per product.
 constituents_of = operator.attrgetter("_by_label")
+
+
+class Report:
+    """Base of the report dataclasses: ``to_dict()`` is every field, by
+    name, through ``_plain``.  A subclass overrides it only to add, drop
+    or rename keys (or, in ``uqnumeric``, to write an ndarray)."""
+
+    def to_dict(self) -> dict:
+        return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
+
+
+def _plain(value):
+    """``value`` as reports write it to JSON: a label becomes its id, a
+    report its ``to_dict()``, a tuple or list a list, a dict the same keys
+    with converted values, a complex number ``[real, imag]``; anything
+    else is returned as it is."""
+    if isinstance(value, IrrLabel):  # before the tuple rule: a label is a tuple
+        return value.id
+    if isinstance(value, Report):
+        return value.to_dict()
+    if isinstance(value, (tuple, list)):
+        return [_plain(v) for v in value]
+    if isinstance(value, dict):
+        return {k: _plain(v) for k, v in value.items()}
+    if isinstance(value, complex):
+        return [value.real, value.imag]
+    return value
 
 
 @dataclass(frozen=True)
@@ -328,7 +358,10 @@ class FusionProvider(ABC):
         return math.inf
 
     def label_size(self, u: IrrLabel) -> int:
-        """Size of a label in this provider's unit (see class docs)."""
+        """Size of a label in this provider's unit (see class docs).  The
+        default is 1 for every label of this ring; any other label raises
+        UnknownLabel, through ``key_of``."""
+        self.key_of(u)
         return 1
 
     @abstractmethod

@@ -17,6 +17,7 @@ from .core import (
     Decomposition,
     FusionProvider,
     IrrLabel,
+    Report,
     canonical_sort,
     constituents_of,
 )
@@ -52,7 +53,7 @@ BUDGET_EXCEEDED = "budget_exceeded"
 
 
 @dataclass(frozen=True)
-class Subcategory:
+class Subcategory(Report):
     """A conj-closed label set with its closure kind and truncation status.
 
     ``frontier`` lists labels that were reached but not admitted (size or
@@ -77,13 +78,9 @@ class Subcategory:
         return [l.id for l in self.labels]
 
     def to_dict(self) -> dict:
-        out = {
-            "kind": self.kind,
-            "labels": self.label_ids,
-            "status": self.status,
-        }
-        if self.frontier:
-            out["frontier"] = [l.id for l in self.frontier]
+        out = super().to_dict()
+        if not self.frontier:
+            del out["frontier"]
         return out
 
 
@@ -268,17 +265,15 @@ def normal_forcing_closure(
 
 
 @dataclass(frozen=True)
-class NormalityViolation:
+class NormalityViolation(Report):
     member: IrrLabel
     conjugator: IrrLabel
     product_ids: tuple[str, ...]
 
     def to_dict(self) -> dict:
-        return {
-            "member": self.member.id,
-            "conjugator": self.conjugator.id,
-            "product": list(self.product_ids),
-        }
+        out = super().to_dict()
+        out["product"] = out.pop("product_ids")
+        return out
 
 
 def normality_consistency(
@@ -308,16 +303,16 @@ UNKNOWN = "unknown"
 
 
 @dataclass(frozen=True)
-class TorsionVerdict:
+class TorsionVerdict(Report):
     label: IrrLabel
     verdict: str
     closure: Subcategory | None = None
     reason: str = ""
 
     def to_dict(self) -> dict:
-        out = {"label": self.label.id, "verdict": self.verdict, "reason": self.reason}
-        if self.closure is not None:
-            out["closure"] = self.closure.to_dict()
+        out = super().to_dict()
+        if self.closure is None:
+            del out["closure"]
         return out
 
 
@@ -346,7 +341,7 @@ def is_torsion(
 
 
 @dataclass
-class TorsionScanReport:
+class TorsionScanReport(Report):
     provider: str
     verdicts: list[TorsionVerdict]
     subcategory: Subcategory
@@ -365,13 +360,11 @@ class TorsionScanReport:
 
     def to_dict(self) -> dict:
         return {
-            "provider": self.provider,
+            **super().to_dict(),
             "window": len(self.verdicts),
             "certified": [l.id for l in self.certified],
-            "subcategory": self.subcategory.to_dict(),
             "unknown": [l.id for l in self.unknowns],
             "non_torsion": [l.id for l in self.non_torsion],
-            "verdicts": [v.to_dict() for v in self.verdicts],
         }
 
 
@@ -397,7 +390,7 @@ def torsion_subcategory(provider: FusionProvider, budget: Budget | None = None) 
 
 
 @dataclass
-class NSequenceReport:
+class NSequenceReport(Report):
     provider: str
     degree: int | None
     stabilized: bool
@@ -410,18 +403,9 @@ class NSequenceReport:
     counterexample: str | None = None
 
     def to_dict(self) -> dict:
-        return {
-            "provider": self.provider,
-            "degree": self.degree,
-            "stabilized": self.stabilized,
-            "connected": self.connected,
-            "totally_disconnected": self.totally_disconnected,
-            "stages": [s.to_dict() for s in self.stages],
-            "quotient": self.quotient_note,
-            "scanned": self.scanned,
-            "exponent_bound": self.exponent_bound,
-            "counterexample": self.counterexample,
-        }
+        out = super().to_dict()
+        out["quotient"] = out.pop("quotient_note")
+        return out
 
 
 def n_sequence_cocommutative(provider: FusionProvider, budget: Budget | None = None) -> NSequenceReport:
@@ -470,35 +454,19 @@ def n_sequence_cocommutative(provider: FusionProvider, budget: Budget | None = N
 
 
 @dataclass
-class ChainStage:
+class ChainStage(Report):
     d: int
     generators: tuple[str, ...]
     subcategory: Subcategory
     witnesses: tuple[str, ...]
     strict: bool
 
-    def to_dict(self) -> dict:
-        return {
-            "d": self.d,
-            "generators": list(self.generators),
-            "subcategory": self.subcategory.to_dict(),
-            "witnesses": list(self.witnesses),
-            "strict": self.strict,
-        }
-
 
 @dataclass
-class ChainProbeReport:
+class ChainProbeReport(Report):
     provider: str
     stages: list[ChainStage]
     strictly_increasing_up_to: int
-
-    def to_dict(self) -> dict:
-        return {
-            "provider": self.provider,
-            "stages": [s.to_dict() for s in self.stages],
-            "strictly_increasing_up_to": self.strictly_increasing_up_to,
-        }
 
 
 def ascending_chain_probe(
@@ -555,7 +523,7 @@ def ascending_chain_probe(
 
 
 @dataclass
-class DimensionIdealReport:
+class DimensionIdealReport(Report):
     provider: str
     given: tuple[str, ...]
     recovered: tuple[str, ...]
@@ -566,13 +534,7 @@ class DimensionIdealReport:
         return self.given == self.recovered
 
     def to_dict(self) -> dict:
-        return {
-            "provider": self.provider,
-            "given": list(self.given),
-            "recovered": list(self.recovered),
-            "lattice_rank": self.lattice_rank,
-            "exact": self.exact,
-        }
+        return {**super().to_dict(), "exact": self.exact}
 
 
 def dimension_ideal_recover(provider: FusionProvider, a_labels) -> DimensionIdealReport:

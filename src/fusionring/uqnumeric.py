@@ -41,6 +41,7 @@ from numbers import Rational
 
 import numpy as np
 
+from .core import Report
 from .errors import BadParameter, IllConditioned
 
 __all__ = [
@@ -286,13 +287,10 @@ def build_u(sign: int, n: int, q, *, t_branch: str = "principal") -> RepMatrices
 
 
 @dataclass
-class StarReport:
+class StarReport(Report):
     form: str
     residual: float
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {"form": self.form, "residual": self.residual, "ok": self.ok}
 
 
 def check_star(rep: RepMatrices, form: str | None = None) -> StarReport:
@@ -313,7 +311,7 @@ def check_star(rep: RepMatrices, form: str | None = None) -> StarReport:
 
 
 @dataclass
-class UnitarizabilityWitness:
+class UnitarizabilityWitness(Report):
     verdict: str  # "unitarizable" | "obstruction"
     form: str
     T: np.ndarray | None
@@ -324,8 +322,10 @@ class UnitarizabilityWitness:
         return self.verdict == "unitarizable"
 
     def to_dict(self) -> dict:
-        out = {"verdict": self.verdict, "form": self.form, "evidence": dict(self.evidence)}
-        if self.T is not None:
+        out = super().to_dict()
+        if self.T is None:
+            del out["T"]
+        else:
             out["T"] = [float(x) for x in np.diag(self.T).real]
         return out
 
@@ -405,7 +405,7 @@ def tensor_rep(a: RepMatrices, b: RepMatrices) -> RepMatrices:
 
 
 @dataclass
-class IntertwinerSpace:
+class IntertwinerSpace(Report):
     dim: int
     basis: list[np.ndarray]
     singular_values: np.ndarray
@@ -520,23 +520,13 @@ def _weight_counts(cands: list[RepMatrices], E: np.ndarray, K: np.ndarray, full)
 
 
 @dataclass
-class ConjugateEquationsReport:
+class ConjugateEquationsReport(Report):
     q: float
     c: complex
     norm_sq: float
     invariance_residual: float
     snake_residual: float
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "c": [self.c.real, self.c.imag],
-            "norm_sq": self.norm_sq,
-            "invariance_residual": self.invariance_residual,
-            "snake_residual": self.snake_residual,
-            "ok": self.ok,
-        }
 
 
 def verify_conjugate_equations(q, *, t_branch: str = "principal") -> ConjugateEquationsReport:
@@ -588,21 +578,12 @@ def verify_conjugate_equations(q, *, t_branch: str = "principal") -> ConjugateEq
 
 
 @dataclass
-class PermutationReport:
+class PermutationReport(Report):
     n: int
     q: float
     residual: float
     hom_dim: int
     ok: bool
-
-    def to_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "q": self.q,
-            "residual": self.residual,
-            "hom_dim": self.hom_dim,
-            "ok": self.ok,
-        }
 
 
 def verify_permutation_intertwiner(n: int, q, *, t_branch: str = "principal") -> PermutationReport:
@@ -625,7 +606,7 @@ def verify_permutation_intertwiner(n: int, q, *, t_branch: str = "principal") ->
 
 
 @dataclass
-class FusionCrosscheckReport:
+class FusionCrosscheckReport(Report):
     q: float
     n_max: int
     pairs_checked: int
@@ -636,13 +617,7 @@ class FusionCrosscheckReport:
         return not self.mismatches
 
     def to_dict(self) -> dict:
-        return {
-            "q": self.q,
-            "n_max": self.n_max,
-            "pairs_checked": self.pairs_checked,
-            "mismatches": list(self.mismatches),
-            "ok": self.ok,
-        }
+        return {**super().to_dict(), "ok": self.ok}
 
 
 def fusion_crosscheck(n_max: int, q, *, t_branch: str = "principal") -> FusionCrosscheckReport:
@@ -704,7 +679,7 @@ def fusion_crosscheck(n_max: int, q, *, t_branch: str = "principal") -> FusionCr
 
 
 @dataclass
-class UqVerifyReport:
+class UqVerifyReport(Report):
     q: float
     n_max: int
     checks: list[tuple[str, bool, str]]
@@ -715,8 +690,7 @@ class UqVerifyReport:
 
     def to_dict(self) -> dict:
         return {
-            "q": self.q,
-            "n_max": self.n_max,
+            **super().to_dict(),
             "ok": self.ok,
             "checks": [
                 {"name": name, "ok": ok, "detail": detail} for name, ok, detail in self.checks

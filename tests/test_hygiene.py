@@ -20,6 +20,9 @@
 * Backends read a label's structure from its key, not its id: modules
   under ``rings/`` read an ``.id`` attribute only inside ``_spell``,
   ``parse_label`` and ``dump_ring_json``.
+* One JSON convention for reports: every class that defines ``to_dict``
+  subclasses ``core.Report``, whose field-driven ``to_dict`` an override
+  extends.
 * No memo outlives the call that made it: no function is wrapped in
   ``functools.cache`` or ``lru_cache`` at module or class level, by a
   decorator or a call, so a second CLI run or benchmark task in the same
@@ -261,6 +264,41 @@ def test_id_read_is_detected():
 @pytest.mark.parametrize("path", RING_MODULES, ids=lambda p: p.name)
 def test_backends_read_label_ids_only_to_spell_parse_and_dump(path):
     assert id_reads(path.read_text()) == []
+
+
+def unreported_to_dicts(source: str) -> list[str]:
+    """Classes that define ``to_dict`` and are not a report: neither
+    ``Report`` itself nor with a base named ``Report`` (or ``core.Report``)
+    or named after an earlier report class of ``source``."""
+    reports = {"Report"}
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        bases = {getattr(base, "id", None) or getattr(base, "attr", None) for base in node.bases}
+        if node.name in reports or bases & reports:
+            reports.add(node.name)
+        elif any(isinstance(item, ast.FunctionDef) and item.name == "to_dict" for item in node.body):
+            found.append(f"line {node.lineno}: {node.name}")
+    return found
+
+
+def test_unreported_to_dict_is_detected():
+    source = (
+        "class Report:\n    def to_dict(self):\n        return {}\n"
+        "class A(Report):\n    def to_dict(self):\n        return {}\n"
+        "class B(A):\n    def to_dict(self):\n        return {}\n"
+        "class C(core.Report):\n    pass\n"
+        "class D:\n    def to_dict(self):\n        return {}\n"
+        "class E(dict, Base):\n    def to_dict(self):\n        return {}\n"
+        "class F(Base):\n    pass\n"
+    )
+    assert unreported_to_dicts(source) == ["line 12: D", "line 15: E"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_every_to_dict_is_a_report(path):
+    assert unreported_to_dicts(path.read_text()) == []
 
 
 def eager_imports(source: str) -> list[tuple[int, str]]:

@@ -33,7 +33,7 @@ SPECS = [
     "free(so3,word:Z2)",
     "prod(suq2,word:Z2)",
 ]
-# Finite table rings: the key is the id, and every label has size 1.
+# Finite table rings: the key is the id, and every label of the ring has size 1.
 TABLES = {
     "group:S3": lambda: finite_group_ring(oracles.s3_group_table(), "group:S3"),
     "characters:S3": lambda: character_ring(S3_CHARACTER_TABLE),
@@ -89,9 +89,20 @@ def test_wrong_dim_labels_raise(ring):
             provider.conj(wrong)
         with pytest.raises(UnknownLabel):
             provider.decompose(wrong, lab)
-        if ring not in TABLES:  # their label_size is the default 1, which reads no label
-            with pytest.raises(UnknownLabel):
-                provider.label_size(wrong)
+        with pytest.raises(UnknownLabel):
+            provider.label_size(wrong)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_unknown_ids_raise(ring):
+    provider = RINGS[ring]()
+    stranger = IrrLabel("nope", 1)
+    with pytest.raises(UnknownLabel):
+        provider.conj(stranger)
+    with pytest.raises(UnknownLabel):
+        provider.decompose(stranger, provider.unit())
+    with pytest.raises(UnknownLabel):
+        provider.label_size(stranger)
 
 
 NESTED = "free(word:Z2,free(word:Z2,word:Z3))"
