@@ -14,12 +14,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from fractions import Fraction
 
 from .axioms import check_axioms
 from .components import identity_component_report
-from .core import Budget, FusionProvider
+from .core import Budget, FusionProvider, split_outside_brackets
 from .errors import (
     BadParameter,
     FusionError,
@@ -47,57 +48,42 @@ from .torsion import (
 
 SCHEMA_VERSION = "1"
 
-_SIMPLE = {
-    "suq2": suq2_ring,
-    "so3": so3_ring,
-    "uqsu11": uq_su11_ring,
-}
+# One spec atom: a builtin name, ``au:N``, ``word:SPEC``, ``json:PATH``, or
+# the opening of a product.  A builtin name must end at ``,``, ``)`` or the
+# end of the spec.
+_ATOM = re.compile(
+    r"(?P<name>suq2|so3|uqsu11|au)(?![^,)])|au:(?P<n>\d*)"
+    r"|(?P<kind>word|json):(?P<text>[^,)]*)|(?P<op>free|prod)\("
+)
+_MAKE = {"suq2": suq2_ring, "so3": so3_ring, "uqsu11": uq_su11_ring, "au": au_ring,
+         "free": free_product, "prod": direct_product}
 
 
 def _parse_at(spec: str, i: int) -> tuple[FusionProvider, int]:
-    rest = spec[i:]
-    for name, make in _SIMPLE.items():
-        if rest.startswith(name):
-            end = i + len(name)
-            if end == len(spec) or spec[end] in ",)":
-                return make(), end
-    if rest.startswith("au"):
-        end = i + 2
-        if end < len(spec) and spec[end] == ":":
-            j = end + 1
-            k = j
-            while k < len(spec) and spec[k].isdigit():
-                k += 1
-            if k == j:
-                raise ParseError("expected an integer after au:", position=j)
-            return au_ring(int(spec[j:k])), k
-        if end == len(spec) or spec[end] in ",)":
-            return au_ring(), end
-    if rest.startswith("word:"):
-        j = i + 5
-        k = j
-        while k < len(spec) and spec[k] not in ",)":
-            k += 1
-        return word_group(parse_word_group_spec(spec[j:k], offset=j)), k
-    if rest.startswith("json:"):
-        j = i + 5
-        k = j
-        while k < len(spec) and spec[k] not in ",)":
-            k += 1
-        if k == j:
-            raise ParseError("expected a path after json:", position=j)
-        return load_ring_json(spec[j:k]), k
-    for kind in ("free", "prod"):
-        if rest.startswith(kind + "("):
-            left, j = _parse_at(spec, i + len(kind) + 1)
-            if j >= len(spec) or spec[j] != ",":
-                raise ParseError("expected ',' between factors", position=j)
-            right, j = _parse_at(spec, j + 1)
-            if j >= len(spec) or spec[j] != ")":
-                raise ParseError("expected ')'", position=j)
-            combined = free_product(left, right) if kind == "free" else direct_product(left, right)
-            return combined, j + 1
-    raise ParseError(f"unrecognized provider at {spec[i:i + 20]!r}", position=i)
+    m = _ATOM.match(spec, i)
+    if m is None:
+        raise ParseError(f"unrecognized provider at {spec[i:i + 20]!r}", position=i)
+    end = m.end()
+    if m["name"]:
+        return _MAKE[m["name"]](), end
+    if m["op"]:
+        left, j = _parse_at(spec, end)
+        if spec[j:j + 1] != ",":
+            raise ParseError("expected ',' between factors", position=j)
+        right, j = _parse_at(spec, j + 1)
+        if spec[j:j + 1] != ")":
+            raise ParseError("expected ')'", position=j)
+        return _MAKE[m["op"]](left, right), j + 1
+    if m["n"] is not None:
+        if not m["n"]:
+            raise ParseError("expected an integer after au:", position=end)
+        return au_ring(int(m["n"])), end
+    text, j = m["text"], m.start("text")
+    if m["kind"] == "word":
+        return word_group(parse_word_group_spec(text, offset=j)), end
+    if not text:
+        raise ParseError("expected a path after json:", position=j)
+    return load_ring_json(text), end
 
 
 def parse_provider(spec: str) -> FusionProvider:
@@ -137,34 +123,15 @@ def parse_budget(text: str | None) -> Budget:
 
 
 def _split_labels(text: str) -> list[str]:
-    """Split a comma-separated label list, ignoring commas inside parens."""
-    parts, depth, cur = [], 0, []
-    for ch in text:
-        if ch == "," and depth == 0:
-            parts.append("".join(cur))
-            cur = []
-            continue
-        if ch == "(":
-            depth += 1
-        elif ch == ")":
-            depth -= 1
-        cur.append(ch)
-    parts.append("".join(cur))
-    return [p.strip() for p in parts if p.strip()]
+    """Split a comma-separated label list, ignoring commas inside brackets."""
+    return [p.strip() for p in split_outside_brackets(text, ",") if p.strip()]
 
 
-def _emit(args, command: str, payload: dict, text_lines: list[str]) -> None:
-    if args.json:
-        doc = {"schema_version": SCHEMA_VERSION, "command": command, "report": payload}
-        print(json.dumps(doc, sort_keys=True, indent=2))
-    else:
-        for line in text_lines:
-            print(line)
+# Each command runs its analysis on the provider and budget ``main`` built
+# and returns its JSON payload, its text lines and its exit code.
 
 
-def _cmd_axioms(args) -> int:
-    provider = parse_provider(args.ring)
-    budget = parse_budget(args.budget)
+def _cmd_axioms(args, provider, budget):
     report = check_axioms(provider, budget, seed=args.seed)
     lines = [
         f"ring: {provider.name}",
@@ -174,28 +141,21 @@ def _cmd_axioms(args) -> int:
     for v in report.violations:
         lines.append(f"VIOLATION [{v.axiom}] {v.labels}: {v.detail}")
     lines.append("ok" if report.ok else f"{len(report.violations)} violations")
-    _emit(args, "axioms", report.to_dict(), lines)
-    return 0 if report.ok else 1
+    return report.to_dict(), lines, 0 if report.ok else 1
 
 
-def _cmd_decompose(args) -> int:
-    provider = parse_provider(args.ring)
+def _cmd_decompose(args, provider, budget):
     left = provider.parse_label(args.left)
     right = provider.parse_label(args.right)
-    dec = provider.decompose(left, right)
-    terms = [[w.id, mult] for w, mult in dec]
+    terms = [[w.id, mult] for w, mult in provider.decompose(left, right)]
     lines = [
         f"{left.id} (x) {right.id} = "
         + (" + ".join(f"{m}*{i}" if m != 1 else i for i, m in terms) if terms else "0")
     ]
-    payload = {"left": left.id, "right": right.id, "terms": terms}
-    _emit(args, "decompose", payload, lines)
-    return 0
+    return {"left": left.id, "right": right.id, "terms": terms}, lines, 0
 
 
-def _cmd_torsion(args) -> int:
-    provider = parse_provider(args.ring)
-    budget = parse_budget(args.budget)
+def _cmd_torsion(args, provider, budget):
     report = torsion_subcategory(provider, budget)
     lines = [
         f"ring: {provider.name}",
@@ -204,8 +164,7 @@ def _cmd_torsion(args) -> int:
     ]
     if report.unknowns:
         lines.append(f"unknown: {', '.join(l.id for l in report.unknowns)}")
-    _emit(args, "torsion", report.to_dict(), lines)
-    return 0
+    return report.to_dict(), lines, 0
 
 
 _CLOSURES = {
@@ -215,9 +174,7 @@ _CLOSURES = {
 }
 
 
-def _cmd_closure(args) -> int:
-    provider = parse_provider(args.ring)
-    budget = parse_budget(args.budget)
+def _cmd_closure(args, provider, budget):
     gens = [provider.parse_label(s) for s in _split_labels(args.generators)]
     sub = _CLOSURES[args.kind](provider, gens, budget)
     lines = [
@@ -228,13 +185,10 @@ def _cmd_closure(args) -> int:
     ]
     if sub.frontier:
         lines.append(f"frontier: {', '.join(l.id for l in sub.frontier)}")
-    _emit(args, "closure", sub.to_dict(), lines)
-    return 0
+    return sub.to_dict(), lines, 0
 
 
-def _cmd_nsequence(args) -> int:
-    provider = parse_provider(args.ring)
-    budget = parse_budget(args.budget)
+def _cmd_nsequence(args, provider, budget):
     report = n_sequence_cocommutative(provider, budget)
     lines = [f"ring: {provider.name}"]
     if report.degree is not None:
@@ -249,13 +203,10 @@ def _cmd_nsequence(args) -> int:
     )
     if report.quotient_note:
         lines.append(report.quotient_note)
-    _emit(args, "nsequence", report.to_dict(), lines)
-    return 0
+    return report.to_dict(), lines, 0
 
 
-def _cmd_component(args) -> int:
-    provider = parse_provider(args.ring)
-    budget = parse_budget(args.budget)
+def _cmd_component(args, provider, budget):
     report = identity_component_report(provider, budget)
     lines = [f"ring: {provider.name}", f"verdict: {report.verdict}"]
     if report.component_group_order is not None:
@@ -266,31 +217,23 @@ def _cmd_component(args) -> int:
         lines.append(report.torsion_degree_note)
     if report.inconclusive_reason:
         lines.append(f"reason: {report.inconclusive_reason}")
-    _emit(args, "component", report.to_dict(), lines)
-    return 0
+    return report.to_dict(), lines, 0
 
 
-def _cmd_chain(args) -> int:
+def _cmd_chain(args, provider, budget):
     if args.dmax < 1:
         raise ParseError(f"--dmax must be positive, got {args.dmax}")
-    provider = parse_provider(args.ring)
-    budget = parse_budget(args.budget)
-    report = ascending_chain_probe(
-        provider, args.dmax, provider.chain_generators, budget=budget,
-        size_cap_for=provider.chain_size_cap,
-    )
+    report = ascending_chain_probe(provider, args.dmax, budget)
     lines = [f"ring: {provider.name}", f"strictly increasing up to: {report.strictly_increasing_up_to}"]
     for stage in report.stages:
         lines.append(
             f"  stage {stage.d}: {len(stage.subcategory.labels)} labels"
             f" ({stage.subcategory.status}), witnesses: {', '.join(stage.witnesses) or '(none)'}"
         )
-    _emit(args, "chain", report.to_dict(), lines)
-    return 0
+    return report.to_dict(), lines, 0
 
 
-def _cmd_dimideal(args) -> int:
-    provider = parse_provider(args.ring)
+def _cmd_dimideal(args, provider, budget):
     if args.labels:
         given = [provider.parse_label(s) for s in _split_labels(args.labels)]
     elif not isinstance(provider.num_irreducibles, int):
@@ -307,11 +250,10 @@ def _cmd_dimideal(args) -> int:
         if set(report.given) < set(report.recovered)
         else "recovered set differs from input",
     ]
-    _emit(args, "dimideal", report.to_dict(), lines)
-    return 0
+    return report.to_dict(), lines, 0
 
 
-def _cmd_uqverify(args) -> int:
+def _cmd_uqverify(args, provider, budget):
     # the one numpy user: other commands start without loading it
     from .uqnumeric import full_verification
 
@@ -324,20 +266,21 @@ def _cmd_uqverify(args) -> int:
     for name, ok, detail in report.checks:
         lines.append(f"[{'pass' if ok else 'FAIL'}] {name}: {detail}")
     lines.append("ok" if report.ok else "FAILED")
-    _emit(args, "uqverify", report.to_dict(), lines)
-    return 0 if report.ok else 1
+    return report.to_dict(), lines, 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="fusionring", description="Fusion ring torsion and component analysis."
     )
+    parser.set_defaults(ring=None, budget=None)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_, ring=True):
+    def add(name, fn, help_, ring=True, budget=True):
         p = sub.add_parser(name, help=help_)
         if ring:
             p.add_argument("--ring", required=True, help="provider spec, e.g. suq2 or free(so3,word:Z2)")
+        if budget:
             p.add_argument("--budget", help="overrides, e.g. max_irreducibles=20,max_rounds=8")
         p.add_argument("--json", action="store_true", help="emit a versioned JSON report")
         p.set_defaults(fn=fn)
@@ -346,7 +289,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("axioms", _cmd_axioms, "check the fusion ring axioms on a window")
     p.add_argument("--seed", type=int, default=0, help="seed for the random associativity triples")
 
-    p = add("decompose", _cmd_decompose, "decompose a product of two irreducibles")
+    p = add("decompose", _cmd_decompose, "decompose a product of two irreducibles", budget=False)
     p.add_argument("left")
     p.add_argument("right")
 
@@ -363,10 +306,11 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("chain", _cmd_chain, "ascending chain probe over growing generator families")
     p.add_argument("--dmax", type=int, default=4)
 
-    p = add("dimideal", _cmd_dimideal, "recover a subring from its dimension ideal")
+    p = add("dimideal", _cmd_dimideal, "recover a subring from its dimension ideal", budget=False)
     p.add_argument("--labels", help="comma-separated labels of the subring (default: everything)")
 
-    p = add("uqverify", _cmd_uqverify, "numerical verification battery for the q-deformed models", ring=False)
+    p = add("uqverify", _cmd_uqverify, "numerical verification battery for the q-deformed models",
+            ring=False, budget=False)
     p.add_argument("--q", default="-1/2", help="deformation parameter, e.g. -1/2 or -0.5")
     p.add_argument("--nmax", type=int, default=6)
     p.add_argument("--t-branch", choices=("principal", "conjugate"), default="principal", dest="t_branch")
@@ -377,27 +321,20 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
     if argv[:2] == ["uq", "verify"]:
-        argv = ["uqverify"] + argv[2:]
+        argv[:2] = ["uqverify"]
     # glue negative values onto --q so argparse does not read them as flags
-    merged = []
-    skip = False
-    for i, tok in enumerate(argv):
-        if skip:
-            skip = False
-            continue
-        if tok == "--q" and i + 1 < len(argv):
-            merged.append(f"--q={argv[i + 1]}")
-            skip = True
-        else:
-            merged.append(tok)
-    argv = merged
-    parser = build_parser()
+    i = 0
+    while i < len(argv) - 1:
+        if argv[i] == "--q":
+            argv[i:i + 2] = [f"--q={argv[i + 1]}"]
+        i += 1
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return args.fn(args)
+        provider = None if args.ring is None else parse_provider(args.ring)
+        payload, lines, code = args.fn(args, provider, parse_budget(args.budget))
     except ParseError as exc:
         pos = f" (at offset {exc.position})" if exc.position is not None else ""
         print(f"error: {exc}{pos}", file=sys.stderr)
@@ -413,6 +350,12 @@ def main(argv: list[str] | None = None) -> int:
     except FusionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
+    if args.json:
+        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, "report": payload},
+                         sort_keys=True, indent=2))
+    else:
+        print("\n".join(lines))
+    return code
 
 
 if __name__ == "__main__":

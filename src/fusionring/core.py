@@ -76,6 +76,22 @@ def canonical_sort(labels: Iterable[IrrLabel]) -> list[IrrLabel]:
     return sorted(labels, key=canonical_key)
 
 
+def split_outside_brackets(text: str, sep: str) -> list[str]:
+    """Split ``text`` at every ``sep`` that no ``()`` or ``[]`` pair encloses:
+    the one reader of bracketed ids and label lists."""
+    parts, depth, start = [], 0, 0
+    for i, ch in enumerate(text):
+        if ch in "([":
+            depth += 1
+        elif ch in ")]":
+            depth -= 1
+        elif ch == sep and not depth:
+            parts.append(text[start:i])
+            start = i + 1
+    parts.append(text[start:])
+    return parts
+
+
 class Decomposition:
     """A product of irreducibles expanded as ``sum mult * irreducible``.
 
@@ -226,9 +242,10 @@ class FusionProvider(ABC):
       torsion-closure sequence (group rings): raise UnsupportedProvider.
     * ``free_factors()`` and ``factor_restriction(u, k)`` (free
       products): ``()`` and UnsupportedProvider.
-    * ``chain_generators(d)`` and ``chain_size_cap(d)``, the chain probe's
-      family (``au`` overrides both): the first ``d`` non-unit labels of
-      the enumeration, and None for the budget's own size cap.
+    * ``chain_generators(d)`` and ``chain_size_cap(d)``, the family that
+      ``ascending_chain_probe(provider, d_max, budget)`` reads (``au``
+      overrides both): the first ``d`` non-unit labels of the
+      enumeration, and None for the budget's own size cap.
 
     ``decompose`` results are memoized on the instance, so backends
     implement ``_decompose`` and must treat labels as immutable.  Longer

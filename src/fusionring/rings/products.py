@@ -12,6 +12,13 @@ Direct-product irreducibles are pairs, with componentwise structure.
 
 A label's key is its word of ``(factor index, factor label)`` letters or
 its pair of factor labels; ids are parsed only by ``parse_label``.
+
+A free-product id joins its letters with ``.``.  A letter is its factor
+label's id, prefixed ``0:`` or ``1:`` when both factors know that id, and
+put in brackets when the id holds any of ``.:[]`` (a letter from a nested
+free product): the one-letter word of the inner ``0:a.a^2`` is spelled
+``[0:a.a^2]``, not the two-letter ``a.a^2``.  Ids of products of
+non-product rings carry no brackets.
 """
 
 from __future__ import annotations
@@ -19,7 +26,7 @@ from __future__ import annotations
 import math
 import re
 
-from ..core import Decomposition, FusionProvider, IrrLabel
+from ..core import Decomposition, FusionProvider, IrrLabel, split_outside_brackets
 from ..errors import UnknownLabel, UnsupportedProvider
 
 __all__ = ["FreeProductProvider", "DirectProductProvider", "free_product", "direct_product"]
@@ -28,7 +35,9 @@ __all__ = ["FreeProductProvider", "DirectProductProvider", "free_product", "dire
 FLetter = tuple[int, IrrLabel]
 FWord = tuple[FLetter, ...]
 
-_PREFIXED = re.compile(r"([01]):(.*)$", re.S)
+# A letter: an optional factor prefix, then an id, bracketed or plain.
+_LETTER = re.compile(r"(?:([01]):)?(?:\[(.*)\]|(.*))$", re.S)
+_BRACKETED = re.compile(r"[.:\[\]]")
 
 
 class FreeProductProvider(FusionProvider):
@@ -40,9 +49,8 @@ class FreeProductProvider(FusionProvider):
     inside length-one words, and longer words enter only through
     decompositions.  ``label_size`` sums the letters' own sizes.
 
-    Nested products can spell two words alike: the one-letter word of an
-    inner ``0:a.a^2`` is spelled ``0:a.a^2`` and reads back as ``a.a^2``.
-    ``parse_label`` refuses every id that does not read back as itself.
+    ``parse_label`` refuses every id that does not read back as itself,
+    such as a prefix or brackets where the spelling has none.
     """
 
     def __init__(self, left: FusionProvider, right: FusionProvider):
@@ -58,27 +66,29 @@ class FreeProductProvider(FusionProvider):
             # A letter is spelled as the id of its one-letter word.
             return ".".join(self._label((l,)).id for l in word) or "e", dim
         k, lab = word[0]
+        text = f"[{lab.id}]" if _BRACKETED.search(lab.id) else lab.id
         try:
             self.factors[1 - k].parse_label(lab.id)
         except UnknownLabel:
-            return lab.id, dim
+            return text, dim
         # Both factors know this id; keep the rendering unambiguous.
-        return f"{k}:{lab.id}", dim
+        return f"{k}:{text}", dim
 
     def _parse_word(self, text: str) -> FWord:
         if text == "e":
             return ()
         word: list[FLetter] = []
-        for piece in text.split("."):
-            match = _PREFIXED.match(piece)
-            if match:
-                k = int(match.group(1))
-                lab = self.factors[k].parse_label(match.group(2))
+        for piece in split_outside_brackets(text, "."):
+            prefix, bracketed, plain = _LETTER.match(piece).groups()
+            body = plain if bracketed is None else bracketed
+            if prefix:
+                k = int(prefix)
+                lab = self.factors[k].parse_label(body)
             else:
                 hits = []
                 for k, factor in enumerate(self.factors):
                     try:
-                        hits.append((k, factor.parse_label(piece)))
+                        hits.append((k, factor.parse_label(body)))
                     except UnknownLabel:
                         pass
                 if not hits:
@@ -223,21 +233,13 @@ class DirectProductProvider(FusionProvider):
         return f"({a.id},{b.id})", a.dim * b.dim
 
     def _parse_pair(self, text: str) -> tuple[IrrLabel, IrrLabel]:
-        if not (text.startswith("(") and text.endswith(")")):
+        # The first comma outside brackets ends the left id; the right id
+        # keeps any later ones.
+        enclosed = text.startswith("(") and text.endswith(")")
+        left, *right = split_outside_brackets(text[1:-1], ",") if enclosed else [text]
+        if not right:
             raise UnknownLabel(f"{self.name}: bad pair id {text!r}")
-        body = text[1:-1]
-        depth = 0
-        for idx, ch in enumerate(body):
-            if ch == "(":
-                depth += 1
-            elif ch == ")":
-                depth -= 1
-            elif ch == "," and depth == 0:
-                return (
-                    self.factors[0].parse_label(body[:idx]),
-                    self.factors[1].parse_label(body[idx + 1 :]),
-                )
-        raise UnknownLabel(f"{self.name}: bad pair id {text!r}")
+        return self.factors[0].parse_label(left), self.factors[1].parse_label(",".join(right))
 
     def unit(self) -> IrrLabel:
         return self._label((self.factors[0].unit(), self.factors[1].unit()))

@@ -470,23 +470,19 @@ class ChainProbeReport(Report):
 
 
 def ascending_chain_probe(
-    provider: FusionProvider,
-    d_max: int,
-    generators_for,
-    budget: Budget | None = None,
-    size_cap_for=None,
+    provider: FusionProvider, d_max: int, budget: Budget | None = None
 ) -> ChainProbeReport:
     """Track the chain of generated subrings for a growing generator family.
 
-    ``generators_for(d)`` gives stage d's generators (expected to grow
-    with d); ``size_cap_for(d)``, when given and not None, overrides the
-    label-size cap per stage.  Stage d counts as strictly above stage
-    d-1 when its new generators land in its own closure but are absent
-    from the previous stage's closure; those generators are the recorded
-    witnesses.  With infinite rings the closures are necessarily
-    truncated (the stage status says so), which makes this a bounded
-    certificate: absence is checked against the explored part of the
-    previous stage.
+    ``provider.chain_generators(d)`` gives stage d's generators (expected
+    to grow with d); ``provider.chain_size_cap(d)``, when not None,
+    overrides the label-size cap per stage.  Stage d counts as strictly
+    above stage d-1 when its new generators land in its own closure but
+    are absent from the previous stage's closure; those generators are
+    the recorded witnesses.  With infinite rings the closures are
+    necessarily truncated (the stage status says so), which makes this a
+    bounded certificate: absence is checked against the explored part of
+    the previous stage.
     """
     budget = budget or Budget()
     prev_closure: set[IrrLabel] = {provider.unit()}
@@ -495,8 +491,8 @@ def ascending_chain_probe(
     increasing_up_to = 0
     still = True
     for d in range(1, d_max + 1):
-        gens = list(generators_for(d))
-        cap = size_cap_for(d) if size_cap_for else None
+        gens = list(provider.chain_generators(d))
+        cap = provider.chain_size_cap(d)
         stage_budget = budget if cap is None else budget.replace(max_label_size=cap)
         sub = generated_subring(provider, gens, stage_budget)
         inside = set(sub.labels)

@@ -147,12 +147,7 @@ def test_acceptance_4_numeric_battery_both_q():
 
 def test_acceptance_5_block_chain_probe():
     ring = au_ring()
-    report = ascending_chain_probe(
-        ring,
-        4,
-        generators_for=ring.chain_generators,
-        size_cap_for=lambda d: d + 3,
-    )
+    report = ascending_chain_probe(ring, 4)
     assert report.strictly_increasing_up_to == 4
     for d in range(1, 4):
         stage, next_stage = report.stages[d - 1], report.stages[d]

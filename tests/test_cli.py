@@ -125,6 +125,16 @@ def test_usage_errors_exit_two(capsys):
         assert captured.err == f"error: --dmax must be positive, got {dmax}\n"
 
 
+def test_budget_is_refused_where_it_is_not_read(fixtures_dir, tmp_path, capsys):
+    # decompose and dimideal run no budgeted computation, so they take no --budget.
+    ring = f"json:{_table_ring_path(fixtures_dir, tmp_path)}"
+    for argv in (["decompose", "--ring", "so3", "v1", "v1"], ["dimideal", "--ring", ring]):
+        assert main(argv + ["--budget", "max_rounds=1"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "unrecognized arguments: --budget max_rounds=1" in captured.err
+
+
 def test_decompose_text_output(capsys):
     assert main(["decompose", "--ring", "uqsu11", "u+1", "u+1"]) == 0
     assert capsys.readouterr().out.strip() == "u+1 (x) u+1 = u-0 + u-2"
@@ -328,3 +338,13 @@ def test_deep_free_product_cancellation_exits_cleanly(capsys):
     terms = json.loads(capsys.readouterr().out)["report"]["terms"]
     assert len(terms) == 1201
     assert terms[0] == ["e", 1]
+
+
+def test_au_rank_takes_only_decimal_digits():
+    # "²" is a digit to str.isdigit but not to int(): a parse error, not a crash.
+    with pytest.raises(ParseError) as exc:
+        parse_provider("au:²")
+    assert exc.value.position == 3
+    with pytest.raises(ParseError) as exc:
+        parse_provider("au:12²")
+    assert exc.value.position == 5

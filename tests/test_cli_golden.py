@@ -1,5 +1,7 @@
-"""Golden ``--json`` outputs: each CLI invocation below must keep its exit
-code and the SHA-256 of its stdout recorded in ``fixtures/cli_golden.json``.
+"""Golden outputs: each CLI invocation below must keep its exit code and
+the SHA-256 of its stdout, with ``--json`` as recorded in
+``fixtures/cli_golden.json`` and as text as recorded in
+``fixtures/cli_golden_text.json``.
 
 The table ring is the S3 character ring of ``fixtures/s3_characters.json``
 dumped to ``s3_table.json`` in the working directory, so its spec (and the
@@ -29,6 +31,7 @@ from fusionring.rings import character_ring, dump_ring_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
 GOLDEN = FIXTURES / "cli_golden.json"
+GOLDEN_TEXT = FIXTURES / "cli_golden_text.json"
 TABLE = "s3_table.json"
 
 # spec -> (closure generator, decompose left, decompose right)
@@ -75,7 +78,7 @@ def write_table(directory: Path) -> None:
 def run(argv: list[str]) -> dict:
     buf = io.StringIO()
     with contextlib.redirect_stdout(buf), contextlib.redirect_stderr(io.StringIO()):
-        code = main(argv + ["--json"])
+        code = main(argv)
     return {"exit": code, "sha256": hashlib.sha256(buf.getvalue().encode()).hexdigest()}
 
 
@@ -84,23 +87,34 @@ def test_cli_json_matches_golden(argv, tmp_path, monkeypatch):
     golden = json.loads(GOLDEN.read_text())
     write_table(tmp_path)
     monkeypatch.chdir(tmp_path)
+    assert run(argv + ["--json"]) == golden[" ".join(argv)]
+
+
+@pytest.mark.parametrize("argv", commands(), ids=" ".join)
+def test_cli_text_matches_golden(argv, tmp_path, monkeypatch):
+    golden = json.loads(GOLDEN_TEXT.read_text())
+    write_table(tmp_path)
+    monkeypatch.chdir(tmp_path)
     assert run(argv) == golden[" ".join(argv)]
 
 
 def test_golden_covers_every_command():
     assert set(json.loads(GOLDEN.read_text())) == {" ".join(a) for a in commands()}
+    assert set(json.loads(GOLDEN_TEXT.read_text())) == {" ".join(a) for a in commands()}
 
 
 if __name__ == "__main__":
-    record = {}
+    records = {GOLDEN: {}, GOLDEN_TEXT: {}}
     here = os.getcwd()
     with tempfile.TemporaryDirectory() as tmp:
         write_table(Path(tmp))
         os.chdir(tmp)
         try:
             for argv in commands():
-                record[" ".join(argv)] = run(argv)
+                records[GOLDEN][" ".join(argv)] = run(argv + ["--json"])
+                records[GOLDEN_TEXT][" ".join(argv)] = run(argv)
         finally:
             os.chdir(here)
-    GOLDEN.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(record)} digests to {GOLDEN}", file=sys.stderr)
+    for path, record in records.items():
+        path.write_text(json.dumps(record, indent=2, sort_keys=True) + "\n")
+        print(f"wrote {len(record)} digests to {path}", file=sys.stderr)

@@ -23,6 +23,9 @@
 * One JSON convention for reports: every class that defines ``to_dict``
   subclasses ``core.Report``, whose field-driven ``to_dict`` an override
   extends.
+* One parse-and-dispatch path in the CLI: only ``main`` in ``cli.py``
+  calls ``parse_provider`` or ``parse_budget``; the commands receive
+  what it built.
 * No memo outlives the call that made it: no function is wrapped in
   ``functools.cache`` or ``lru_cache`` at module or class level, by a
   decorator or a call, so a second CLI run or benchmark task in the same
@@ -299,6 +302,40 @@ def test_unreported_to_dict_is_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_every_to_dict_is_a_report(path):
     assert unreported_to_dicts(path.read_text()) == []
+
+
+CLI_PARSERS = {"parse_provider", "parse_budget"}
+
+
+def parsing_outside_main(source: str) -> list[str]:
+    """Calls of ``parse_provider`` or ``parse_budget`` anywhere but inside
+    the module-level function ``main``."""
+    found = []
+    for top in ast.parse(source).body:
+        if isinstance(top, ast.FunctionDef) and top.name == "main":
+            continue
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+                if name in CLI_PARSERS:
+                    found.append(f"line {node.lineno}: {name}")
+    return found
+
+
+def test_parsing_outside_main_is_detected():
+    source = (
+        "def _cmd_torsion(args):\n    provider = parse_provider(args.ring)\n"
+        "def main(argv):\n    return parse_budget(argv[0])\n"
+        "DEFAULT = cli.parse_budget(None)\n"
+        "class Command:\n    def main(self, args):\n        return parse_provider(args.ring)\n"
+    )
+    assert parsing_outside_main(source) == [
+        "line 2: parse_provider", "line 5: parse_budget", "line 8: parse_provider",
+    ]
+
+
+def test_only_main_parses_ring_and_budget():
+    assert parsing_outside_main((PACKAGE / "cli.py").read_text()) == []
 
 
 def eager_imports(source: str) -> list[tuple[int, str]]:

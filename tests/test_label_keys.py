@@ -8,7 +8,7 @@ from functools import partial
 import pytest
 
 import oracles
-from fusionring import Budget, IrrLabel, UnknownLabel
+from fusionring import Budget, Decomposition, IrrLabel, UnknownLabel
 from fusionring.cli import parse_provider
 from fusionring.rings import (
     character_ring,
@@ -109,24 +109,29 @@ NESTED = "free(word:Z2,free(word:Z2,word:Z3))"
 
 
 def test_nested_free_product_labels_resolve_only_to_themselves():
-    # Some words of this product spell alike (see test_products), so an id
-    # read by another instance either names the same word or is refused.
+    # Letters from the inner product are bracketed (see test_products), so
+    # every id read by another instance names the same word.
     provider, second = parse_provider(NESTED), parse_provider(NESTED)
     for lab in _labels(provider, 40):
         want = provider.key_of(lab)
-        for resolve in (lambda: second.key_of(lab), lambda: second.key_of(second.parse_label(lab.id))):
-            try:
-                assert resolve() == want, lab
-            except UnknownLabel:
-                pass
+        assert second.key_of(lab) == want, lab
+        assert second.key_of(second.parse_label(lab.id)) == want, lab
     a = provider.parse_label("a")
-    odd = next(lab for lab in provider.enumerate(40) if lab.id == "0:a.a^2")
-    assert [w.id for w in provider.decompose(odd, a).constituents()] == ["0:a.a^2.a"]
-    assert provider.conj(odd).id == "1:a.0:a"
-    with pytest.raises(UnknownLabel):
-        second.decompose(odd, a)
-    with pytest.raises(UnknownLabel):
-        second.conj(odd)
+    odd = next(lab for lab in provider.enumerate(40) if lab.id == "[0:a.a^2]")
+    assert [w.id for w in provider.decompose(odd, a).constituents()] == ["[0:a.a^2].a"]
+    assert provider.conj(odd).id == "[1:a.0:a]"
+    assert second.decompose(odd, a) == Decomposition({second.parse_label("[0:a.a^2].a"): 1})
+    assert second.conj(odd) == second.parse_label("[1:a.0:a]")
+
+
+@pytest.mark.parametrize("spec, interned", [(NESTED, 380), ("free(free(so3,word:Z2),au)", 1054)])
+def test_nested_free_product_ids_read_back(spec, interned):
+    # Every label made while decomposing all pairs of a 40-label window.
+    provider = parse_provider(spec)
+    _labels(provider, 40)
+    labels = list(provider._keys)
+    assert len(labels) == interned
+    assert [lab for lab in labels if provider.parse_label(lab.id) != lab] == []
 
 
 def test_foreign_labels_raise_even_when_keys_collide():

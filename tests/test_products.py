@@ -166,13 +166,14 @@ def test_parse_rejects_garbage():
 
 def test_parse_refuses_ids_that_spell_another_word():
     # The inner product spells its one-letter words 0:a, 1:a and a^2, so the
-    # outer one-letter word of the inner label 0:a.a^2 is spelled 0:a.a^2,
-    # which reads back as the two-letter outer word a.a^2.
+    # outer one-letter word of the inner label 0:a.a^2 is spelled [0:a.a^2];
+    # unbracketed, 0:a.a^2 would read back as the two-letter word a.a^2.
     nested = free_product(word_group([2]), free_product(word_group([2]), word_group([3])))
-    one_letter = next(lab for lab in nested.enumerate(40) if lab.id == "0:a.a^2")
+    one_letter = next(lab for lab in nested.enumerate(40) if lab.id == "[0:a.a^2]")
     two_letters = nested.parse_label("a.a^2")
     assert [len(nested.key_of(lab)) for lab in (one_letter, two_letters)] == [1, 2]
-    for text in ("0:a.a^2", "1:a"):
+    assert nested.parse_label("[0:a.a^2]") == one_letter
+    for text in ("0:a.a^2", "1:a", "[a]", "1:[0:a.a^2]"):
         with pytest.raises(UnknownLabel):
             nested.parse_label(text)
     # A prefix on a letter only one factor knows names the same word under

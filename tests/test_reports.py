@@ -151,7 +151,7 @@ def examples() -> list[Report]:
         *err.value.violations,
         torsion_subcategory(uq_su11_ring(), budget),
         n_sequence_cocommutative(rings["group:S3"], budget),
-        ascending_chain_probe(free, 2, free.chain_generators, budget),
+        ascending_chain_probe(free, 2, budget),
         dimension_ideal_recover(rings["group:S3"], [rings["group:S3"].unit()]),
         connectedness_probe(uq_su11_ring(), budget),
         identity_component_report(free, budget),

@@ -144,12 +144,7 @@ def test_word_group_order_oracle_decides_torsion():
 
 def test_block_chain_probe_is_strict_through_stage_four():
     ring = au_ring()
-    report = ascending_chain_probe(
-        ring,
-        4,
-        generators_for=ring.chain_generators,
-        size_cap_for=lambda d: d + 3,
-    )
+    report = ascending_chain_probe(ring, 4)
     assert report.strictly_increasing_up_to == 4
     assert [s.witnesses for s in report.stages] == [
         ("Uu",),
@@ -166,10 +161,7 @@ def test_block_chain_probe_is_strict_through_stage_four():
 
 def test_chain_witnesses_missing_from_previous_stage():
     ring = au_ring()
-    fam = ring.chain_generators
-    report = ascending_chain_probe(
-        ring, 4, generators_for=fam, size_cap_for=lambda d: d + 3
-    )
+    report = ascending_chain_probe(ring, 4)
     for prev, stage in zip(report.stages, report.stages[1:]):
         prev_labels = set(prev.subcategory.labels)
         for wid in stage.witnesses:
@@ -183,7 +175,8 @@ def _char_s3():
 def test_chain_probe_without_growth_stops_counting():
     ring = _char_s3()
     labels = [l for l in ring.enumerate(3) if l != ring.unit()]
-    report = ascending_chain_probe(ring, 3, generators_for=lambda d: labels)
+    ring.chain_generators = lambda d: labels
+    report = ascending_chain_probe(ring, 3)
     # one-shot family: later stages repeat the generators, nothing new
     assert report.stages[0].strict
     assert not report.stages[1].strict
