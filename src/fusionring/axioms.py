@@ -11,7 +11,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 
-from .core import Budget, FusionProvider, Report, canonical_sort
+from .core import Budget, FusionProvider, IrrLabel, Report, canonical_sort, constituents_of
 
 __all__ = [
     "AxiomViolation",
@@ -68,6 +68,14 @@ def check_axioms(
     reversal for every constituent of ``u (x) v``.  Associativity is
     checked as exact equality of integer combinations on an exhaustive
     small prefix plus ``triple_samples`` seeded random triples.
+
+    The products read, each once per use from ``provider.decompose``:
+    ``1 (x) u`` and ``u (x) 1`` for every window label; for every window
+    pair, ``u (x) v`` and, when it has a constituent, ``vbar (x) ubar``
+    (its dict serves every constituent's reversal); for every constituent
+    ``w``, ``ubar (x) w`` and ``w (x) vbar``; and the products that
+    ``multiply_virtual`` forms for both associations of each triple.
+    Each label's conjugate is asked of the provider once per call.
     """
     budget = budget or Budget()
     window = provider.enumerate(budget.max_irreducibles)
@@ -80,31 +88,37 @@ def check_axioms(
         seed=seed,
     )
     bad = report.violations.append
+    decompose = provider.decompose
+    conj: dict[IrrLabel, IrrLabel] = {}
+
+    def bar(u: IrrLabel) -> IrrLabel:
+        """``provider.conj(u)``, asked once per label and call."""
+        if u not in conj:
+            conj[u] = provider.conj(u)
+        return conj[u]
 
     if unit not in window:
         bad(AxiomViolation("enumeration", (unit.id,), "unit missing from enumeration window"))
-    if provider.conj(unit) != unit:
+    if bar(unit) != unit:
         bad(AxiomViolation("conjugation", (unit.id,), "unit is not self-conjugate"))
 
     for u in window:
-        cu = provider.conj(u)
-        if provider.conj(cu) != u:
-            bad(AxiomViolation("conjugation", (u.id,), f"conj(conj({u.id})) = {provider.conj(cu).id}"))
+        cu = bar(u)
+        if bar(cu) != u:
+            bad(AxiomViolation("conjugation", (u.id,), f"conj(conj({u.id})) = {bar(cu).id}"))
         if cu.dim != u.dim:
             bad(AxiomViolation("conjugation", (u.id,), f"conj changes dim {u.dim} -> {cu.dim}"))
-        left = provider.decompose(unit, u)
-        right = provider.decompose(u, unit)
         single = {u: 1}
-        if dict(left.entries) != single:
+        if constituents_of(decompose(unit, u)) != single:
             bad(AxiomViolation("unit-law", (u.id,), f"1 (x) {u.id} != {u.id}"))
-        if dict(right.entries) != single:
+        if constituents_of(decompose(u, unit)) != single:
             bad(AxiomViolation("unit-law", (u.id,), f"{u.id} (x) 1 != {u.id}"))
 
     for u in window:
-        ubar = provider.conj(u)
+        ubar = bar(u)
         for v in window:
             report.pairs_checked += 1
-            dec = provider.decompose(u, v)
+            dec = decompose(u, v)
             got_dim = dec.total_dim()
             want_dim = u.dim * v.dim
             if got_dim != want_dim:
@@ -117,12 +131,15 @@ def check_axioms(
                 bad(AxiomViolation(
                     "unit-multiplicity", (u.id, v.id),
                     f"N^1 = {unit_mult}, expected {want_unit}"))
-            vbar = provider.conj(v)
-            for w, mult in dec:
-                wbar = provider.conj(w)
-                frob1 = provider.multiplicity(v, ubar, w)
-                frob2 = provider.multiplicity(u, w, vbar)
-                rev = provider.multiplicity(wbar, vbar, ubar)
+            vbar = bar(v)
+            # vbar (x) ubar serves every constituent; a product with none
+            # reads nothing.
+            reversal = constituents_of(decompose(vbar, ubar)) if dec else {}
+            for w, mult in constituents_of(dec).items():
+                wbar = conj.get(w) or bar(w)  # a label is a non-empty tuple
+                frob1 = constituents_of(decompose(ubar, w)).get(v, 0)
+                frob2 = constituents_of(decompose(w, vbar)).get(u, 0)
+                rev = reversal.get(wbar, 0)
                 if frob1 != mult:
                     bad(AxiomViolation(
                         "frobenius", (u.id, v.id, w.id),

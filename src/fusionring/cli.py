@@ -48,12 +48,13 @@ from .torsion import (
 
 SCHEMA_VERSION = "1"
 
-# One spec atom: a builtin name, ``au:N``, ``word:SPEC``, ``json:PATH``, or
-# the opening of a product.  A builtin name must end at ``,``, ``)`` or the
-# end of the spec.
+# One spec atom: a builtin name, ``au:N``, ``word:SPEC``, ``json:PATH``,
+# ``json:[PATH]``, or the opening of a product.  A builtin name and a
+# bracketed path's ``]`` must end at ``,``, ``)`` or the end of the spec; a
+# plain path ends at the first ``,`` or ``)``.
 _ATOM = re.compile(
-    r"(?P<name>suq2|so3|uqsu11|au)(?![^,)])|au:(?P<n>\d*)"
-    r"|(?P<kind>word|json):(?P<text>[^,)]*)|(?P<op>free|prod)\("
+    r"(?P<name>suq2|so3|uqsu11|au)(?![^,)])|au:(?P<n>\d*)|word:(?P<word>[^,)]*)"
+    r"|json:(?:\[(?P<bracketed>.*?)\](?![^,)])|(?P<path>[^,)]*))|(?P<op>free|prod)\("
 )
 _MAKE = {"suq2": suq2_ring, "so3": so3_ring, "uqsu11": uq_su11_ring, "au": au_ring,
          "free": free_product, "prod": direct_product}
@@ -78,12 +79,12 @@ def _parse_at(spec: str, i: int) -> tuple[FusionProvider, int]:
         if not m["n"]:
             raise ParseError("expected an integer after au:", position=end)
         return au_ring(int(m["n"])), end
-    text, j = m["text"], m.start("text")
-    if m["kind"] == "word":
-        return word_group(parse_word_group_spec(text, offset=j)), end
-    if not text:
-        raise ParseError("expected a path after json:", position=j)
-    return load_ring_json(text), end
+    if m["word"] is not None:
+        return word_group(parse_word_group_spec(m["word"], offset=m.start("word"))), end
+    path = m.lastgroup  # "bracketed" or "path"
+    if not m[path]:
+        raise ParseError("expected a path after json:", position=m.start(path))
+    return load_ring_json(m[path]), end
 
 
 def parse_provider(spec: str) -> FusionProvider:

@@ -6,7 +6,10 @@ concatenates when the junction letters live in different factors, and
 otherwise merges the junction through the factor's own decomposition,
 with the unit coefficient carrying on to the shortened words.  This rule
 is exercised, not trusted: the axiom harness runs over every built
-product ring.
+product ring.  A merge that leaves only the merged letter (the product
+of two one-letter words of one factor) relabels the factor's
+decomposition through the instance's map from factor label to
+one-letter label, without building or interning a word per constituent.
 
 Direct-product irreducibles are pairs, with componentwise structure.
 
@@ -57,6 +60,8 @@ class FreeProductProvider(FusionProvider):
         super().__init__()
         self.factors: tuple[FusionProvider, FusionProvider] = (left, right)
         self.name = f"free({left.name},{right.name})"
+        # Per factor, factor label -> label of its one-letter word.
+        self._one_letter: tuple[dict[IrrLabel, IrrLabel], dict[IrrLabel, IrrLabel]] = ({}, {})
 
     # -- rendering and parsing --------------------------------------------
 
@@ -114,34 +119,41 @@ class FreeProductProvider(FusionProvider):
         word = self.key_of(u)
         return self._label(tuple((k, self.factors[k].conj(lab)) for k, lab in reversed(word)))
 
-    def _mul_words(self, w1: FWord, w2: FWord) -> dict[FWord, int]:
-        """Product of two words: merge junctions inward while they cancel.
+    def _mul_words(self, w1: FWord, w2: FWord) -> dict[IrrLabel, int]:
+        """Product of two words, as labels: merge junctions inward while
+        they cancel.
 
         Each step merges ``w1[:a]``'s last letter with ``w2[b:]``'s first;
         the unit coefficient ``scale`` carries on to the shortened words.
+        The step's head ``w1[:a - 1]`` and tail ``w2[b + 1:]`` are sliced
+        once; when both are empty, each constituent's label is the
+        factor's one-letter word, read from the instance's letter map.
         """
-        out: dict[FWord, int] = {}
+        out: dict[IrrLabel, int] = {}
         a, b, scale = len(w1), 0, 1
         while a and b < len(w2) and w1[a - 1][0] == w2[b][0]:
             k, la = w1[a - 1]
             factor = self.factors[k]
             funit = factor.unit()
             dec = factor.decompose(la, w2[b][1])
+            head, tail = w1[: a - 1], w2[b + 1 :]
+            known = {} if head or tail else self._one_letter[k]
             for c, mult in dec:
                 if c != funit:
-                    word = w1[: a - 1] + ((k, c),) + w2[b + 1 :]
-                    out[word] = out.get(word, 0) + scale * mult
+                    lab = known.get(c)
+                    if lab is None:
+                        lab = known[c] = self._label(head + ((k, c),) + tail)
+                    out[lab] = out.get(lab, 0) + scale * mult
             scale *= dec.multiplicity(funit)
             if not scale:
                 return out
             a, b = a - 1, b + 1
-        word = w1[:a] + w2[b:]
-        out[word] = out.get(word, 0) + scale
+        lab = self._label(w1[:a] + w2[b:])
+        out[lab] = out.get(lab, 0) + scale
         return out
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        prod = self._mul_words(self.key_of(u), self.key_of(v))
-        return Decomposition({self._label(w): m for w, m in prod.items()})
+        return Decomposition(self._mul_words(self.key_of(u), self.key_of(v)))
 
     def _letters(self, window: int) -> list[tuple[tuple[int, int], FLetter]]:
         """Letters keyed for enumeration order; window per factor."""

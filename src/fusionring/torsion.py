@@ -47,6 +47,9 @@ __all__ = [
 ]
 
 EXPONENT_BOUND = 64
+# ``n_sequence_cocommutative`` scans a finite group whole; a larger one is
+# refused before any element is listed.
+_FINITE_SCAN_LIMIT = 10_000
 
 SATURATED = "saturated"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -419,12 +422,18 @@ def n_sequence_cocommutative(provider: FusionProvider, budget: Budget | None = N
     scanned whole, an infinite one over the budget's window.
 
     Raises UnsupportedProvider for rings that are not group rings (see
-    ``FusionProvider.torsion_quotient``).
+    ``FusionProvider.torsion_quotient``) and for finite groups of more
+    than 10,000 elements.
     """
     budget = budget or Budget()
     connected, free_rank = provider.torsion_quotient()
     total = provider.num_irreducibles
     finite = isinstance(total, int)
+    if finite and total > _FINITE_SCAN_LIMIT:
+        raise UnsupportedProvider(
+            f"{provider.name}: a finite group is scanned whole, and {total} elements"
+            f" are more than the limit of {_FINITE_SCAN_LIMIT}"
+        )
     window = provider.enumerate(total if finite else budget.max_irreducibles)
     exponents = [provider.stage_one_exponent(g, EXPONENT_BOUND) for g in window]
     counterexample = next(

@@ -679,3 +679,140 @@ def weight_count_reference(cand, E, K, full) -> int:
     if np.count_nonzero(K - np.diag(k_diag)) or np.any(~same & (apart < RESIDUAL_TOL)):
         return intertwiner_space(cand, full()).dim
     return _stable_nullity(np.linalg.svd(E[:, same], compute_uv=False))
+
+
+# ---------------------------------------------------------------------------
+# the axiom harness with three ``multiplicity`` lookups per constituent
+
+
+def check_axioms_reference(provider, budget=None, *, triple_samples=200, seed=0):
+    """``check_axioms`` as it was written before it read each product
+    once: every reciprocity and reversal coefficient is its own
+    ``provider.multiplicity`` call, and every conjugate its own
+    ``provider.conj`` call.  Kept line for line, so that the library's
+    report can be compared against it field by field."""
+    import random
+
+    from fusionring.axioms import _EXHAUSTIVE_TRIPLE_PREFIX, AxiomReport, AxiomViolation
+    from fusionring.core import Budget, canonical_sort
+
+    budget = budget or Budget()
+    window = provider.enumerate(budget.max_irreducibles)
+    unit = provider.unit()
+    report = AxiomReport(
+        provider=provider.name,
+        window=len(window),
+        pairs_checked=0,
+        triples_checked=0,
+        seed=seed,
+    )
+    bad = report.violations.append
+
+    if unit not in window:
+        bad(AxiomViolation("enumeration", (unit.id,), "unit missing from enumeration window"))
+    if provider.conj(unit) != unit:
+        bad(AxiomViolation("conjugation", (unit.id,), "unit is not self-conjugate"))
+
+    for u in window:
+        cu = provider.conj(u)
+        if provider.conj(cu) != u:
+            bad(AxiomViolation("conjugation", (u.id,), f"conj(conj({u.id})) = {provider.conj(cu).id}"))
+        if cu.dim != u.dim:
+            bad(AxiomViolation("conjugation", (u.id,), f"conj changes dim {u.dim} -> {cu.dim}"))
+        left = provider.decompose(unit, u)
+        right = provider.decompose(u, unit)
+        single = {u: 1}
+        if dict(left.entries) != single:
+            bad(AxiomViolation("unit-law", (u.id,), f"1 (x) {u.id} != {u.id}"))
+        if dict(right.entries) != single:
+            bad(AxiomViolation("unit-law", (u.id,), f"{u.id} (x) 1 != {u.id}"))
+
+    for u in window:
+        ubar = provider.conj(u)
+        for v in window:
+            report.pairs_checked += 1
+            dec = provider.decompose(u, v)
+            got_dim = dec.total_dim()
+            want_dim = u.dim * v.dim
+            if got_dim != want_dim:
+                bad(AxiomViolation(
+                    "dimension", (u.id, v.id),
+                    f"sum mult*dim = {got_dim}, expected {want_dim}"))
+            unit_mult = dec.multiplicity(unit)
+            want_unit = 1 if v == ubar else 0
+            if unit_mult != want_unit:
+                bad(AxiomViolation(
+                    "unit-multiplicity", (u.id, v.id),
+                    f"N^1 = {unit_mult}, expected {want_unit}"))
+            vbar = provider.conj(v)
+            for w, mult in dec:
+                wbar = provider.conj(w)
+                frob1 = provider.multiplicity(v, ubar, w)
+                frob2 = provider.multiplicity(u, w, vbar)
+                rev = provider.multiplicity(wbar, vbar, ubar)
+                if frob1 != mult:
+                    bad(AxiomViolation(
+                        "frobenius", (u.id, v.id, w.id),
+                        f"N^{w.id} = {mult} but N^{v.id}_{{{ubar.id},{w.id}}} = {frob1}"))
+                if frob2 != mult:
+                    bad(AxiomViolation(
+                        "frobenius", (u.id, v.id, w.id),
+                        f"N^{w.id} = {mult} but N^{u.id}_{{{w.id},{vbar.id}}} = {frob2}"))
+                if rev != mult:
+                    bad(AxiomViolation(
+                        "conjugate-reversal", (u.id, v.id, w.id),
+                        f"N^{w.id} = {mult} but conjugate-reversed = {rev}"))
+
+    prefix = window[:_EXHAUSTIVE_TRIPLE_PREFIX]
+    triples = [(u, v, w) for u in prefix for v in prefix for w in prefix]
+    rng = random.Random(seed)
+    if window:
+        for _ in range(triple_samples):
+            triples.append((rng.choice(window), rng.choice(window), rng.choice(window)))
+    for u, v, w in triples:
+        report.triples_checked += 1
+        uu, vv, ww = {u: 1}, {v: 1}, {w: 1}
+        lhs = provider.multiply_virtual(provider.multiply_virtual(uu, vv), ww)
+        rhs = provider.multiply_virtual(uu, provider.multiply_virtual(vv, ww))
+        if lhs != rhs:
+            diff = {lab: lhs.get(lab, 0) - rhs.get(lab, 0) for lab in lhs.keys() | rhs.keys()}
+            off = ", ".join(f"{lab.id}:{diff[lab]:+d}" for lab in canonical_sort(diff) if diff[lab])
+            bad(AxiomViolation("associativity", (u.id, v.id, w.id), f"difference {off}"))
+
+    return report
+
+
+# ---------------------------------------------------------------------------
+# free-product words multiplied as words, then labelled one by one
+
+
+def free_product_decompose_reference(provider, u, v):
+    """``u (x) v`` in a ``FreeProductProvider`` as it was computed before
+    one-letter results were relabelled through a letter map: every merged
+    constituent is sliced into a new word, summed by word, and each word
+    is interned through ``provider._label``.  ``mul_words`` is the old
+    ``_mul_words``, kept line for line."""
+    from fusionring.core import Decomposition
+
+    def mul_words(w1, w2):
+        out = {}
+        a, b, scale = len(w1), 0, 1
+        while a and b < len(w2) and w1[a - 1][0] == w2[b][0]:
+            k, la = w1[a - 1]
+            factor = provider.factors[k]
+            funit = factor.unit()
+            dec = factor.decompose(la, w2[b][1])
+            for c, mult in dec:
+                if c != funit:
+                    word = w1[: a - 1] + ((k, c),) + w2[b + 1 :]
+                    out[word] = out.get(word, 0) + scale * mult
+            scale *= dec.multiplicity(funit)
+            if not scale:
+                return out
+            a, b = a - 1, b + 1
+        word = w1[:a] + w2[b:]
+        out[word] = out.get(word, 0) + scale
+        return out
+
+    prod = mul_words(provider.key_of(u), provider.key_of(v))
+    return Decomposition({provider._label(w): m for w, m in prod.items()})

@@ -70,6 +70,52 @@ def test_parse_provider_error_positions():
         parse_provider("free(so3,word:Z2")
 
 
+# Every malformed spec with the message and offset its ParseError gave
+# before bracketed ``json:`` paths were accepted.
+SPEC_ERRORS = [
+    ("", "empty provider spec", 0),
+    ("bogus", "unrecognized provider at 'bogus'", 0),
+    ("suq2trailing", "unrecognized provider at 'suq2trailing'", 0),
+    ("au:x", "expected an integer after au:", 3),
+    ("free(so3,", "unrecognized provider at ''", 9),
+    ("free(so3,word:Z2", "expected ')'", 16),
+    ("free(so3;word:Z2)", "unrecognized provider at 'so3;word:Z2)'", 5),
+    ("prod(suq2)", "expected ',' between factors", 9),
+    ("free(,suq2)", "unrecognized provider at ',suq2)'", 5),
+    ("json:", "expected a path after json:", 5),
+    ("free(json:,suq2)", "expected a path after json:", 10),
+    ("prod(suq2,json:)", "expected a path after json:", 15),
+    ("word:Y2", "bad factor 'Y2' (expected Z or Z<m>)", 5),
+    ("free(word:Z2*Q,so3)", "bad factor 'Q' (expected Z or Z<m>)", 13),
+    ("free(suq2,so3))", "trailing characters ')'", 14),
+    ("free(au:3,au:)", "expected an integer after au:", 13),
+]
+
+
+@pytest.mark.parametrize("spec,message,position", SPEC_ERRORS)
+def test_parse_errors_keep_their_message_and_offset(spec, message, position):
+    with pytest.raises(ParseError) as exc:
+        parse_provider(spec)
+    assert (str(exc.value), exc.value.position) == (message, position)
+
+
+def test_bracketed_json_path_may_hold_commas_and_parens(fixtures_dir, tmp_path, capsys):
+    path = tmp_path / "ring (1),b.json"
+    dump_ring_json(character_ring(fixtures_dir / "s3_characters.json"), path)
+    assert parse_provider(f"json:[{path}]").num_irreducibles == 3
+    assert parse_provider(f"free(json:[{path}],word:Z2)").factors[0].num_irreducibles == 3
+    assert parse_provider(f"prod(suq2,json:[{path}])").factors[1].num_irreducibles == 3
+    assert main(["axioms", "--ring", f"json:[{path}]"]) == 0
+    capsys.readouterr()
+    # Unbracketed, the path still ends at the first ',' or ')'.
+    assert main(["axioms", "--ring", f"json:{path}"]) == 1
+    assert f"cannot read ring file '{tmp_path}/ring (1'" in capsys.readouterr().err
+    for spec, position in (("json:[]", 6), ("free(json:[],so3)", 11)):
+        with pytest.raises(ParseError, match="^expected a path after json:$") as exc:
+            parse_provider(spec)
+        assert exc.value.position == position
+
+
 def test_parse_budget():
     assert parse_budget(None).max_irreducibles == 64
     b = parse_budget("max_irreducibles=20,max_rounds=4")
@@ -111,6 +157,9 @@ def test_decompose_refuses_an_id_that_spells_another_word(capsys):
 
 def test_usage_errors_exit_two(capsys):
     assert main(["nsequence", "--ring", "suq2"]) == 2
+    assert main(["nsequence", "--ring", "word:Z99999999999999999999", "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "more than the limit of 10000" in captured.err
     assert main(["decompose", "--ring", "so3", "v1", "nope"]) == 2
     assert main(["torsion", "--ring", "free(so3,"]) == 2
     assert "offset 9" in capsys.readouterr().err

@@ -31,6 +31,11 @@
   decorator or a call, so a second CLI run or benchmark task in the same
   process pays for its own work.  A memo made inside a function body,
   like ``fusion_crosscheck``'s ``full``, is allowed.
+* No class body binds a mutable dict, list or set (a display, a
+  comprehension or a call of a mutable container type): such a value is
+  shared by every instance and outlives the run that filled it.  Caches
+  and maps live on the instance, made in ``__init__`` like
+  ``FusionProvider``'s ``_decompose_cache``.
 """
 
 from __future__ import annotations
@@ -465,3 +470,62 @@ def test_persistent_memo_is_detected():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_memo_outlives_its_call(path):
     assert persistent_memos(path.read_text()) == []
+
+
+MUTABLE_DISPLAYS = (ast.Dict, ast.List, ast.Set, ast.DictComp, ast.ListComp, ast.SetComp)
+MUTABLE_TYPES = {"dict", "list", "set", "bytearray", "defaultdict", "OrderedDict", "Counter", "deque"}
+
+
+def class_level_mutables(source: str) -> list[str]:
+    """Every name a class body (of any nesting) binds to a mutable
+    container, or to a tuple holding one, directly in the body and not
+    inside a method."""
+
+    def mutable(value) -> bool:
+        if isinstance(value, MUTABLE_DISPLAYS):
+            return True
+        if isinstance(value, ast.Tuple):
+            return any(map(mutable, value.elts))
+        if isinstance(value, ast.Call):
+            name = getattr(value.func, "id", None) or getattr(value.func, "attr", None)
+            return name in MUTABLE_TYPES
+        return False
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, ast.Assign):
+                targets, value = item.targets, item.value
+            elif isinstance(item, (ast.AnnAssign, ast.AugAssign)):
+                targets, value = [item.target], item.value
+            else:
+                continue
+            if value is not None and mutable(value):
+                for target in targets:
+                    for part in ast.walk(target):
+                        if isinstance(part, ast.Name):
+                            found.append(f"line {item.lineno}: {node.name}.{part.id}")
+    return found
+
+
+def test_class_level_mutable_is_detected():
+    source = (
+        "class A:\n    cache = {}\n    names: list[str] = []\n    seen = set()\n"
+        "    ok = ()\n    frozen = frozenset()\n    __slots__ = ('x',)\n    letters = ({}, {})\n"
+        "    def __init__(self):\n        self.cache = {}\n        local = []\n"
+        "class B(A):\n    table = collections.defaultdict(list)\n    squares = {i: i * i for i in range(3)}\n"
+        "    x = y = [1]\n    class Inner:\n        rows = list(range(3))\n"
+        "registry = {}\n"
+        "@dataclass\nclass C:\n    items: list = field(default_factory=list)\n"
+    )
+    assert class_level_mutables(source) == [
+        "line 2: A.cache", "line 3: A.names", "line 4: A.seen", "line 8: A.letters",
+        "line 13: B.table", "line 14: B.squares", "line 15: B.x", "line 15: B.y", "line 17: Inner.rows",
+    ]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_class_body_binds_a_mutable_container(path):
+    assert class_level_mutables(path.read_text()) == []

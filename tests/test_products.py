@@ -15,6 +15,7 @@ from fusionring import (
     suq2_ring,
     word_group,
 )
+from fusionring.cli import parse_provider
 
 import oracles
 
@@ -232,3 +233,28 @@ def test_free_product_of_cyclic_groups_matches_the_word_group():
         for v in window:
             got = [(spell(w), m) for w, m in fp.decompose(u, v)]
             assert got == [(w.id, m) for w, m in wg.decompose(same[u], same[v])], (u.id, v.id)
+
+
+@pytest.mark.parametrize("spec", ["free(so3,word:Z2)", "free(suq2,au)", "free(word:Z2,free(word:Z2,word:Z3))"])
+def test_free_product_matches_the_word_by_word_reference(spec):
+    # Every window label against every label its window products reach,
+    # multi-letter words and nested letters included, in both orders.
+    fp = parse_provider(spec)
+    window = fp.enumerate(40)
+    reached = dict.fromkeys(window)
+    for u in window:
+        for v in window:
+            reached.update(dict.fromkeys(fp.decompose(u, v).constituents()))
+    assert sum(len(fp.key_of(w)) > 1 for w in reached) > 70
+    for u in window:
+        for w in reached:
+            for a, b in ((u, w), (w, u)):
+                assert fp.decompose(a, b) == oracles.free_product_decompose_reference(fp, a, b), (a.id, b.id)
+
+
+def test_letter_map_belongs_to_the_instance():
+    first, second = _fp(), _fp()
+    v1 = first.parse_label("v1")
+    assert [w.id for w, _ in first.decompose(v1, v1)] == ["e", "v1", "v2"]
+    assert [w.id for w in first._one_letter[0]] == ["v1", "v2"]
+    assert second._one_letter == ({}, {})

@@ -291,6 +291,16 @@ def test_finite_word_group_stage_one_is_the_whole_group():
     assert rep.scanned == 5
 
 
+def test_finite_word_group_above_the_scan_limit_is_refused_before_listing():
+    # Z10000 is scanned whole; one element more, or 10^20, is refused at once.
+    assert n_sequence_cocommutative(word_group([10_000])).scanned == 10_000
+    for order in (10_001, 10**20):
+        group = word_group([order])
+        with pytest.raises(UnsupportedProvider, match=f"{order} elements are more than the limit of 10000"):
+            n_sequence_cocommutative(group)
+        assert group._interned == {}
+
+
 def test_dimension_ideal_recovers_character_subrings():
     ring = _char_s3()
     by_id = {l.id: l for l in ring.enumerate(3)}
