@@ -17,8 +17,6 @@ uses them.
 from .axioms import AxiomReport, AxiomViolation, check_axioms
 from .components import (
     ComponentReport,
-    ConnectednessReport,
-    connectedness_probe,
     identity_component_report,
     restriction_hom_dim,
 )

@@ -25,11 +25,11 @@ from .torsion import (
 
 __all__ = [
     "restriction_hom_dim",
-    "connectedness_probe",
-    "ConnectednessReport",
     "identity_component_report",
     "ComponentReport",
 ]
+
+_HOM_TABLE_WINDOW = 8
 
 
 def restriction_hom_dim(provider: FusionProvider, s_labels, u: IrrLabel, v: IrrLabel) -> int:
@@ -44,34 +44,6 @@ def restriction_hom_dim(provider: FusionProvider, s_labels, u: IrrLabel, v: IrrL
     s_set = set(s_labels)
     dec = provider.decompose(provider.conj(u), v)
     return sum(m * w.dim for w, m in dec if w in s_set)
-
-
-@dataclass
-class ConnectednessReport(Report):
-    provider: str
-    verdict: str  # "torsion_found" | "no_torsion_found"
-    witness: str | None
-    unknowns: list[str]
-    scanned: int
-
-
-def connectedness_probe(provider: FusionProvider, budget: Budget | None = None) -> ConnectednessReport:
-    """One-sided connectedness check: hunt for a nontrivial torsion label.
-
-    Finding one refutes connectedness; finding none only says the window
-    held no certified torsion, with the undecided labels listed.
-    """
-    budget = budget or Budget()
-    scan = torsion_subcategory(provider, budget)
-    unit = provider.unit()
-    witness = next((l for l in scan.certified if l != unit), None)
-    return ConnectednessReport(
-        provider=provider.name,
-        verdict="torsion_found" if witness is not None else "no_torsion_found",
-        witness=witness.id if witness is not None else None,
-        unknowns=[l.id for l in scan.unknowns],
-        scanned=len(scan.verdicts),
-    )
 
 
 @dataclass
@@ -135,18 +107,15 @@ def _adjoint_degree_note(provider, probe: int = 16) -> tuple[int | None, str]:
     return None, ""
 
 
-def identity_component_report(
-    provider: FusionProvider,
-    budget: Budget | None = None,
-    hom_table_bound: int = 8,
-) -> ComponentReport:
+def identity_component_report(provider: FusionProvider, budget: Budget | None = None) -> ComponentReport:
     """Certify the torsion part as a finite normal commutative piece, or refute it.
 
     Runs the torsion scan, re-tests tensor closure and pairwise
     commutativity of the certified set, probes conjugation stability
     over the window, and settles on one of three verdicts: the certified
     structure (with component group order and a restriction hom-dim
-    table), a concrete non-normality witness, or inconclusive.
+    table over the first ``_HOM_TABLE_WINDOW`` window labels), a
+    concrete non-normality witness, or inconclusive.
     """
     budget = budget or Budget()
     scan: TorsionScanReport = torsion_subcategory(provider, budget)
@@ -178,7 +147,7 @@ def identity_component_report(
         report.witness_evidence = _witness_evidence(provider, witness)
         report.torsion_degree_bound, report.torsion_degree_note = _adjoint_degree_note(provider)
     elif tensorial:
-        window = provider.enumerate(min(budget.max_irreducibles, hom_table_bound))
+        window = provider.enumerate(min(budget.max_irreducibles, _HOM_TABLE_WINDOW))
         report.verdict = "normal_with_finite_component_group"
         report.component_group_order = sum(l.dim * l.dim for l in s_labels)
         report.hom_table = [

@@ -50,6 +50,8 @@ class FiniteTableProvider(FusionProvider):
     ):
         super().__init__()
         self.name = name
+        if "" in dims:
+            raise InvalidRing("empty irreducible id")
         if unit_id not in dims:
             raise InvalidRing(f"unit {unit_id!r} not among irreducibles")
         self._dims = dims

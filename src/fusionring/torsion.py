@@ -223,6 +223,31 @@ def generated_subring(
     return _close(provider, "tensor_generated", generators, budget or Budget())
 
 
+def _conjugates(provider: FusionProvider, members, window):
+    """Yield ``(v, u, ubar (x) v (x) u)`` for each v in ``members`` and u in ``window``."""
+    for v in members:
+        for u in window:
+            yield v, u, _conjugate(provider, u, v)
+
+
+def _conjugation_closure(
+    provider: FusionProvider, kind: str, generators, budget: Budget | None, forced_only: bool
+) -> Subcategory:
+    """``_close`` adjoining the constituents of ubar (x) v (x) u for u in the
+    window, or only a product that is one irreducible when ``forced_only``."""
+    budget = budget or Budget()
+    window = provider.enumerate(budget.max_irreducibles)
+
+    def rule(members):
+        for _, _, product in _conjugates(provider, members, window):
+            if not forced_only:
+                yield from product.constituents()
+            elif (lab := _forced(product)) is not None:
+                yield lab
+
+    return _close(provider, kind, generators, budget, rule)
+
+
 def central_closure(
     provider: FusionProvider, generators, budget: Budget | None = None
 ) -> Subcategory:
@@ -233,15 +258,7 @@ def central_closure(
     containing the generators; it always contains the plain generated
     subring of the same generators at the same budget.
     """
-    budget = budget or Budget()
-    window = provider.enumerate(budget.max_irreducibles)
-
-    def rule(members):
-        for v in members:
-            for u in window:
-                yield from _conjugate(provider, u, v).constituents()
-
-    return _close(provider, "central_closure", generators, budget, rule)
+    return _conjugation_closure(provider, "central_closure", generators, budget, False)
 
 
 def normal_forcing_closure(
@@ -254,17 +271,7 @@ def normal_forcing_closure(
     a group-like ring every such product is a single irreducible, so the
     closure is the group normal closure of the generators.
     """
-    budget = budget or Budget()
-    window = provider.enumerate(budget.max_irreducibles)
-
-    def rule(members):
-        for v in members:
-            for u in window:
-                lab = _forced(_conjugate(provider, u, v))
-                if lab is not None:
-                    yield lab
-
-    return _close(provider, "normal_forcing_closure", generators, budget, rule)
+    return _conjugation_closure(provider, "normal_forcing_closure", generators, budget, True)
 
 
 @dataclass(frozen=True)
@@ -288,16 +295,11 @@ def normality_consistency(
     stable under conjugation by the window.
     """
     s_set = set(s_labels)
-    window = provider.enumerate(bound)
-    violations = []
-    for v in canonical_sort(s_set):
-        for u in window:
-            product = _conjugate(provider, u, v)
-            if s_set.isdisjoint(product.constituents()):
-                violations.append(
-                    NormalityViolation(v, u, tuple(w.id for w, _ in product))
-                )
-    return violations
+    return [
+        NormalityViolation(v, u, tuple(w.id for w, _ in product))
+        for v, u, product in _conjugates(provider, canonical_sort(s_set), provider.enumerate(bound))
+        if s_set.isdisjoint(product.constituents())
+    ]
 
 
 TORSION = "torsion"
@@ -497,8 +499,6 @@ def ascending_chain_probe(
     prev_closure: set[IrrLabel] = {provider.unit()}
     prev_gens: set[IrrLabel] = set()
     stages: list[ChainStage] = []
-    increasing_up_to = 0
-    still = True
     for d in range(1, d_max + 1):
         gens = list(provider.chain_generators(d))
         cap = provider.chain_size_cap(d)
@@ -509,10 +509,6 @@ def ascending_chain_probe(
         strict = bool(new_gens) and all(
             g in inside and g not in prev_closure for g in new_gens
         )
-        if still and strict:
-            increasing_up_to = d
-        else:
-            still = False
         stages.append(
             ChainStage(
                 d=d,
@@ -524,7 +520,7 @@ def ascending_chain_probe(
         )
         prev_closure = inside
         prev_gens = set(gens)
-    return ChainProbeReport(provider.name, stages, increasing_up_to)
+    return ChainProbeReport(provider.name, stages, next((s.d - 1 for s in stages if not s.strict), len(stages)))
 
 
 @dataclass

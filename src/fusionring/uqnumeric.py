@@ -468,12 +468,6 @@ def intertwiner_space(a: RepMatrices, b: RepMatrices) -> IntertwinerSpace:
     return IntertwinerSpace(dim=nullity, basis=basis, singular_values=s)
 
 
-def _weight_multiplicity(cand: RepMatrices, big: RepMatrices) -> int:
-    """dim Hom(cand, big) for an irreducible ladder model ``cand``; the
-    one-candidate call of ``_weight_counts``."""
-    return _weight_counts([cand], big.E, big.K, lambda: big)[0]
-
-
 def _weight_counts(cands: list[RepMatrices], E: np.ndarray, K: np.ndarray, full) -> list[int]:
     """dim Hom(cand, M) for each irreducible ladder model in ``cands``,
     for the module M given by its E and K alone; ``full()`` returns the
@@ -635,8 +629,11 @@ def fusion_crosscheck(n_max: int, q, *, t_branch: str = "principal") -> FusionCr
     whose highest weight occurs.  Only E and K of each product are
     formed, by ``tensor_rep``'s expressions; a pair builds the full
     ``tensor_rep`` only when one of its candidates falls back.  The
-    models are built once per call and shared by the pairs.
+    models are built once per call and shared by the pairs.  A negative
+    ``n_max`` would check nothing and raises BadParameter.
     """
+    if n_max < 0:
+        raise BadParameter(f"n_max must be nonnegative, got {n_max}")
     from .rings.su11 import uq_su11_ring
 
     ring = uq_su11_ring()

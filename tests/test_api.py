@@ -27,7 +27,7 @@ NUMERIC = [
 
 PUBLIC = [
     "AuProvider", "AxiomReport", "AxiomViolation", "BadParameter", "Budget", "ChainProbeReport",
-    "ComponentReport", "ConnectednessReport", "Decomposition", "DimensionIdealReport",
+    "ComponentReport", "Decomposition", "DimensionIdealReport",
     "DirectProductProvider", "FiniteGroupProvider", "FiniteTableProvider", "FreeProductProvider",
     "FusionError", "FusionProvider", "IllConditioned", "IntegerLattice", "InvalidRing", "IrrLabel",
     "NSequenceReport", "NormalityViolation", "NotAGroup", "NotFinite", "NotSaturated", "ParseError",
@@ -36,7 +36,7 @@ PUBLIC = [
     "WordGroupProvider", "WordGroupSpec", "ascending_chain_probe", "au_ring",
     "axioms", "build_pi", "build_u", "builtin_finite_rings", "canonical_key", "canonical_sort",
     "central_closure", "character_ring", "check_axioms", "check_star", "components",
-    "connectedness_probe", "core", "dimension_ideal_recover", "direct_product", "dump_ring_json",
+    "core", "dimension_ideal_recover", "direct_product", "dump_ring_json",
     "enumerate_saturated_subrings", "errors", "finite_group_ring", "free_product",
     "full_verification", "fusion_crosscheck", "generated_subring", "identity_component_report",
     "intertwiner_space", "is_torsion", "lattice", "load_ring_json", "n_sequence_cocommutative",
@@ -58,7 +58,7 @@ def run_fresh(code: str, *args: str) -> dict:
 
 
 def test_all_is_the_frozen_public_surface():
-    assert len(PUBLIC) == 86
+    assert len(PUBLIC) == 84
     assert fusionring.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(fusionring, name)

@@ -284,6 +284,12 @@ def test_dimideal_command(fixtures_dir, tmp_path, capsys):
                              '"fusion": [{"left": "e", "right": "e", "result": {"e": "1"}}]}'),
         ("bool_mult.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": 1, "conj": "e"}], '
                            '"fusion": [{"left": "e", "right": "e", "result": {"e": true}}]}'),
+        ("empty_id.json", '{"unit": "e", "irreducibles": [{"id": "e", "dim": 1, "conj": "e"}, '
+                          '{"id": "", "dim": 1, "conj": ""}], "fusion": ['
+                          '{"left": "e", "right": "e", "result": {"e": 1}}, '
+                          '{"left": "e", "right": "", "result": {"": 1}}, '
+                          '{"left": "", "right": "e", "result": {"": 1}}, '
+                          '{"left": "", "right": "", "result": {"e": 1}}]}'),
     ],
 )
 def test_malformed_ring_file_is_an_invalid_ring(name, content, tmp_path, capsys):
@@ -294,6 +300,7 @@ def test_malformed_ring_file_is_an_invalid_ring(name, content, tmp_path, capsys)
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err.startswith("invalid ring: ")
+    assert captured.err.count("\n") == 1
 
 
 def test_not_saturated_error_is_independent_of_the_hash_seed():

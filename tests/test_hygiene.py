@@ -36,6 +36,10 @@
   shared by every instance and outlives the run that filled it.  Caches
   and maps live on the instance, made in ``__init__`` like
   ``FusionProvider``'s ``_decompose_cache``.
+* No private helper outlives its callers: every ``_``-prefixed function
+  or method in the package (dunders excepted) is named, as a name or an
+  attribute, somewhere in the package outside its own ``def``.  A helper
+  that only tests call is dead code.
 """
 
 from __future__ import annotations
@@ -529,3 +533,46 @@ def test_class_level_mutable_is_detected():
 @pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
 def test_no_class_body_binds_a_mutable_container(path):
     assert class_level_mutables(path.read_text()) == []
+
+
+def unreferenced_private_functions(sources: dict[str, str]) -> list[str]:
+    """``_``-prefixed functions and methods (dunders excepted) of the
+    modules in ``sources`` (name -> source) that no name or attribute in
+    any of them refers to, outside the function's own ``def``."""
+    defs, refs = [], []
+    for name, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                dunder = node.name.startswith("__") and node.name.endswith("__")
+                if node.name.startswith("_") and not dunder:
+                    defs.append((name, node))
+            elif isinstance(node, (ast.Name, ast.Attribute)):
+                refs.append((getattr(node, "id", None) or node.attr, node))
+    found = []
+    for name, func in defs:
+        own = set(map(id, ast.walk(func)))
+        if not any(ref == func.name and id(node) not in own for ref, node in refs):
+            found.append(f"{name} line {func.lineno}: {func.name}")
+    return found
+
+
+def test_unreferenced_private_function_is_detected():
+    sources = {
+        "a.py": (
+            "def _used(): pass\n"
+            "def _recursive(n):\n    return _recursive(n - 1)\n"
+            "def _dead(): pass\n"
+            "class C:\n    def __init__(self): self._helper()\n"
+            "    def _helper(self): pass\n    def _orphan(self): pass\n"
+            "    def public(self): pass\n"
+        ),
+        "b.py": "from a import _used\n_used()\nx = '_dead'\nC()._orphan_not\n",
+    }
+    assert unreferenced_private_functions(sources) == [
+        "a.py line 2: _recursive", "a.py line 4: _dead", "a.py line 8: _orphan",
+    ]
+
+
+def test_every_private_function_has_a_caller_in_the_package():
+    sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in SOURCES}
+    assert unreferenced_private_functions(sources) == []

@@ -11,15 +11,12 @@ import pytest
 from fusionring import Budget, InvalidRing
 from fusionring.axioms import check_axioms
 from fusionring.cli import parse_provider
-from fusionring.components import connectedness_probe, identity_component_report
+from fusionring.components import identity_component_report
 from fusionring.core import Report
 from fusionring.rings import (
     builtin_finite_rings,
     load_ring_json,
-    parse_word_group_spec,
-    suq2_ring,
     uq_su11_ring,
-    word_group,
 )
 from fusionring.torsion import (
     ascending_chain_probe,
@@ -44,24 +41,6 @@ Q = Fraction(-1, 2)
 
 def approx(values):
     return pytest.approx(values, rel=1e-9, abs=1e-12)
-
-
-def test_connectedness_reports_are_pinned():
-    assert connectedness_probe(uq_su11_ring(), Budget(max_irreducibles=12)).to_dict() == {
-        "provider": "uqsu11",
-        "verdict": "torsion_found",
-        "witness": "u-0",
-        "unknowns": ["u+1", "u-1", "u+2", "u-2", "u+3", "u-3", "u+4", "u-4", "u+5", "u-5"],
-        "scanned": 12,
-    }
-    free = word_group(parse_word_group_spec("Z*Z"))
-    assert connectedness_probe(free, Budget(max_irreducibles=6)).to_dict() == {
-        "provider": "word:Z*Z", "verdict": "no_torsion_found", "witness": None, "unknowns": [], "scanned": 6,
-    }
-    assert connectedness_probe(suq2_ring(), Budget(max_irreducibles=4, max_label_size=4)).to_dict() == {
-        "provider": "suq2", "verdict": "no_torsion_found", "witness": None,
-        "unknowns": ["u1", "u2", "u3"], "scanned": 4,
-    }
 
 
 def test_star_reports_are_pinned():
@@ -153,7 +132,6 @@ def examples() -> list[Report]:
         n_sequence_cocommutative(rings["group:S3"], budget),
         ascending_chain_probe(free, 2, budget),
         dimension_ideal_recover(rings["group:S3"], [rings["group:S3"].unit()]),
-        connectedness_probe(uq_su11_ring(), budget),
         identity_component_report(free, budget),
         full_verification(Q, 1),
         check_star(build_u(1, 1, Q)),

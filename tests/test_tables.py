@@ -180,6 +180,14 @@ def test_character_ring_refuses_characters_that_are_not_a_mapping():
         character_ring({"class_sizes": [1], "characters": [[1]]})
 
 
+def test_empty_irreducible_id_is_an_invalid_ring():
+    # An empty id used to reach IrrLabel and end in ValueError.
+    with pytest.raises(InvalidRing, match="^empty irreducible id$"):
+        character_ring({"class_sizes": [1, 1], "characters": {"triv": [1, 1], "": [1, -1]}})
+    with pytest.raises(InvalidRing, match="^empty irreducible id$"):
+        finite_group_ring({("e", "e"): "e", ("e", ""): "", ("", "e"): "", ("", ""): "e"})
+
+
 def test_load_dump_round_trip(tmp_path):
     ring = character_ring(
         {

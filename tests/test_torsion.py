@@ -64,6 +64,25 @@ def test_double_ladder_torsion_scan_is_the_sign_pair():
     assert d["window"] == 20
 
 
+@pytest.mark.parametrize(
+    "spec, budget, certified, unknown",
+    [
+        ("uqsu11", Budget(max_irreducibles=12), ["u+0", "u-0"],
+         ["u+1", "u-1", "u+2", "u-2", "u+3", "u-3", "u+4", "u-4", "u+5", "u-5"]),
+        ("word:Z*Z", Budget(max_irreducibles=6), ["e"], []),
+        ("word:Z*Z", Budget(max_irreducibles=12), ["e"], []),
+        ("suq2", Budget(max_irreducibles=4, max_label_size=4), ["u0"], ["u1", "u2", "u3"]),
+    ],
+    ids=["uqsu11-12", "ZZ-6", "ZZ-12", "suq2-4-cap4"],
+)
+def test_torsion_scan_certified_and_unknown_labels_are_pinned(spec, budget, certified, unknown):
+    # the first non-unit certified label (u-0, or none) and the undecided ones
+    report = torsion_subcategory(parse_provider(spec), budget)
+    assert [l.id for l in report.certified] == certified
+    assert [l.id for l in report.unknowns] == unknown
+    assert len(report.verdicts) == budget.max_irreducibles
+
+
 def test_sign_label_generates_the_saturated_pair():
     ring = uq_su11_ring()
     sub = generated_subring(ring, [ring.parse_label("u-0")])

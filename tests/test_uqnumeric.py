@@ -19,7 +19,6 @@ from fusionring.uqnumeric import (
     RepMatrices,
     _kron,
     _weight_counts,
-    _weight_multiplicity,
     build_pi,
     build_u,
     check_star,
@@ -243,6 +242,12 @@ def test_fusion_crosscheck_small_window():
     assert rep.mismatches == []
 
 
+def test_fusion_crosscheck_refuses_a_negative_n_max():
+    # n_max = -1 builds no model, so q = 5 would never be checked
+    with pytest.raises(BadParameter, match="^n_max must be nonnegative, got -1$"):
+        fusion_crosscheck(-1, 5)
+
+
 @pytest.mark.parametrize("branch", ["principal", "conjugate"])
 @pytest.mark.parametrize("q", [*Q_VALUES, Fraction(-1, 3), Fraction(-3, 2)], ids=str)
 def test_weight_multiplicity_matches_intertwiner_space(q, branch, monkeypatch):
@@ -262,7 +267,7 @@ def test_weight_multiplicity_matches_intertwiner_space(q, branch, monkeypatch):
                     for k in range(n + m + 3):
                         for sigma in signs:
                             cand = reps[sigma, k]
-                            assert _weight_multiplicity(cand, big) == oracle(cand, big).dim, (
+                            assert _weight_counts([cand], big.E, big.K, lambda: big)[0] == oracle(cand, big).dim, (
                                 n, m, eps, delta, k, sigma,
                             )
 
@@ -279,7 +284,7 @@ def test_weight_multiplicity_falls_back_without_diagonal_k():
     )
     for sign, k, expect in ((1, 1, 1), (1, 3, 1), (-1, 1, 0), (1, 2, 0)):
         cand = build_u(sign, k, q)
-        assert _weight_multiplicity(cand, rotated) == expect
+        assert _weight_counts([cand], rotated.E, rotated.K, lambda: rotated)[0] == expect
         assert intertwiner_space(cand, rotated).dim == expect
 
 
@@ -294,7 +299,7 @@ def test_weight_block_rank_decision_refuses(singular_values, message):
     E[:cols, :cols] = np.diag(singular_values)
     big = _hand_rep(E, np.zeros_like(E), np.diag([1.0] * cols + [4.0]))
     with pytest.raises(IllConditioned, match=message):
-        _weight_multiplicity(cand, big)
+        _weight_counts([cand], big.E, big.K, lambda: big)[0]
 
 
 @pytest.mark.parametrize("branch", ["principal", "conjugate"])
@@ -430,7 +435,7 @@ def test_weight_counts_refuse_like_the_reference(singular_values):
     assert _weight_counts([absent, fine], big.E, big.K, lambda: big) == [0, 1]
     expected = _refusal(lambda: weight_count_reference(cand, big.E, big.K, lambda: big))
     assert _refusal(lambda: _weight_counts([absent, fine, cand], big.E, big.K, lambda: big)) == expected
-    assert _refusal(lambda: _weight_multiplicity(cand, big)) == expected
+    assert _refusal(lambda: _weight_counts([cand], big.E, big.K, lambda: big)[0]) == expected
 
 
 def test_weight_route_never_decomposes_an_empty_block(monkeypatch):
