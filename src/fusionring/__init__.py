@@ -44,7 +44,6 @@ from .lattice import IntegerLattice
 from .rings import (
     AuProvider,
     DirectProductProvider,
-    FiniteGroupProvider,
     FiniteTableProvider,
     FreeProductProvider,
     SO3Provider,

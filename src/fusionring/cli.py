@@ -13,6 +13,7 @@ numeric verification failures, invalid ring files), 2 for usage errors.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import re
 import sys
@@ -98,7 +99,7 @@ def parse_provider(spec: str) -> FusionProvider:
     return provider
 
 
-_BUDGET_KEYS = ("max_irreducibles", "max_rounds", "max_label_size")
+_BUDGET_KEYS = tuple(f.name for f in dataclasses.fields(Budget))
 
 
 def parse_budget(text: str | None) -> Budget:

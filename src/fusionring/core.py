@@ -213,9 +213,9 @@ class Budget:
     max_label_size: int = 8
 
     def __post_init__(self):
-        for name in ("max_irreducibles", "max_rounds", "max_label_size"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be positive")
+        for field in dataclasses.fields(self):
+            if getattr(self, field.name) < 1:
+                raise ValueError(f"{field.name} must be positive")
 
     def replace(self, **kw) -> "Budget":
         return dataclasses.replace(self, **kw)
@@ -239,7 +239,8 @@ class FusionProvider(ABC):
     * ``order_oracle(u)``, the exact tensor order (group-like backends):
       raises UnsupportedProvider.
     * ``torsion_quotient()`` and ``stage_one_exponent(u, bound)``, the
-      torsion-closure sequence (group rings): raise UnsupportedProvider.
+      torsion-closure sequence (group rings: word groups, and finite
+      tables whose irreducibles all have dim 1): raise UnsupportedProvider.
     * ``free_factors()`` and ``factor_restriction(u, k)`` (free
       products): ``()`` and UnsupportedProvider.
     * ``chain_generators(d)`` and ``chain_size_cap(d)``, the family that

@@ -10,7 +10,6 @@ from .products import (
 from .su2 import SO3Provider, SU2Provider, so3_ring, suq2_ring
 from .su11 import UqSU11Provider, uq_su11_ring
 from .tables import (
-    FiniteGroupProvider,
     FiniteTableProvider,
     builtin_finite_rings,
     character_ring,
@@ -33,7 +32,6 @@ __all__ = [
     "suq2_ring",
     "UqSU11Provider",
     "uq_su11_ring",
-    "FiniteGroupProvider",
     "FiniteTableProvider",
     "builtin_finite_rings",
     "character_ring",

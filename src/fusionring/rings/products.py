@@ -31,6 +31,7 @@ import re
 
 from ..core import Decomposition, FusionProvider, IrrLabel, split_outside_brackets
 from ..errors import UnknownLabel, UnsupportedProvider
+from .words import alternating_words
 
 __all__ = ["FreeProductProvider", "DirectProductProvider", "free_product", "direct_product"]
 
@@ -155,35 +156,16 @@ class FreeProductProvider(FusionProvider):
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
         return Decomposition(self._mul_words(self.key_of(u), self.key_of(v)))
 
-    def _letters(self, window: int) -> list[tuple[tuple[int, int], FLetter]]:
-        """Letters keyed for enumeration order; window per factor."""
-        out = []
-        for k, factor in enumerate(self.factors):
-            funit = factor.unit()
-            for pos, lab in enumerate(factor.enumerate(window)):
-                if lab != funit:
-                    out.append(((pos, k), (k, lab)))
-        out.sort(key=lambda item: item[0])
-        return out
-
     def enumerate(self, count: int) -> list[IrrLabel]:
-        out = [self.unit()]
-        letters = self._letters(count)
-        current: list[tuple[tuple, FWord]] = [((), ())]
-        while len(out) < count and current:
-            layer: list[tuple[tuple, FWord]] = []
-            for stem_key, stem in current:
-                for lkey, letter in letters:
-                    if stem and stem[-1][0] == letter[0]:
-                        continue
-                    layer.append((stem_key + (lkey,), stem + (letter,)))
-            layer.sort(key=lambda item: item[0])
-            for _, word in layer:
-                out.append(self._label(word))
-                if len(out) >= count:
-                    break
-            current = layer
-        return out[:count]
+        # Every letter weighs 1, so layer w holds the words of w letters; a
+        # letter's key is (position in its factor's window, factor index).
+        letters = {
+            (k, lab): (pos, k)
+            for k, factor in enumerate(self.factors)
+            for pos, lab in enumerate(factor.enumerate(count))
+            if lab != factor.unit()
+        }
+        return [self._label(w) for w in alternating_words(count, 1, lambda j: letters)]
 
     @property
     def num_irreducibles(self) -> int | float:

@@ -20,7 +20,6 @@ from ..errors import InvalidRing, NotAGroup, UnknownLabel
 
 __all__ = [
     "FiniteTableProvider",
-    "FiniteGroupProvider",
     "finite_group_ring",
     "character_ring",
     "load_ring_json",
@@ -83,6 +82,7 @@ class FiniteTableProvider(FusionProvider):
             for key, counts in table.items()
         }
         self._order = [unit, *canonical_sort(l for l in labels if l != unit)]
+        self._group = all(d == 1 for d in dims.values())
 
     def _spell(self, i: str) -> tuple[str, int]:
         return i, self._dims[i]
@@ -108,12 +108,15 @@ class FiniteTableProvider(FusionProvider):
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
         return self._label(text)
 
-
-class FiniteGroupProvider(FiniteTableProvider):
-    """Group ring of a finite group; every basis element is invertible,
-    so every product is a single label."""
+    # A table whose irreducibles all have dim 1 is a group ring, whoever
+    # built it.  Every element of a finite group has finite order, so stage
+    # one of the torsion-closure sequence is the whole group and the
+    # quotient is trivial.  Other tables raise the base class's
+    # UnsupportedProvider.
 
     def order_oracle(self, u: IrrLabel) -> int:
+        if not self._group:
+            return super().order_oracle(u)
         unit = self.unit()
         power, order = u, 1
         while power != unit:
@@ -123,18 +126,19 @@ class FiniteGroupProvider(FiniteTableProvider):
                 raise InvalidRing("powers never reach the identity")
         return order
 
-    # Every element has finite order, so stage one of the torsion-closure
-    # sequence is the whole group and the quotient is trivial.
-
     def torsion_quotient(self) -> tuple[bool, int]:
+        if not self._group:
+            return super().torsion_quotient()
         return len(self._order) == 1, 0
 
     def stage_one_exponent(self, u: IrrLabel, bound: int) -> int:
+        if not self._group:
+            return super().stage_one_exponent(u, bound)
         self.key_of(u)
         return 1
 
 
-def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") -> FiniteGroupProvider:
+def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") -> FiniteTableProvider:
     """Group ring from a multiplication table ``(g, h) -> g*h``.
 
     Raises NotAGroup naming the first failed axiom: the table must be a
@@ -178,7 +182,7 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
                     raise NotAGroup(f"associativity fails at ({a!r}, {b!r}, {c!r})")
     dims = {g: 1 for g in elems}
     fusion = {(g, h): {table[(g, h)]: 1} for g in elems for h in elems}
-    return FiniteGroupProvider(name, unit, dims, inv, fusion)
+    return FiniteTableProvider(name, unit, dims, inv, fusion)
 
 
 def _generators(table: dict[tuple[str, str], str], elems: list[str]) -> list[str]:

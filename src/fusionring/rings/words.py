@@ -16,6 +16,7 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import count as _count
+from typing import Callable
 
 from ..core import Decomposition, FusionProvider, IrrLabel
 from ..errors import ParseError, UnknownLabel
@@ -28,6 +29,57 @@ Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 
 _LETTER_RE = re.compile(r"([a-z])(?:\^(-?\d+))?")
+
+
+def alternating_words(count: int, heaviest: int | float, letters_of_weight: Callable) -> list[tuple]:
+    """The first ``count`` words, lightest first: the one enumerator of
+    word groups and free products.
+
+    A letter is a tuple led by its factor's index; a word is a tuple of
+    letters, adjacent ones from different factors.  ``letters_of_weight(j)``
+    maps each letter of weight ``j >= 1`` to its sort key.  It is asked
+    once per weight, no letter weighs more than ``heaviest`` (an int or
+    ``math.inf``), and every factor with letters has one of weight 1.
+    Layer w holds a lighter layer's words plus one letter from another
+    factor, sorted by (length, letter keys).  A sorted layer extended by
+    letters in key order comes out sorted, so only a layer drawn from two
+    or more lighter ones is sorted again.  The listing stops at ``count``
+    words, or after ``heaviest`` empty layers in a row.  Words are kept as
+    stems only when two factors have letters: one factor's words take no
+    further letter.
+    """
+    words: list[tuple] = [()]
+    letters: list[list[tuple]] = [[]]  # letters[j] weigh j, in key order
+    letter_key: dict[tuple, object] = {}
+    stems: list[tuple[int, list[tuple]]] = [(0, [()])]  # (weight, words), lightest first
+    extends, empty = False, 0
+    for weight in _count(1):
+        if len(words) >= count or empty >= heaviest:
+            break
+        layer: list[tuple] = []
+        sources = 0
+        for stem_weight, group in reversed(stems):
+            j = weight - stem_weight
+            if j > heaviest:
+                break
+            while len(letters) <= j:
+                keyed = letters_of_weight(len(letters))
+                letter_key.update(keyed)
+                letters.append(sorted(keyed, key=keyed.__getitem__))
+                if len(letters) == 2:
+                    extends = len({letter[0] for letter in keyed}) > 1
+            sources += 1
+            for stem in group:
+                for letter in letters[j]:
+                    if not stem or stem[-1][0] != letter[0]:
+                        layer.append(stem + (letter,))
+        if sources > 1:
+            layer.sort(key=lambda w: (len(w), tuple(map(letter_key.__getitem__, w))))
+        words.extend(layer)
+        empty = 0 if layer else empty + 1
+        if layer and extends:
+            stems.append((weight, layer))
+    return words[:count]
 
 
 @dataclass(frozen=True)
@@ -94,10 +146,6 @@ class WordGroupProvider(FusionProvider):
     def _weight(self, w: Word) -> int:
         return sum(self._letter_weight(k, e) for k, e in w)
 
-    @staticmethod
-    def _exp_key(e: int) -> tuple[int, int]:
-        return (abs(e), 0 if e > 0 else 1)
-
     def _spell(self, w: Word) -> tuple[str, int]:
         text = "".join(chr(97 + k) + ("" if e == 1 else f"^{e}") for k, e in w)
         return text or "e", 1
@@ -113,55 +161,21 @@ class WordGroupProvider(FusionProvider):
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
         return Decomposition.ordered((self._label(self._mul_words(self.key_of(u), self.key_of(v))),))
 
-    def _letters_of_weight(self, j: int) -> list[Letter]:
-        letters = []
+    def _letters_of_weight(self, j: int) -> dict[Letter, tuple[int, int, int]]:
+        """The letters of weight ``j``, each keyed (factor, |exponent|, 0
+        for a positive exponent or 1 for a negative one)."""
+        letters = {}
         for k, m in enumerate(self.spec.factors):
             if m == math.inf:
-                letters.extend([(k, j), (k, -j)])
-            else:
-                if 1 <= j <= m // 2:
-                    exps = {j, self._norm_exp(k, -j)}
-                    letters.extend((k, e) for e in sorted(exps, key=self._exp_key))
+                letters[k, j], letters[k, -j] = (k, j, 0), (k, j, 1)
+            elif j <= m // 2:  # one letter when m == 2j
+                letters[k, j], letters[k, m - j] = (k, j, 0), (k, m - j, 0)
         return letters
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        words: list[Word] = [()]
-        if len(self.spec.factors) == 1:
-            # A cyclic group: no word grows past one letter, so list the
-            # letters weight by weight until they run out.
-            for j in _count(1):
-                if len(words) >= count or not (letters_j := self._letters_of_weight(j)):
-                    break
-                words.extend((letter,) for letter in letters_j)
-            return [self._label(w) for w in words[:count]]
-        # Two or more factors give words of every weight.  With only finite
-        # factors, letters weigh at most max_lw.
-        finite_weights = [m // 2 for m in self.spec.factors if m != math.inf]
-        max_lw = max(finite_weights, default=0)
-        all_finite = len(finite_weights) == len(self.spec.factors)
-        by_weight: dict[int, list[Word]] = {0: [()]}
-        letters: list[list[Letter]] = [[]]  # letters[j] weigh j
-        letter_key: dict[Letter, tuple[int, int, int]] = {}
-        for weight in _count(1):
-            if len(words) >= count:
-                break
-            heaviest = min(weight, max_lw) if all_finite else weight
-            while len(letters) <= heaviest:
-                letters.append(self._letters_of_weight(len(letters)))
-                letter_key.update((lt, (lt[0], *self._exp_key(lt[1]))) for lt in letters[-1])
-            layer: list[Word] = []
-            for j in range(1, heaviest + 1):
-                for stem in by_weight.get(weight - j, ()):
-                    for letter in letters[j]:
-                        if stem and stem[-1][0] == letter[0]:
-                            continue
-                        layer.append(stem + (letter,))
-            # Layers come in weight order, so sorting each one by length,
-            # then letters, gives the documented order without re-weighing.
-            layer.sort(key=lambda w: (len(w), tuple(map(letter_key.__getitem__, w))))
-            by_weight[weight] = layer
-            words.extend(layer)
-        return [self._label(w) for w in words[:count]]
+        factors = self.spec.factors
+        heaviest = math.inf if math.inf in factors else max(factors) // 2
+        return [self._label(w) for w in alternating_words(count, heaviest, self._letters_of_weight)]
 
     @property
     def num_irreducibles(self) -> int | float:
@@ -203,13 +217,9 @@ class WordGroupProvider(FusionProvider):
         infinite order; length 1 reduces to the cyclic factor; length 0
         is the identity.
         """
-        w = list(self.key_of(u))
+        w = self.key_of(u)
         while len(w) >= 2 and w[0][0] == w[-1][0]:
-            k = w[0][0]
-            e = self._norm_exp(k, w[-1][1] + w[0][1])
-            w = w[1:-1]
-            if e:
-                w.append((k, e))
+            w = self._mul_words(w[1:], w[:1])
         if not w:
             return 1
         if len(w) == 1:
@@ -230,17 +240,10 @@ class WordGroupProvider(FusionProvider):
 
     def kill_finite_factors(self, u: IrrLabel) -> Word:
         """Image of a word under the quotient deleting all finite factors:
-        the letters of the infinite factors, freely reduced."""
+        the letters of the infinite factors, freely reduced.  Its kernel is
+        stage one, the normal closure of all torsion elements."""
         factors = self.spec.factors
         return self._mul_words((), [(k, e) for k, e in self.key_of(u) if factors[k] == math.inf])
-
-    def stage_one_contains(self, u: IrrLabel) -> bool:
-        """Membership in the normal closure of all torsion elements.
-
-        That closure is exactly the kernel of the kill-finite-factors
-        quotient, which maps onto a free product of copies of Z.
-        """
-        return not self.kill_finite_factors(u)
 
     def stage_one_exponent(self, u: IrrLabel, bound: int) -> int | None:
         """Least ``n <= bound`` with ``u^n`` in stage one, or None.

@@ -245,6 +245,14 @@ QINT_AT_MINUS_HALF = {
 # stage one of the torsion-closure sequence by forming powers
 
 
+def stage_one_contains(provider, u) -> bool:
+    """Whether the label ``u`` of a word group lies in stage one, the
+    kernel of the quotient that deletes every finite factor: the letters
+    of its infinite factors, reduced here, cancel to the empty word."""
+    orders = [None if m == float("inf") else m for m in provider.spec.factors]
+    return not _reduce(tuple(l for l in provider.key_of(u) if orders[l[0]] is None), orders)
+
+
 def power_stage_one_exponent(provider, g, bound: int):
     """Least n <= bound with g^n in stage one, None when there is none.
 
@@ -255,7 +263,7 @@ def power_stage_one_exponent(provider, g, bound: int):
     acc = provider.unit()
     for n in range(1, bound + 1):
         (acc, _mult), = provider.decompose(acc, g)
-        if provider.stage_one_contains(acc):
+        if stage_one_contains(provider, acc):
             return n
     return None
 
@@ -276,7 +284,7 @@ def enumerate_words_reference(provider, count: int):
     """
 
     def word_key(w):
-        return (provider._weight(w), len(w), tuple((k, *provider._exp_key(e)) for k, e in w))
+        return (provider._weight(w), len(w), tuple((k, abs(e), 0 if e > 0 else 1) for k, e in w))
 
     factors = provider.spec.factors
     finite_weights = [m // 2 for m in factors if m != float("inf")]
@@ -438,13 +446,15 @@ def n_sequence_reference(provider, budget, exponent_bound: int = 64):
     budget's window, finite group tables scanned whole.
 
     Kept line for line, apart from reading the finite factors off the spec,
-    so that the single capability-driven path can be compared against it.
+    testing stage-one membership with ``stage_one_contains`` above and
+    telling a group table by its dims (all 1), so that the single
+    capability-driven path can be compared against it.
     """
     # Imported here: perfbench loads this module before the package.
     import math
 
     from fusionring.errors import UnsupportedProvider
-    from fusionring.rings import FiniteGroupProvider, WordGroupProvider
+    from fusionring.rings import FiniteTableProvider, WordGroupProvider
     from fusionring.torsion import BUDGET_EXCEEDED, SATURATED, NSequenceReport, Subcategory
 
     def _n_sequence_words(provider, budget, exponent_bound):
@@ -461,7 +471,7 @@ def n_sequence_reference(provider, budget, exponent_bound: int = 64):
                 counterexample = f"{g.id}^{n}"
                 break
 
-        stage_labels = [u for u in window if provider.stage_one_contains(u)]
+        stage_labels = [u for u in window if stage_one_contains(provider, u)]
         stage_finite = connected or (len(provider.spec.factors) == 1 and not infinite_count)
         stage = Subcategory(
             kind="normal_forcing_closure",
@@ -516,7 +526,9 @@ def n_sequence_reference(provider, budget, exponent_bound: int = 64):
 
     if isinstance(provider, WordGroupProvider):
         return _n_sequence_words(provider, budget, exponent_bound)
-    if isinstance(provider, FiniteGroupProvider):
+    if isinstance(provider, FiniteTableProvider) and all(
+        u.dim == 1 for u in provider.enumerate(provider.num_irreducibles)
+    ):
         return _n_sequence_finite(provider, budget, exponent_bound)
     raise UnsupportedProvider(
         f"{provider.name}: torsion-closure sequence needs a cocommutative (group) ring"

@@ -28,7 +28,7 @@ NUMERIC = [
 PUBLIC = [
     "AuProvider", "AxiomReport", "AxiomViolation", "BadParameter", "Budget", "ChainProbeReport",
     "ComponentReport", "Decomposition", "DimensionIdealReport",
-    "DirectProductProvider", "FiniteGroupProvider", "FiniteTableProvider", "FreeProductProvider",
+    "DirectProductProvider", "FiniteTableProvider", "FreeProductProvider",
     "FusionError", "FusionProvider", "IllConditioned", "IntegerLattice", "InvalidRing", "IrrLabel",
     "NSequenceReport", "NormalityViolation", "NotAGroup", "NotFinite", "NotSaturated", "ParseError",
     "RESIDUAL_TOL", "RepMatrices", "SO3Provider", "SU2Provider", "SV_GAP", "Subcategory",
@@ -58,7 +58,7 @@ def run_fresh(code: str, *args: str) -> dict:
 
 
 def test_all_is_the_frozen_public_surface():
-    assert len(PUBLIC) == 84
+    assert len(PUBLIC) == 83
     assert fusionring.__all__ == PUBLIC
     for name in PUBLIC:
         getattr(fusionring, name)

@@ -16,6 +16,7 @@ from fusionring.rings import (
     FreeProductProvider,
     character_ring,
     dump_ring_json,
+    finite_group_ring,
 )
 
 
@@ -131,6 +132,35 @@ def test_parse_budget():
         parse_budget("max_irreducibles=0")
     with pytest.raises(ParseError):
         parse_budget("max_label_size=-2")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("max_depth=3",
+         "unknown budget key 'max_depth' (allowed: max_irreducibles, max_rounds, max_label_size)"),
+        ("max_rounds=three", "budget value for max_rounds must be an integer, got 'three'"),
+        ("max_rounds", "budget entries look like key=value, got 'max_rounds'"),
+        ("max_rounds=0", "bad budget: max_rounds must be positive"),
+        ("max_label_size=-2", "bad budget: max_label_size must be positive"),
+    ],
+)
+def test_budget_errors_keep_their_text(text, message):
+    with pytest.raises(ParseError) as exc:
+        parse_budget(text)
+    assert str(exc.value) == message
+
+
+def test_nsequence_on_a_group_table_read_from_json(tmp_path, capsys):
+    # A group ring is cocommutative whether it was built from its
+    # multiplication table or read back from the JSON one.
+    path = tmp_path / "z6.json"
+    names = [f"g{k}" for k in range(6)]
+    table = {(names[a], names[b]): names[(a + b) % 6] for a in range(6) for b in range(6)}
+    dump_ring_json(finite_group_ring(table, "group:Z6"), path)
+    assert main(["nsequence", "--ring", f"json:{path}"]) == 0
+    out = capsys.readouterr().out
+    assert "torsion degree: 1 (stabilized)" in out and "totally disconnected" in out
 
 
 def test_split_labels_respects_parens():

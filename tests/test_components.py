@@ -4,11 +4,7 @@ non-normality witnesses."""
 import pytest
 
 from fusionring import Budget
-from fusionring.components import (
-    ComponentReport,
-    identity_component_report,
-    restriction_hom_dim,
-)
+from fusionring.components import identity_component_report, restriction_hom_dim
 from fusionring.errors import UnsupportedProvider
 from fusionring.rings import (
     builtin_finite_rings,

@@ -1,8 +1,8 @@
 """Source hygiene that no installed linter checks.
 
-* Every module-level import in the package is used by the module that
-  makes it.  Package ``__init__`` modules are exempt (their imports are
-  re-exports), and so are ``from __future__`` imports.
+* Every module-level import in the package and in ``tests/`` is used by
+  the module that makes it.  Package ``__init__`` modules are exempt
+  (their imports are re-exports), and so are ``from __future__`` imports.
 * The analysis layers (``torsion.py``, ``components.py``) build
   ``ubar (x) v (x) u`` from cached decompositions: neither names
   ``multiply_virtual``.
@@ -57,6 +57,7 @@ from fusionring.core import FusionProvider
 PACKAGE = Path(__file__).resolve().parents[1] / "src" / "fusionring"
 SOURCES = sorted(PACKAGE.rglob("*.py"))
 MODULES = [p for p in SOURCES if p.name != "__init__.py"]
+TESTS = sorted(Path(__file__).resolve().parent.glob("*.py"))
 
 
 def unused_imports(source: str) -> list[str]:
@@ -81,7 +82,11 @@ def test_unused_import_is_detected():
     assert unused_imports("from __future__ import annotations\nimport os.path\nos.sep\n") == []
 
 
-@pytest.mark.parametrize("path", MODULES, ids=lambda p: str(p.relative_to(PACKAGE)))
+@pytest.mark.parametrize(
+    "path",
+    MODULES + TESTS,
+    ids=lambda p: f"tests/{p.name}" if p in TESTS else str(p.relative_to(PACKAGE)),
+)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
 
@@ -121,12 +126,12 @@ def backend_dispatch(source: str, analysis_layer: bool) -> list[str]:
 
 def test_backend_dispatch_is_detected():
     dispatching_torsion = (
-        "from .rings.tables import FiniteGroupProvider\n"
-        "if isinstance(provider, FiniteGroupProvider):\n    pass\n"
+        "from .rings.tables import FiniteTableProvider\n"
+        "if isinstance(provider, FiniteTableProvider):\n    pass\n"
     )
     assert backend_dispatch(dispatching_torsion, analysis_layer=True) == [
-        "line 1: FiniteGroupProvider from .rings.tables",
-        "line 2: isinstance against FiniteGroupProvider",
+        "line 1: FiniteTableProvider from .rings.tables",
+        "line 2: isinstance against FiniteTableProvider",
     ]
     dispatching_cli = (
         "from .rings.au import AuProvider, au_ring\n"

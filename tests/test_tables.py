@@ -8,14 +8,17 @@ from fusionring import (
     Budget,
     InvalidRing,
     NotAGroup,
+    UnsupportedProvider,
     builtin_finite_rings,
     character_ring,
     check_axioms,
     dump_ring_json,
     finite_group_ring,
     load_ring_json,
+    n_sequence_cocommutative,
+    torsion_subcategory,
 )
-from fusionring.rings.tables import S3_CHARACTER_TABLE
+from fusionring.rings.tables import S3_CHARACTER_TABLE, FiniteTableProvider
 
 import oracles
 
@@ -200,6 +203,73 @@ def test_load_dump_round_trip(tmp_path):
     dumped = dump_ring_json(ring, path)
     loaded = load_ring_json(path)
     assert dump_ring_json(loaded) == dumped
+
+
+# The characters of V4, named after the elements of ``group:V4`` that the
+# duality V4 -> V4^ sends them to, so that the two rings share their ids.
+V4_CHARACTER_TABLE = {
+    "name": "characters:V4",
+    "class_sizes": [1, 1, 1, 1],
+    "characters": {
+        "e": [1, 1, 1, 1], "x": [1, -1, 1, -1], "y": [1, 1, -1, -1], "xy": [1, -1, -1, 1]
+    },
+}
+
+
+def _group_answers(ring):
+    """Order oracle, torsion scan and n-sequence of ``ring``, with the
+    ring's name left out."""
+    budget = Budget(max_irreducibles=ring.num_irreducibles)
+    scan = torsion_subcategory(ring, budget).to_dict()
+    nseq = n_sequence_cocommutative(ring, budget).to_dict()
+    del scan["provider"], nseq["provider"]
+    return {g.id: ring.order_oracle(g) for g in ring.enumerate(ring.num_irreducibles)}, scan, nseq
+
+
+@pytest.mark.parametrize("name", ["group:Z2", "group:Z4", "group:V4", "group:S3"])
+def test_a_reloaded_group_table_answers_the_group_questions(tmp_path, name):
+    # A group ring written to JSON and read back is a group ring too.
+    built = next(r for r in builtin_finite_rings() if r.name == name)
+    path = tmp_path / "group.json"
+    dump_ring_json(built, path)
+    want = _group_answers(built)
+    assert _group_answers(load_ring_json(path)) == want
+    assert _group_answers(load_ring_json(dump_ring_json(built))) == want
+
+
+def test_the_character_ring_of_v4_answers_as_the_group_ring():
+    # Every irreducible of V4 has dim 1, so its character ring is a group
+    # ring, and the duality makes it the group ring of V4 itself.
+    built = next(r for r in builtin_finite_rings() if r.name == "group:V4")
+    answers = _group_answers(character_ring(V4_CHARACTER_TABLE))
+    assert answers == _group_answers(built)
+    assert answers[0] == {"e": 1, "x": 2, "y": 2, "xy": 2}
+
+
+def test_tables_with_a_larger_dim_have_no_group_answers():
+    ring = character_ring(S3_CHARACTER_TABLE)
+    std = ring.parse_label("std")
+    with pytest.raises(UnsupportedProvider, match="no order oracle"):
+        ring.order_oracle(ring.parse_label("sgn"))
+    with pytest.raises(UnsupportedProvider, match="needs a cocommutative"):
+        ring.torsion_quotient()
+    with pytest.raises(UnsupportedProvider, match="needs a cocommutative"):
+        ring.stage_one_exponent(std, 8)
+    with pytest.raises(UnsupportedProvider, match="needs a cocommutative"):
+        n_sequence_cocommutative(load_ring_json(dump_ring_json(ring)))
+
+
+def test_powers_that_never_reach_the_identity_are_an_invalid_ring():
+    # Dims all 1, but no group: a (x) a = b and b (x) a = b, so the powers
+    # of a stay at b.  The table is built directly, without the axiom check.
+    products = {("a", "a"): "b", ("a", "b"): "e", ("b", "a"): "b", ("b", "b"): "a"}
+    table = {
+        (u, v): {products.get((u, v), v if u == "e" else u): 1} for u in "eab" for v in "eab"
+    }
+    conj = {"e": "e", "a": "b", "b": "a"}
+    ring = FiniteTableProvider("loop", "e", dict.fromkeys("eab", 1), conj, table)
+    with pytest.raises(InvalidRing, match="powers never reach the identity"):
+        ring.order_oracle(ring.parse_label("a"))
 
 
 def test_load_rejects_axiom_violations(fixtures_dir):

@@ -1,4 +1,7 @@
+import hashlib
+import inspect
 import math
+import sys
 
 import pytest
 from hypothesis import given, strategies as st
@@ -10,7 +13,8 @@ from fusionring import (
     check_axioms,
     word_group,
 )
-from fusionring.rings.words import WordGroupSpec, parse_word_group_spec
+from fusionring.cli import parse_provider
+from fusionring.rings.words import WordGroupSpec, alternating_words, parse_word_group_spec
 
 import oracles
 
@@ -132,9 +136,9 @@ def test_kill_finite_factors_membership():
     in_n1 = ["a", "bab^-1", "b^-1ab", "abab^-1", "b^2ab^-2"]
     out_n1 = ["b", "ab", "b^-1", "ab^2"]
     for wid in in_n1:
-        assert g.stage_one_contains(g.parse_label(wid)), wid
+        assert g.stage_one_exponent(g.parse_label(wid), 1) == 1, wid
     for wid in out_n1:
-        assert not g.stage_one_contains(g.parse_label(wid)), wid
+        assert g.stage_one_exponent(g.parse_label(wid), 1) is None, wid
 
 
 def test_stage_one_matches_bruteforce_closure_ball():
@@ -147,7 +151,7 @@ def test_stage_one_matches_bruteforce_closure_ball():
         brute = oracles.bf_normal_closure_in_ball(orders, gens, 6)
         window = [l for l in g.enumerate(4096) if g.label_size(l) <= 6]
         assert len(window) >= len(brute)
-        engine = {l.id for l in window if g.stage_one_contains(l)}
+        engine = {l.id for l in window if g.stage_one_exponent(l, 1) == 1}
         brute_ids = {_render(w) for w in brute}
         assert engine == brute_ids, (factors, sorted(engine ^ brute_ids))
 
@@ -188,3 +192,73 @@ def test_order_oracle_matches_bruteforce_everywhere(data):
         assert got == math.inf, (lab.id, got)
     else:
         assert got == expected, (lab.id, got, expected)
+
+
+# ``enumerate(200)`` of every word group and free product that the tests
+# and the benchmark build, recorded while the two backends still had their
+# own enumerators: (label count, first 16 hex digits of the sha256 of the
+# ids joined by newlines).
+ENUMERATION_PINS = {
+    "word:Z": (200, "5bcf457e30e3e6df"),
+    "word:Z2": (2, "7395a38d22016389"),
+    "word:Z3": (3, "03790661be05c98b"),
+    "word:Z4": (4, "f6f8f3ded9643a43"),
+    "word:Z5": (5, "c9806a69353d8c40"),
+    "word:Z10000": (200, "21aadd170afc0221"),
+    "word:Z*Z": (200, "2605a83fc0c1abb2"),
+    "word:Z2*Z": (200, "77230321dc2497e7"),
+    "word:Z3*Z": (200, "48aeb2c308fda7d1"),
+    "word:Z2*Z2": (200, "fd3c8bf538ba2330"),
+    "word:Z2*Z3": (200, "8ad0274115acd31a"),
+    "free(so3,word:Z2)": (200, "ae3edcf7ca2ff8da"),
+    "free(word:Z2,word:Z3)": (200, "c889ac0244581651"),
+    "free(word:Z2,free(word:Z2,word:Z3))": (200, "a5d22c1ee3fec5cb"),
+    "free(suq2,au)": (200, "51e0bca96326052a"),
+    "free(suq2,so3)": (200, "9e08739409a0e559"),
+    "free(free(so3,word:Z2),au)": (200, "dd6eb45ab2fe7bdb"),
+}
+
+
+@pytest.mark.parametrize("spec", list(ENUMERATION_PINS))
+def test_enumeration_is_pinned_at_every_count(spec):
+    provider = parse_provider(spec)
+    ids = [lab.id for lab in provider.enumerate(200)]
+    digest = hashlib.sha256("\n".join(ids).encode()).hexdigest()[:16]
+    assert (len(ids), digest) == ENUMERATION_PINS[spec]
+    for count in range(201):
+        assert [lab.id for lab in provider.enumerate(count)] == ids[:count], count
+
+
+def _pairs_tested(provider, count: int) -> int:
+    """How often ``alternating_words`` tests a (stem, letter) pair, its
+    inner-loop step, while ``provider`` lists ``count`` labels."""
+    lines, first = inspect.getsourcelines(alternating_words)
+    target = first + next(i for i, line in enumerate(lines) if "if not stem or" in line)
+    steps = 0
+
+    def count_line(frame, event, arg):
+        nonlocal steps
+        steps += event == "line" and frame.f_lineno == target
+        return count_line
+
+    def enter(frame, event, arg):
+        return count_line if frame.f_code is alternating_words.__code__ else None
+
+    previous = sys.gettrace()
+    sys.settrace(enter)
+    try:
+        assert len(provider.enumerate(count)) == count
+    finally:
+        sys.settrace(previous)
+    return steps
+
+
+@pytest.mark.parametrize("spec", ["word:Z", "word:Z10000"])
+def test_one_factor_enumeration_tests_one_pair_per_label(spec):
+    # Only the empty word takes a letter of the one factor, so every pair
+    # tested is a label listed: linear, where scanning every lighter layer
+    # for stems would test about count**2 / 4 pairs.
+    for count in (500, 2000):
+        assert _pairs_tested(parse_provider(spec), count) <= count
+    # With two factors every word is a stem, and the count sees those scans.
+    assert _pairs_tested(parse_provider("word:Z*Z"), 500) > 500
