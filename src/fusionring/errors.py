@@ -24,10 +24,6 @@ class UnknownLabel(FusionError):
     """A label id does not name an irreducible of the ring at hand."""
 
 
-class NotAGroup(FusionError):
-    """A multiplication table fails a group axiom (carries which one)."""
-
-
 class NotFinite(FusionError):
     """Operation requires a ring with finitely many irreducibles."""
 
@@ -65,3 +61,7 @@ class InvalidRing(FusionError):
     def __init__(self, message: str, violations: list | None = None):
         super().__init__(message)
         self.violations = list(violations or [])
+
+
+class NotAGroup(InvalidRing):
+    """A group table fails a group axiom, named in the message: an invalid ring."""

@@ -31,6 +31,13 @@ __all__ = [
 class FiniteTableProvider(FusionProvider):
     """Fusion ring with an explicit, finite multiplication table.
 
+    The constructor is the one validator of a table (InvalidRing): ints,
+    not bools, for dims (at least 1) and multiplicities (at least 0),
+    known pairs and ids, an involutive conjugation.  A group table (dims
+    1, each product one irreducible once) must pass Light's test or raise
+    NotAGroup naming a failing triple (a, b, c): the b with (ab)c = a(bc)
+    for all a, c are closed under products, so b need only run over generators.
+
     A label's key is its id: every irreducible is interned through
     ``_label`` when the table is built, ``conj`` and ``_decompose`` read
     maps keyed by ``key_of(u)``, and ``parse_label`` knows exactly the
@@ -53,17 +60,9 @@ class FiniteTableProvider(FusionProvider):
             raise InvalidRing("empty irreducible id")
         if unit_id not in dims:
             raise InvalidRing(f"unit {unit_id!r} not among irreducibles")
-        self._dims = dims
-        labels = list(map(self._label, dims))
-        unit = self._label(unit_id)
-        for i, j in conj.items():
-            if i not in dims or j not in dims:
-                raise InvalidRing(f"conjugation mentions unknown id {i!r} or {j!r}")
-            if conj.get(j) != i:
-                raise InvalidRing(f"conjugation not an involution at {i!r}")
-        if set(conj) != set(dims):
-            raise InvalidRing("conjugation map must cover every irreducible")
-        self._conj = {i: self._label(j) for i, j in conj.items()}
+        for i, d in dims.items():
+            if type(d) is not int or d < 1:
+                raise InvalidRing(f"irreducible {i!r} has dim {d!r}, not an integer of at least 1")
         pairs = {(a, b) for a in dims for b in dims}
         extra = set(table) - pairs
         if extra:
@@ -75,14 +74,35 @@ class FiniteTableProvider(FusionProvider):
             for w, m in counts.items():
                 if w not in dims:
                     raise InvalidRing(f"product {key} mentions unknown id {w!r}")
-                if not isinstance(m, int) or m < 0:
+                if type(m) is not int or m < 0:
                     raise InvalidRing(f"product {key} has bad multiplicity {m!r} for {w!r}")
+        # Light's test first: a non-associative table's inverses need not form an involution.
+        self._group = all(d == 1 for d in dims.values()) and all(sum(c.values()) == 1 for c in table.values())
+        if self._group:
+            product = {key: next(w for w, m in counts.items() if m) for key, counts in table.items()}
+            ids = sorted(dims)
+            gens = _generators(product, ids)
+            for a in ids:
+                for b in gens:
+                    ab = product[a, b]
+                    for c in ids:
+                        if product[ab, c] != product[a, product[b, c]]:
+                            raise NotAGroup(f"associativity fails at ({a!r}, {b!r}, {c!r})")
+        for i, j in conj.items():
+            if i not in dims or j not in dims:
+                raise InvalidRing(f"conjugation mentions unknown id {i!r} or {j!r}")
+            if conj.get(j) != i:
+                raise InvalidRing(f"conjugation not an involution at {i!r}")
+        if set(conj) != set(dims):
+            raise InvalidRing("conjugation map must cover every irreducible")
+        self._dims = dims
+        unit = self._label(unit_id)
+        self._conj = {i: self._label(j) for i, j in conj.items()}
         self._table = {
             key: Decomposition({self._label(w): m for w, m in counts.items()})
             for key, counts in table.items()
         }
-        self._order = [unit, *canonical_sort(l for l in labels if l != unit)]
-        self._group = all(d == 1 for d in dims.values())
+        self._order = [unit, *canonical_sort(l for l in map(self._label, dims) if l != unit)]
 
     def _spell(self, i: str) -> tuple[str, int]:
         return i, self._dims[i]
@@ -108,11 +128,10 @@ class FiniteTableProvider(FusionProvider):
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
         return self._label(text)
 
-    # A table whose irreducibles all have dim 1 is a group ring, whoever
-    # built it.  Every element of a finite group has finite order, so stage
-    # one of the torsion-closure sequence is the whole group and the
-    # quotient is trivial.  Other tables raise the base class's
-    # UnsupportedProvider.
+    # A group table is associative (Light's test), so with inverses a group
+    # ring, whoever built it.  A finite group's elements have finite order:
+    # stage one of the torsion-closure sequence is the whole group and the
+    # quotient is trivial.  Other tables raise UnsupportedProvider.
 
     def order_oracle(self, u: IrrLabel) -> int:
         if not self._group:
@@ -142,12 +161,8 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
     """Group ring from a multiplication table ``(g, h) -> g*h``.
 
     Raises NotAGroup naming the first failed axiom: the table must be a
-    total operation on one element set, with identity, inverses, and
-    associativity.  Associativity is decided by Light's test: the
-    elements b with (ab)c = a(bc) for all a and c are closed under the
-    product, so it is enough to check b over a generating set, picked
-    greedily in sorted order.  A failure names a triple whose middle
-    element is one of those generators.
+    total operation on one element set, with identity and inverses, and
+    ``FiniteTableProvider`` then proves it associative by Light's test.
     """
     elems = sorted({g for g, _ in table} | {h for _, h in table})
     if not elems:
@@ -173,13 +188,6 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
         if gi is None:
             raise NotAGroup(f"{g!r} has no inverse")
         inv[g] = gi
-    gens = _generators(table, elems)
-    for a in elems:
-        for b in gens:
-            ab = table[(a, b)]
-            for c in elems:
-                if table[(ab, c)] != table[(a, table[(b, c)])]:
-                    raise NotAGroup(f"associativity fails at ({a!r}, {b!r}, {c!r})")
     dims = {g: 1 for g in elems}
     fusion = {(g, h): {table[(g, h)]: 1} for g in elems for h in elems}
     return FiniteTableProvider(name, unit, dims, inv, fusion)
@@ -271,8 +279,6 @@ def character_ring(source: str | Path | dict) -> FiniteTableProvider:
     if unit is None:
         raise InvalidRing("no trivial character")
     dims = {i: chars[i][0] for i in ids}
-    if any(d < 1 for d in dims.values()):
-        raise InvalidRing("character degree below 1")
     # Integer-valued characters are self-conjugate.
     conj = {i: i for i in ids}
     fusion = {}
@@ -321,10 +327,6 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
             i, d, c = str(entry["id"]), entry["dim"], str(entry["conj"])
         except (KeyError, TypeError) as exc:
             raise InvalidRing(f"malformed irreducible entry {entry!r}: {exc}") from None
-        if type(d) is not int:
-            raise InvalidRing(f"malformed irreducible entry {entry!r}: dim must be a JSON integer")
-        if d < 1:
-            raise InvalidRing(f"irreducible {i!r} has dim {d} < 1")
         if i in dims:
             raise InvalidRing(f"duplicate irreducible id {i!r}")
         dims[i], conj[i] = d, c
@@ -335,8 +337,6 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
             result = {str(w): m for w, m in row["result"].items()}
         except (KeyError, TypeError, AttributeError) as exc:
             raise InvalidRing(f"malformed fusion row {row!r}: {exc}") from None
-        if any(type(m) is not int for m in result.values()):
-            raise InvalidRing(f"malformed fusion row {row!r}: multiplicities must be JSON integers")
         if key in table:
             raise InvalidRing(f"pair {key} listed twice")
         table[key] = result

@@ -1,3 +1,4 @@
+import json
 import math
 
 import pytest
@@ -183,6 +184,34 @@ def test_parse_refuses_ids_that_spell_another_word():
     assert fp.parse_label("v1").id == "v1"
     with pytest.raises(UnknownLabel):
         fp.parse_label("0:v1")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("v0", "unit letter 'v0' cannot appear"),
+        ("v1.e", "unit letter 'e' cannot appear"),
+        ("v1.v2", "word 'v1.v2' does not alternate factors"),
+        ("a.v1.a.a", "word 'a.v1.a.a' does not alternate factors"),
+    ],
+)
+def test_parse_refuses_unit_letters_and_words_that_do_not_alternate(text, message):
+    with pytest.raises(UnknownLabel, match=f"^free\\(so3,word:Z2\\): {message}$"):
+        _fp().parse_label(text)
+
+
+def test_a_free_product_with_a_one_label_factor_is_the_other_factor(tmp_path):
+    path = tmp_path / "trivial.json"
+    path.write_text(json.dumps({
+        "unit": "e",
+        "irreducibles": [{"id": "e", "dim": 1, "conj": "e"}],
+        "fusion": [{"left": "e", "right": "e", "result": {"e": 1}}],
+    }))
+    for spec in (f"free(json:[{path}],word:Z2)", f"free(word:Z2,json:[{path}])"):
+        ring = parse_provider(spec)
+        assert ring.num_irreducibles == 2
+        assert [lab.id for lab in ring.enumerate(10)] == ["e", "a"]
+    assert parse_provider(f"free(json:[{path}],word:Z2*Z)").num_irreducibles == math.inf
 
 
 def test_order_oracle_unsupported_on_free_products():

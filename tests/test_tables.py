@@ -1,5 +1,8 @@
 import ast
+import itertools
 import json
+import math
+import re
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -17,7 +20,9 @@ from fusionring import (
     load_ring_json,
     n_sequence_cocommutative,
     torsion_subcategory,
+    word_group,
 )
+from fusionring.cli import main
 from fusionring.rings.tables import S3_CHARACTER_TABLE, FiniteTableProvider
 
 import oracles
@@ -122,6 +127,106 @@ def test_light_test_agrees_with_brute_force(table):
     assert ast.literal_eval(str(err.value).split(" at ", 1)[1]) in failing
 
 
+@settings(max_examples=300, deadline=None)
+@given(_tables_with_identity_and_inverses())
+def test_the_constructor_runs_light_test_on_every_group_table(table):
+    # The same tables given straight to FiniteTableProvider, with the unit
+    # and each element's first two-sided inverse as its conjugate, which in
+    # a table that is not associative need not be an involution.
+    elems = sorted({g for g, _ in table})
+    unit = next(e for e in elems if all(table[e, g] == g == table[g, e] for g in elems))
+    conj = {g: next(h for h in elems if table[g, h] == unit == table[h, g]) for g in elems}
+    args = ("table", unit, dict.fromkeys(elems, 1), conj, {key: {w: 1} for key, w in table.items()})
+    failing = _failing_triples(table)
+    if not failing:
+        assert FiniteTableProvider(*args).num_irreducibles == len(elems)
+        return
+    with pytest.raises(NotAGroup, match="associativity fails at") as err:
+        FiniteTableProvider(*args)
+    assert ast.literal_eval(str(err.value).split(" at ", 1)[1]) in failing
+
+
+def _z2_table():
+    """The arguments after the name and unit of FiniteTableProvider for
+    the group ring of Z2 on e and a: dims, conjugation and table."""
+    table = {("e", "e"): {"e": 1}, ("e", "a"): {"a": 1}, ("a", "e"): {"a": 1}, ("a", "a"): {"e": 1}}
+    return {"e": 1, "a": 1}, {"e": "e", "a": "a"}, table
+
+
+@pytest.mark.parametrize(
+    "which, key, value, message",
+    [
+        *((0, "a", d, f"irreducible 'a' has dim {d!r}, not an integer of at least 1")
+          for d in (0, -1, True, 1.5, "1")),
+        (1, "a", "x", "conjugation mentions unknown id 'a' or 'x'"),
+        (1, "e", "a", "conjugation not an involution at 'e'"),
+        (1, "a", None, "conjugation map must cover every irreducible"),
+        (2, ("a", "x"), {"a": 1}, "table mentions unknown pair ('a', 'x')"),
+        (2, ("a", "a"), None, "table is missing pair ('a', 'a')"),
+        (2, ("a", "a"), {"x": 1}, "product ('a', 'a') mentions unknown id 'x'"),
+        (2, ("a", "a"), {"e": -1}, "product ('a', 'a') has bad multiplicity -1 for 'e'"),
+        (2, ("a", "a"), {"e": True}, "product ('a', 'a') has bad multiplicity True for 'e'"),
+    ],
+    ids=["dim-0", "dim-negative", "dim-true", "dim-float", "dim-string", "conj-unknown-id",
+         "conj-not-involution", "conj-not-covering", "unknown-pair", "missing-pair",
+         "unknown-product-id", "negative-multiplicity", "true-multiplicity"],
+)
+def test_the_constructor_refuses_a_bad_table(which, key, value, message):
+    # ``value`` replaces the entry ``key`` of argument ``which``; None drops it.
+    args = list(_z2_table())
+    args[which] = {**args[which], key: value}
+    if value is None:
+        del args[which][key]
+    with pytest.raises(InvalidRing, match=f"^{re.escape(message)}$"):
+        FiniteTableProvider("z2", "e", *args)
+
+
+def test_a_table_without_a_two_sided_identity_is_not_a_group():
+    # x * y = x: every element is a right identity, none a left one.
+    with pytest.raises(NotAGroup, match="^no two-sided identity$"):
+        finite_group_ring({(x, y): x for x in "ab" for y in "ab"})
+
+
+def _steiner_loop() -> dict[tuple[str, str], str]:
+    """A Steiner loop on g0..g255 that is not a group: (Z2)^8 under xor,
+    whose blocks {x, y, x xor y} form a Steiner triple system, with the
+    Pasch trade on the four blocks through 35, 69, 137 and their pairwise
+    sums 102, 170, 204.  The trade keeps a Steiner triple system, so the
+    table keeps its identity g0 and every element its own inverse."""
+    a, b, c = 35, 69, 137
+    product = {(x, y): x ^ y for x in range(256) for y in range(256)}
+    for block in ((a, b, c), (a, a ^ b, a ^ c), (b, a ^ b, b ^ c), (c, a ^ c, b ^ c)):
+        for x, y, z in itertools.permutations(block):
+            product[x, y] = z
+    return {(f"g{x}", f"g{y}"): f"g{z}" for (x, y), z in product.items()}
+
+
+def _table_json(table, unit):
+    """The JSON document of a group table, each element its own conjugate."""
+    elems = sorted({g for g, _ in table})
+    return {
+        "unit": unit,
+        "irreducibles": [{"id": g, "dim": 1, "conj": g} for g in elems],
+        "fusion": [{"left": g, "right": h, "result": {w: 1}} for (g, h), w in table.items()],
+    }
+
+
+def test_the_steiner_loop_is_not_a_group_ring(tmp_path, capsys):
+    table = _steiner_loop()
+    assert table[("g35", "g69")] == "g137" and table[("g35", "g35")] == "g0"
+    with pytest.raises(NotAGroup, match="associativity fails at") as err:
+        load_ring_json(_table_json(table, "g0"))
+    x, y, z = ast.literal_eval(str(err.value).split(" at ", 1)[1])
+    assert table[table[x, y], z] != table[x, table[y, z]]
+    path = tmp_path / "steiner.json"
+    path.write_text(json.dumps(_table_json(table, "g0")))
+    assert main(["nsequence", "--ring", f"json:{path}"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("invalid ring: ") and "associativity fails at" in captured.err
+    assert captured.err.count("\n") == 1
+
+
 def test_character_ring_matches_element_sum_oracle(fixtures_dir):
     ring = character_ring(fixtures_dir / "s3_characters.json")
     names = ["triv", "sgn", "std"]
@@ -176,6 +281,32 @@ def test_character_ring_refuses_class_sizes_below_one():
     for sizes in ([1, -1], [1, 0]):
         with pytest.raises(InvalidRing, match="below 1"):
             character_ring({"class_sizes": sizes, "characters": chars})
+
+
+@pytest.mark.parametrize(
+    "table, message",
+    [
+        ({"class_sizes": [], "characters": {}}, "first class must be the identity class of size 1"),
+        ({"class_sizes": [2, 1], "characters": {"triv": [1, 1], "sgn": [1, -1]}},
+         "first class must be the identity class of size 1"),
+        ({"class_sizes": [1, 1], "characters": {"triv": [1, 1]}}, "character count must match class count"),
+        ({"class_sizes": [1, 1], "characters": {"triv": [1, 1], "sgn": [1]}},
+         "character count must match class count"),
+        ({"class_sizes": [1, 1], "characters": {"x": [1, -1], "y": [-1, -1]}}, "no trivial character"),
+        # The characters of V4 with the last negated: x (x) y = -z.
+        ({"class_sizes": [1, 1, 1, 1],
+          "characters": {"t": [1, 1, 1, 1], "x": [1, -1, 1, -1], "y": [1, 1, -1, -1], "z": [-1, 1, 1, -1]}},
+         "'x' (x) 'y' has coefficient -1 at 'z'"),
+        # The sign character negated: orthonormal and closed, but of degree -1.
+        ({"class_sizes": [1, 1], "characters": {"triv": [1, 1], "sgn": [-1, 1]}},
+         "irreducible 'sgn' has dim -1, not an integer of at least 1"),
+    ],
+    ids=["no-classes", "identity-class", "too-few-characters", "short-character", "no-trivial",
+         "negative-coefficient", "negative-degree"],
+)
+def test_character_ring_refuses_a_bad_table(table, message):
+    with pytest.raises(InvalidRing, match=f"^{re.escape(message)}$"):
+        character_ring(table)
 
 
 def test_character_ring_refuses_characters_that_are_not_a_mapping():
@@ -261,13 +392,20 @@ def test_tables_with_a_larger_dim_have_no_group_answers():
 
 def test_powers_that_never_reach_the_identity_are_an_invalid_ring():
     # Dims all 1, but no group: a (x) a = b and b (x) a = b, so the powers
-    # of a stay at b.  The table is built directly, without the axiom check.
+    # of a stay at b.  Built directly, without the axiom check, the table
+    # is still refused, by Light's test.
     products = {("a", "a"): "b", ("a", "b"): "e", ("b", "a"): "b", ("b", "b"): "a"}
-    table = {
-        (u, v): {products.get((u, v), v if u == "e" else u): 1} for u in "eab" for v in "eab"
-    }
+    table = {(u, v): products.get((u, v), v if u == "e" else u) for u in "eab" for v in "eab"}
     conj = {"e": "e", "a": "b", "b": "a"}
-    ring = FiniteTableProvider("loop", "e", dict.fromkeys("eab", 1), conj, table)
+    fusion = {key: {w: 1} for key, w in table.items()}
+    with pytest.raises(NotAGroup, match="associativity fails at") as err:
+        FiniteTableProvider("loop", "e", dict.fromkeys("eab", 1), conj, fusion)
+    assert ast.literal_eval(str(err.value).split(" at ", 1)[1]) in _failing_triples(table)
+    # {e, a} with a (x) a = a is associative, so it is built, but a has no
+    # inverse and its powers stay at a.
+    table = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}
+    fusion = {key: {w: 1} for key, w in table.items()}
+    ring = FiniteTableProvider("monoid", "e", dict.fromkeys("ea", 1), {"e": "e", "a": "a"}, fusion)
     with pytest.raises(InvalidRing, match="powers never reach the identity"):
         ring.order_oracle(ring.parse_label("a"))
 
@@ -291,6 +429,40 @@ def test_load_rejects_duplicate_pairs(tmp_path):
     path.write_text(json.dumps(data))
     with pytest.raises(InvalidRing):
         load_ring_json(path)
+
+
+_ONE = {"id": "e", "dim": 1, "conj": "e"}
+_ONE_ROW = {"left": "e", "right": "e", "result": {"e": 1}}
+
+
+@pytest.mark.parametrize(
+    "data, message",
+    [
+        ({"irreducibles": [_ONE], "fusion": [_ONE_ROW]}, "malformed ring file: missing 'unit'"),
+        ({"unit": "e", "fusion": [_ONE_ROW]}, "malformed ring file: missing 'irreducibles'"),
+        ({"unit": "e", "irreducibles": [_ONE]}, "malformed ring file: missing 'fusion'"),
+        ({"unit": "e", "irreducibles": [_ONE], "fusion": {}},
+         "malformed ring file: 'irreducibles' and 'fusion' must be lists"),
+        ({"unit": "e", "irreducibles": [{"id": "e", "dim": 1}], "fusion": [_ONE_ROW]},
+         "malformed irreducible entry {'id': 'e', 'dim': 1}: 'conj'"),
+        ({"unit": "e", "irreducibles": ["e"], "fusion": [_ONE_ROW]}, "malformed irreducible entry 'e': "),
+        ({"unit": "e", "irreducibles": [_ONE], "fusion": [{"left": "e", "right": "e"}]},
+         "malformed fusion row {'left': 'e', 'right': 'e'}: 'result'"),
+        ({"unit": "e", "irreducibles": [_ONE], "fusion": [{"left": "e", "right": "e", "result": [1]}]},
+         "malformed fusion row {'left': 'e', 'right': 'e', 'result': [1]}: "),
+        ({"unit": "e", "irreducibles": [_ONE, _ONE], "fusion": [_ONE_ROW]}, "duplicate irreducible id 'e'"),
+    ],
+    ids=["no-unit", "no-irreducibles", "no-fusion", "not-lists", "entry-without-conj", "entry-not-object",
+         "row-without-result", "result-not-object", "duplicate-id"],
+)
+def test_load_refuses_a_malformed_document(data, message):
+    with pytest.raises(InvalidRing, match=f"^{re.escape(message)}"):
+        load_ring_json(data)
+
+
+def test_only_finite_rings_can_be_dumped():
+    with pytest.raises(InvalidRing, match="^only finite rings can be dumped$"):
+        dump_ring_json(word_group([math.inf]))
 
 
 def test_builtin_finite_rings_all_valid():

@@ -1,6 +1,7 @@
 import hashlib
 import inspect
 import math
+import re
 import sys
 
 import pytest
@@ -47,6 +48,22 @@ def test_ids_and_parse_round_trip():
         g.parse_label("a^3")  # reduces away, not a stored id
     with pytest.raises(UnknownLabel):
         g.parse_label("c")
+
+
+def test_parse_refuses_words_that_are_not_reduced():
+    g = word_group([2, 2])
+    for text in ("aa", "abb", "ba^1a"):
+        with pytest.raises(UnknownLabel, match=f"^word:Z2\\*Z2: word '{re.escape(text)}' is not reduced$"):
+            g.parse_label(text)
+
+
+def test_at_most_26_factors():
+    with pytest.raises(ValueError, match="^at most 26 factors"):
+        WordGroupSpec((2,) * 27)
+    assert len(WordGroupSpec((2,) * 26).factors) == 26
+    with pytest.raises(ParseError, match="^at most 26 factors") as err:
+        parse_word_group_spec("*".join(["Z2"] * 27))
+    assert err.value.position == 0
 
 
 def test_group_products_reduce():
