@@ -270,11 +270,13 @@ class FusionProvider(ABC):
     makes one label per key and instance through ``_label`` (which asks
     the backend's ``_spell`` for the id and dim of a new key and records
     the key in the instance's ``_keys``), and its methods read
-    ``key_of(u)`` instead of parsing ``u.id``.  ``parse_label`` is the
-    only parser: it turns text into the label spelled exactly that way,
-    and ``key_of`` sends every label equal to none the instance made
-    (another instance's, or one built by hand) through it, accepting the
-    result only when it is the whole label ``u`` again.
+    ``key_of(u)`` instead of parsing ``u.id``.  ``parse_label``, written
+    here once, is the only parser: the backend's ``_read`` turns text,
+    maybe another spelling, into one of the backend's own keys, and the
+    label is returned only when it is spelled exactly as the text.
+    ``key_of`` sends every label equal to none the instance made (another
+    instance's, or one built by hand) through it, accepting the result
+    only when it is the whole label ``u`` again.
     """
 
     name: str = "ring"
@@ -295,6 +297,10 @@ class FusionProvider(ABC):
 
     def _spell(self, key) -> tuple[str, int]:
         """Id and dim of the label for ``key``; keyed backends implement it."""
+        raise NotImplementedError
+
+    def _read(self, text: str):
+        """The key ``text`` names, or UnknownLabel; keyed backends implement it."""
         raise NotImplementedError
 
     def key_of(self, u: IrrLabel):
@@ -382,9 +388,12 @@ class FusionProvider(ABC):
         self.key_of(u)
         return 1
 
-    @abstractmethod
     def parse_label(self, text: str) -> IrrLabel:
-        """The label whose id is ``text``; raises UnknownLabel."""
+        """The label whose id is exactly ``text``; raises UnknownLabel."""
+        lab = self._label(self._read(text))
+        if lab.id != text:
+            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r} (it parses as {lab.id!r})")
+        return lab
 
     # -- derived ring arithmetic ------------------------------------------
 

@@ -12,8 +12,8 @@ Conjugation reverses the word and swaps the letters.  Dimensions depend
 on the generator dimension ``d`` through a second-order recursion along
 the word: a repeated letter multiplies by ``d``, an alternation
 multiplies by ``d`` and subtracts the dimension two steps back.  For
-``d = 2`` the alternating words give 1, 2, 3, 4, ...  Ids are parsed
-only by ``parse_label``.
+``d = 2`` the alternating words give 1, 2, 3, 4, ...  Ids are read
+back into words only by ``_read``.
 
 The words of a product fall strictly in dimension along the chain above
 (each drops the junction pair ``a b`` of the one before), so the chain
@@ -105,11 +105,11 @@ class AuProvider(FusionProvider):
         word = self.key_of(u)
         return 1 + sum(a != b for a, b in zip(word, word[1:]))
 
-    def parse_label(self, text: str) -> IrrLabel:
+    def _read(self, text: str) -> str:
         word = "" if text == "e" else text
         if not _WORD_RE.fullmatch(word):
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
-        return self._label(word)
+        return word
 
     def chain_generators(self, d: int) -> list[IrrLabel]:
         """The balanced family U^r u^r for 1 <= r <= d."""

@@ -14,7 +14,7 @@ one-letter label, without building or interning a word per constituent.
 Direct-product irreducibles are pairs, with componentwise structure.
 
 A label's key is its word of ``(factor index, factor label)`` letters or
-its pair of factor labels; ids are parsed only by ``parse_label``.
+its pair of factor labels; ids are read back into keys only by ``_read``.
 
 A free-product id joins its letters with ``.``.  A letter is its factor
 label's id, prefixed ``0:`` or ``1:`` when both factors know that id, and
@@ -53,8 +53,8 @@ class FreeProductProvider(FusionProvider):
     inside length-one words, and longer words enter only through
     decompositions.  ``label_size`` sums the letters' own sizes.
 
-    ``parse_label`` refuses every id that does not read back as itself,
-    such as a prefix or brackets where the spelling has none.
+    ``_read`` takes a prefix or brackets where the spelling has none;
+    ``parse_label`` refuses such text, as it does every other spelling.
     """
 
     def __init__(self, left: FusionProvider, right: FusionProvider):
@@ -80,7 +80,7 @@ class FreeProductProvider(FusionProvider):
         # Both factors know this id; keep the rendering unambiguous.
         return f"{k}:{text}", dim
 
-    def _parse_word(self, text: str) -> FWord:
+    def _read(self, text: str) -> FWord:
         if text == "e":
             return ()
         word: list[FLetter] = []
@@ -180,12 +180,6 @@ class FreeProductProvider(FusionProvider):
         word = self.key_of(u)
         return sum(max(1, self.factors[k].label_size(lab)) for k, lab in word)
 
-    def parse_label(self, text: str) -> IrrLabel:
-        lab = self._label(self._parse_word(text))
-        if lab.id != text:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r} (it parses as {lab.id!r})")
-        return lab
-
     # -- restriction to one factor ----------------------------------------
 
     def free_factors(self) -> tuple[FusionProvider, FusionProvider]:
@@ -226,7 +220,7 @@ class DirectProductProvider(FusionProvider):
         a, b = pair
         return f"({a.id},{b.id})", a.dim * b.dim
 
-    def _parse_pair(self, text: str) -> tuple[IrrLabel, IrrLabel]:
+    def _read(self, text: str) -> tuple[IrrLabel, IrrLabel]:
         # The first comma outside brackets ends the left id; the right id
         # keeps any later ones.
         enclosed = text.startswith("(") and text.endswith(")")
@@ -272,9 +266,6 @@ class DirectProductProvider(FusionProvider):
     def label_size(self, u: IrrLabel) -> int:
         a, b = self.key_of(u)
         return self.factors[0].label_size(a) + self.factors[1].label_size(b)
-
-    def parse_label(self, text: str) -> IrrLabel:
-        return self._label(self._parse_pair(text))
 
     def order_oracle(self, u: IrrLabel) -> int | float:
         a, b = self.key_of(u)

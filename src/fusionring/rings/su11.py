@@ -11,7 +11,7 @@ are odd and ``eps*delta`` otherwise, constant across the ladder.
 
 Conjugation fixes even levels and flips the sign on odd ones.  Each sign
 keeps its own level list, read and grown only through ``su2.ladder``.  Ids
-are parsed only by ``parse_label``.
+are read back into keys only by ``_read``.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from .su2 import ladder
 __all__ = ["UqSU11Provider", "uq_su11_ring"]
 
 
-_ID_RE = re.compile(r"u([+-])(0|[1-9]\d*)")
+_ID_RE = re.compile(r"u([+-])(\d+)")
 
 
 class UqSU11Provider(FusionProvider):
@@ -68,11 +68,11 @@ class UqSU11Provider(FusionProvider):
     def label_size(self, u: IrrLabel) -> int:
         return self.key_of(u)[1]
 
-    def parse_label(self, text: str) -> IrrLabel:
+    def _read(self, text: str) -> tuple[int, int]:
         match = _ID_RE.fullmatch(text)
         if match is None:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
-        return self._label((1 if match.group(1) == "+" else -1, int(match.group(2))))
+        return 1 if match.group(1) == "+" else -1, int(match.group(2))
 
 
 def uq_su11_ring() -> UqSU11Provider:

@@ -6,8 +6,8 @@ dimension ``n + 1`` per level, with the familiar truncation-free product
 ladder; the even part relabels the even levels as ``v<k>`` of dimension
 ``2k + 1`` and its ladder runs over every intermediate level.  The two
 differ only in ``_spell``, the id pattern and the ladder's step, so
-``SO3Provider`` subclasses ``SU2Provider``.  Ids are parsed only by
-``parse_label``.
+``SO3Provider`` subclasses ``SU2Provider``.  Ids are read back into
+levels only by ``_read``.
 
 ``ladder`` is the one way a ladder ring (these two and ``uqsu11``) reads
 and grows its level list; see its docstring.
@@ -48,7 +48,7 @@ class SU2Provider(FusionProvider):
     """One irreducible per level n >= 0; u_m (x) u_n runs |m-n| .. m+n by 2."""
 
     name = "suq2"
-    _id_re = re.compile(r"u(0|[1-9]\d*)")
+    _id_re = re.compile(r"u(\d+)")
 
     def __init__(self):
         super().__init__()
@@ -75,18 +75,18 @@ class SU2Provider(FusionProvider):
     def label_size(self, u: IrrLabel) -> int:
         return self.key_of(u)
 
-    def parse_label(self, text: str) -> IrrLabel:
+    def _read(self, text: str) -> int:
         match = self._id_re.fullmatch(text)
         if not match:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
-        return self._label(int(match.group(1)))
+        return int(match.group(1))
 
 
 class SO3Provider(SU2Provider):
     """Even-level part of the ladder ring, relabeled; v_j (x) v_k runs |j-k| .. j+k."""
 
     name = "so3"
-    _id_re = re.compile(r"v(0|[1-9]\d*)")
+    _id_re = re.compile(r"v(\d+)")
 
     def _spell(self, k: int) -> tuple[str, int]:
         return f"v{k}", 2 * k + 1

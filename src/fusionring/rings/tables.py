@@ -40,8 +40,8 @@ class FiniteTableProvider(FusionProvider):
 
     A label's key is its id: every irreducible is interned through
     ``_label`` when the table is built, ``conj`` and ``_decompose`` read
-    maps keyed by ``key_of(u)``, and ``parse_label`` knows exactly the
-    table's ids.
+    maps keyed by ``key_of(u)``, and ``_read`` knows exactly the table's
+    ids.
 
     ``enumerate`` lists the unit first, then the rest in (dim, id) order.
     """
@@ -117,16 +117,16 @@ class FiniteTableProvider(FusionProvider):
         return self._table[self.key_of(u), self.key_of(v)]
 
     def enumerate(self, count: int) -> list[IrrLabel]:
-        return self._order[:count]
+        return self._order[:max(count, 0)]
 
     @property
     def num_irreducibles(self) -> int:
         return len(self._order)
 
-    def parse_label(self, text: str) -> IrrLabel:
+    def _read(self, text: str) -> str:
         if text not in self._dims:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
-        return self._label(text)
+        return text
 
     # A group table is associative (Light's test), so with inverses a group
     # ring, whoever built it.  A finite group's elements have finite order:
@@ -302,10 +302,10 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
     Format: ``{"unit": id, "irreducibles": [{"id", "dim", "conj"}...],
     "fusion": [{"left", "right", "result": {id: mult}}...]}`` with every
     ordered pair present exactly once; dims and multiplicities must be
-    JSON integers (``1.9``, ``"1"`` and ``true`` are refused, not
-    coerced).  A file that cannot be read or
-    does not hold a JSON object, structural problems and axiom violations
-    all raise InvalidRing; the violations ride on the error.
+    JSON integers and ids JSON strings, never coerced (``"1"`` and
+    ``true`` are no dim, ``0`` and ``null`` no id).  An unreadable file
+    or one without a JSON object, structural problems and axiom
+    violations all raise InvalidRing; the violations ride on the error.
     """
     if isinstance(source, (str, Path)):
         data = _read_json_object(source)
@@ -314,17 +314,19 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
         data = source
         name = data.get("name", "json-ring")
     try:
-        unit = str(data["unit"])
+        unit = _string(data, "unit")
         irr = data["irreducibles"]
         rows = data["fusion"]
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:
         raise InvalidRing(f"malformed ring file: missing {exc}") from None
+    except TypeError as exc:
+        raise InvalidRing(f"malformed ring file: {exc}") from None
     if not isinstance(irr, list) or not isinstance(rows, list):
         raise InvalidRing("malformed ring file: 'irreducibles' and 'fusion' must be lists")
     dims, conj = {}, {}
     for entry in irr:
         try:
-            i, d, c = str(entry["id"]), entry["dim"], str(entry["conj"])
+            i, d, c = _string(entry, "id"), entry["dim"], _string(entry, "conj")
         except (KeyError, TypeError) as exc:
             raise InvalidRing(f"malformed irreducible entry {entry!r}: {exc}") from None
         if i in dims:
@@ -333,8 +335,8 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
     table = {}
     for row in rows:
         try:
-            key = (str(row["left"]), str(row["right"]))
-            result = {str(w): m for w, m in row["result"].items()}
+            key = (_string(row, "left"), _string(row, "right"))
+            result = dict(row["result"].items())
         except (KeyError, TypeError, AttributeError) as exc:
             raise InvalidRing(f"malformed fusion row {row!r}: {exc}") from None
         if key in table:
@@ -349,6 +351,13 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
             violations=report.violations,
         )
     return provider
+
+
+def _string(entry: dict, key: str) -> str:
+    """``entry[key]``, refused unless a JSON string: an id is never coerced."""
+    if type(entry[key]) is not str:
+        raise TypeError(f"{key} {entry[key]!r} is not a JSON string")
+    return entry[key]
 
 
 def dump_ring_json(provider: FusionProvider, path: str | Path | None = None) -> dict:

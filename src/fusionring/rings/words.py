@@ -4,8 +4,9 @@ Elements are reduced words over one generator per factor: factor ``k``
 contributes the letter ``chr(97 + k)``, with exponents normalized to
 ``1..m-1`` for a finite factor of order ``m`` and to nonzero integers for
 an infinite factor.  The reduced word is the label's key; ids render
-exponents as ``a^2``, ``a^-1``, the identity is ``e``, and ids are
-parsed only by ``parse_label``.  Every basis element is invertible, so
+exponents as ``a^2``, ``a^-1``, the identity is ``e``, and ``_read``
+multiplies out the letters of any text (``aa`` reads as ``e`` in
+``Z2*Z2``).  Every basis element is invertible, so
 decompositions are single labels and the tensor-order oracle is exact
 (cyclic reduction).
 """
@@ -186,29 +187,18 @@ class WordGroupProvider(FusionProvider):
     def label_size(self, u: IrrLabel) -> int:
         return self._weight(self.key_of(u))
 
-    def parse_label(self, text: str) -> IrrLabel:
-        if not text:
-            raise UnknownLabel(f"{self.name}: empty label")
+    def _read(self, text: str) -> Word:
         if text == "e":
-            return self.unit()
-        word: list[Letter] = []
-        pos = 0
+            return ()
+        letters = []
         for match in _LETTER_RE.finditer(text):
-            if match.start() != pos:
-                raise UnknownLabel(f"{self.name}: bad label {text!r}")
-            pos = match.end()
             k = ord(match.group(1)) - 97
             if k >= len(self.spec.factors):
                 raise UnknownLabel(f"{self.name}: no factor for letter {match.group(1)!r}")
-            e = int(match.group(2) or 1)
-            if self._norm_exp(k, e) != e or e == 0:
-                raise UnknownLabel(f"{self.name}: exponent {e} not normalized in {text!r}")
-            if word and word[-1][0] == k:
-                raise UnknownLabel(f"{self.name}: word {text!r} is not reduced")
-            word.append((k, e))
-        if pos != len(text):
-            raise UnknownLabel(f"{self.name}: bad label {text!r}")
-        return self._label(tuple(word))
+            e = self._norm_exp(k, int(match.group(2) or 1))
+            if e:
+                letters.append((k, e))
+        return self._mul_words((), letters)
 
     def order_oracle(self, u: IrrLabel) -> int | float:
         """Exact tensor order, by cyclic reduction.

@@ -1,4 +1,5 @@
 import pickle
+import re
 
 import pytest
 from hypothesis import given, strategies as st
@@ -255,12 +256,50 @@ def test_provider_decompose_memoized():
     assert ring.multiplicity(g, g, g) == 0
 
 
-def test_provider_parse_label_is_the_backends_own():
-    assert "parse_label" in FusionProvider.__abstractmethods__
-    ring = TinyRing()
-    assert ring.parse_label("g").id == "g"
-    with pytest.raises(UnknownLabel):
-        ring.parse_label("nope")
+class SpelledRing(FusionProvider):
+    """Z2 group ring keyed by exponent that reads ``G`` and ``g^3`` as
+    ``g`` too; ``parse_label`` is the base class's."""
+
+    name = "spelled"
+
+    def _spell(self, k):
+        return "eg"[k], 1
+
+    def _read(self, text):
+        try:
+            return {"e": 0, "g": 1, "G": 1, "g^3": 1}[text]
+        except KeyError:
+            raise UnknownLabel(f"spelled: no irreducible with id {text!r}") from None
+
+    def unit(self):
+        return self._label(0)
+
+    def conj(self, u):
+        return self._label(self.key_of(u))
+
+    def enumerate(self, count):
+        return [self._label(k) for k in range(min(max(count, 0), 2))]
+
+    def _decompose(self, u, v):
+        return Decomposition({self._label((self.key_of(u) + self.key_of(v)) % 2): 1})
+
+
+def test_provider_parse_label_refuses_other_spellings_of_a_key():
+    assert "parse_label" not in FusionProvider.__abstractmethods__
+    assert "parse_label" not in vars(SpelledRing)
+    ring = SpelledRing()
+    g = ring.parse_label("g")
+    assert g == IrrLabel("g", 1) and ring.key_of(g) == 1 and ring.parse_label("e") == ring.unit()
+    for text in ("G", "g^3"):
+        with pytest.raises(UnknownLabel, match=f"^spelled: no irreducible with id '{re.escape(text)}' "
+                                               "\\(it parses as 'g'\\)$"):
+            ring.parse_label(text)
+        with pytest.raises(UnknownLabel):
+            ring.conj(IrrLabel(text, 1))
+    with pytest.raises(UnknownLabel, match="^spelled: no irreducible with id 'h'$"):
+        ring.parse_label("h")
+    # A backend may still parse on its own.
+    assert TinyRing().parse_label("g").id == "g"
 
 
 def test_multiply_virtual():

@@ -18,8 +18,12 @@
   ``uqnumeric`` when it loads (the package ``__init__`` hook and the
   CLI's ``uq verify`` import it inside a function).
 * Backends read a label's structure from its key, not its id: modules
-  under ``rings/`` read an ``.id`` attribute only inside ``_spell``,
-  ``parse_label`` and ``dump_ring_json``.
+  under ``rings/`` read an ``.id`` attribute only inside ``_spell`` and
+  ``dump_ring_json`` (``_read`` reads text, not label ids).
+* One read-back rule for labels: no class under ``rings/`` defines
+  ``parse_label``; each backend reads text into a key with ``_read``, and
+  ``FusionProvider.parse_label`` alone compares the label's id with the
+  text.
 * One JSON convention for reports: every class that defines ``to_dict``
   subclasses ``core.Report``, whose field-driven ``to_dict`` an override
   extends.
@@ -242,7 +246,7 @@ def test_only_the_shared_helper_grows_a_ladder_level_list():
     assert {name: lines for name, lines in found.items() if lines} == {}
 
 
-ID_READERS = {"_spell", "parse_label", "dump_ring_json"}
+ID_READERS = {"_spell", "dump_ring_json"}
 RING_MODULES = sorted((PACKAGE / "rings").glob("*.py"))
 
 
@@ -275,12 +279,50 @@ def test_id_read_is_detected():
         "        u.id = 1\n        return ids\n"
         "first = LABEL.id\n"
     )
-    assert id_reads(source) == ["line 5: in conj", "line 10: in _decompose", "line 13: in <module>"]
+    assert id_reads(source) == [
+        "line 5: in conj", "line 8: in parse_label", "line 10: in _decompose", "line 13: in <module>",
+    ]
 
 
 @pytest.mark.parametrize("path", RING_MODULES, ids=lambda p: p.name)
 def test_backends_read_label_ids_only_to_spell_parse_and_dump(path):
     assert id_reads(path.read_text()) == []
+
+
+def parse_label_definitions(source: str) -> list[str]:
+    """Every class that defines ``parse_label`` in its body, by a ``def``
+    or an assignment."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if not isinstance(node, ast.ClassDef):
+            continue
+        for item in node.body:
+            if isinstance(item, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                names = [item.name]
+            elif isinstance(item, (ast.Assign, ast.AnnAssign)):
+                targets = item.targets if isinstance(item, ast.Assign) else [item.target]
+                names = [part.id for t in targets for part in ast.walk(t) if isinstance(part, ast.Name)]
+            else:
+                continue
+            if "parse_label" in names:
+                found.append(f"line {item.lineno}: {node.name}")
+    return found
+
+
+def test_parse_label_definition_is_detected():
+    source = (
+        "class A(FusionProvider):\n    def _read(self, text):\n        return text\n"
+        "class B(A):\n    def parse_label(self, text):\n        return self._label(text)\n"
+        "class C(A):\n    parse_label = A._read\n"
+        "def parse_label(text):\n    return text\n"
+        "class D:\n    def f(self):\n        return self.parse_label('e')\n"
+    )
+    assert parse_label_definitions(source) == ["line 5: B", "line 8: C"]
+
+
+@pytest.mark.parametrize("path", RING_MODULES, ids=lambda p: p.name)
+def test_backends_leave_parse_label_to_the_base_class(path):
+    assert parse_label_definitions(path.read_text()) == []
 
 
 def unreported_to_dicts(source: str) -> list[str]:

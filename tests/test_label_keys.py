@@ -2,7 +2,10 @@
 structure as a key, and every other label equal to one of them (another
 instance's, or one built by hand) must behave identically."""
 
+import itertools
 import math
+import random
+import re
 from functools import partial
 
 import pytest
@@ -63,6 +66,64 @@ def test_parse_label_returns_the_interned_label(ring):
     for lab in _labels(provider):
         again = provider.parse_label(lab.id)
         assert again == lab and provider.key_of(again) == provider.key_of(lab) and again is lab
+
+
+def _texts(ring, provider):
+    """Texts over the ring's id alphabet (the characters of its labels'
+    ids, and the digits): every text of up to 4 characters, then seeded
+    random ones of 5 to 9 characters and ids with 1 to 3 characters
+    inserted or replaced."""
+    ids = [lab.id for lab in _labels(provider)]
+    alphabet = sorted(set("".join(ids)) | set("0123456789"))
+    rng = random.Random(ring)
+    texts = ["".join(chars) for k in range(5) for chars in itertools.product(alphabet, repeat=k)]
+    texts += ["".join(rng.choices(alphabet, k=rng.randint(5, 9))) for _ in range(2000)]
+    for _ in range(2000):
+        text = rng.choice(ids)
+        for _ in range(rng.randint(1, 3)):
+            i = rng.randrange(len(text) + 1)
+            text = text[:i] + rng.choice(alphabet) + text[i + rng.randrange(2):]
+        texts.append(text)
+    return texts
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_parse_label_returns_only_the_label_spelled_as_the_text(ring):
+    provider = RINGS[ring]()
+    parsed = 0
+    for text in _texts(ring, provider):
+        try:
+            lab = provider.parse_label(text)
+        except UnknownLabel:
+            continue
+        assert lab.id == text
+        parsed += 1
+    assert parsed >= 3
+
+
+# Texts that parsed as a label spelled another way while the word groups
+# and ``au`` each had their own read-back rule, with the refusal now.
+OTHER_SPELLINGS = {
+    ("word:Z2*Z", "a^1"): "word:Z2*Z: no irreducible with id 'a^1' (it parses as 'a')",
+    ("word:Z2*Z", "a^01"): "word:Z2*Z: no irreducible with id 'a^01' (it parses as 'a')",
+    ("word:Z2*Z", "b^-01"): "word:Z2*Z: no irreducible with id 'b^-01' (it parses as 'b^-1')",
+    ("word:Z2*Z", "ab^1"): "word:Z2*Z: no irreducible with id 'ab^1' (it parses as 'ab')",
+    ("prod(suq2,word:Z2)", "(u1,a^1)"): "word:Z2: no irreducible with id 'a^1' (it parses as 'a')",
+    ("au", ""): "au: no irreducible with id '' (it parses as 'e')",
+}
+
+
+@pytest.mark.parametrize("spec, text", OTHER_SPELLINGS, ids=[f"{spec}-{text!r}" for spec, text in OTHER_SPELLINGS])
+def test_other_spellings_of_a_label_are_refused(spec, text):
+    with pytest.raises(UnknownLabel, match=f"^{re.escape(OTHER_SPELLINGS[spec, text])}$"):
+        parse_provider(spec).parse_label(text)
+
+
+@pytest.mark.parametrize("ring", RINGS)
+def test_enumerate_lists_nothing_below_one(ring):
+    provider = RINGS[ring]()
+    for count in (-3, -1, 0):
+        assert provider.enumerate(count) == [], count
 
 
 @pytest.mark.parametrize("ring", RINGS)

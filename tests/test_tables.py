@@ -460,6 +460,36 @@ def test_load_refuses_a_malformed_document(data, message):
         load_ring_json(data)
 
 
+@pytest.mark.parametrize("value", [0, True, None], ids=["0", "true", "null"])
+@pytest.mark.parametrize(
+    "where, message",
+    [
+        ((), "malformed ring file: unit {v} is not a JSON string"),
+        (("irreducibles", 0, "id"), "malformed irreducible entry {entry}: id {v} is not a JSON string"),
+        (("irreducibles", 0, "conj"), "malformed irreducible entry {entry}: conj {v} is not a JSON string"),
+        (("fusion", 0, "left"), "malformed fusion row {row}: left {v} is not a JSON string"),
+        (("fusion", 0, "right"), "malformed fusion row {row}: right {v} is not a JSON string"),
+    ],
+    ids=["unit", "id", "conj", "left", "right"],
+)
+def test_load_refuses_ids_that_are_not_json_strings(tmp_path, where, message, value):
+    data = {"unit": "e", "irreducibles": [dict(_ONE)], "fusion": [dict(_ONE_ROW)]}
+    if where:
+        container, index, key = where
+        data[container][index][key] = value
+    else:
+        data["unit"] = value
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(data))
+    want = message.format(v=repr(value), entry=data["irreducibles"][0], row=data["fusion"][0])
+    with pytest.raises(InvalidRing, match=f"^{re.escape(want)}$"):
+        load_ring_json(path)
+    # A result id that is not a string names no irreducible.
+    data = {"unit": "e", "irreducibles": [_ONE], "fusion": [{**_ONE_ROW, "result": {value: 1}}]}
+    with pytest.raises(InvalidRing, match=f"^product \\('e', 'e'\\) mentions unknown id {re.escape(repr(value))}$"):
+        load_ring_json(data)
+
+
 def test_only_finite_rings_can_be_dumped():
     with pytest.raises(InvalidRing, match="^only finite rings can be dumped$"):
         dump_ring_json(word_group([math.inf]))

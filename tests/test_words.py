@@ -52,8 +52,9 @@ def test_ids_and_parse_round_trip():
 
 def test_parse_refuses_words_that_are_not_reduced():
     g = word_group([2, 2])
-    for text in ("aa", "abb", "ba^1a"):
-        with pytest.raises(UnknownLabel, match=f"^word:Z2\\*Z2: word '{re.escape(text)}' is not reduced$"):
+    for text, reduced in (("aa", "e"), ("abb", "a"), ("ba^1a", "b")):
+        with pytest.raises(UnknownLabel, match=f"^word:Z2\\*Z2: no irreducible with id '{re.escape(text)}' "
+                                               f"\\(it parses as '{reduced}'\\)$"):
             g.parse_label(text)
 
 
