@@ -79,7 +79,11 @@ def _parse_at(spec: str, i: int) -> tuple[FusionProvider, int]:
     if m["n"] is not None:
         if not m["n"]:
             raise ParseError("expected an integer after au:", position=end)
-        return au_ring(int(m["n"])), end
+        try:
+            d_gen = int(m["n"])
+        except ValueError:  # past Python's length limit for digit strings
+            raise ParseError("too many digits after au:", position=m.start("n")) from None
+        return au_ring(d_gen), end
     if m["word"] is not None:
         return word_group(parse_word_group_spec(m["word"], offset=m.start("word"))), end
     path = m.lastgroup  # "bracketed" or "path"

@@ -12,7 +12,6 @@ from dataclasses import dataclass
 
 from .core import Budget, FusionProvider, IrrLabel, Report
 from .torsion import (
-    BUDGET_EXCEEDED,
     SATURATED,
     NormalityViolation,
     Subcategory,
@@ -161,9 +160,5 @@ def identity_component_report(provider: FusionProvider, budget: Budget | None = 
             "its closure sequence stabilizes after one step"
         )
     else:
-        report.inconclusive_reason = (
-            "certified torsion set failed closure re-verification"
-            if scan.subcategory.status == BUDGET_EXCEEDED
-            else "budget exhausted before certification"
-        )
+        report.inconclusive_reason = "certified torsion set failed closure re-verification"
     return report

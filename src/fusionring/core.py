@@ -390,7 +390,11 @@ class FusionProvider(ABC):
 
     def parse_label(self, text: str) -> IrrLabel:
         """The label whose id is exactly ``text``; raises UnknownLabel."""
-        lab = self._label(self._read(text))
+        try:
+            key = self._read(text)
+        except ValueError:  # int() refuses a digit string past Python's length limit
+            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}") from None
+        lab = self._label(key)
         if lab.id != text:
             raise UnknownLabel(f"{self.name}: no irreducible with id {text!r} (it parses as {lab.id!r})")
         return lab

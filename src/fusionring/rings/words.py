@@ -1,7 +1,8 @@
 """Group rings of free products of cyclic groups.
 
 Elements are reduced words over one generator per factor: factor ``k``
-contributes the letter ``chr(97 + k)``, with exponents normalized to
+contributes the k-th letter of ``a``..``z`` without ``e``, which spells
+the identity, so there are at most 25 factors.  Exponents are normalized to
 ``1..m-1`` for a finite factor of order ``m`` and to nonzero integers for
 an infinite factor.  The reduced word is the label's key; ids render
 exponents as ``a^2``, ``a^-1``, the identity is ``e``, and ``_read``
@@ -30,6 +31,8 @@ Letter = tuple[int, int]
 Word = tuple[Letter, ...]
 
 _LETTER_RE = re.compile(r"([a-z])(?:\^(-?\d+))?")
+_LETTERS = "abcdfghijklmnopqrstuvwxyz"  # factor k's letter; "e" is the identity
+_FACTOR_OF = {letter: k for k, letter in enumerate(_LETTERS)}
 
 
 def alternating_words(count: int, heaviest: int | float, letters_of_weight: Callable) -> list[tuple]:
@@ -97,8 +100,8 @@ class WordGroupSpec:
                 continue
             if not isinstance(m, int) or m < 2:
                 raise ValueError(f"factor order must be an int >= 2 or inf, got {m!r}")
-        if len(self.factors) > 26:
-            raise ValueError("at most 26 factors (one letter each)")
+        if len(self.factors) > len(_LETTERS):
+            raise ValueError(f"at most {len(_LETTERS)} factors (one letter each, e is the identity)")
 
     def describe(self) -> str:
         return "*".join("Z" if m == math.inf else f"Z{m}" for m in self.factors)
@@ -148,7 +151,7 @@ class WordGroupProvider(FusionProvider):
         return sum(self._letter_weight(k, e) for k, e in w)
 
     def _spell(self, w: Word) -> tuple[str, int]:
-        text = "".join(chr(97 + k) + ("" if e == 1 else f"^{e}") for k, e in w)
+        text = "".join(_LETTERS[k] + ("" if e == 1 else f"^{e}") for k, e in w)
         return text or "e", 1
 
     # -- provider interface ------------------------------------------------
@@ -192,7 +195,7 @@ class WordGroupProvider(FusionProvider):
             return ()
         letters = []
         for match in _LETTER_RE.finditer(text):
-            k = ord(match.group(1)) - 97
+            k = _FACTOR_OF.get(match.group(1), len(_LETTERS))
             if k >= len(self.spec.factors):
                 raise UnknownLabel(f"{self.name}: no factor for letter {match.group(1)!r}")
             e = self._norm_exp(k, int(match.group(2) or 1))
@@ -270,7 +273,10 @@ def parse_word_group_spec(text: str, offset: int = 0) -> WordGroupSpec:
         if part == "Z":
             factors.append(math.inf)
         elif re.fullmatch(r"Z\d+", part):
-            m = int(part[1:])
+            try:
+                m = int(part[1:])
+            except ValueError:  # past Python's length limit for digit strings
+                raise ParseError("too many digits in a cyclic order", pos) from None
             if m < 2:
                 raise ParseError(f"cyclic order must be >= 2, got {part!r}", pos)
             factors.append(m)

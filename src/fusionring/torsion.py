@@ -60,8 +60,11 @@ class Subcategory(Report):
     """A conj-closed label set with its closure kind and truncation status.
 
     ``frontier`` lists labels that were reached but not admitted (size or
-    count cap) or found to escape during the final verification pass;
-    it is empty exactly when the status is ``saturated``.
+    count cap) or found to escape during the final verification pass.
+    For every closure and for the torsion set it is empty exactly when
+    the status is ``saturated``: ``_verified`` decides both.  The one
+    exception is the n-sequence's stage on an infinite group, read off a
+    window: it is ``budget_exceeded`` with no frontier.
     """
 
     kind: str
@@ -87,26 +90,46 @@ class Subcategory(Report):
         return out
 
 
-def _reached_from(provider: FusionProvider, a: IrrLabel, labels):
-    """Lazily yield every constituent of ``a (x) b`` for ``b`` in ``labels``, in order."""
-    return chain.from_iterable(
-        map(constituents_of, map(provider.decompose, repeat(a), labels))
-    )
+def _sweep(provider: FusionProvider, new, old=()):
+    """Lazily yield ``conj(u)`` for u in ``new``, then every constituent of
+    ``a (x) b`` for a in ``old`` and b in ``new``, then for a in ``new`` and
+    b in ``old + new``.
 
-
-def _sweep(provider: FusionProvider, labels):
-    """Lazily yield ``conj(u)`` for each label, then every constituent of ``a (x) b``.
-
-    ``labels`` is a snapshot (it must not change while the sweep runs),
-    visited in its own order.  A set is closed under conj and products
-    exactly when nothing the sweep yields lies outside it; callers that
-    only need the first escape can stop early, since each product is
-    decomposed only when the sweep reaches it.
+    ``old`` and ``new`` are snapshots, visited in their own order.  With
+    ``old`` empty this is the full sweep: a set is closed under conj and
+    products exactly when nothing it yields lies outside it, and a caller
+    that needs only the first escape can stop early, since each product is
+    decomposed only when the sweep reaches it.  With ``old`` already
+    swept, it visits exactly the conjugates and pairs that involve ``new``.
     """
+    both = [*old, *new]
+    rows = chain(zip(old, repeat(new)), zip(new, repeat(both)))
     return chain(
-        map(provider.conj, labels),
-        chain.from_iterable(_reached_from(provider, a, labels) for a in labels),
+        map(provider.conj, new),
+        chain.from_iterable(
+            chain.from_iterable(map(constituents_of, map(provider.decompose, repeat(a), row)))
+            for a, row in rows
+        ),
     )
+
+
+def _verified(provider: FusionProvider, kind: str, labels, overflow=(), rule=None) -> Subcategory:
+    """``labels`` as a ``Subcategory``, judged by one full sweep.
+
+    The sweep visits every conjugate and every product of the labels, and
+    everything ``rule(labels)`` yields for them; the frontier is what it
+    reaches outside the labels, plus ``overflow``.  The status is
+    ``saturated`` exactly when that frontier is empty: this is the one
+    place that decides it, for every closure and for the torsion set.
+    """
+    members = dict.fromkeys(labels)
+    final = list(members)
+    reached = set(_sweep(provider, final))
+    if rule is not None:
+        reached.update(rule(final))
+    frontier = reached.difference(members).union(overflow)
+    status = BUDGET_EXCEEDED if frontier else SATURATED
+    return Subcategory(kind=kind, labels=tuple(final), status=status, frontier=tuple(frontier))
 
 
 def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> Decomposition:
@@ -145,27 +168,30 @@ def _close(
 ) -> Subcategory:
     """Shared closure loop: conj + products, plus an optional rule.
 
-    Each round admits, in ``_sweep``'s order over a snapshot of the
-    members, everything the sweep reaches, then whatever
+    Each round admits everything ``_sweep`` reaches from the members
+    admitted since the previous round, then whatever
     ``extra_candidates(labels)`` yields for the members it has not been
     given before.  A label is judged only the first time it is reached,
     so the loop is semi-naive: a round visits only the conjugates and
     pairs that involve a member admitted since the previous snapshot,
     since everything else was reached before.  For the same reason the
     rule must yield, label by label, candidates that depend on that label
-    alone.  The loop is monotone and deterministic; the returned status
-    comes from a final verification pass over the finished set, which
-    runs the whole sweep and rule and trusts nothing from the loop
-    bookkeeping.
+    alone.  The loop only grows the set, for at most ``max_rounds``
+    rounds; the returned status comes from ``_verified``, which runs the
+    whole sweep and rule over the finished set and trusts nothing from
+    the loop bookkeeping.  So a closure that its last allowed round
+    happens to close is ``saturated``, and one the round limit cuts short
+    has a frontier.
     """
     members: dict[IrrLabel, None] = {}
     overflow: set[IrrLabel] = set()
     cap, max_size = budget.max_irreducibles, budget.max_label_size
-    conj, label_size = provider.conj, provider.label_size
+    label_size = provider.label_size
     is_member, is_overflow = members.__contains__, overflow.__contains__
 
     def admit(labels):
-        fresh = iter(dict.fromkeys(filterfalse(is_overflow, filterfalse(is_member, labels))))
+        # One round's sweep repeats labels: drop repeats before the filters hash them.
+        fresh = filterfalse(is_overflow, filterfalse(is_member, dict.fromkeys(labels)))
         for lab in fresh:
             if len(members) >= cap:
                 overflow.add(lab)
@@ -181,35 +207,20 @@ def _close(
         label_size(g)  # a foreign generator raises here, even past the cap
     admit([provider.unit(), *generators])
 
-    exhausted_rounds = True
     swept = ruled = 0  # members[:swept] are swept pairwise; members[:ruled] ruled
     for _ in range(budget.max_rounds):
         before = len(members)
         snapshot = list(members)
-        old, new = snapshot[:swept], snapshot[swept:]
-        admit(map(conj, new))
-        for a in old:
-            admit(_reached_from(provider, a, new))
-        for a in new:
-            admit(_reached_from(provider, a, snapshot))
+        admit(_sweep(provider, snapshot[swept:], snapshot[:swept]))
         swept = before
         if extra_candidates is not None:
             unruled = list(islice(members, ruled, None))
             ruled += len(unruled)
             admit(extra_candidates(unruled))
         if len(members) == before:
-            exhausted_rounds = False
             break
 
-    final = list(members)
-    reached = set(_sweep(provider, final))
-    if extra_candidates is not None:
-        reached.update(extra_candidates(final))
-    escaped = reached.difference(members)
-
-    frontier = overflow | escaped
-    status = SATURATED if not frontier and not exhausted_rounds else BUDGET_EXCEEDED
-    return Subcategory(kind=kind, labels=tuple(members), status=status, frontier=tuple(frontier))
+    return _verified(provider, kind, members, overflow, extra_candidates)
 
 
 def generated_subring(
@@ -383,15 +394,7 @@ def torsion_subcategory(provider: FusionProvider, budget: Budget | None = None) 
     window = provider.enumerate(budget.max_irreducibles)
     verdicts = [is_torsion(provider, u, budget) for u in window]
     certified = [v.label for v in verdicts if v.verdict == TORSION]
-    inside = set(certified)
-    escaped = {lab for lab in _sweep(provider, certified) if lab not in inside}
-    sub = Subcategory(
-        kind="torsion_set",
-        labels=tuple(certified),
-        status=SATURATED if not escaped else BUDGET_EXCEEDED,
-        frontier=tuple(escaped),
-    )
-    return TorsionScanReport(provider.name, verdicts, sub)
+    return TorsionScanReport(provider.name, verdicts, _verified(provider, "torsion_set", certified))
 
 
 @dataclass

@@ -352,7 +352,6 @@ def close_reference(provider, kind: str, generators, budget):
         for g in generators:
             admit(g)
 
-        exhausted_rounds = True
         for _ in range(budget.max_rounds):
             before = len(members)
             current = list(members)
@@ -366,7 +365,6 @@ def close_reference(provider, kind: str, generators, budget):
                 for lab in extra_candidates(list(members)):
                     admit(lab)
             if len(members) == before:
-                exhausted_rounds = False
                 break
 
         # Final pass: trust nothing from the loop bookkeeping.
@@ -388,7 +386,7 @@ def close_reference(provider, kind: str, generators, budget):
                     escaped.add(lab)
 
         frontier = overflow | escaped
-        status = SATURATED if not frontier and not exhausted_rounds else BUDGET_EXCEEDED
+        status = SATURATED if not frontier else BUDGET_EXCEEDED
         return Subcategory(kind=kind, labels=tuple(members), status=status, frontier=tuple(frontier))
 
     window = provider.enumerate(budget.max_irreducibles)

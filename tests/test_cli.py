@@ -434,3 +434,25 @@ def test_au_rank_takes_only_decimal_digits():
     with pytest.raises(ParseError) as exc:
         parse_provider("au:12²")
     assert exc.value.position == 5
+
+
+# int() reads at most 4,300 digits by default; past that each input is
+# refused with one error line instead of a ValueError traceback.
+_DIGITS = "9" * 5000
+LONG_DIGIT_INPUTS = [
+    (["--ring", "suq2", "u" + _DIGITS, "u1"], "no irreducible with id 'u9"),
+    (["--ring", "uqsu11", "u+" + _DIGITS, "u+1"], "no irreducible with id 'u+9"),
+    (["--ring", "word:Z", "a^" + _DIGITS, "a"], "no irreducible with id 'a^9"),
+    (["--ring", "word:Z" + _DIGITS, "a", "a"], "too many digits in a cyclic order (at offset 5)"),
+    (["--ring", "au:" + _DIGITS, "u", "u"], "too many digits after au: (at offset 3)"),
+]
+
+
+@pytest.mark.parametrize("argv, message", LONG_DIGIT_INPUTS,
+                         ids=["suq2-label", "uqsu11-label", "word-label", "word-spec", "au-spec"])
+def test_digit_strings_past_the_int_limit_are_refused(argv, message, capsys):
+    assert main(["decompose", *argv]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err

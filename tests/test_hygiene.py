@@ -40,6 +40,11 @@
   shared by every instance and outlives the run that filled it.  Caches
   and maps live on the instance, made in ``__init__`` like
   ``FusionProvider``'s ``_decompose_cache``.
+* One closure verdict: in the package, ``Subcategory(...)`` is called
+  only by ``torsion._verified``, which decides ``saturated`` for every
+  closure and for the torsion set, and by
+  ``torsion.n_sequence_cocommutative``, whose stage is read off a group
+  quotient rather than closed.
 * No private helper outlives its callers: every ``_``-prefixed function
   or method in the package (dunders excepted) is named, as a name or an
   attribute, somewhere in the package outside its own ``def``.  A helper
@@ -623,3 +628,49 @@ def test_unreferenced_private_function_is_detected():
 def test_every_private_function_has_a_caller_in_the_package():
     sources = {str(path.relative_to(PACKAGE)): path.read_text() for path in SOURCES}
     assert unreferenced_private_functions(sources) == []
+
+
+SUBCATEGORY_BUILDERS = {"_verified", "n_sequence_cocommutative"}
+
+
+def subcategory_constructions(source: str) -> list[str]:
+    """``line: function`` for every call of ``Subcategory`` (a name or an
+    attribute), naming the innermost enclosing function, dotted after its
+    classes and outer functions, or ``<module>``."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                inner = f"{scope}.{child.name}" if scope != "<module>" else child.name
+            elif isinstance(child, ast.Call):
+                func = child.func
+                if (getattr(func, "id", None) or getattr(func, "attr", None)) == "Subcategory":
+                    found.append(f"line {child.lineno}: {scope}")
+            visit(child, inner)
+
+    visit(ast.parse(source), "<module>")
+    return found
+
+
+def test_subcategory_construction_is_detected():
+    source = (
+        "def _verified(labels):\n    return Subcategory(labels=labels)\n"
+        "class Scan:\n    def run(self):\n        def inner():\n"
+        "            return torsion.Subcategory()\n        return inner()\n"
+        "DEFAULT = Subcategory(kind='unit')\n"
+        "def _close(x):\n    return _verified(x), Subcategory.__name__\n"
+    )
+    assert subcategory_constructions(source) == [
+        "line 2: _verified", "line 6: Scan.run.inner", "line 8: <module>",
+    ]
+
+
+def test_only_the_verdict_and_the_n_sequence_build_a_subcategory():
+    found = {
+        str(path.relative_to(PACKAGE)): [where.split(": ")[1] for where in subcategory_constructions(path.read_text())]
+        for path in MODULES
+    }
+    assert sorted(found.pop("torsion.py")) == sorted(SUBCATEGORY_BUILDERS)
+    assert {name: where for name, where in found.items() if where} == {}

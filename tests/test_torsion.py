@@ -81,6 +81,7 @@ def test_torsion_scan_certified_and_unknown_labels_are_pinned(spec, budget, cert
     assert [l.id for l in report.certified] == certified
     assert [l.id for l in report.unknowns] == unknown
     assert len(report.verdicts) == budget.max_irreducibles
+    assert (report.subcategory.status == "saturated") == (not report.subcategory.frontier)
 
 
 def test_sign_label_generates_the_saturated_pair():
@@ -435,8 +436,20 @@ def test_closures_match_the_reference_engine_under_every_cap(spec, kind, fixture
         got = CLOSURES[kind](ring, gens, budget)
         want = close_reference(ring, kind, gens, budget)
         assert (got.labels, got.status, got.frontier) == (want.labels, want.status, want.frontier), budget
+        assert (got.status == "saturated") == (not got.frontier), budget
         if budget in lifted:
             assert len(got.labels) == budget.max_irreducibles
+
+
+@pytest.mark.parametrize("kind", CLOSURES)
+def test_a_closure_its_last_round_closes_is_saturated(kind):
+    # Z4 is generated by g1 in one round; the re-verification then finds
+    # nothing outside, so the round cap leaves no frontier and no doubt.
+    ring = next(r for r in builtin_finite_rings() if r.name == "group:Z4")
+    sub = CLOSURES[kind](ring, [ring.parse_label("g1")], Budget(max_rounds=1))
+    assert sub.label_ids == ["g0", "g1", "g2", "g3"]
+    assert sub.status == "saturated"
+    assert sub.frontier == ()
 
 
 @pytest.mark.parametrize("spec", REFERENCE_RINGS)

@@ -58,13 +58,28 @@ def test_parse_refuses_words_that_are_not_reduced():
             g.parse_label(text)
 
 
-def test_at_most_26_factors():
-    with pytest.raises(ValueError, match="^at most 26 factors"):
-        WordGroupSpec((2,) * 27)
-    assert len(WordGroupSpec((2,) * 26).factors) == 26
-    with pytest.raises(ParseError, match="^at most 26 factors") as err:
-        parse_word_group_spec("*".join(["Z2"] * 27))
+def test_at_most_25_factors():
+    # One letter per factor from a-z, leaving out e, the identity's id.
+    with pytest.raises(ValueError, match="^at most 25 factors"):
+        WordGroupSpec((2,) * 26)
+    assert len(WordGroupSpec((2,) * 25).factors) == 25
+    assert [l.id for l in word_group([2] * 25).enumerate(26)[-2:]] == ["y", "z"]
+    with pytest.raises(ParseError, match="^at most 25 factors") as err:
+        parse_word_group_spec("*".join(["Z2"] * 26))
     assert err.value.position == 0
+
+
+def test_no_factor_letter_spells_the_identity():
+    g = word_group([2] * 5)
+    listed = g.enumerate(8)
+    assert [l.id for l in listed] == ["e", "a", "b", "c", "d", "f", "ab", "ac"]
+    assert len({l.id for l in listed}) == len(listed)
+    e, a, f = g.unit(), g.parse_label("a"), g.parse_label("f")
+    assert g.key_of(e) == ()
+    assert g.decompose(e, a).constituents() == [a]
+    assert g.decompose(f, f).constituents() == [e]
+    with pytest.raises(UnknownLabel, match="no factor for letter 'e'"):
+        g.parse_label("ae")
 
 
 def test_group_products_reduce():
