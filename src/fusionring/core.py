@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from typing import Iterable, Iterator, Mapping
 
-from .errors import UnknownLabel, UnsupportedProvider
+from .errors import UnknownLabel, UnsupportedProvider, _quote
 
 __all__ = [
     "IrrLabel",
@@ -315,7 +315,7 @@ class FusionProvider(ABC):
             pass
         own = self.parse_label(u.id)
         if own != u:
-            raise UnknownLabel(f"{self.name}: foreign label {u.id!r}")
+            raise UnknownLabel(f"{self.name}: foreign label {_quote(u.id)}")
         return self._keys[own]
 
     @abstractmethod
@@ -393,10 +393,10 @@ class FusionProvider(ABC):
         try:
             key = self._read(text)
         except ValueError:  # int() refuses a digit string past Python's length limit
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}") from None
+            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}") from None
         lab = self._label(key)
         if lab.id != text:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r} (it parses as {lab.id!r})")
+            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)} (it parses as {_quote(lab.id)})")
         return lab
 
     # -- derived ring arithmetic ------------------------------------------

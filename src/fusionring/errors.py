@@ -16,6 +16,17 @@ __all__ = [
 ]
 
 
+_QUOTE_LIMIT = 60
+
+
+def _quote(text: str) -> str:
+    """``repr(text)``, or its first ``_QUOTE_LIMIT`` characters and its length
+    when longer: a message quotes input text, and input may be any size."""
+    if len(text) <= _QUOTE_LIMIT:
+        return repr(text)
+    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+
+
 class FusionError(Exception):
     """Base class for errors raised by this package."""
 

@@ -44,7 +44,7 @@ import re
 from itertools import product as _product
 
 from ..core import Decomposition, FusionProvider, IrrLabel
-from ..errors import BadParameter, UnknownLabel
+from ..errors import BadParameter, UnknownLabel, _quote
 
 __all__ = ["AuProvider", "au_ring"]
 
@@ -108,7 +108,7 @@ class AuProvider(FusionProvider):
     def _read(self, text: str) -> str:
         word = "" if text == "e" else text
         if not _WORD_RE.fullmatch(word):
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
+            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}")
         return word
 
     def chain_generators(self, d: int) -> list[IrrLabel]:

@@ -30,7 +30,7 @@ import math
 import re
 
 from ..core import Decomposition, FusionProvider, IrrLabel, split_outside_brackets
-from ..errors import UnknownLabel, UnsupportedProvider
+from ..errors import UnknownLabel, UnsupportedProvider, _quote
 from .words import alternating_words
 
 __all__ = ["FreeProductProvider", "DirectProductProvider", "free_product", "direct_product"]
@@ -98,16 +98,16 @@ class FreeProductProvider(FusionProvider):
                     except UnknownLabel:
                         pass
                 if not hits:
-                    raise UnknownLabel(f"{self.name}: unknown letter {piece!r}")
+                    raise UnknownLabel(f"{self.name}: unknown letter {_quote(piece)}")
                 if len(hits) > 1:
                     raise UnknownLabel(
-                        f"{self.name}: letter {piece!r} is ambiguous, prefix it with 0: or 1:"
+                        f"{self.name}: letter {_quote(piece)} is ambiguous, prefix it with 0: or 1:"
                     )
                 k, lab = hits[0]
             if lab == self.factors[k].unit():
-                raise UnknownLabel(f"{self.name}: unit letter {piece!r} cannot appear")
+                raise UnknownLabel(f"{self.name}: unit letter {_quote(piece)} cannot appear")
             if word and word[-1][0] == k:
-                raise UnknownLabel(f"{self.name}: word {text!r} does not alternate factors")
+                raise UnknownLabel(f"{self.name}: word {_quote(text)} does not alternate factors")
             word.append((k, lab))
         return tuple(word)
 
@@ -226,7 +226,7 @@ class DirectProductProvider(FusionProvider):
         enclosed = text.startswith("(") and text.endswith(")")
         left, *right = split_outside_brackets(text[1:-1], ",") if enclosed else [text]
         if not right:
-            raise UnknownLabel(f"{self.name}: bad pair id {text!r}")
+            raise UnknownLabel(f"{self.name}: bad pair id {_quote(text)}")
         return self.factors[0].parse_label(left), self.factors[1].parse_label(",".join(right))
 
     def unit(self) -> IrrLabel:

@@ -19,7 +19,7 @@ from __future__ import annotations
 import re
 
 from ..core import Decomposition, FusionProvider, IrrLabel
-from ..errors import UnknownLabel
+from ..errors import UnknownLabel, _quote
 from .su2 import ladder
 
 __all__ = ["UqSU11Provider", "uq_su11_ring"]
@@ -71,7 +71,7 @@ class UqSU11Provider(FusionProvider):
     def _read(self, text: str) -> tuple[int, int]:
         match = _ID_RE.fullmatch(text)
         if match is None:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
+            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}")
         return 1 if match.group(1) == "+" else -1, int(match.group(2))
 
 

@@ -19,7 +19,7 @@ import re
 from collections.abc import Callable
 
 from ..core import Decomposition, FusionProvider, IrrLabel
-from ..errors import UnknownLabel
+from ..errors import UnknownLabel, _quote
 
 __all__ = ["SU2Provider", "SO3Provider", "suq2_ring", "so3_ring"]
 
@@ -78,7 +78,7 @@ class SU2Provider(FusionProvider):
     def _read(self, text: str) -> int:
         match = self._id_re.fullmatch(text)
         if not match:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
+            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}")
         return int(match.group(1))
 
 

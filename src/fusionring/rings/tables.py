@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ..axioms import check_axioms
 from ..core import Budget, Decomposition, FusionProvider, IrrLabel, canonical_sort
-from ..errors import InvalidRing, NotAGroup, UnknownLabel
+from ..errors import InvalidRing, NotAGroup, UnknownLabel, _quote
 
 __all__ = [
     "FiniteTableProvider",
@@ -125,7 +125,7 @@ class FiniteTableProvider(FusionProvider):
 
     def _read(self, text: str) -> str:
         if text not in self._dims:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {text!r}")
+            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}")
         return text
 
     # A group table is associative (Light's test), so with inverses a group

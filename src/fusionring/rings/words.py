@@ -21,7 +21,7 @@ from itertools import count as _count
 from typing import Callable
 
 from ..core import Decomposition, FusionProvider, IrrLabel
-from ..errors import ParseError, UnknownLabel
+from ..errors import ParseError, UnknownLabel, _quote
 
 __all__ = ["WordGroupSpec", "WordGroupProvider", "word_group"]
 
@@ -197,7 +197,7 @@ class WordGroupProvider(FusionProvider):
         for match in _LETTER_RE.finditer(text):
             k = _FACTOR_OF.get(match.group(1), len(_LETTERS))
             if k >= len(self.spec.factors):
-                raise UnknownLabel(f"{self.name}: no factor for letter {match.group(1)!r}")
+                raise UnknownLabel(f"{self.name}: no factor for letter {_quote(match.group(1))}")
             e = self._norm_exp(k, int(match.group(2) or 1))
             if e:
                 letters.append((k, e))

@@ -456,3 +456,79 @@ def test_digit_strings_past_the_int_limit_are_refused(argv, message, capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
     assert message in captured.err
+
+
+# A message quotes at most a fixed prefix of the input text and its length,
+# so a long label still gives one short error line.
+_LONG = "x" * 5000
+LONG_LABELS = [
+    ("suq2", "u" + "9" * 5000, "(5001 characters)"),
+    ("uqsu11", _LONG, "(5000 characters)"),
+    ("au", _LONG, "(5000 characters)"),
+    ("word:Z2*Z", "b" * 5000, "(5000 characters) (it parses as 'b^5000')"),
+    ("free(so3,word:Z2)", "v1." * 5000 + "v1", "(15002 characters) does not alternate factors"),
+    ("prod(suq2,word:Z2)", _LONG, "bad pair id 'xxx"),
+    ("json", _LONG, "(5000 characters)"),
+]
+
+
+@pytest.mark.parametrize("ring, label, message", LONG_LABELS,
+                         ids=["su2", "su11", "au", "words", "free", "prod", "table"])
+def test_a_long_label_gives_one_short_error_line(ring, label, message, fixtures_dir, tmp_path, capsys):
+    if ring == "json":
+        ring = f"json:{_table_ring_path(fixtures_dir, tmp_path)}"
+    assert main(["decompose", "--ring", ring, label, label]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert message in captured.err
+    assert len(captured.err) < len(ring) + 160
+
+
+@pytest.mark.parametrize("argv", [
+    ["torsion", "--ring", "suq2", "--budget", _LONG],
+    ["torsion", "--ring", "suq2", "--budget", _LONG + "=1"],
+    ["torsion", "--ring", "suq2", "--budget", "max_rounds=" + _LONG],
+    ["torsion", "--ring", "free(suq2,so3)" + _LONG],
+    ["uqverify", "--q", _LONG],
+], ids=["budget-entry", "budget-key", "budget-value", "trailing-spec", "q"])
+def test_a_long_usage_error_input_gives_one_short_error_line(argv, capsys):
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1 and "(5000 characters)" in captured.err
+    assert len(captured.err) < 300
+
+
+def _nested(depth: int) -> str:
+    return "free(" * depth + "suq2" + ",so3)" * depth
+
+
+def test_products_nested_past_the_limit_are_refused_at_the_first_one_past_it(capsys):
+    for depth in (33, 3000):
+        with pytest.raises(ParseError) as exc:
+            parse_provider(_nested(depth))
+        assert exc.value.position == 32 * len("free(")
+        assert main(["decompose", "--ring", _nested(depth), "e", "e"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == "error: products nested more than 32 deep (at offset 160)\n"
+    right = "prod(so3," * 33 + "word:Z2" + ")" * 33
+    with pytest.raises(ParseError) as exc:
+        parse_provider(right)
+    assert exc.value.position == 32 * len("prod(so3,")
+
+
+def test_products_nested_at_the_limit_still_run(capsys):
+    assert main(["decompose", "--ring", _nested(32), "u1", "u1"]) == 0
+    assert capsys.readouterr().out.endswith("= e + u2\n")
+    assert main(["axioms", "--ring", _nested(32), "--budget", "max_irreducibles=20"]) == 0
+    assert capsys.readouterr().out.endswith("ok\n")
+
+
+def test_chain_refuses_a_dmax_past_its_limit(capsys):
+    for dmax in ("33", "100000"):
+        assert main(["chain", "--ring", "au", "--dmax", dmax]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --dmax must be at most 32, got {dmax}\n"

@@ -2,8 +2,8 @@ import random
 
 from hypothesis import given, strategies as st
 
-from fusionring import IntegerLattice
-from oracles import hermite_normal_form
+from fusionring import IntegerLattice, canonical_sort, finite_group_ring
+from oracles import abelian_group_table, hermite_normal_form
 
 
 def test_membership_hand_cases():
@@ -107,3 +107,80 @@ def test_basis_matches_the_hermite_normal_form_oracle(data):
     for i, row in enumerate(rows):
         lat.add(row)
         assert lat.basis() == hermite_normal_form(rows[: i + 1], n)
+
+
+# Rows of the size and sparsity dimension-ideal recovery feeds the lattice:
+# up to 24 columns, one to three nonzero entries each.
+def _sparse_rows(n, max_rows):
+    entry = st.tuples(st.integers(0, n - 1), st.integers(-9, 9).filter(bool))
+    row = st.lists(entry, min_size=1, max_size=3, unique_by=lambda e: e[0])
+    return st.lists(row, min_size=1, max_size=max_rows).map(
+        lambda rows: [[dict(r).get(c, 0) for c in range(n)] for r in rows]
+    )
+
+
+@given(st.data())
+def test_sparse_rows_keep_the_hermite_normal_form_after_every_add(data):
+    n = data.draw(st.integers(1, 24))
+    rows = data.draw(_sparse_rows(n, 16))
+    lat = IntegerLattice(n)
+    before = []
+    for i, row in enumerate(rows):
+        grew = lat.add(row)
+        after = lat.basis()
+        assert after == hermite_normal_form(rows[: i + 1], n)
+        assert grew == (after != before)
+        before = after
+
+
+@given(st.data())
+def test_membership_of_sparse_combinations_and_non_members(data):
+    n = data.draw(st.integers(1, 24))
+    rows = data.draw(_sparse_rows(n, 10))
+    lat = IntegerLattice(n)
+    for row in rows:
+        lat.add(row)
+    coeffs = data.draw(st.lists(st.integers(-4, 4), min_size=len(rows), max_size=len(rows)))
+    combo = [sum(c * row[i] for c, row in zip(coeffs, rows)) for i in range(n)]
+    assert lat.contains(combo)
+    spanned = hermite_normal_form(rows, n)
+    for vec in data.draw(_sparse_rows(n, 4)):
+        assert lat.contains(vec) == (hermite_normal_form(rows + [vec], n) == spanned)
+
+
+def test_a_subgroup_of_an_abelian_group_in_recovery_order():
+    # The vectors r*(a - 1) for r in the group and a in a subgroup, added in
+    # the order dimension_ideal_recover adds them.
+    rng = random.Random(1009)
+    for orders in ((2, 12), (4, 6), (2, 2, 6), (6, 6), (2, 4, 6)):
+        ring = finite_group_ring(abelian_group_table(orders), f"group:{orders}")
+        elements = ring.enumerate(ring.num_irreducibles)
+        index = {g: i for i, g in enumerate(elements)}
+        unit = ring.unit()
+        subgroup = {unit}
+        for g in rng.sample(elements, 2):
+            grown = None
+            while grown != subgroup:
+                grown, subgroup = subgroup, subgroup | {w for h in subgroup for w, _m in ring.decompose(h, g)}
+        n = len(elements)
+        lat, added, before = IntegerLattice(n), [], []
+        for r in elements:
+            for a in canonical_sort(subgroup):
+                if a == unit:
+                    continue
+                vec = [0] * n
+                for w, m in ring.decompose(r, a):
+                    vec[index[w]] += m
+                vec[index[r]] -= 1
+                added.append(vec)
+                grew = lat.add(vec)
+                after = lat.basis()
+                assert grew == (after != before)
+                before = after
+        assert lat.basis() == hermite_normal_form(added, n)
+        assert lat.rank == n - n // len(subgroup)
+        for u in elements:
+            vec = [0] * n
+            vec[index[u]] += 1
+            vec[index[unit]] -= 1
+            assert lat.contains(vec) == (u in subgroup)
