@@ -32,7 +32,7 @@ _EXHAUSTIVE_TRIPLE_PREFIX = 4
 @dataclass(frozen=True)
 class AxiomViolation(Report):
     axiom: str
-    labels: tuple[str, ...]
+    labels: tuple[IrrLabel, ...]
     detail: str
 
 
@@ -98,21 +98,21 @@ def check_axioms(
         return conj[u]
 
     if unit not in window:
-        bad(AxiomViolation("enumeration", (unit.id,), "unit missing from enumeration window"))
+        bad(AxiomViolation("enumeration", (unit,), "unit missing from enumeration window"))
     if bar(unit) != unit:
-        bad(AxiomViolation("conjugation", (unit.id,), "unit is not self-conjugate"))
+        bad(AxiomViolation("conjugation", (unit,), "unit is not self-conjugate"))
 
     for u in window:
         cu = bar(u)
         if bar(cu) != u:
-            bad(AxiomViolation("conjugation", (u.id,), f"conj(conj({u.id})) = {bar(cu).id}"))
+            bad(AxiomViolation("conjugation", (u,), f"conj(conj({u.id})) = {bar(cu).id}"))
         if cu.dim != u.dim:
-            bad(AxiomViolation("conjugation", (u.id,), f"conj changes dim {u.dim} -> {cu.dim}"))
+            bad(AxiomViolation("conjugation", (u,), f"conj changes dim {u.dim} -> {cu.dim}"))
         single = {u: 1}
         if constituents_of(decompose(unit, u)) != single:
-            bad(AxiomViolation("unit-law", (u.id,), f"1 (x) {u.id} != {u.id}"))
+            bad(AxiomViolation("unit-law", (u,), f"1 (x) {u.id} != {u.id}"))
         if constituents_of(decompose(u, unit)) != single:
-            bad(AxiomViolation("unit-law", (u.id,), f"{u.id} (x) 1 != {u.id}"))
+            bad(AxiomViolation("unit-law", (u,), f"{u.id} (x) 1 != {u.id}"))
 
     for u in window:
         ubar = bar(u)
@@ -123,13 +123,13 @@ def check_axioms(
             want_dim = u.dim * v.dim
             if got_dim != want_dim:
                 bad(AxiomViolation(
-                    "dimension", (u.id, v.id),
+                    "dimension", (u, v),
                     f"sum mult*dim = {got_dim}, expected {want_dim}"))
             unit_mult = dec.multiplicity(unit)
             want_unit = 1 if v == ubar else 0
             if unit_mult != want_unit:
                 bad(AxiomViolation(
-                    "unit-multiplicity", (u.id, v.id),
+                    "unit-multiplicity", (u, v),
                     f"N^1 = {unit_mult}, expected {want_unit}"))
             vbar = bar(v)
             # vbar (x) ubar serves every constituent; a product with none
@@ -142,15 +142,15 @@ def check_axioms(
                 rev = reversal.get(wbar, 0)
                 if frob1 != mult:
                     bad(AxiomViolation(
-                        "frobenius", (u.id, v.id, w.id),
+                        "frobenius", (u, v, w),
                         f"N^{w.id} = {mult} but N^{v.id}_{{{ubar.id},{w.id}}} = {frob1}"))
                 if frob2 != mult:
                     bad(AxiomViolation(
-                        "frobenius", (u.id, v.id, w.id),
+                        "frobenius", (u, v, w),
                         f"N^{w.id} = {mult} but N^{u.id}_{{{w.id},{vbar.id}}} = {frob2}"))
                 if rev != mult:
                     bad(AxiomViolation(
-                        "conjugate-reversal", (u.id, v.id, w.id),
+                        "conjugate-reversal", (u, v, w),
                         f"N^{w.id} = {mult} but conjugate-reversed = {rev}"))
 
     prefix = window[:_EXHAUSTIVE_TRIPLE_PREFIX]
@@ -167,6 +167,6 @@ def check_axioms(
         if lhs != rhs:
             diff = {lab: lhs.get(lab, 0) - rhs.get(lab, 0) for lab in lhs.keys() | rhs.keys()}
             off = ", ".join(f"{lab.id}:{diff[lab]:+d}" for lab in canonical_sort(diff) if diff[lab])
-            bad(AxiomViolation("associativity", (u.id, v.id, w.id), f"difference {off}"))
+            bad(AxiomViolation("associativity", (u, v, w), f"difference {off}"))
 
     return report

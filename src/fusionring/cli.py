@@ -7,7 +7,8 @@ invocations produce byte-identical JSON.
 
 Exit codes: 0 for a clean verdict (including honest "non-normal" or
 "unknown" answers), 1 for violations and mismatches (axiom failures,
-numeric verification failures, invalid ring files), 2 for usage errors.
+numeric verification failures, invalid ring files) and for output cut
+short because the reader closed stdout, 2 for usage errors.
 """
 
 from __future__ import annotations
@@ -15,13 +16,14 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 from fractions import Fraction
 
 from .axioms import check_axioms
 from .components import identity_component_report
-from .core import Budget, FusionProvider, split_outside_brackets
+from .core import Budget, FusionProvider, _plain, split_outside_brackets
 from .errors import (
     BadParameter,
     FusionError,
@@ -140,8 +142,20 @@ def _split_labels(text: str) -> list[str]:
     return [p.strip() for p in split_outside_brackets(text, ",") if p.strip()]
 
 
+def _ids(labels) -> str:
+    """The ids of ``labels``, comma-separated: how text output lists labels."""
+    return ", ".join(l.id for l in labels)
+
+
+def _violation(v) -> str:
+    """An axiom violation as text output shows it: the axiom, the tuple of
+    label ids, the detail."""
+    return f"[{v.axiom}] {tuple(_plain(v.labels))}: {v.detail}"
+
+
 # Each command runs its analysis on the provider and budget ``main`` built
-# and returns its JSON payload, its text lines and its exit code.
+# and returns its report (which ``main`` writes through ``_plain``), its
+# text lines and its exit code.
 
 
 def _cmd_axioms(args, provider, budget):
@@ -152,32 +166,32 @@ def _cmd_axioms(args, provider, budget):
         f"{report.pairs_checked} pairs, {report.triples_checked} triples (seed {report.seed})",
     ]
     for v in report.violations:
-        lines.append(f"VIOLATION [{v.axiom}] {v.labels}: {v.detail}")
+        lines.append(f"VIOLATION {_violation(v)}")
     lines.append("ok" if report.ok else f"{len(report.violations)} violations")
-    return report.to_dict(), lines, 0 if report.ok else 1
+    return report, lines, 0 if report.ok else 1
 
 
 def _cmd_decompose(args, provider, budget):
     left = provider.parse_label(args.left)
     right = provider.parse_label(args.right)
-    terms = [[w.id, mult] for w, mult in provider.decompose(left, right)]
+    terms = provider.decompose(left, right).entries
     lines = [
         f"{left.id} (x) {right.id} = "
-        + (" + ".join(f"{m}*{i}" if m != 1 else i for i, m in terms) if terms else "0")
+        + (" + ".join(f"{m}*{w.id}" if m != 1 else w.id for w, m in terms) if terms else "0")
     ]
-    return {"left": left.id, "right": right.id, "terms": terms}, lines, 0
+    return {"left": left, "right": right, "terms": terms}, lines, 0
 
 
 def _cmd_torsion(args, provider, budget):
     report = torsion_subcategory(provider, budget)
     lines = [
         f"ring: {provider.name}",
-        f"certified torsion: {', '.join(l.id for l in report.certified) or '(none)'}",
+        f"certified torsion: {_ids(report.certified) or '(none)'}",
         f"status: {report.subcategory.status}",
     ]
     if report.unknowns:
-        lines.append(f"unknown: {', '.join(l.id for l in report.unknowns)}")
-    return report.to_dict(), lines, 0
+        lines.append(f"unknown: {_ids(report.unknowns)}")
+    return report, lines, 0
 
 
 _CLOSURES = {
@@ -192,13 +206,13 @@ def _cmd_closure(args, provider, budget):
     sub = _CLOSURES[args.kind](provider, gens, budget)
     lines = [
         f"ring: {provider.name}",
-        f"{args.kind} closure of {{{', '.join(g.id for g in gens)}}}: "
+        f"{args.kind} closure of {{{_ids(gens)}}}: "
         f"{len(sub.labels)} labels, status {sub.status}",
-        ", ".join(sub.label_ids),
+        _ids(sub.labels),
     ]
     if sub.frontier:
-        lines.append(f"frontier: {', '.join(l.id for l in sub.frontier)}")
-    return sub.to_dict(), lines, 0
+        lines.append(f"frontier: {_ids(sub.frontier)}")
+    return sub, lines, 0
 
 
 def _cmd_nsequence(args, provider, budget):
@@ -216,7 +230,7 @@ def _cmd_nsequence(args, provider, budget):
     )
     if report.quotient_note:
         lines.append(report.quotient_note)
-    return report.to_dict(), lines, 0
+    return report, lines, 0
 
 
 def _cmd_component(args, provider, budget):
@@ -225,12 +239,12 @@ def _cmd_component(args, provider, budget):
     if report.component_group_order is not None:
         lines.append(f"component group order: {report.component_group_order}")
     if report.witness is not None:
-        lines.append(f"witness: {report.witness}")
+        lines.append(f"witness: {report.witness.id}")
     if report.torsion_degree_note:
         lines.append(report.torsion_degree_note)
     if report.inconclusive_reason:
         lines.append(f"reason: {report.inconclusive_reason}")
-    return report.to_dict(), lines, 0
+    return report, lines, 0
 
 
 # Each chain stage closes a larger generator set: on au, dmax 16 took 0.7 s,
@@ -248,9 +262,9 @@ def _cmd_chain(args, provider, budget):
     for stage in report.stages:
         lines.append(
             f"  stage {stage.d}: {len(stage.subcategory.labels)} labels"
-            f" ({stage.subcategory.status}), witnesses: {', '.join(stage.witnesses) or '(none)'}"
+            f" ({stage.subcategory.status}), witnesses: {_ids(stage.witnesses) or '(none)'}"
         )
-    return report.to_dict(), lines, 0
+    return report, lines, 0
 
 
 def _cmd_dimideal(args, provider, budget):
@@ -263,14 +277,14 @@ def _cmd_dimideal(args, provider, budget):
     report = dimension_ideal_recover(provider, given)
     lines = [
         f"ring: {provider.name}",
-        f"given: {', '.join(report.given)}",
-        f"recovered: {', '.join(report.recovered)}",
+        f"given: {_ids(report.given)}",
+        f"recovered: {_ids(report.recovered)}",
         f"lattice rank: {report.lattice_rank}",
         "exact recovery" if report.exact else "recovery is a proper superset of the input"
         if set(report.given) < set(report.recovered)
         else "recovered set differs from input",
     ]
-    return report.to_dict(), lines, 0
+    return report, lines, 0
 
 
 def _cmd_uqverify(args, provider, budget):
@@ -286,7 +300,7 @@ def _cmd_uqverify(args, provider, budget):
     for name, ok, detail in report.checks:
         lines.append(f"[{'pass' if ok else 'FAIL'}] {name}: {detail}")
     lines.append("ok" if report.ok else "FAILED")
-    return report.to_dict(), lines, 0 if report.ok else 1
+    return report, lines, 0 if report.ok else 1
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -362,7 +376,7 @@ def main(argv: list[str] | None = None) -> int:
     except InvalidRing as exc:
         print(f"invalid ring: {exc}", file=sys.stderr)
         for v in getattr(exc, "violations", []):
-            print(f"  [{v.axiom}] {v.labels}: {v.detail}", file=sys.stderr)
+            print(f"  {_violation(v)}", file=sys.stderr)
         return 1
     except (UnsupportedProvider, UnknownLabel, BadParameter) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -370,11 +384,18 @@ def main(argv: list[str] | None = None) -> int:
     except FusionError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    if args.json:
-        print(json.dumps({"schema_version": SCHEMA_VERSION, "command": args.command, "report": payload},
-                         sort_keys=True, indent=2))
-    else:
-        print("\n".join(lines))
+    try:
+        if args.json:
+            doc = {"schema_version": SCHEMA_VERSION, "command": args.command, "report": _plain(payload)}
+            print(json.dumps(doc, sort_keys=True, indent=2))
+        else:
+            print("\n".join(lines))
+        sys.stdout.flush()  # a closed pipe raises here, not at interpreter exit
+    except BrokenPipeError:
+        # The reader stopped early: send the rest of the output nowhere, so
+        # the flush at exit cannot fail again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     return code
 
 

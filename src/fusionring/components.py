@@ -49,13 +49,13 @@ def restriction_hom_dim(provider: FusionProvider, s_labels, u: IrrLabel, v: IrrL
 class ComponentReport(Report):
     provider: str
     torsion_set: Subcategory
-    unknowns: tuple[str, ...]
+    unknowns: tuple[IrrLabel, ...]
     tensorial: bool
     commutative: bool
     finite: bool | None
     normality_violations: list[NormalityViolation]
     verdict: str
-    witness: str | None = None
+    witness: IrrLabel | None = None
     witness_evidence: dict | None = None
     component_group_order: int | None = None
     hom_table: list[list] | None = None
@@ -86,7 +86,7 @@ def _witness_evidence(provider, witness: IrrLabel) -> dict | None:
             return {
                 "factor": k,
                 "factor_name": factor.name,
-                "restriction": {lab.id: c for lab, c in restriction},
+                "restriction": dict(restriction),
                 "invariant_multiplicity": invariant,
                 "dim": witness.dim,
             }
@@ -131,7 +131,7 @@ def identity_component_report(provider: FusionProvider, budget: Budget | None = 
     report = ComponentReport(
         provider=provider.name,
         torsion_set=scan.subcategory,
-        unknowns=tuple(l.id for l in scan.unknowns),
+        unknowns=tuple(scan.unknowns),
         tensorial=tensorial,
         commutative=commutative,
         finite=True if tensorial else None,
@@ -142,7 +142,7 @@ def identity_component_report(provider: FusionProvider, budget: Budget | None = 
     if violations:
         witness = _non_normal_witness(provider, violations)
         report.verdict = "non_normal_witness"
-        report.witness = witness.id
+        report.witness = witness
         report.witness_evidence = _witness_evidence(provider, witness)
         report.torsion_degree_bound, report.torsion_degree_note = _adjoint_degree_note(provider)
     elif tensorial:
@@ -150,7 +150,7 @@ def identity_component_report(provider: FusionProvider, budget: Budget | None = 
         report.verdict = "normal_with_finite_component_group"
         report.component_group_order = sum(l.dim * l.dim for l in s_labels)
         report.hom_table = [
-            [u.id, v.id, restriction_hom_dim(provider, s_set, u, v)]
+            [u, v, restriction_hom_dim(provider, s_set, u, v)]
             for u in window
             for v in window
         ]

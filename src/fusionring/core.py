@@ -176,7 +176,13 @@ constituents_of = operator.attrgetter("_by_label")
 class Report:
     """Base of the report dataclasses: ``to_dict()`` is every field, by
     name, through ``_plain``.  A subclass overrides it only to add, drop
-    or rename keys (or, in ``uqnumeric``, to write an ndarray)."""
+    or rename keys (or, in ``uqnumeric``, to write an ndarray).
+
+    A field that names an irreducible holds its ``IrrLabel`` (alone, in a
+    tuple or list, or as a dict key), never its id: a caller can pass it
+    straight back to the provider, and ``_plain`` is the one place that
+    writes a label as its id.
+    """
 
     def to_dict(self) -> dict:
         return {f.name: _plain(getattr(self, f.name)) for f in dataclasses.fields(self)}
@@ -185,8 +191,8 @@ class Report:
 def _plain(value):
     """``value`` as reports write it to JSON: a label becomes its id, a
     report its ``to_dict()``, a tuple or list a list, a dict the same keys
-    with converted values, a complex number ``[real, imag]``; anything
-    else is returned as it is."""
+    (a label key its id) with converted values, a complex number
+    ``[real, imag]``; anything else is returned as it is."""
     if isinstance(value, IrrLabel):  # before the tuple rule: a label is a tuple
         return value.id
     if isinstance(value, Report):
@@ -194,7 +200,7 @@ def _plain(value):
     if isinstance(value, (tuple, list)):
         return [_plain(v) for v in value]
     if isinstance(value, dict):
-        return {k: _plain(v) for k, v in value.items()}
+        return {k.id if isinstance(k, IrrLabel) else k: _plain(v) for k, v in value.items()}
     if isinstance(value, complex):
         return [value.real, value.imag]
     return value

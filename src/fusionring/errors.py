@@ -19,12 +19,23 @@ __all__ = [
 _QUOTE_LIMIT = 60
 
 
-def _quote(text: str) -> str:
-    """``repr(text)``, or its first ``_QUOTE_LIMIT`` characters and its length
-    when longer: a message quotes input text, and input may be any size."""
+def _quote(value) -> str:
+    """``repr(value)``, cut short when long: a message quotes input, and
+    input may be any size.
+
+    A string longer than ``_QUOTE_LIMIT`` characters is quoted as the
+    repr of its first ``_QUOTE_LIMIT`` characters and its length; any
+    other value (an id pair, a table entry or row) as the first
+    ``_QUOTE_LIMIT`` characters of its repr and that repr's length.
+    """
+    if isinstance(value, str):
+        if len(value) <= _QUOTE_LIMIT:
+            return repr(value)
+        return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
+    text = repr(value)
     if len(text) <= _QUOTE_LIMIT:
-        return repr(text)
-    return f"{text[:_QUOTE_LIMIT]!r}... ({len(text)} characters)"
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
 
 
 class FusionError(Exception):

@@ -10,7 +10,9 @@ all arithmetic is exact, with no floating point anywhere.
 The inner loops run in C.  A row is zero before its pivot, so a row
 operation touches only the columns from that pivot on, as one ``map``
 over the two tails.  The first nonzero entry is found with
-``itertools.compress`` and the input is converted with ``map(int, ...)``.
+``itertools.compress``.  The input is read with ``map(operator.index,
+...)``, which takes ints (numpy's too) exactly and refuses a float, a
+string or a ``Fraction`` with TypeError, so no entry is truncated.
 
 A growing insert only adds rows at new pivots or replaces a row by one
 whose pivot entry is a proper divisor of the old one; pivots appear or
@@ -34,7 +36,7 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from itertools import compress, count, islice, repeat
-from operator import add, mul, neg, sub
+from operator import add, index, mul, neg, sub
 
 __all__ = ["IntegerLattice"]
 
@@ -70,7 +72,12 @@ def _subtract(v: list[int], q: int, row: list[int], p: int) -> None:
 
 
 class IntegerLattice:
-    """Subgroup of Z^n spanned by added integer rows."""
+    """Subgroup of Z^n spanned by added integer rows.
+
+    ``add`` and ``contains`` take any length-n sequence of integers (ints,
+    bools or numpy integers); an entry that is not an integer raises
+    TypeError rather than being rounded.
+    """
 
     def __init__(self, n: int):
         if n < 0:
@@ -82,7 +89,7 @@ class IntegerLattice:
     def _vector(self, vec) -> list[int]:
         if len(vec) != self.n:
             raise ValueError(f"expected length {self.n}, got {len(vec)}")
-        return list(map(int, vec))
+        return list(map(index, vec))
 
     def add(self, vec: list[int]) -> bool:
         """Insert a vector; returns True when the lattice grew."""

@@ -59,23 +59,23 @@ class FiniteTableProvider(FusionProvider):
         if "" in dims:
             raise InvalidRing("empty irreducible id")
         if unit_id not in dims:
-            raise InvalidRing(f"unit {unit_id!r} not among irreducibles")
+            raise InvalidRing(f"unit {_quote(unit_id)} not among irreducibles")
         for i, d in dims.items():
             if type(d) is not int or d < 1:
-                raise InvalidRing(f"irreducible {i!r} has dim {d!r}, not an integer of at least 1")
+                raise InvalidRing(f"irreducible {_quote(i)} has dim {_quote(d)}, not an integer of at least 1")
         pairs = {(a, b) for a in dims for b in dims}
         extra = set(table) - pairs
         if extra:
-            raise InvalidRing(f"table mentions unknown pair {sorted(extra)[0]}")
+            raise InvalidRing(f"table mentions unknown pair {_quote(sorted(extra)[0])}")
         missing = pairs - set(table)
         if missing:
-            raise InvalidRing(f"table is missing pair {sorted(missing)[0]}")
+            raise InvalidRing(f"table is missing pair {_quote(sorted(missing)[0])}")
         for key, counts in table.items():
             for w, m in counts.items():
                 if w not in dims:
-                    raise InvalidRing(f"product {key} mentions unknown id {w!r}")
+                    raise InvalidRing(f"product {_quote(key)} mentions unknown id {_quote(w)}")
                 if type(m) is not int or m < 0:
-                    raise InvalidRing(f"product {key} has bad multiplicity {m!r} for {w!r}")
+                    raise InvalidRing(f"product {_quote(key)} has bad multiplicity {_quote(m)} for {_quote(w)}")
         # Light's test first: a non-associative table's inverses need not form an involution.
         self._group = all(d == 1 for d in dims.values()) and all(sum(c.values()) == 1 for c in table.values())
         if self._group:
@@ -87,12 +87,12 @@ class FiniteTableProvider(FusionProvider):
                     ab = product[a, b]
                     for c in ids:
                         if product[ab, c] != product[a, product[b, c]]:
-                            raise NotAGroup(f"associativity fails at ({a!r}, {b!r}, {c!r})")
+                            raise NotAGroup(f"associativity fails at {_quote((a, b, c))}")
         for i, j in conj.items():
             if i not in dims or j not in dims:
-                raise InvalidRing(f"conjugation mentions unknown id {i!r} or {j!r}")
+                raise InvalidRing(f"conjugation mentions unknown id {_quote(i)} or {_quote(j)}")
             if conj.get(j) != i:
-                raise InvalidRing(f"conjugation not an involution at {i!r}")
+                raise InvalidRing(f"conjugation not an involution at {_quote(i)}")
         if set(conj) != set(dims):
             raise InvalidRing("conjugation map must cover every irreducible")
         self._dims = dims
@@ -172,13 +172,13 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
         for h in elems:
             prod = table.get((g, h))
             if prod is None:
-                raise NotAGroup(f"product ({g!r}, {h!r}) missing")
+                raise NotAGroup(f"product {_quote((g, h))} missing")
             try:
                 inside = prod in elem_set
             except TypeError:  # an unhashable product is no element either
                 inside = False
             if not inside:
-                raise NotAGroup(f"product ({g!r}, {h!r}) = {prod!r} leaves the element set")
+                raise NotAGroup(f"product {_quote((g, h))} = {_quote(prod)} leaves the element set")
     unit = next((e for e in elems if all(table[(e, g)] == g and table[(g, e)] == g for g in elems)), None)
     if unit is None:
         raise NotAGroup("no two-sided identity")
@@ -186,7 +186,7 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
     for g in elems:
         gi = next((h for h in elems if table[(g, h)] == unit and table[(h, g)] == unit), None)
         if gi is None:
-            raise NotAGroup(f"{g!r} has no inverse")
+            raise NotAGroup(f"{_quote(g)} has no inverse")
         inv[g] = gi
     dims = {g: 1 for g in elems}
     fusion = {(g, h): {table[(g, h)]: 1} for g in elems for h in elems}
@@ -274,7 +274,7 @@ def character_ring(source: str | Path | dict) -> FiniteTableProvider:
             val = inner(chars[i], chars[j])
             want = 1 if i == j else 0
             if val != want:
-                raise InvalidRing(f"characters {i!r},{j!r} have inner product {val}, not {want}")
+                raise InvalidRing(f"characters {_quote(i)},{_quote(j)} have inner product {val}, not {want}")
     unit = next((i for i in ids if all(x == 1 for x in chars[i])), None)
     if unit is None:
         raise InvalidRing("no trivial character")
@@ -289,7 +289,7 @@ def character_ring(source: str | Path | dict) -> FiniteTableProvider:
             for w in ids:
                 m = inner(prod, chars[w])
                 if m.denominator != 1 or m < 0:
-                    raise InvalidRing(f"{i!r} (x) {j!r} has coefficient {m} at {w!r}")
+                    raise InvalidRing(f"{_quote(i)} (x) {_quote(j)} has coefficient {m} at {_quote(w)}")
                 if m:
                     counts[w] = int(m)
             fusion[(i, j)] = counts
@@ -328,9 +328,9 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
         try:
             i, d, c = _string(entry, "id"), entry["dim"], _string(entry, "conj")
         except (KeyError, TypeError) as exc:
-            raise InvalidRing(f"malformed irreducible entry {entry!r}: {exc}") from None
+            raise InvalidRing(f"malformed irreducible entry {_quote(entry)}: {exc}") from None
         if i in dims:
-            raise InvalidRing(f"duplicate irreducible id {i!r}")
+            raise InvalidRing(f"duplicate irreducible id {_quote(i)}")
         dims[i], conj[i] = d, c
     table = {}
     for row in rows:
@@ -338,9 +338,9 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
             key = (_string(row, "left"), _string(row, "right"))
             result = dict(row["result"].items())
         except (KeyError, TypeError, AttributeError) as exc:
-            raise InvalidRing(f"malformed fusion row {row!r}: {exc}") from None
+            raise InvalidRing(f"malformed fusion row {_quote(row)}: {exc}") from None
         if key in table:
-            raise InvalidRing(f"pair {key} listed twice")
+            raise InvalidRing(f"pair {_quote(key)} listed twice")
         table[key] = result
     provider = FiniteTableProvider(name, unit, dims, conj, table)
     report = check_axioms(provider, Budget(max_irreducibles=provider.num_irreducibles))
@@ -356,7 +356,7 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
 def _string(entry: dict, key: str) -> str:
     """``entry[key]``, refused unless a JSON string: an id is never coerced."""
     if type(entry[key]) is not str:
-        raise TypeError(f"{key} {entry[key]!r} is not a JSON string")
+        raise TypeError(f"{key} {_quote(entry[key])} is not a JSON string")
     return entry[key]
 
 

@@ -18,6 +18,7 @@ from .core import (
     FusionProvider,
     IrrLabel,
     Report,
+    _plain,
     canonical_sort,
     constituents_of,
 )
@@ -78,10 +79,6 @@ class Subcategory(Report):
 
     def __contains__(self, label: IrrLabel) -> bool:
         return label in set(self.labels)
-
-    @property
-    def label_ids(self) -> list[str]:
-        return [l.id for l in self.labels]
 
     def to_dict(self) -> dict:
         out = super().to_dict()
@@ -289,12 +286,7 @@ def normal_forcing_closure(
 class NormalityViolation(Report):
     member: IrrLabel
     conjugator: IrrLabel
-    product_ids: tuple[str, ...]
-
-    def to_dict(self) -> dict:
-        out = super().to_dict()
-        out["product"] = out.pop("product_ids")
-        return out
+    product: tuple[IrrLabel, ...]
 
 
 def normality_consistency(
@@ -307,7 +299,7 @@ def normality_consistency(
     """
     s_set = set(s_labels)
     return [
-        NormalityViolation(v, u, tuple(w.id for w, _ in product))
+        NormalityViolation(v, u, tuple(product.constituents()))
         for v, u, product in _conjugates(provider, canonical_sort(s_set), provider.enumerate(bound))
         if s_set.isdisjoint(product.constituents())
     ]
@@ -378,9 +370,9 @@ class TorsionScanReport(Report):
         return {
             **super().to_dict(),
             "window": len(self.verdicts),
-            "certified": [l.id for l in self.certified],
-            "unknown": [l.id for l in self.unknowns],
-            "non_torsion": [l.id for l in self.non_torsion],
+            "certified": _plain(self.certified),
+            "unknown": _plain(self.unknowns),
+            "non_torsion": _plain(self.non_torsion),
         }
 
 
@@ -470,9 +462,9 @@ def n_sequence_cocommutative(provider: FusionProvider, budget: Budget | None = N
 @dataclass
 class ChainStage(Report):
     d: int
-    generators: tuple[str, ...]
+    generators: tuple[IrrLabel, ...]
     subcategory: Subcategory
-    witnesses: tuple[str, ...]
+    witnesses: tuple[IrrLabel, ...]
     strict: bool
 
 
@@ -515,9 +507,9 @@ def ascending_chain_probe(
         stages.append(
             ChainStage(
                 d=d,
-                generators=tuple(g.id for g in gens),
+                generators=tuple(gens),
                 subcategory=sub,
-                witnesses=tuple(g.id for g in new_gens),
+                witnesses=tuple(new_gens),
                 strict=strict,
             )
         )
@@ -529,8 +521,8 @@ def ascending_chain_probe(
 @dataclass
 class DimensionIdealReport(Report):
     provider: str
-    given: tuple[str, ...]
-    recovered: tuple[str, ...]
+    given: tuple[IrrLabel, ...]
+    recovered: tuple[IrrLabel, ...]
     lattice_rank: int
 
     @property
@@ -592,8 +584,8 @@ def dimension_ideal_recover(provider: FusionProvider, a_labels) -> DimensionIdea
             recovered.append(u)
     return DimensionIdealReport(
         provider=provider.name,
-        given=tuple(l.id for l in given),
-        recovered=tuple(l.id for l in canonical_sort(recovered)),
+        given=tuple(given),
+        recovered=tuple(canonical_sort(recovered)),
         lattice_rank=lattice.rank,
     )
 

@@ -719,23 +719,23 @@ def check_axioms_reference(provider, budget=None, *, triple_samples=200, seed=0)
     bad = report.violations.append
 
     if unit not in window:
-        bad(AxiomViolation("enumeration", (unit.id,), "unit missing from enumeration window"))
+        bad(AxiomViolation("enumeration", (unit,), "unit missing from enumeration window"))
     if provider.conj(unit) != unit:
-        bad(AxiomViolation("conjugation", (unit.id,), "unit is not self-conjugate"))
+        bad(AxiomViolation("conjugation", (unit,), "unit is not self-conjugate"))
 
     for u in window:
         cu = provider.conj(u)
         if provider.conj(cu) != u:
-            bad(AxiomViolation("conjugation", (u.id,), f"conj(conj({u.id})) = {provider.conj(cu).id}"))
+            bad(AxiomViolation("conjugation", (u,), f"conj(conj({u.id})) = {provider.conj(cu).id}"))
         if cu.dim != u.dim:
-            bad(AxiomViolation("conjugation", (u.id,), f"conj changes dim {u.dim} -> {cu.dim}"))
+            bad(AxiomViolation("conjugation", (u,), f"conj changes dim {u.dim} -> {cu.dim}"))
         left = provider.decompose(unit, u)
         right = provider.decompose(u, unit)
         single = {u: 1}
         if dict(left.entries) != single:
-            bad(AxiomViolation("unit-law", (u.id,), f"1 (x) {u.id} != {u.id}"))
+            bad(AxiomViolation("unit-law", (u,), f"1 (x) {u.id} != {u.id}"))
         if dict(right.entries) != single:
-            bad(AxiomViolation("unit-law", (u.id,), f"{u.id} (x) 1 != {u.id}"))
+            bad(AxiomViolation("unit-law", (u,), f"{u.id} (x) 1 != {u.id}"))
 
     for u in window:
         ubar = provider.conj(u)
@@ -746,13 +746,13 @@ def check_axioms_reference(provider, budget=None, *, triple_samples=200, seed=0)
             want_dim = u.dim * v.dim
             if got_dim != want_dim:
                 bad(AxiomViolation(
-                    "dimension", (u.id, v.id),
+                    "dimension", (u, v),
                     f"sum mult*dim = {got_dim}, expected {want_dim}"))
             unit_mult = dec.multiplicity(unit)
             want_unit = 1 if v == ubar else 0
             if unit_mult != want_unit:
                 bad(AxiomViolation(
-                    "unit-multiplicity", (u.id, v.id),
+                    "unit-multiplicity", (u, v),
                     f"N^1 = {unit_mult}, expected {want_unit}"))
             vbar = provider.conj(v)
             for w, mult in dec:
@@ -762,15 +762,15 @@ def check_axioms_reference(provider, budget=None, *, triple_samples=200, seed=0)
                 rev = provider.multiplicity(wbar, vbar, ubar)
                 if frob1 != mult:
                     bad(AxiomViolation(
-                        "frobenius", (u.id, v.id, w.id),
+                        "frobenius", (u, v, w),
                         f"N^{w.id} = {mult} but N^{v.id}_{{{ubar.id},{w.id}}} = {frob1}"))
                 if frob2 != mult:
                     bad(AxiomViolation(
-                        "frobenius", (u.id, v.id, w.id),
+                        "frobenius", (u, v, w),
                         f"N^{w.id} = {mult} but N^{u.id}_{{{w.id},{vbar.id}}} = {frob2}"))
                 if rev != mult:
                     bad(AxiomViolation(
-                        "conjugate-reversal", (u.id, v.id, w.id),
+                        "conjugate-reversal", (u, v, w),
                         f"N^{w.id} = {mult} but conjugate-reversed = {rev}"))
 
     prefix = window[:_EXHAUSTIVE_TRIPLE_PREFIX]
@@ -787,7 +787,7 @@ def check_axioms_reference(provider, budget=None, *, triple_samples=200, seed=0)
         if lhs != rhs:
             diff = {lab: lhs.get(lab, 0) - rhs.get(lab, 0) for lab in lhs.keys() | rhs.keys()}
             off = ", ".join(f"{lab.id}:{diff[lab]:+d}" for lab in canonical_sort(diff) if diff[lab])
-            bad(AxiomViolation("associativity", (u.id, v.id, w.id), f"difference {off}"))
+            bad(AxiomViolation("associativity", (u, v, w), f"difference {off}"))
 
     return report
 

@@ -79,7 +79,7 @@ def test_acceptance_2_double_ladder_torsion_structure():
 
     sign = ring.parse_label("u-0")
     generated = generated_subring(ring, [sign])
-    assert generated.label_ids == ["u+0", "u-0"]
+    assert generated.labels == (ring.unit(), sign)
     assert generated.status == "saturated"
 
     central = central_closure(ring, [sign])
@@ -149,9 +149,8 @@ def test_acceptance_5_block_chain_probe():
     assert report.strictly_increasing_up_to == 4
     for d in range(1, 4):
         stage, next_stage = report.stages[d - 1], report.stages[d]
-        witness_id = "U" * (d + 1) + "u" * (d + 1)
-        assert witness_id in next_stage.generators
-        witness = ring.parse_label(witness_id)
+        witness = ring.parse_label("U" * (d + 1) + "u" * (d + 1))
+        assert witness in next_stage.generators
         assert witness not in set(stage.subcategory.labels)
         assert witness in set(next_stage.subcategory.labels)
     for stage in report.stages:
@@ -231,9 +230,10 @@ def test_acceptance_8_non_normal_witness():
     ring = free_product(so3_ring(), word_group(parse_word_group_spec("Z2")))
     report = identity_component_report(ring, Budget(max_irreducibles=12))
     assert report.verdict == "non_normal_witness"
-    assert report.witness == "v1.a.v1"
+    assert report.witness == ring.parse_label("v1.a.v1")
     evidence = report.witness_evidence
-    assert evidence["restriction"] == {"v0": 1, "v1": 1, "v2": 1}
+    so3 = ring.factors[0]
+    assert evidence["restriction"] == {so3.parse_label(f"v{n}"): 1 for n in range(3)}
     assert evidence["invariant_multiplicity"] == 1
     assert evidence["dim"] == 9
     assert report.torsion_degree_bound == 1

@@ -458,9 +458,47 @@ def test_digit_strings_past_the_int_limit_are_refused(argv, message, capsys):
     assert message in captured.err
 
 
+def _z2_table(x: str) -> dict:
+    """The JSON table of Z2 = {e, x}."""
+    pairs = {("e", "e"): "e", ("e", x): x, (x, "e"): x, (x, x): "e"}
+    return {
+        "unit": "e",
+        "irreducibles": [{"id": i, "dim": 1, "conj": i} for i in ("e", x)],
+        "fusion": [{"left": l, "right": r, "result": {w: 1}} for (l, r), w in pairs.items()],
+    }
+
+
 # A message quotes at most a fixed prefix of the input text and its length,
-# so a long label still gives one short error line.
+# so a long label still gives one short error line.  So does a malformed
+# ring table for each long id, pair, entry or row it is refused for.
 _LONG = "x" * 5000
+_ID = "x" * 3000
+_Z2 = _z2_table(_ID)
+_E = {"id": "e", "dim": 1, "conj": "e"}
+# {e, a, b} with every product of a and b equal to e is not associative:
+# (ab)b = b but a(bb) = a.
+_LOOP_IDS = ("e", "a" * 3000, "b" * 3000)
+_LOOP = {
+    "unit": "e",
+    "irreducibles": [{"id": i, "dim": 1, "conj": i} for i in _LOOP_IDS],
+    "fusion": [{"left": l, "right": r, "result": {r if l == "e" else l if r == "e" else "e": 1}}
+               for l in _LOOP_IDS for r in _LOOP_IDS],
+}
+LONG_TABLES = {
+    "unit": {**_Z2, "unit": "u" * 5000},
+    "entry": {**_Z2, "irreducibles": [_E, {"id": _ID, "conj": _ID}]},
+    "entry-id-type": {**_Z2, "irreducibles": [_E, {"id": [_ID], "dim": 1, "conj": _ID}]},
+    "dim": {**_Z2, "irreducibles": [_E, {"id": _ID, "dim": "1" * 3000, "conj": _ID}]},
+    "duplicate-id": {**_Z2, "irreducibles": [_E, *_Z2["irreducibles"][1:] * 2]},
+    "row": {**_Z2, "fusion": [*_Z2["fusion"], {"left": _ID, "right": _ID}]},
+    "duplicate-pair": {**_Z2, "fusion": [*_Z2["fusion"], _Z2["fusion"][-1]]},
+    "unknown-pair": {**_Z2, "fusion": [*_Z2["fusion"], {"left": "e", "right": "y" * 3000, "result": {"e": 1}}]},
+    "missing-pair": {**_Z2, "fusion": _Z2["fusion"][:-1]},
+    "result-id": {**_Z2, "fusion": [{**row, "result": {"y" * 3000: 1}} for row in _Z2["fusion"]]},
+    "multiplicity": {**_Z2, "fusion": [{**row, "result": {_ID: "1" * 3000}} for row in _Z2["fusion"]]},
+    "conjugation": {**_Z2, "irreducibles": [_E, {"id": _ID, "dim": 1, "conj": "y" * 3000}]},
+    "not-a-group": _LOOP,
+}
 LONG_LABELS = [
     ("suq2", "u" + "9" * 5000, "(5001 characters)"),
     ("uqsu11", _LONG, "(5000 characters)"),
@@ -469,18 +507,25 @@ LONG_LABELS = [
     ("free(so3,word:Z2)", "v1." * 5000 + "v1", "(15002 characters) does not alternate factors"),
     ("prod(suq2,word:Z2)", _LONG, "bad pair id 'xxx"),
     ("json", _LONG, "(5000 characters)"),
+    *((f"malformed:{name}", "e", "characters)") for name in LONG_TABLES),
 ]
 
 
 @pytest.mark.parametrize("ring, label, message", LONG_LABELS,
-                         ids=["su2", "su11", "au", "words", "free", "prod", "table"])
+                         ids=["su2", "su11", "au", "words", "free", "prod", "table",
+                              *(f"malformed-table-{name}" for name in LONG_TABLES)])
 def test_a_long_label_gives_one_short_error_line(ring, label, message, fixtures_dir, tmp_path, capsys):
+    code, prefix = 2, "error: "
     if ring == "json":
         ring = f"json:{_table_ring_path(fixtures_dir, tmp_path)}"
-    assert main(["decompose", "--ring", ring, label, label]) == 2
+    elif ring.startswith("malformed:"):
+        path = tmp_path / "ring.json"
+        path.write_text(json.dumps(LONG_TABLES[ring.removeprefix("malformed:")]))
+        ring, code, prefix = f"json:{path}", 1, "invalid ring: "
+    assert main(["decompose", "--ring", ring, label, label]) == code
     captured = capsys.readouterr()
     assert captured.out == ""
-    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert captured.err.startswith(prefix) and captured.err.count("\n") == 1
     assert message in captured.err
     assert len(captured.err) < len(ring) + 160
 
@@ -524,6 +569,20 @@ def test_products_nested_at_the_limit_still_run(capsys):
     assert capsys.readouterr().out.endswith("= e + u2\n")
     assert main(["axioms", "--ring", _nested(32), "--budget", "max_irreducibles=20"]) == 0
     assert capsys.readouterr().out.endswith("ok\n")
+
+
+def test_a_reader_that_closes_stdout_early_gets_exit_one_and_no_traceback():
+    # The report is about 360 KB, far more than a pipe buffers, so the
+    # command is still writing when the reader goes away.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    argv = ["torsion", "--ring", "word:Z2*Z2", "--budget", "max_irreducibles=400", "--json"]
+    with subprocess.Popen([sys.executable, "-m", "fusionring.cli", *argv], env=env,
+                          stdout=subprocess.PIPE, stderr=subprocess.PIPE) as proc:
+        assert proc.stdout.readline() == b"{\n"
+        proc.stdout.close()
+        assert proc.stderr.read() == b""
+        assert proc.wait(timeout=120) == 1
 
 
 def test_chain_refuses_a_dmax_past_its_limit(capsys):

@@ -18,10 +18,6 @@ from fusionring.rings import (
 from oracles import su2_multiplicity
 
 
-def _ladder_index(label_id):
-    return int(label_id[2:])
-
-
 def test_double_ladder_component_certificate():
     ring = uq_su11_ring()
     rep = identity_component_report(ring, Budget(max_irreducibles=20))
@@ -39,8 +35,8 @@ def test_hom_table_matches_ladder_invariant_counting():
     # multiplicity of the 1-dim label in n (x) m
     ring = uq_su11_ring()
     rep = identity_component_report(ring, Budget(max_irreducibles=20))
-    for uid, vid, value in rep.hom_table:
-        n, m = _ladder_index(uid), _ladder_index(vid)
+    for u, v, value in rep.hom_table:
+        (_, n), (_, m) = ring.key_of(u), ring.key_of(v)
         assert value == su2_multiplicity(n, m, 0)
 
 
@@ -69,11 +65,12 @@ def test_free_product_yields_a_non_normal_witness():
     ring = free_product(so3_ring(), word_group(parse_word_group_spec("Z2")))
     rep = identity_component_report(ring, Budget(max_irreducibles=12))
     assert rep.verdict == "non_normal_witness"
-    assert rep.witness == "v1.a.v1"
+    assert rep.witness == ring.parse_label("v1.a.v1")
+    so3 = ring.factors[0]
     assert rep.witness_evidence == {
         "factor": 0,
         "factor_name": "so3",
-        "restriction": {"v0": 1, "v1": 1, "v2": 1},
+        "restriction": {so3.parse_label(f"v{n}"): 1 for n in range(3)},
         "invariant_multiplicity": 1,
         "dim": 9,
     }
@@ -86,7 +83,7 @@ def test_witness_restriction_disagrees_with_dimension():
     # restriction would put the full dimension on the invariant part
     ring = free_product(so3_ring(), word_group(parse_word_group_spec("Z2")))
     rep = identity_component_report(ring, Budget(max_irreducibles=12))
-    witness = ring.parse_label(rep.witness)
+    witness = rep.witness
     restriction = ring.factor_restriction(witness, rep.witness_evidence["factor"])
     unit0 = ring.factors[0].unit()
     assert restriction.multiplicity(unit0) == 1

@@ -20,6 +20,11 @@
 * Backends read a label's structure from its key, not its id: modules
   under ``rings/`` read an ``.id`` attribute only inside ``_spell`` and
   ``dump_ring_json`` (``_read`` reads text, not label ids).
+* Reports carry labels, not ids: in the report-making layers
+  (``torsion.py``, ``components.py``, ``axioms.py``) a label's ``.id`` is
+  read only inside an f-string (a message, detail or reason) or in
+  ``enumerate_saturated_subrings``' sort key; ``core._plain`` writes
+  every label in a report as its id.
 * One read-back rule for labels: no class under ``rings/`` defines
   ``parse_label``; each backend reads text into a key with ``_read``, and
   ``FusionProvider.parse_label`` alone compares the label's id with the
@@ -292,6 +297,56 @@ def test_id_read_is_detected():
 @pytest.mark.parametrize("path", RING_MODULES, ids=lambda p: p.name)
 def test_backends_read_label_ids_only_to_spell_parse_and_dump(path):
     assert id_reads(path.read_text()) == []
+
+
+REPORT_LAYERS = (*ANALYSIS_LAYERS, "axioms.py")
+ID_SORT_KEYS = {"enumerate_saturated_subrings"}
+
+
+def report_id_reads(source: str) -> list[str]:
+    """Every read of an ``.id`` attribute outside an f-string and outside
+    the ``key=`` argument of a call in a function named in
+    ``ID_SORT_KEYS``, with its enclosing function."""
+    found = []
+
+    def visit(node, function, allowed):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            function = node.name
+        allowed = allowed or isinstance(node, ast.JoinedStr) or (
+            isinstance(node, ast.keyword) and node.arg == "key" and function in ID_SORT_KEYS
+        )
+        if (isinstance(node, ast.Attribute) and node.attr == "id" and isinstance(node.ctx, ast.Load)
+                and not allowed):
+            found.append(f"line {node.lineno}: in {function}")
+        for child in ast.iter_child_nodes(node):
+            visit(child, function, allowed)
+
+    visit(ast.parse(source), "<module>", False)
+    return found
+
+
+def test_report_id_read_is_detected():
+    source = (
+        "def normality_consistency(provider, s):\n"
+        "    return [Violation(v, u, tuple(w.id for w in p)) for v, u, p in s]\n"
+        "def check(u):\n"
+        "    bad(Violation('unit-law', (u.id,), f'1 (x) {u.id} != {u.id}'))\n"
+        "def enumerate_saturated_subrings(found):\n"
+        "    found.sort(key=lambda subs: (len(subs), [l.id for l in subs]))\n"
+        "    return sorted(found, reverse=found[0].id)\n"
+        "def other(found):\n"
+        "    found.sort(key=lambda l: l.id)\n"
+        "WITNESS = LABEL.id\n"
+    )
+    assert report_id_reads(source) == [
+        "line 2: in normality_consistency", "line 4: in check", "line 7: in enumerate_saturated_subrings",
+        "line 9: in other", "line 10: in <module>",
+    ]
+
+
+@pytest.mark.parametrize("name", REPORT_LAYERS)
+def test_report_layers_read_label_ids_only_in_text_and_the_subring_sort_key(name):
+    assert report_id_reads((PACKAGE / name).read_text()) == []
 
 
 def parse_label_definitions(source: str) -> list[str]:

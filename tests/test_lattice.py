@@ -1,5 +1,8 @@
 import random
+from fractions import Fraction
 
+import numpy as np
+import pytest
 from hypothesis import given, strategies as st
 
 from fusionring import IntegerLattice, canonical_sort, finite_group_ring
@@ -50,6 +53,20 @@ def test_non_principal_mixture():
     assert not lat.contains([1, 2])
     assert lat.contains([4, 2])
     assert lat.contains([2, -2])
+
+
+def test_entries_that_are_not_integers_are_refused_not_truncated():
+    lat = IntegerLattice(2)
+    for vec in ([0.5, 0], [1.5, 0], ["3", 0], [Fraction(3), 0], [2.0, 0]):
+        with pytest.raises(TypeError):
+            lat.contains(vec)
+        with pytest.raises(TypeError):
+            lat.add(vec)
+    assert lat.rank == 0
+    # numpy integers are integers, read as Python ints
+    assert lat.add([np.int64(2), np.int8(0)])
+    assert lat.contains([4, 0]) and not lat.contains([np.int32(1), 0])
+    assert lat.basis() == [[2, 0]] and all(type(x) is int for x in lat.basis()[0])
 
 
 @given(st.data())

@@ -1,5 +1,7 @@
 """Report serialization: pinned ``to_dict()`` values of the reports the CLI
-never prints, and a JSON round trip of every report class."""
+never prints, a JSON round trip of every report class, and every field
+that names an irreducible seen holding labels, which ``to_dict()`` writes
+as ids."""
 
 import dataclasses
 import json
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from fusionring import Budget, InvalidRing
+from fusionring import Budget, InvalidRing, IrrLabel
 from fusionring.axioms import check_axioms
 from fusionring.cli import parse_provider
 from fusionring.components import identity_component_report
@@ -119,8 +121,13 @@ def test_k_spectrum_witness_writes_complex_values_as_pairs():
 
 @pytest.fixture(scope="module")
 def examples() -> list[Report]:
-    """Reports from real library calls, with every report nested in them."""
+    """Reports from real library calls, with every report nested in them.
+
+    Their label fields hold labels (see ``LABEL_FIELDS``): the component
+    reports carry a witness and its restriction on one ring and a hom
+    table on the other, and the dimension ideal recovers a subgroup."""
     rings = {ring.name: ring for ring in builtin_finite_rings()}
+    s3 = rings["group:S3"]
     free = parse_provider("free(so3,word:Z2)")
     budget = Budget(max_irreducibles=8, max_label_size=4)
     with pytest.raises(InvalidRing) as err:
@@ -131,8 +138,9 @@ def examples() -> list[Report]:
         torsion_subcategory(uq_su11_ring(), budget),
         n_sequence_cocommutative(rings["group:S3"], budget),
         ascending_chain_probe(free, 2, budget),
-        dimension_ideal_recover(rings["group:S3"], [rings["group:S3"].unit()]),
+        dimension_ideal_recover(s3, [s3.unit(), s3.parse_label("p120"), s3.parse_label("p201")]),
         identity_component_report(free, budget),
+        identity_component_report(uq_su11_ring(), budget),
         full_verification(Q, 1),
         check_star(build_u(1, 1, Q)),
         intertwiner_space(tensor_rep(build_u(1, 1, Q), build_u(-1, 1, Q)), build_u(1, 0, Q)),
@@ -169,3 +177,45 @@ def test_every_report_round_trips_through_json(cls, examples):
     for report in mine:
         d = report.to_dict()
         assert json.loads(json.dumps(d)) == d
+
+
+# Every report field that names irreducibles, with the examples' values
+# holding labels in it: a field of labels is what ``to_dict`` turns into ids.
+LABEL_FIELDS = [
+    ("AxiomViolation", "labels"),
+    ("NormalityViolation", "member"),
+    ("NormalityViolation", "conjugator"),
+    ("NormalityViolation", "product"),
+    ("ChainStage", "generators"),
+    ("ChainStage", "witnesses"),
+    ("DimensionIdealReport", "given"),
+    ("DimensionIdealReport", "recovered"),
+    ("ComponentReport", "unknowns"),
+    ("ComponentReport", "witness"),
+    ("ComponentReport", "witness_evidence"),
+    ("ComponentReport", "hom_table"),
+]
+
+
+def _labels_and_ids(value):
+    """``value`` with every label replaced by its id (dict keys too), and
+    whether it held a label at all."""
+    if isinstance(value, IrrLabel):
+        return value.id, True
+    if isinstance(value, dict):
+        pairs = [(_labels_and_ids(k), _labels_and_ids(v)) for k, v in value.items()]
+        return {k: v for (k, _), (v, _) in pairs}, any(a or b for (_, a), (_, b) in pairs)
+    if isinstance(value, (list, tuple)):
+        items = [_labels_and_ids(v) for v in value]
+        return [v for v, _ in items], any(held for _, held in items)
+    return value, False
+
+
+@pytest.mark.parametrize("cls, name", LABEL_FIELDS, ids=lambda x: x)
+def test_label_fields_hold_labels_and_are_written_as_ids(cls, name, examples):
+    held = False
+    for report in (r for r in examples if type(r).__name__ == cls):
+        ids, has_labels = _labels_and_ids(getattr(report, name))
+        held |= has_labels
+        assert report.to_dict()[name] == ids
+    assert held, f"no example of {cls}.{name} holds a label: add a library call that makes one"

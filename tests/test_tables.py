@@ -81,12 +81,20 @@ def test_order_5_loop_fails_associativity():
         ({("a", "a"): "x"}, "leaves the element set"),
         ({("a", "a"): "a", ("a", "b"): "b"}, "missing"),
         ({}, "empty table"),
+        # a long element is quoted short
+        ({("a", "a"): "x" * 3000}, r"'\.\.\. \(3000 characters\) leaves the element set"),
+        ({("a" * 3000, "a" * 3000): "a" * 3000, ("a" * 3000, "b"): "b", ("b", "b"): "b"},
+         r"\('b', 'aaa.*\.\.\. \(3009 characters\) missing"),
+        ({("e", "e"): "e", ("e", "x" * 3000): "x" * 3000, ("x" * 3000, "e"): "x" * 3000,
+          ("x" * 3000, "x" * 3000): "x" * 3000}, r"'\.\.\. \(3000 characters\) has no inverse"),
     ],
-    ids=["unhashable-product", "foreign-product", "missing-product", "empty"],
+    ids=["unhashable-product", "foreign-product", "missing-product", "empty",
+         "long-foreign-product", "long-missing-product", "long-no-inverse"],
 )
 def test_bad_group_tables_raise_not_a_group(table, message):
-    with pytest.raises(NotAGroup, match=message):
+    with pytest.raises(NotAGroup, match=message) as err:
         finite_group_ring(table)
+    assert len(str(err.value)) < 200
 
 
 # Groups of order <= 6 by their rows over elements 0..n-1, 0 the identity:

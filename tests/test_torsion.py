@@ -87,7 +87,7 @@ def test_torsion_scan_certified_and_unknown_labels_are_pinned(spec, budget, cert
 def test_sign_label_generates_the_saturated_pair():
     ring = uq_su11_ring()
     sub = generated_subring(ring, [ring.parse_label("u-0")])
-    assert sub.label_ids == ["u+0", "u-0"]
+    assert sub.labels == (ring.unit(), ring.parse_label("u-0"))
     assert sub.status == "saturated"
     assert sub.frontier == ()
 
@@ -167,25 +167,21 @@ def test_block_chain_probe_is_strict_through_stage_four():
     report = ascending_chain_probe(ring, 4)
     assert report.strictly_increasing_up_to == 4
     assert [s.witnesses for s in report.stages] == [
-        ("Uu",),
-        ("UUuu",),
-        ("UUUuuu",),
-        ("UUUUuuuu",),
+        (ring.parse_label("Uu"),),
+        (ring.parse_label("UUuu"),),
+        (ring.parse_label("UUUuuu"),),
+        (ring.parse_label("UUUUuuuu"),),
     ]
     for stage in report.stages:
         assert stage.strict
-        inside = set(stage.subcategory.labels)
-        for wid in stage.witnesses:
-            assert ring.parse_label(wid) in inside
+        assert set(stage.witnesses) <= set(stage.subcategory.labels)
 
 
 def test_chain_witnesses_missing_from_previous_stage():
     ring = au_ring()
     report = ascending_chain_probe(ring, 4)
     for prev, stage in zip(report.stages, report.stages[1:]):
-        prev_labels = set(prev.subcategory.labels)
-        for wid in stage.witnesses:
-            assert ring.parse_label(wid) not in prev_labels
+        assert set(stage.witnesses).isdisjoint(prev.subcategory.labels)
 
 
 def _char_s3():
@@ -305,8 +301,9 @@ def test_sequence_matches_the_reference_on_builtin_finite_rings():
 
 
 def test_finite_word_group_stage_one_is_the_whole_group():
-    rep = n_sequence_cocommutative(word_group([5]), Budget(max_irreducibles=3))
-    assert rep.stages[0].label_ids == ["a", "a^2", "a^3", "a^4", "e"]
+    group = word_group([5])
+    rep = n_sequence_cocommutative(group, Budget(max_irreducibles=3))
+    assert rep.stages[0].labels == tuple(map(group.parse_label, ["a", "a^2", "a^3", "a^4", "e"]))
     assert rep.stages[0].status == "saturated"
     assert rep.scanned == 5
 
@@ -447,7 +444,7 @@ def test_a_closure_its_last_round_closes_is_saturated(kind):
     # nothing outside, so the round cap leaves no frontier and no doubt.
     ring = next(r for r in builtin_finite_rings() if r.name == "group:Z4")
     sub = CLOSURES[kind](ring, [ring.parse_label("g1")], Budget(max_rounds=1))
-    assert sub.label_ids == ["g0", "g1", "g2", "g3"]
+    assert sub.labels == tuple(map(ring.parse_label, ["g0", "g1", "g2", "g3"]))
     assert sub.status == "saturated"
     assert sub.frontier == ()
 
