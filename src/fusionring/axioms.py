@@ -12,6 +12,7 @@ import random
 from dataclasses import dataclass, field
 
 from .core import Budget, FusionProvider, IrrLabel, Report, canonical_sort, constituents_of
+from .errors import _clip
 
 __all__ = [
     "AxiomViolation",
@@ -105,14 +106,14 @@ def check_axioms(
     for u in window:
         cu = bar(u)
         if bar(cu) != u:
-            bad(AxiomViolation("conjugation", (u,), f"conj(conj({u.id})) = {bar(cu).id}"))
+            bad(AxiomViolation("conjugation", (u,), f"conj(conj({_clip(u.id)})) = {_clip(bar(cu).id)}"))
         if cu.dim != u.dim:
             bad(AxiomViolation("conjugation", (u,), f"conj changes dim {u.dim} -> {cu.dim}"))
         single = {u: 1}
         if constituents_of(decompose(unit, u)) != single:
-            bad(AxiomViolation("unit-law", (u,), f"1 (x) {u.id} != {u.id}"))
+            bad(AxiomViolation("unit-law", (u,), f"1 (x) {_clip(u.id)} != {_clip(u.id)}"))
         if constituents_of(decompose(u, unit)) != single:
-            bad(AxiomViolation("unit-law", (u,), f"{u.id} (x) 1 != {u.id}"))
+            bad(AxiomViolation("unit-law", (u,), f"{_clip(u.id)} (x) 1 != {_clip(u.id)}"))
 
     for u in window:
         ubar = bar(u)
@@ -143,15 +144,17 @@ def check_axioms(
                 if frob1 != mult:
                     bad(AxiomViolation(
                         "frobenius", (u, v, w),
-                        f"N^{w.id} = {mult} but N^{v.id}_{{{ubar.id},{w.id}}} = {frob1}"))
+                        f"N^{_clip(w.id)} = {mult} but "
+                        f"N^{_clip(v.id)}_{{{_clip(ubar.id)},{_clip(w.id)}}} = {frob1}"))
                 if frob2 != mult:
                     bad(AxiomViolation(
                         "frobenius", (u, v, w),
-                        f"N^{w.id} = {mult} but N^{u.id}_{{{w.id},{vbar.id}}} = {frob2}"))
+                        f"N^{_clip(w.id)} = {mult} but "
+                        f"N^{_clip(u.id)}_{{{_clip(w.id)},{_clip(vbar.id)}}} = {frob2}"))
                 if rev != mult:
                     bad(AxiomViolation(
                         "conjugate-reversal", (u, v, w),
-                        f"N^{w.id} = {mult} but conjugate-reversed = {rev}"))
+                        f"N^{_clip(w.id)} = {mult} but conjugate-reversed = {rev}"))
 
     prefix = window[:_EXHAUSTIVE_TRIPLE_PREFIX]
     triples = [(u, v, w) for u in prefix for v in prefix for w in prefix]
@@ -166,7 +169,7 @@ def check_axioms(
         rhs = provider.multiply_virtual(uu, provider.multiply_virtual(vv, ww))
         if lhs != rhs:
             diff = {lab: lhs.get(lab, 0) - rhs.get(lab, 0) for lab in lhs.keys() | rhs.keys()}
-            off = ", ".join(f"{lab.id}:{diff[lab]:+d}" for lab in canonical_sort(diff) if diff[lab])
+            off = ", ".join(f"{_clip(lab.id)}:{diff[lab]:+d}" for lab in canonical_sort(diff) if diff[lab])
             bad(AxiomViolation("associativity", (u, v, w), f"difference {off}"))
 
     return report

@@ -149,8 +149,9 @@ def _ids(labels) -> str:
 
 def _violation(v) -> str:
     """An axiom violation as text output shows it: the axiom, the tuple of
-    label ids, the detail."""
-    return f"[{v.axiom}] {tuple(_plain(v.labels))}: {v.detail}"
+    label ids (each cut by ``_quote``), the detail."""
+    ids = ", ".join(_quote(l.id) for l in v.labels) + ("," if len(v.labels) == 1 else "")
+    return f"[{v.axiom}] ({ids}): {v.detail}"
 
 
 # Each command runs its analysis on the provider and budget ``main`` built
@@ -174,12 +175,9 @@ def _cmd_axioms(args, provider, budget):
 def _cmd_decompose(args, provider, budget):
     left = provider.parse_label(args.left)
     right = provider.parse_label(args.right)
-    terms = provider.decompose(left, right).entries
-    lines = [
-        f"{left.id} (x) {right.id} = "
-        + (" + ".join(f"{m}*{w.id}" if m != 1 else w.id for w, m in terms) if terms else "0")
-    ]
-    return {"left": left, "right": right, "terms": terms}, lines, 0
+    product = provider.decompose(left, right)
+    lines = [f"{left.id} (x) {right.id} = {product}"]
+    return {"left": left, "right": right, "terms": product.entries}, lines, 0
 
 
 def _cmd_torsion(args, provider, budget):
@@ -287,7 +285,14 @@ def _cmd_dimideal(args, provider, budget):
     return report, lines, 0
 
 
+# The battery builds every model up to --nmax: near q = -1.01, nmax 100 took
+# 0.75 s, 200 took 3.2 s and 400 took 33 s on a 2-core x86-64 machine.
+_MAX_NMAX = 200
+
+
 def _cmd_uqverify(args, provider, budget):
+    if args.nmax > _MAX_NMAX:
+        raise ParseError(f"--nmax must be at most {_MAX_NMAX}, got {args.nmax}")
     # the one numpy user: other commands start without loading it
     from .uqnumeric import full_verification
 
@@ -346,7 +351,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("uqverify", _cmd_uqverify, "numerical verification battery for the q-deformed models",
             ring=False, budget=False)
     p.add_argument("--q", default="-1/2", help="deformation parameter, e.g. -1/2 or -0.5")
-    p.add_argument("--nmax", type=int, default=6)
+    p.add_argument("--nmax", type=int, default=6, help=f"highest level checked, 0 to {_MAX_NMAX} (default 6)")
     p.add_argument("--t-branch", choices=("principal", "conjugate"), default="principal", dest="t_branch")
 
     return parser

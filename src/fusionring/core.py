@@ -160,11 +160,12 @@ class Decomposition:
     def __hash__(self) -> int:
         return hash(self.entries)
 
+    def __str__(self) -> str:
+        """The text of a product: ``2*u1 + u3``, or ``0`` when empty."""
+        return " + ".join(f"{m}*{lab.id}" if m != 1 else lab.id for lab, m in self._by_label.items()) or "0"
+
     def __repr__(self) -> str:
-        body = " + ".join(
-            (f"{m}*{lab.id}" if m != 1 else lab.id) for lab, m in self._by_label.items()
-        )
-        return f"<Decomposition {body or '0'}>"
+        return f"<Decomposition {self}>"
 
 
 # The constituents of a decomposition in canonical order, read in C: an
@@ -277,9 +278,10 @@ class FusionProvider(ABC):
     the backend's ``_spell`` for the id and dim of a new key and records
     the key in the instance's ``_keys``), and its methods read
     ``key_of(u)`` instead of parsing ``u.id``.  ``parse_label``, written
-    here once, is the only parser: the backend's ``_read`` turns text,
-    maybe another spelling, into one of the backend's own keys, and the
-    label is returned only when it is spelled exactly as the text.
+    here once, is the only parser and the one unknown-id refusal: the
+    backend's ``_read`` turns text, maybe another spelling, into one of
+    its own keys (None when it names none), and the label is returned
+    only when it is spelled exactly as the text.
     ``key_of`` sends every label equal to none the instance made (another
     instance's, or one built by hand) through it, accepting the result
     only when it is the whole label ``u`` again.
@@ -306,7 +308,8 @@ class FusionProvider(ABC):
         raise NotImplementedError
 
     def _read(self, text: str):
-        """The key ``text`` names, or UnknownLabel; keyed backends implement it."""
+        """The key ``text`` names, or None for ``parse_label`` to refuse (or a
+        more specific UnknownLabel); keyed backends implement it."""
         raise NotImplementedError
 
     def key_of(self, u: IrrLabel):
@@ -399,10 +402,11 @@ class FusionProvider(ABC):
         try:
             key = self._read(text)
         except ValueError:  # int() refuses a digit string past Python's length limit
-            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}") from None
-        lab = self._label(key)
-        if lab.id != text:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)} (it parses as {_quote(lab.id)})")
+            key = None
+        lab = None if key is None else self._label(key)
+        if lab is None or lab.id != text:
+            parsed = "" if lab is None else f" (it parses as {_quote(lab.id)})"
+            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}{parsed}")
         return lab
 
     # -- derived ring arithmetic ------------------------------------------

@@ -19,23 +19,29 @@ __all__ = [
 _QUOTE_LIMIT = 60
 
 
+def _clip(text: str) -> str:
+    """``text`` itself, or when longer than ``_QUOTE_LIMIT`` characters
+    its first ``_QUOTE_LIMIT`` characters and its length: how a message
+    or detail names an id without quotes."""
+    if len(text) <= _QUOTE_LIMIT:
+        return text
+    return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
 def _quote(value) -> str:
     """``repr(value)``, cut short when long: a message quotes input, and
     input may be any size.
 
     A string longer than ``_QUOTE_LIMIT`` characters is quoted as the
     repr of its first ``_QUOTE_LIMIT`` characters and its length; any
-    other value (an id pair, a table entry or row) as the first
-    ``_QUOTE_LIMIT`` characters of its repr and that repr's length.
+    other value (an id pair, a table entry or row) as its repr through
+    ``_clip``.
     """
     if isinstance(value, str):
         if len(value) <= _QUOTE_LIMIT:
             return repr(value)
         return f"{value[:_QUOTE_LIMIT]!r}... ({len(value)} characters)"
-    text = repr(value)
-    if len(text) <= _QUOTE_LIMIT:
-        return text
-    return f"{text[:_QUOTE_LIMIT]}... ({len(text)} characters)"
+    return _clip(repr(value))
 
 
 class FusionError(Exception):

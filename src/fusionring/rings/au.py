@@ -44,7 +44,7 @@ import re
 from itertools import product as _product
 
 from ..core import Decomposition, FusionProvider, IrrLabel
-from ..errors import BadParameter, UnknownLabel, _quote
+from ..errors import BadParameter
 
 __all__ = ["AuProvider", "au_ring"]
 
@@ -105,11 +105,9 @@ class AuProvider(FusionProvider):
         word = self.key_of(u)
         return 1 + sum(a != b for a, b in zip(word, word[1:]))
 
-    def _read(self, text: str) -> str:
+    def _read(self, text: str) -> str | None:
         word = "" if text == "e" else text
-        if not _WORD_RE.fullmatch(word):
-            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}")
-        return word
+        return word if _WORD_RE.fullmatch(word) else None
 
     def chain_generators(self, d: int) -> list[IrrLabel]:
         """The balanced family U^r u^r for 1 <= r <= d."""

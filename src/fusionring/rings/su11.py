@@ -19,7 +19,6 @@ from __future__ import annotations
 import re
 
 from ..core import Decomposition, FusionProvider, IrrLabel
-from ..errors import UnknownLabel, _quote
 from .su2 import ladder
 
 __all__ = ["UqSU11Provider", "uq_su11_ring"]
@@ -68,11 +67,9 @@ class UqSU11Provider(FusionProvider):
     def label_size(self, u: IrrLabel) -> int:
         return self.key_of(u)[1]
 
-    def _read(self, text: str) -> tuple[int, int]:
+    def _read(self, text: str) -> tuple[int, int] | None:
         match = _ID_RE.fullmatch(text)
-        if match is None:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}")
-        return 1 if match.group(1) == "+" else -1, int(match.group(2))
+        return (1 if match.group(1) == "+" else -1, int(match.group(2))) if match else None
 
 
 def uq_su11_ring() -> UqSU11Provider:

@@ -19,7 +19,6 @@ import re
 from collections.abc import Callable
 
 from ..core import Decomposition, FusionProvider, IrrLabel
-from ..errors import UnknownLabel, _quote
 
 __all__ = ["SU2Provider", "SO3Provider", "suq2_ring", "so3_ring"]
 
@@ -75,11 +74,9 @@ class SU2Provider(FusionProvider):
     def label_size(self, u: IrrLabel) -> int:
         return self.key_of(u)
 
-    def _read(self, text: str) -> int:
+    def _read(self, text: str) -> int | None:
         match = self._id_re.fullmatch(text)
-        if not match:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}")
-        return int(match.group(1))
+        return int(match.group(1)) if match else None
 
 
 class SO3Provider(SU2Provider):

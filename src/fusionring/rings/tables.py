@@ -16,7 +16,7 @@ from pathlib import Path
 
 from ..axioms import check_axioms
 from ..core import Budget, Decomposition, FusionProvider, IrrLabel, canonical_sort
-from ..errors import InvalidRing, NotAGroup, UnknownLabel, _quote
+from ..errors import InvalidRing, NotAGroup, _quote
 
 __all__ = [
     "FiniteTableProvider",
@@ -123,10 +123,8 @@ class FiniteTableProvider(FusionProvider):
     def num_irreducibles(self) -> int:
         return len(self._order)
 
-    def _read(self, text: str) -> str:
-        if text not in self._dims:
-            raise UnknownLabel(f"{self.name}: no irreducible with id {_quote(text)}")
-        return text
+    def _read(self, text: str) -> str | None:
+        return text if text in self._dims else None
 
     # A group table is associative (Light's test), so with inverses a group
     # ring, whoever built it.  A finite group's elements have finite order:

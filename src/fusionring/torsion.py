@@ -22,7 +22,7 @@ from .core import (
     canonical_sort,
     constituents_of,
 )
-from .errors import NotFinite, NotSaturated, UnsupportedProvider
+from .errors import NotFinite, NotSaturated, UnsupportedProvider, _quote
 from .lattice import IntegerLattice
 
 __all__ = [
@@ -557,11 +557,11 @@ def dimension_ideal_recover(provider: FusionProvider, a_labels) -> DimensionIdea
     given = canonical_sort(a_set)
     for a in given:
         if a not in index:
-            raise NotSaturated(f"label {a.id!r} is not an irreducible of {provider.name}")
+            raise NotSaturated(f"label {_quote(a.id)} is not an irreducible of {provider.name}")
     for w in _sweep(provider, given):
         if w not in a_set:
             raise NotSaturated(
-                f"subset not closed under conjugation and products: {w.id!r} is reached but not listed"
+                f"subset not closed under conjugation and products: {_quote(w.id)} is reached but not listed"
             )
 
     lattice = IntegerLattice(total)
@@ -620,7 +620,7 @@ def enumerate_saturated_subrings(provider: FusionProvider, limit: int = 16) -> l
                 continue
             sub = generated_subring(provider, [*subring, x], budget)
             if sub.status != SATURATED:
-                raise NotSaturated(f"{provider.name}: the subring generated with {x.id!r} did not saturate")
+                raise NotSaturated(f"{provider.name}: the subring generated with {_quote(x.id)} did not saturate")
             if sub.labels not in seen:
                 seen.add(sub.labels)
                 found.append(sub.labels)

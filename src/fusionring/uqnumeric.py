@@ -262,6 +262,12 @@ def build_u(sign: int, n: int, q, *, t_branch: str = "principal") -> RepMatrices
     out real, and a diagonal rescaling then realizes E* = -F.  (sign, 0)
     gives the two one-dimensional representations, with K = sign.  The
     q-integers are computed once, for the ladder and the rescaling.
+
+    The rescaling's middle entries shrink like |q|^(-n^2/4) (or |q|^(n^2/4)
+    for |q| < 1): once one falls below the normal doubles, its inverse may
+    overflow, and the model is refused with BadParameter before it is
+    formed.  At q = -2 and -1/2 that is from n = 91 on, at -3/2 from 119
+    and at -10 from 50.
     """
     if sign not in (1, -1):
         raise BadParameter(f"sign must be +-1, got {sign!r}")
@@ -273,7 +279,10 @@ def build_u(sign: int, n: int, q, *, t_branch: str = "principal") -> RepMatrices
     T = _unitarizer(w, ints, sign_flip=True)
     if T is None:
         raise BadParameter(f"no star-preserving model at (sign={sign}, n={n}, q={q})")
-    T_inv = np.diag(1 / np.diag(T))
+    taus = np.diag(T)
+    if taus.min() < np.finfo(float).tiny:
+        raise _out_of_range(q)
+    T_inv = np.diag(1 / taus)
     return RepMatrices(
         E=T @ base.E @ T_inv,
         F=T @ base.F @ T_inv,
@@ -381,8 +390,8 @@ def unitarizability_witness(w, n: int, q, form: str = "su11", *, t_branch: str =
 
 
 def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """``np.kron`` of two matrices: the same single product per entry,
-    formed by one broadcast multiply and a reshape."""
+    """The module's one Kronecker product: numpy's ``kron`` of two
+    matrices, product for product, by a broadcast multiply and a reshape."""
     (ra, ca), (rb, cb) = a.shape, b.shape
     return (a[:, None, :, None] * b[None, :, None, :]).reshape(ra * rb, ca * cb)
 
@@ -457,7 +466,7 @@ def intertwiner_space(a: RepMatrices, b: RepMatrices) -> IntertwinerSpace:
     Ia, Ib = np.eye(da), np.eye(db)
     blocks = []
     for rep_a, rep_b in ((a.E, b.E), (a.F, b.F), (a.K, b.K)):
-        blocks.append(np.kron(Ib, rep_a.T) - np.kron(rep_b, Ia))
+        blocks.append(_kron(Ib, rep_a.T) - _kron(rep_b, Ia))
     M = np.vstack(blocks)
     # M is tall, so len(s) == db * da and vh is square without the full U
     _, s, vh = np.linalg.svd(M, full_matrices=False)
@@ -552,8 +561,8 @@ def verify_conjugate_equations(q, *, t_branch: str = "principal") -> ConjugateEq
         )
 
     I2 = np.eye(2)
-    snake1 = np.kron(Rbar.conj().T, I2) @ np.kron(I2, R)
-    snake2 = np.kron(R.conj().T, I2) @ np.kron(I2, Rbar)
+    snake1 = _kron(Rbar.conj().T, I2) @ _kron(I2, R)
+    snake2 = _kron(R.conj().T, I2) @ _kron(I2, Rbar)
     c = complex(snake1[0, 0])
     snake_res = max(
         _maxabs(snake1 - c * I2),
@@ -628,46 +637,40 @@ def fusion_crosscheck(n_max: int, q, *, t_branch: str = "principal") -> FusionCr
     (``_weight_counts``), and decomposes only the blocks of candidates
     whose highest weight occurs.  Only E and K of each product are
     formed, by ``tensor_rep``'s expressions; a pair builds the full
-    ``tensor_rep`` only when one of its candidates falls back.  The
-    models are built once per call and shared by the pairs.  A negative
-    ``n_max`` would check nothing and raises BadParameter.
+    ``tensor_rep`` only when one of its candidates falls back.  Pairs and
+    candidates are the ring's labels in ``enumerate`` order; each model is
+    built once per call from its label's key and shared by the pairs.  A
+    negative ``n_max`` would check nothing and raises BadParameter.
     """
     if n_max < 0:
         raise BadParameter(f"n_max must be nonnegative, got {n_max}")
     from .rings.su11 import uq_su11_ring
 
     ring = uq_su11_ring()
-    reps: dict[tuple[int, int], RepMatrices] = {}
+    # Levels 0 .. 2 n_max, + before - on each: label 2k + i has level k.
+    labels = ring.enumerate(4 * n_max + 2)
+    reps: dict = {}
 
-    def rep(sign, n):
-        key = (sign, n)
-        if key not in reps:
-            reps[key] = build_u(sign, n, q, t_branch=t_branch)
-        return reps[key]
-
-    def name(sign, n):
-        return f"u{'+' if sign == 1 else '-'}{n}"
+    def rep(label):
+        if label not in reps:
+            reps[label] = build_u(*ring.key_of(label), q, t_branch=t_branch)
+        return reps[label]
 
     mismatches = []
     pairs = 0
-    signs = (1, -1)
     for n in range(n_max + 1):
         for m in range(n_max + 1):
-            for eps in signs:
-                for delta in signs:
+            for a in labels[2 * n:2 * n + 2]:
+                for b in labels[2 * m:2 * m + 2]:
                     pairs += 1
-                    a = ring.parse_label(name(eps, n))
-                    b = ring.parse_label(name(delta, m))
-                    symbolic = {
-                        w.id: mult for w, mult in ring.decompose(a, b)
-                    }
-                    left, right = rep(eps, n), rep(delta, m)
+                    symbolic = {w.id: mult for w, mult in ring.decompose(a, b)}
+                    left, right = rep(a), rep(b)
                     E, K = _tensor_e_k(left, right)
                     # F and K^-1 only for a candidate that falls back
                     full = functools.cache(lambda: tensor_rep(left, right))
-                    cands = [(k, sigma) for k in range(n + m + 1) for sigma in signs]
-                    counts = _weight_counts([rep(sigma, k) for k, sigma in cands], E, K, full)
-                    numeric = {name(sigma, k): d for (k, sigma), d in zip(cands, counts) if d}
+                    cands = labels[:2 * (n + m + 1)]
+                    counts = _weight_counts(list(map(rep, cands)), E, K, full)
+                    numeric = {c.id: d for c, d in zip(cands, counts) if d}
                     if numeric != symbolic:
                         mismatches.append(
                             f"({a.id}) (x) ({b.id}): numeric {numeric} vs symbolic {symbolic}"

@@ -390,7 +390,8 @@ def test_uq_verify_refuses_a_negative_nmax(capsys):
     assert captured.err == "error: n_max must be nonnegative, got -1\n"
 
 
-@pytest.mark.parametrize("argv", [["--q", "-1e80"], ["--q", "-1e400"], ["--q", "-1/2", "--nmax", "-1"]])
+@pytest.mark.parametrize("argv", [["--q", "-1e80"], ["--q", "-1e400"], ["--q", "-1/2", "--nmax", "-1"],
+                                  ["--q", "-2", "--nmax", "95"]])
 def test_numeric_refusals_exit_two_without_a_traceback(argv):
     src = str(Path(__file__).resolve().parents[1] / "src")
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
@@ -591,3 +592,52 @@ def test_chain_refuses_a_dmax_past_its_limit(capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert captured.err == f"error: --dmax must be at most 32, got {dmax}\n"
+
+
+@pytest.mark.parametrize("length", [60, 3000])
+def test_axiom_violations_cut_each_long_id(length, tmp_path, capsys):
+    # Z2 with x (x) x = 2*e fails six axioms; a Frobenius line names x five
+    # times, so each mention is cut: at most 60 characters of the id, then
+    # its length.  An id of at most 60 characters is written whole.
+    x = "x" * length
+    table = _z2_table(x)
+    table["fusion"][-1]["result"] = {"e": 2}
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(table))
+    assert main(["axioms", "--ring", f"json:{path}"]) == 1
+    captured = capsys.readouterr()
+    lines = captured.err.splitlines()
+    assert captured.out == "" and len(lines) == 7
+    assert lines[0].startswith(f"invalid ring: json:{path}: 6 axiom violation(s), first: ")
+    if length == 60:
+        assert lines[1] == f"  [frobenius] ('e', '{x}', '{x}'): N^{x} = 1 but N^e_{{{x},{x}}} = 2"
+        assert "characters)" not in captured.err
+    else:
+        cut, quoted = f"{x[:60]}... (3000 characters)", f"'{x[:60]}'... (3000 characters)"
+        assert lines[1] == f"  [frobenius] ('e', {quoted}, {quoted}): N^{cut} = 1 but N^e_{{{cut},{cut}}} = 2"
+        assert "x" * 61 not in captured.err
+        assert max(map(len, lines)) < 500
+
+
+def test_uq_verify_refuses_an_nmax_past_its_limit(capsys):
+    for nmax in ("201", "100000"):
+        assert main(["uq", "verify", "--q", "-1/2", "--nmax", nmax]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"error: --nmax must be at most 200, got {nmax}\n"
+    assert main(["uq", "verify", "--help"]) == 0
+    assert "0 to 200" in capsys.readouterr().out
+
+
+def test_uq_verify_below_the_refused_levels_is_unchanged(capsys):
+    assert main(["uq", "verify", "--q", "-2", "--nmax", "90"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "q = -2, n <= 90",
+        "[pass] relations: max residual 1.649e+13 over n <= 90",
+        "[pass] star: max residual 1.172e-02 over n <= 90",
+        "[pass] compact-form obstruction: every n in 1..6 obstructed",
+        "[pass] conjugate equations: c = -2+0i, target -2",
+        "[pass] permutation intertwiner: n <= 4 all exact",
+        "[pass] fusion crosscheck: 64 pairs, 0 mismatches",
+        "ok",
+    ]

@@ -26,7 +26,7 @@ from pathlib import Path
 
 import pytest
 
-from fusionring.cli import main
+from fusionring.cli import main, parse_provider
 from fusionring.rings import character_ring, dump_ring_json
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -96,6 +96,18 @@ def test_cli_text_matches_golden(argv, tmp_path, monkeypatch):
     write_table(tmp_path)
     monkeypatch.chdir(tmp_path)
     assert run(argv) == golden[" ".join(argv)]
+
+
+@pytest.mark.parametrize("spec", RINGS)
+def test_decompose_prints_the_text_of_the_decomposition(spec, tmp_path, monkeypatch, capsys):
+    _, left, right = RINGS[spec]
+    write_table(tmp_path)
+    monkeypatch.chdir(tmp_path)
+    assert main(["decompose", "--ring", spec, left, right]) == 0
+    product, _, text = capsys.readouterr().out.rstrip("\n").partition(" = ")
+    ring = parse_provider(spec)
+    assert product == f"{left} (x) {right}"
+    assert str(ring.decompose(ring.parse_label(left), ring.parse_label(right))) == text
 
 
 def test_golden_covers_every_command():

@@ -302,6 +302,41 @@ def test_provider_parse_label_refuses_other_spellings_of_a_key():
     assert TinyRing().parse_label("g").id == "g"
 
 
+class NamelessReadRing(SpelledRing):
+    """``SpelledRing`` whose ``_read`` answers None for text that names no
+    key and leaves the refusal to the base class."""
+
+    name = "nameless"
+
+    def _read(self, text):
+        return {"e": 0, "g": 1, "G": 1}.get(text)
+
+
+def test_a_read_that_returns_none_gets_the_base_refusal():
+    ring = NamelessReadRing()
+    assert ring.parse_label("g") == IrrLabel("g", 1)
+    with pytest.raises(UnknownLabel, match="^nameless: no irreducible with id 'h'$"):
+        ring.parse_label("h")
+    with pytest.raises(UnknownLabel, match=r"^nameless: no irreducible with id 'h{60}'\.\.\. \(3000 characters\)$"):
+        ring.parse_label("h" * 3000)
+    with pytest.raises(UnknownLabel, match="^nameless: no irreducible with id 'G' \\(it parses as 'g'\\)$"):
+        ring.parse_label("G")
+    with pytest.raises(UnknownLabel, match="^nameless: no irreducible with id 'h'$"):
+        ring.conj(IrrLabel("h", 1))
+    with pytest.raises(UnknownLabel, match="^nameless: foreign label 'g'$"):
+        ring.conj(IrrLabel("g", 2))
+
+
+def test_a_decomposition_reads_as_its_terms():
+    ring = parse_provider("suq2")
+    u1, u2 = ring.parse_label("u1"), ring.parse_label("u2")
+    assert str(ring.decompose(u1, u2)) == "u1 + u3"
+    assert str(Decomposition({u1: 2, u2: 1})) == "2*u1 + u2"
+    assert str(Decomposition({})) == "0"
+    assert repr(Decomposition({u1: 2})) == "<Decomposition 2*u1>"
+    assert repr(Decomposition({})) == "<Decomposition 0>"
+
+
 def test_multiply_virtual():
     ring = TinyRing()
     e, g = ring.unit(), IrrLabel("g", 1)

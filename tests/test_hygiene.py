@@ -54,6 +54,13 @@
   or method in the package (dunders excepted) is named, as a name or an
   attribute, somewhere in the package outside its own ``def``.  A helper
   that only tests call is dead code.
+* Ring facts are written once: the unknown-id refusal ``no irreducible
+  with id`` appears once in the package, in ``core.py``
+  (``FusionProvider.parse_label``; a backend's ``_read`` returns None);
+  no module calls numpy's ``kron`` (``uqnumeric._kron`` is the one
+  Kronecker product, and the tests keep ``np.kron`` as its reference);
+  and ``uqnumeric.py`` calls no ``parse_label``, so the U_q cross-check
+  reads the ring's labels and keys and never spells or parses an id.
 """
 
 from __future__ import annotations
@@ -729,3 +736,63 @@ def test_only_the_verdict_and_the_n_sequence_build_a_subcategory():
     }
     assert sorted(found.pop("torsion.py")) == sorted(SUBCATEGORY_BUILDERS)
     assert {name: where for name, where in found.items() if where} == {}
+
+
+UNKNOWN_ID = "no irreducible with id"
+
+
+def unknown_id_refusals(source: str) -> list[str]:
+    """Every line that writes the unknown-id refusal, code, comment or string."""
+    return [f"line {n}" for n, line in enumerate(source.splitlines(), 1) if UNKNOWN_ID in line]
+
+
+def test_unknown_id_refusal_is_detected():
+    source = (
+        "def _read(self, text):\n"
+        "    if text not in self._dims:\n"
+        "        raise UnknownLabel(f'{self.name}: no irreducible with id {_quote(text)}')\n"
+        "    return text  # no irreducible with id: None\n"
+    )
+    assert unknown_id_refusals(source) == ["line 3", "line 4"]
+    assert unknown_id_refusals("return None  # no irreducible with this id\n") == []
+
+
+def test_the_unknown_id_refusal_is_written_once_in_the_base_class():
+    found = {str(path.relative_to(PACKAGE)): unknown_id_refusals(path.read_text()) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines}.keys() == {"core.py"}
+    assert len(found["core.py"]) == 1
+
+
+def calls_of(source: str, names: set[str]) -> list[str]:
+    """``line: name`` for every call of a function or method named in
+    ``names``, by a plain name or an attribute (``np.kron``,
+    ``ring.parse_label``), in source order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+            if name in names:
+                found.append((node.lineno, name))
+    return [f"line {line}: {name}" for line, name in sorted(found)]
+
+
+def test_call_of_a_named_function_is_detected():
+    source = (
+        "import numpy as np\nfrom numpy import kron\n"
+        "a = np.kron(x, y) + numpy.kron(x, y)\n"
+        "b = kron(x, y)\n"
+        "c = _kron(x, y)  # np.kron(x, y), as numpy forms it\n"
+        "d = ring.parse_label(name(1, 0)) or parse_label('u+0')\n"
+        "e = ring.parse_label\n"
+    )
+    assert calls_of(source, {"kron"}) == ["line 3: kron", "line 3: kron", "line 4: kron"]
+    assert calls_of(source, {"parse_label"}) == ["line 6: parse_label", "line 6: parse_label"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: str(p.relative_to(PACKAGE)))
+def test_no_module_calls_numpy_kron(path):
+    assert calls_of(path.read_text(), {"kron"}) == []
+
+
+def test_the_uq_crosscheck_parses_no_label():
+    assert calls_of((PACKAGE / "uqnumeric.py").read_text(), {"parse_label"}) == []

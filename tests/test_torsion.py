@@ -16,6 +16,7 @@ from fusionring.cli import parse_provider
 from fusionring.rings import (
     au_ring,
     builtin_finite_rings,
+    FiniteTableProvider,
     character_ring,
     finite_group_ring,
     free_product,
@@ -372,6 +373,26 @@ def test_subring_search_refuses_a_ring_whose_products_leave_it():
 
     ring = CutZ3(z3.spec)
     with pytest.raises(NotSaturated):
+        enumerate_saturated_subrings(ring)
+
+
+def test_subset_refusals_cut_a_long_id():
+    # Z3 on e, a^3000 and b^3000 (a (x) a = b): each refusal names an id
+    # by at most 60 characters and its length.
+    ids = ("e", "a" * 3000, "b" * 3000)
+    table = {(x, y): {ids[(ids.index(x) + ids.index(y)) % 3]: 1} for x in ids for y in ids}
+
+    class CutZ3(FiniteTableProvider):
+        num_irreducibles = 2
+
+    ring = CutZ3("z3", "e", dict.fromkeys(ids, 1), {"e": "e", ids[1]: ids[2], ids[2]: ids[1]}, table)
+    e, a = ring.enumerate(2)
+    cut = {c: f"'{c * 60}'... (3000 characters)" for c in "aby"}
+    with pytest.raises(NotSaturated, match=re.escape(f"label {cut['y']} is not an irreducible of z3")):
+        dimension_ideal_recover(ring, [e, IrrLabel("y" * 3000, 1)])
+    with pytest.raises(NotSaturated, match=re.escape(f"products: {cut['b']} is reached but not listed")):
+        dimension_ideal_recover(ring, [e, a])
+    with pytest.raises(NotSaturated, match=re.escape(f"z3: the subring generated with {cut['a']} did not saturate")):
         enumerate_saturated_subrings(ring)
 
 

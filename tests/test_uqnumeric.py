@@ -15,6 +15,7 @@ from hypothesis import strategies as st
 from fusionring import uqnumeric
 from fusionring.cli import main
 from fusionring.errors import BadParameter, IllConditioned
+from fusionring.rings import UqSU11Provider
 from fusionring.uqnumeric import (
     RepMatrices,
     _kron,
@@ -520,3 +521,27 @@ def test_relative_judgement_still_fails_a_wrong_model_at_large_q(monkeypatch):
     rep = scaled(1, 3, q)
     assert rep.relation_check()[1] is False and not check_star(rep).ok
     assert build(1, 3, q).relation_check()[1] is True and check_star(build(1, 3, q)).ok
+
+
+# The first level whose unitarizer leaves the normal doubles, where the
+# model used to come out with infinite and NaN entries.
+FIRST_REFUSED_LEVEL = {Fraction(-2): 91, Fraction(-1, 2): 91, Fraction(-3, 2): 119,
+                       Fraction(-10): 50, Fraction(-1, 10): 50}
+
+
+@pytest.mark.parametrize("q, n", FIRST_REFUSED_LEVEL.items(), ids=str)
+def test_models_past_double_range_are_refused_before_they_form(q, n):
+    for sign in (1, -1):
+        rep = build_u(sign, n - 1, q)
+        assert all(np.isfinite(m).all() for m in (rep.E, rep.F, rep.K, rep.K_inv))
+        with pytest.raises(BadParameter, match=r"^q = -\S+ is out of range for double precision$"):
+            build_u(sign, n, q)
+
+
+def test_fusion_crosscheck_reads_labels_without_parsing_ids(monkeypatch):
+    def refuse(self, text):
+        raise AssertionError(f"parse_label({text!r}) called")
+
+    monkeypatch.setattr(UqSU11Provider, "parse_label", refuse)
+    report = fusion_crosscheck(3, Fraction(-1, 2))
+    assert report.to_dict() == {"q": -0.5, "n_max": 3, "pairs_checked": 64, "mismatches": [], "ok": True}
