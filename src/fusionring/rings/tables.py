@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain
+from itertools import chain, repeat
 from pathlib import Path
 
 from ..axioms import check_axioms
@@ -38,10 +38,13 @@ class FiniteTableProvider(FusionProvider):
     NotAGroup naming a failing triple (a, b, c): the b with (ab)c = a(bc)
     for all a, c are closed under products, so b need only run over generators.
 
-    A label's key is its id: every irreducible is interned through
-    ``_label`` when the table is built, ``conj`` and ``_decompose`` read
-    maps keyed by ``key_of(u)``, and ``_read`` knows exactly the table's
-    ids.
+    A label's key is its id: every irreducible is interned once, through
+    ``_label``, when the table is built, ``conj`` reads a map keyed by
+    ``key_of(u)``, and ``_read`` knows exactly the table's ids.  The table
+    itself is the ``decompose`` cache, filled when the table is built and
+    keyed by pairs of labels: a group table shares one product per element,
+    any other table holds one Decomposition per pair.  ``_decompose`` is
+    left only the refusal of a label the table does not hold (UnknownLabel).
 
     ``enumerate`` lists the unit first, then the rest in (dim, id) order.
     """
@@ -63,13 +66,20 @@ class FiniteTableProvider(FusionProvider):
         for i, d in dims.items():
             if type(d) is not int or d < 1:
                 raise InvalidRing(f"irreducible {_quote(i)} has dim {_quote(d)}, not an integer of at least 1")
-        pairs = {(a, b) for a in dims for b in dims}
-        extra = set(table) - pairs
-        if extra:
-            raise InvalidRing(f"table mentions unknown pair {_quote(sorted(extra)[0])}")
-        missing = pairs - set(table)
-        if missing:
-            raise InvalidRing(f"table is missing pair {_quote(sorted(missing)[0])}")
+        self._dims = dims
+        labels = {i: self._label(i) for i in dims}
+        # Every key is resolved to its pair of labels in one pass; the set of
+        # all n^2 pairs is built only to name a bad or missing one.
+        try:
+            keys = [(labels[a], labels[b]) for a, b in table]
+        except (KeyError, TypeError, ValueError):  # an unknown id, or a key that is no pair
+            keys = None
+        if keys is None or len(keys) != len(labels) ** 2 or not all(map(isinstance, table, repeat(tuple))):
+            pairs = {(a, b) for a in dims for b in dims}
+            extra = set(table) - pairs
+            if extra:
+                raise InvalidRing(f"table mentions unknown pair {_quote(sorted(extra)[0])}")
+            raise InvalidRing(f"table is missing pair {_quote(sorted(pairs - set(table))[0])}")
         for key, counts in table.items():
             for w, m in counts.items():
                 if w not in dims:
@@ -79,7 +89,7 @@ class FiniteTableProvider(FusionProvider):
         # Light's test first: a non-associative table's inverses need not form an involution.
         self._group = all(d == 1 for d in dims.values()) and all(sum(c.values()) == 1 for c in table.values())
         if self._group:
-            product = {key: next(w for w, m in counts.items() if m) for key, counts in table.items()}
+            product = {key: w for key, counts in table.items() for w, m in counts.items() if m}
             ids = sorted(dims)
             gens = _generators(product, ids)
             for a in ids:
@@ -95,14 +105,15 @@ class FiniteTableProvider(FusionProvider):
                 raise InvalidRing(f"conjugation not an involution at {_quote(i)}")
         if set(conj) != set(dims):
             raise InvalidRing("conjugation map must cover every irreducible")
-        self._dims = dims
-        unit = self._label(unit_id)
-        self._conj = {i: self._label(j) for i, j in conj.items()}
-        self._table = {
-            key: Decomposition({self._label(w): m for w, m in counts.items()})
-            for key, counts in table.items()
-        }
-        self._order = [unit, *canonical_sort(l for l in map(self._label, dims) if l != unit)]
+        unit = labels[unit_id]
+        self._conj = {i: labels[j] for i, j in conj.items()}
+        if self._group:
+            single = {i: Decomposition.ordered((lab,)) for i, lab in labels.items()}
+            products = map(single.__getitem__, product.values())
+        else:
+            products = (Decomposition({labels[w]: m for w, m in counts.items()}) for counts in table.values())
+        self._decompose_cache.update(zip(keys, products))
+        self._order = [unit, *canonical_sort(l for l in labels.values() if l != unit)]
 
     def _spell(self, i: str) -> tuple[str, int]:
         return i, self._dims[i]
@@ -114,7 +125,11 @@ class FiniteTableProvider(FusionProvider):
         return self._conj[self.key_of(u)]
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        return self._table[self.key_of(u), self.key_of(v)]
+        # The cache holds every pair of the table's labels, so a miss means
+        # a label it does not hold, which ``key_of`` refuses.
+        self.key_of(u)
+        self.key_of(v)
+        return self._decompose_cache[u, v]
 
     def enumerate(self, count: int) -> list[IrrLabel]:
         return self._order[:max(count, 0)]

@@ -86,6 +86,16 @@ def alternating_words(count: int, heaviest: int | float, letters_of_weight: Call
     return words[:count]
 
 
+class _LetterTexts(dict):
+    """Text of each letter ``(k, e)``, spelled on first use: ``a``, ``a^2``,
+    ``a^-1``.  A word's id joins its letters' texts in one C-level pass."""
+
+    def __missing__(self, letter: Letter) -> str:
+        k, e = letter
+        text = self[letter] = _LETTERS[k] + ("" if e == 1 else f"^{e}")
+        return text
+
+
 @dataclass(frozen=True)
 class WordGroupSpec:
     """Factor orders of the free product; each is an int >= 2 or math.inf."""
@@ -120,6 +130,7 @@ class WordGroupProvider(FusionProvider):
         super().__init__()
         self.spec = spec
         self.name = f"word:{spec.describe()}"
+        self._letter_texts = _LetterTexts()
 
     # -- word arithmetic ---------------------------------------------------
 
@@ -151,8 +162,7 @@ class WordGroupProvider(FusionProvider):
         return sum(self._letter_weight(k, e) for k, e in w)
 
     def _spell(self, w: Word) -> tuple[str, int]:
-        text = "".join(_LETTERS[k] + ("" if e == 1 else f"^{e}") for k, e in w)
-        return text or "e", 1
+        return "".join(map(self._letter_texts.__getitem__, w)) or "e", 1
 
     # -- provider interface ------------------------------------------------
 

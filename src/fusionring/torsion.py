@@ -565,14 +565,14 @@ def dimension_ideal_recover(provider: FusionProvider, a_labels) -> DimensionIdea
             )
 
     lattice = IntegerLattice(total)
+    others = [(a, a.dim) for a in given if a != unit]
     for r in all_irr:
-        for a in given:
-            if a == unit:
-                continue
+        at_r = index[r]
+        for a, dim in others:
             vec = [0] * total
-            for w, m in provider.decompose(r, a):
+            for w, m in constituents_of(provider.decompose(r, a)).items():
                 vec[index[w]] += m
-            vec[index[r]] -= a.dim
+            vec[at_r] -= dim
             lattice.add(vec)
 
     recovered = []

@@ -87,7 +87,9 @@ def _out_of_range(q) -> BadParameter:
     """The refusal of a q that, or one of whose q-integers or powers,
     overflows a double."""
     qx = Fraction(q)
-    shown = Context(prec=6).divide(qx.numerator, qx.denominator).normalize()
+    shown = Context(prec=6).divide(qx.numerator, qx.denominator)
+    if shown.as_tuple().exponent:  # trailing zeros dropped; an integer of six digits or fewer stays whole
+        shown = shown.normalize()
     return BadParameter(f"q = {shown:g} is out of range for double precision")
 
 

@@ -90,6 +90,15 @@ def _reduce(word, orders):
     return tup if tup == tuple(word) else _reduce(tup, orders)
 
 
+def spell_word_reference(word) -> str:
+    """The id of a reduced word ``((factor, exponent), ...)``, spelled one
+    letter at a time as ``WordGroupProvider._spell`` did before it joined
+    cached letter texts: factor k's letter (a-z without e), then ``^e``
+    unless the exponent is 1; the empty word is ``e``."""
+    letters = "abcdfghijklmnopqrstuvwxyz"
+    return "".join(letters[k] + ("" if e == 1 else f"^{e}") for k, e in word) or "e"
+
+
 def bf_mul(a, b, orders):
     return _reduce(tuple(a) + tuple(b), orders)
 

@@ -382,6 +382,17 @@ def test_uq_verify_refuses_q_out_of_double_range(q, shown, capsys):
     assert captured.err == f"error: q = {shown} is out of range for double precision\n"
 
 
+@pytest.mark.parametrize("q, shown", [("-10", "-10"), ("-250000", "-250000"), ("-1234567", "-1.23457e+6")])
+def test_an_integer_q_out_of_range_is_written_whole(q, shown, capsys):
+    # q = -10 fails at level 50, where its unitarizer leaves the normal
+    # doubles, and the larger q sooner.  An integer of up to six digits is
+    # written out, not as -1e+1.
+    assert main(["uq", "verify", "--q", q, "--nmax", "50"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: q = {shown} is out of range for double precision\n"
+
+
 def test_uq_verify_refuses_a_negative_nmax(capsys):
     # A battery over no levels would check nothing and report "ok".
     assert main(["uq", "verify", "--q", "-1/2", "--nmax", "-1"]) == 2

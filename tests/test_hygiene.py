@@ -61,6 +61,11 @@
   Kronecker product, and the tests keep ``np.kron`` as its reference);
   and ``uqnumeric.py`` calls no ``parse_label``, so the U_q cross-check
   reads the ring's labels and keys and never spells or parses an id.
+* Every provider class that ``fusionring.rings`` exports defines
+  ``_decompose`` in its own body, not by inheritance: the benchmark's
+  tracer times each backend's cache misses by wrapping the function in
+  the class's own ``__dict__``, and stops with a KeyError on a class
+  without one.
 """
 
 from __future__ import annotations
@@ -796,3 +801,23 @@ def test_no_module_calls_numpy_kron(path):
 
 def test_the_uq_crosscheck_parses_no_label():
     assert calls_of((PACKAGE / "uqnumeric.py").read_text(), {"parse_label"}) == []
+
+
+def inherited_decompose(classes) -> list[str]:
+    """Names of the classes among ``classes`` whose ``_decompose`` is not
+    in their own body."""
+    return [cls.__name__ for cls in classes if "_decompose" not in vars(cls)]
+
+
+def test_inherited_decompose_is_detected():
+    class Renamed(fusionring.rings.SO3Provider):
+        name = "so3-renamed"
+
+    assert inherited_decompose([fusionring.rings.SU2Provider, Renamed, fusionring.rings.SO3Provider]) == ["Renamed"]
+
+
+def test_every_exported_provider_defines_its_own_decompose():
+    providers = [obj for obj in map(vars(fusionring.rings).get, fusionring.rings.__all__)
+                 if inspect.isclass(obj) and issubclass(obj, FusionProvider)]
+    assert len(providers) == 8
+    assert inherited_decompose(providers) == []

@@ -9,8 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from fusionring import (
     Budget,
+    Decomposition,
     InvalidRing,
+    IrrLabel,
     NotAGroup,
+    UnknownLabel,
     UnsupportedProvider,
     builtin_finite_rings,
     character_ring,
@@ -23,6 +26,7 @@ from fusionring import (
     word_group,
 )
 from fusionring.cli import main
+from fusionring.rings import tables
 from fusionring.rings.tables import S3_CHARACTER_TABLE, FiniteTableProvider
 
 import oracles
@@ -187,6 +191,27 @@ def test_the_constructor_refuses_a_bad_table(which, key, value, message):
         del args[which][key]
     with pytest.raises(InvalidRing, match=f"^{re.escape(message)}$"):
         FiniteTableProvider("z2", "e", *args)
+
+
+@pytest.mark.parametrize(
+    "drop, add, shown",
+    [
+        (("a", "a"), ("a", "x"), "('a', 'x')"),
+        (("a", "a"), ("a", "a", "a"), "('a', 'a', 'a')"),
+        (("e", "a"), "ea", "'ea'"),
+    ],
+    ids=["unknown-id", "triple", "string"],
+)
+def test_an_unknown_pair_is_named_before_a_missing_one(drop, add, shown):
+    # With n^2 keys, one of them unknown, a pair is missing too; the
+    # unknown pair is the one refused, as with n^2 + 1 keys ("unknown-pair"
+    # above).
+    dims, conj, table = _z2_table()
+    del table[drop]
+    table[add] = {"e": 1}
+    assert len(table) == 4
+    with pytest.raises(InvalidRing, match=f"^table mentions unknown pair {re.escape(shown)}$"):
+        FiniteTableProvider("z2", "e", dims, conj, table)
 
 
 def test_a_table_without_a_two_sided_identity_is_not_a_group():
@@ -540,3 +565,129 @@ def test_unreadable_files_raise_invalid_ring(tmp_path, loader, content, message)
         path.write_text(content)
     with pytest.raises(InvalidRing, match=message):
         loader(path)
+
+
+# Rep(A4): three characters of dim 1 and t of dim 3, with t (x) t holding t
+# twice.
+A4_REPRESENTATIONS = {
+    "unit": "1",
+    "irreducibles": [
+        {"id": "1", "dim": 1, "conj": "1"}, {"id": "w", "dim": 1, "conj": "w2"},
+        {"id": "w2", "dim": 1, "conj": "w"}, {"id": "t", "dim": 3, "conj": "t"},
+    ],
+    "fusion": [
+        {"left": a, "right": b, "result": result}
+        for a, row in {
+            "1": {"1": {"1": 1}, "w": {"w": 1}, "w2": {"w2": 1}, "t": {"t": 1}},
+            "w": {"1": {"w": 1}, "w": {"w2": 1}, "w2": {"1": 1}, "t": {"t": 1}},
+            "w2": {"1": {"w2": 1}, "w": {"1": 1}, "w2": {"w": 1}, "t": {"t": 1}},
+            "t": {"1": {"t": 1}, "w": {"t": 1}, "w2": {"t": 1}, "t": {"1": 1, "w": 1, "w2": 1, "t": 2}},
+        }.items()
+        for b, result in row.items()
+    ],
+}
+
+
+def _z2_with_zero_entries():
+    """Z2 on e and a with every product listing both ids, one of them 0 times."""
+    dims, conj, table = _z2_table()
+    return tables.FiniteTableProvider("z2-zeros", "e", dims, conj,
+                                      {key: {"e": 0, "a": 0, **counts} for key, counts in table.items()})
+
+
+_Z96_NAMES = [f"g{k:02d}" for k in range(96)]
+Z96_DOCUMENT = dump_ring_json(finite_group_ring(
+    {(_Z96_NAMES[a], _Z96_NAMES[b]): _Z96_NAMES[(a + b) % 96] for a in range(96) for b in range(96)}, "group:Z96"
+))
+
+
+def _z96_reloaded():
+    return load_ring_json(json.loads(json.dumps(Z96_DOCUMENT)))
+
+
+class _Recording(FiniteTableProvider):
+    """A table provider that keeps the counts it was built from."""
+
+    def __init__(self, name, unit_id, dims, conj, table):
+        super().__init__(name, unit_id, dims, conj, table)
+        self.counts = table
+
+
+@pytest.fixture
+def recording(monkeypatch):
+    monkeypatch.setattr(tables, "FiniteTableProvider", _Recording)
+
+
+TABLE_RINGS = {
+    **{f"builtin-{k}": (lambda k=k: builtin_finite_rings()[k]) for k in range(6)},
+    "characters-S3": lambda: character_ring(S3_CHARACTER_TABLE),
+    "rep-A4": lambda: load_ring_json(A4_REPRESENTATIONS),
+    "zero-entries": _z2_with_zero_entries,
+    "Z96-json": _z96_reloaded,
+}
+
+
+@pytest.mark.parametrize("make", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
+def test_every_product_is_the_decomposition_of_the_input_counts(recording, make):
+    # The cache is full once the table is built, before any decompose call.
+    ring = make()
+    assert isinstance(ring, _Recording)
+    assert len(ring._decompose_cache) == len(ring.counts) == ring.num_irreducibles ** 2
+    read = ring.parse_label
+    for (a, b), counts in ring.counts.items():
+        by_label = {read(w): m for w, m in counts.items()}
+        got = ring.decompose(read(a), read(b))
+        assert got == Decomposition(by_label) and ring._decompose(read(a), read(b)) is got, (a, b)
+        assert got.entries == oracles.decomposition_entries_reference(by_label)
+
+
+def test_the_multiplicities_above_one_and_the_zero_entries_are_kept_and_dropped():
+    ring = load_ring_json(A4_REPRESENTATIONS)
+    t = ring.parse_label("t")
+    assert str(ring.decompose(t, t)) == "1 + w + w2 + 2*t"
+    z2 = _z2_with_zero_entries()
+    e, a = z2.parse_label("e"), z2.parse_label("a")
+    assert [z2.decompose(u, v).entries for u in (e, a) for v in (e, a)] == [
+        ((e, 1),), ((a, 1),), ((a, 1),), ((e, 1),)
+    ]
+
+
+@pytest.mark.parametrize("make", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
+def test_a_hand_built_label_decomposes_on_a_fresh_table(make):
+    # Labels equal to the table's own, but not the objects it made, each
+    # as the first question a fresh table is asked.
+    built = make()
+    labels = built.enumerate(3)[1:]
+    for u in labels:
+        for v in labels:
+            a, b = IrrLabel(u.id, u.dim), IrrLabel(v.id, v.dim)
+            assert make().decompose(a, b) == built.decompose(u, v)
+            assert make()._decompose(a, b) == built.decompose(u, v)
+
+
+@pytest.mark.parametrize(
+    "bad", [IrrLabel("x", 1), IrrLabel("sgn", 2), IrrLabel("std", 1), IrrLabel("p012", 1)],
+    ids=["unknown-id", "dim-2-for-1", "dim-1-for-2", "another-ring's"],
+)
+def test_a_label_the_table_does_not_hold_is_refused(bad):
+    ring = character_ring(S3_CHARACTER_TABLE)
+    std = ring.parse_label("std")
+    for call in (ring.decompose, ring._decompose):
+        for u, v in ((bad, std), (std, bad), (bad, bad)):
+            with pytest.raises(UnknownLabel):
+                call(u, v)
+    assert len(ring._decompose_cache) == 9
+
+
+def test_equal_products_of_a_group_table_are_one_object():
+    for ring in (*builtin_finite_rings()[:5], _z96_reloaded()):
+        labels = ring.enumerate(ring.num_irreducibles)
+        products = {}
+        for u in labels:
+            for v in labels:
+                dec = ring.decompose(u, v)
+                assert products.setdefault(dec.constituents()[0], dec) is dec
+        assert sorted(products) == sorted(labels)
+    # A table that is no group has one Decomposition per pair.
+    ring = character_ring(S3_CHARACTER_TABLE)
+    assert len({id(dec) for dec in ring._decompose_cache.values()}) == 9

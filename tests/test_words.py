@@ -125,6 +125,22 @@ def test_enumerate_matches_reference_loop(factors):
         assert group.enumerate(window) == want[:window], window
 
 
+@pytest.mark.parametrize(
+    "factors", [[2, 2], [2, math.inf], [math.inf, math.inf], [3, math.inf], [2, 3, 5, math.inf, 7]], ids=str
+)
+def test_word_ids_match_the_letter_by_letter_spelling(factors):
+    # The window's words and their products: longer words, and exponents
+    # that only products reach (a^-3 from a^-1 a^-2, b^4 in Z5).
+    group = word_group(factors)
+    window = group.enumerate(400)
+    labels = [*window, *(w for u in window[:40] for v in window[:40] for w, _ in group.decompose(u, v))]
+    keys = [group.key_of(lab) for lab in labels]
+    exponents = {e for key in keys for _, e in key}
+    assert any(e < 0 for e in exponents) == (math.inf in factors)
+    assert any(e > 1 for e in exponents) == (factors != [2, 2])
+    assert [lab.id for lab in labels] == [oracles.spell_word_reference(key) for key in keys]
+
+
 @pytest.mark.parametrize("order", [2, 3, 7, 8, 64])
 def test_cyclic_enumeration_matches_reference_loop(order):
     want = oracles.enumerate_words_reference(word_group([order]), order + 3)
