@@ -18,7 +18,9 @@ import dataclasses
 import math
 import operator
 from abc import ABC, abstractmethod
+from collections import Counter
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable, Iterator, Mapping
 
 from .errors import UnknownLabel, UnsupportedProvider, _quote
@@ -68,8 +70,9 @@ class IrrLabel(tuple):
         return f"IrrLabel(id={self[0]!r}, dim={self[1]!r})"
 
 
-# The canonical sort key ``(dim, id)``, read in C.
-canonical_key = operator.attrgetter("dim", "id")
+# The canonical sort key ``(dim, id)``: the label's own two items, read in C.
+canonical_key = operator.itemgetter(1, 0)
+_DIM = operator.itemgetter(1)
 
 
 def canonical_sort(labels: Iterable[IrrLabel]) -> list[IrrLabel]:
@@ -140,7 +143,8 @@ class Decomposition:
         return list(self._by_label)
 
     def total_dim(self) -> int:
-        return sum(m * lab.dim for lab, m in self._by_label.items())
+        # Each multiplicity times its label's dim, item 1 of the label, in C.
+        return sum(map(operator.mul, self._by_label.values(), map(_DIM, self._by_label)))
 
     def __iter__(self) -> Iterator[tuple[IrrLabel, int]]:
         return iter(self._by_label.items())
@@ -172,6 +176,45 @@ class Decomposition:
 # iterable view (to be iterated, not kept) that a caller can map over many
 # decompositions without a Python call per product.
 constituents_of = operator.attrgetter("_by_label")
+
+
+def _bilinear(
+    provider: FusionProvider, x: Mapping[IrrLabel, int], y: Mapping[IrrLabel, int]
+) -> dict[IrrLabel, int]:
+    """``sum ca * cb * (a (x) b)`` over ``a: ca`` in ``x`` and ``b: cb`` in
+    ``y``, as a dict with no zero coefficient, keyed in the order first
+    reached; the one bilinear product of the package.
+
+    The products are read through ``provider.decompose``, pair by pair in
+    that order.  A product at coefficient 1 whose multiplicities are all 1
+    adds 1 per constituent: a run of them is counted by ``Counter.update``
+    over their chained keys, a C loop bounded by the number of
+    constituents.  Any other product is added entry by entry, into a
+    Counter made only then: when every product is counted, nothing
+    cancels, and a single product is its own dict.
+    """
+    acc: Counter[IrrLabel] | None = None
+    ones: list[dict[IrrLabel, int]] = []  # the run not yet counted
+    decompose = provider.decompose
+    for a, ca in x.items():
+        for b, cb in y.items():
+            dec = constituents_of(decompose(a, b))
+            c = ca * cb
+            # Positive multiplicities sum to their count exactly when each is 1.
+            if c == 1 and sum(dec.values()) == len(dec):
+                ones.append(dec)
+                continue
+            if acc is None:
+                acc = Counter()
+            if ones:
+                acc.update(chain.from_iterable(ones))
+                ones.clear()
+            for w, m in dec.items():
+                acc[w] = acc.get(w, 0) + c * m
+    if acc is None:
+        return dict(ones[0]) if len(ones) == 1 else dict(Counter(chain.from_iterable(ones)))
+    acc.update(chain.from_iterable(ones))
+    return {w: c for w, c in acc.items() if c}
 
 
 class Report:
@@ -269,7 +312,8 @@ class FusionProvider(ABC):
     and returned as plain label-to-coefficient dicts: ``check_axioms``
     compares its two associations with it, and ``factor_restriction``
     multiplies out one factor's letters with it and returns the result,
-    a representation, as a ``Decomposition``.
+    a representation, as a ``Decomposition``.  It and the analysis
+    layers' ``ubar (x) v (x) u`` both compute through ``_bilinear``.
 
     Labels are bare ``(id, dim)`` tuples; the structure behind an id is
     a key that belongs to the provider (a level, a word, a pair of factor
@@ -416,10 +460,7 @@ class FusionProvider(ABC):
     ) -> dict[IrrLabel, int]:
         """Bilinear extension of ``decompose`` to integer combinations,
         each a map from label to coefficient of any sign; the product has
-        no zero coefficient."""
-        acc: dict[IrrLabel, int] = {}
-        for a, ca in x.items():
-            for b, cb in y.items():
-                for w, m in self.decompose(a, b):
-                    acc[w] = acc.get(w, 0) + ca * cb * m
-        return {w: c for w, c in acc.items() if c}
+        no zero coefficient.  Computed by ``_bilinear``: a product at
+        coefficient 1 with every multiplicity 1 is merged in C, with no
+        Python step per constituent."""
+        return _bilinear(self, x, y)

@@ -7,9 +7,10 @@ otherwise merges the junction through the factor's own decomposition,
 with the unit coefficient carrying on to the shortened words.  This rule
 is exercised, not trusted: the axiom harness runs over every built
 product ring.  A merge that leaves only the merged letter (the product
-of two one-letter words of one factor) relabels the factor's
-decomposition through the instance's map from factor label to
-one-letter label, without building or interning a word per constituent.
+of two one-letter words of one factor) maps the factor's constituent
+dict, in C, through the instance's map from factor label to one-letter
+label, without building or interning a word per constituent.  A direct
+product builds its grid of pairs with ``itertools.product``.
 
 Direct-product irreducibles are pairs, with componentwise structure.
 
@@ -28,8 +29,10 @@ from __future__ import annotations
 
 import math
 import re
+from itertools import filterfalse, product, starmap
+from operator import mul
 
-from ..core import Decomposition, FusionProvider, IrrLabel, split_outside_brackets
+from ..core import Decomposition, FusionProvider, IrrLabel, constituents_of, split_outside_brackets
 from ..errors import UnknownLabel, UnsupportedProvider, _quote
 from .words import alternating_words
 
@@ -55,6 +58,10 @@ class FreeProductProvider(FusionProvider):
 
     ``_read`` takes a prefix or brackets where the spelling has none;
     ``parse_label`` refuses such text, as it does every other spelling.
+
+    ``_one_letter`` maps each factor's non-unit labels to their one-letter
+    words, filled as merges reach them; ``_mul_words`` reads it to relabel
+    the merge of two one-letter words with no Python step per constituent.
     """
 
     def __init__(self, left: FusionProvider, right: FusionProvider):
@@ -127,8 +134,11 @@ class FreeProductProvider(FusionProvider):
         Each step merges ``w1[:a]``'s last letter with ``w2[b:]``'s first;
         the unit coefficient ``scale`` carries on to the shortened words.
         The step's head ``w1[:a - 1]`` and tail ``w2[b + 1:]`` are sliced
-        once; when both are empty, each constituent's label is the
-        factor's one-letter word, read from the instance's letter map.
+        once.  When both are empty (a merge of two one-letter words), the
+        factor's constituent dict is mapped through the instance's letter
+        map in C; only a letter not yet in the map takes a Python step.
+        Each step's words, and the final concatenation, have a length of
+        their own, so every label is set once.
         """
         out: dict[IrrLabel, int] = {}
         a, b, scale = len(w1), 0, 1
@@ -136,21 +146,26 @@ class FreeProductProvider(FusionProvider):
             k, la = w1[a - 1]
             factor = self.factors[k]
             funit = factor.unit()
-            dec = factor.decompose(la, w2[b][1])
+            dec = constituents_of(factor.decompose(la, w2[b][1]))
             head, tail = w1[: a - 1], w2[b + 1 :]
-            known = {} if head or tail else self._one_letter[k]
-            for c, mult in dec:
-                if c != funit:
-                    lab = known.get(c)
-                    if lab is None:
-                        lab = known[c] = self._label(head + ((k, c),) + tail)
-                    out[lab] = out.get(lab, 0) + scale * mult
-            scale *= dec.multiplicity(funit)
+            if head or tail:
+                for c, mult in dec.items():
+                    if c != funit:
+                        out[self._label(head + ((k, c),) + tail)] = scale * mult
+            else:
+                known = self._one_letter[k]
+                for c in filterfalse(known.__contains__, dec):
+                    if c != funit:
+                        known[c] = self._label(((k, c),))
+                # The factor unit is never a letter: it maps to None, dropped here.
+                mults = dec.values() if scale == 1 else map(scale.__mul__, dec.values())
+                out.update(zip(map(known.get, dec), mults))
+                out.pop(None, None)
+            scale *= dec.get(funit, 0)
             if not scale:
                 return out
             a, b = a - 1, b + 1
-        lab = self._label(w1[:a] + w2[b:])
-        out[lab] = out.get(lab, 0) + scale
+        out[self._label(w1[:a] + w2[b:])] = scale
         return out
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
@@ -239,11 +254,11 @@ class DirectProductProvider(FusionProvider):
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
         a1, b1 = self.key_of(u)
         a2, b2 = self.key_of(v)
-        counts: dict[IrrLabel, int] = {}
-        for wa, ma in self.factors[0].decompose(a1, a2):
-            for wb, mb in self.factors[1].decompose(b1, b2):
-                counts[self._label((wa, wb))] = ma * mb
-        return Decomposition(counts)
+        left = constituents_of(self.factors[0].decompose(a1, a2))
+        right = constituents_of(self.factors[1].decompose(b1, b2))
+        # The grid of pairs and of their multiplicities, row by row, in C.
+        labels = map(self._label, product(left, right))
+        return Decomposition(dict(zip(labels, starmap(mul, product(left.values(), right.values())))))
 
     def enumerate(self, count: int) -> list[IrrLabel]:
         wa, wb = (f.enumerate(min(count, f.num_irreducibles)) for f in self.factors)

@@ -31,12 +31,13 @@ __all__ = [
 class FiniteTableProvider(FusionProvider):
     """Fusion ring with an explicit, finite multiplication table.
 
-    The constructor is the one validator of a table (InvalidRing): ints,
-    not bools, for dims (at least 1) and multiplicities (at least 0),
-    known pairs and ids, an involutive conjugation.  A group table (dims
-    1, each product one irreducible once) must pass Light's test or raise
-    NotAGroup naming a failing triple (a, b, c): the b with (ab)c = a(bc)
-    for all a, c are closed under products, so b need only run over generators.
+    The constructor is the one validator of a table (InvalidRing): ids
+    that are non-empty strings, ints, not bools, for dims (at least 1)
+    and multiplicities (at least 0), known pairs and ids, an involutive
+    conjugation.  A group table (dims 1, each product one irreducible
+    once) must pass Light's test or raise NotAGroup naming a failing
+    triple (a, b, c): the b with (ab)c = a(bc) for all a, c are closed
+    under products, so b need only run over generators.
 
     A label's key is its id: every irreducible is interned once, through
     ``_label``, when the table is built, ``conj`` reads a map keyed by
@@ -59,6 +60,9 @@ class FiniteTableProvider(FusionProvider):
     ):
         super().__init__()
         self.name = name
+        for i in dims:
+            if type(i) is not str:
+                raise InvalidRing(f"irreducible id {_quote(i)} is not a string")
         if "" in dims:
             raise InvalidRing("empty irreducible id")
         if unit_id not in dims:
@@ -177,7 +181,9 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
     total operation on one element set, with identity and inverses, and
     ``FiniteTableProvider`` then proves it associative by Light's test.
     """
-    elems = sorted({g for g, _ in table} | {h for _, h in table})
+    # Sorted by text, so that elements of mixed types reach the constructor,
+    # which refuses every id that is not a string.
+    elems = sorted({g for g, _ in table} | {h for _, h in table}, key=str)
     if not elems:
         raise NotAGroup("empty table")
     elem_set = set(elems)

@@ -9,6 +9,7 @@ re-verification pass, and per-label torsion verdicts degrade to
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass
 from itertools import chain, filterfalse, islice, repeat
 
@@ -18,6 +19,7 @@ from .core import (
     FusionProvider,
     IrrLabel,
     Report,
+    _bilinear,
     _plain,
     canonical_sort,
     constituents_of,
@@ -87,27 +89,26 @@ class Subcategory(Report):
         return out
 
 
-def _sweep(provider: FusionProvider, new, old=()):
-    """Lazily yield ``conj(u)`` for u in ``new``, then every constituent of
-    ``a (x) b`` for a in ``old`` and b in ``new``, then for a in ``new`` and
-    b in ``old + new``.
+def _sweep(provider: FusionProvider, new, old=()) -> dict[IrrLabel, object]:
+    """``conj(u)`` for u in ``new``, then every constituent of ``a (x) b``
+    for a in ``old`` and b in ``new``, then for a in ``new`` and b in
+    ``old + new``, as one dict: its keys are each label reached, once, in
+    the order first reached (its values mean nothing).
 
     ``old`` and ``new`` are snapshots, visited in their own order.  With
     ``old`` empty this is the full sweep: a set is closed under conj and
-    products exactly when nothing it yields lies outside it, and a caller
-    that needs only the first escape can stop early, since each product is
-    decomposed only when the sweep reaches it.  With ``old`` already
-    swept, it visits exactly the conjugates and pairs that involve ``new``.
+    products exactly when no key lies outside it, and its first key
+    outside is the first escape.  With ``old`` already swept, it visits
+    exactly the conjugates and pairs that involve ``new``.  Each product's
+    constituent dict is merged with ``dict.update``, in C and with its
+    stored hashes, so there is no Python step per constituent.
     """
+    reached = dict.fromkeys(map(provider.conj, new))
+    merge, decompose = reached.update, provider.decompose
     both = [*old, *new]
-    rows = chain(zip(old, repeat(new)), zip(new, repeat(both)))
-    return chain(
-        map(provider.conj, new),
-        chain.from_iterable(
-            chain.from_iterable(map(constituents_of, map(provider.decompose, repeat(a), row)))
-            for a, row in rows
-        ),
-    )
+    for a, row in chain(zip(old, repeat(new)), zip(new, repeat(both))):
+        deque(map(merge, map(constituents_of, map(decompose, repeat(a), row))), maxlen=0)
+    return reached
 
 
 def _verified(provider: FusionProvider, kind: str, labels, overflow=(), rule=None) -> Subcategory:
@@ -139,11 +140,8 @@ def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> Decomposit
     key = (u, v)
     hit = provider._conjugate_cache.get(key)
     if hit is None:
-        counts: dict[IrrLabel, int] = {}
-        for w, m in provider.decompose(provider.conj(u), v):
-            for x, n in provider.decompose(w, u):
-                counts[x] = counts.get(x, 0) + m * n
-        hit = provider._conjugate_cache[key] = Decomposition(counts)
+        ubar_v = constituents_of(provider.decompose(provider.conj(u), v))
+        hit = provider._conjugate_cache[key] = Decomposition(_bilinear(provider, ubar_v, {u: 1}))
     return hit
 
 
@@ -186,9 +184,10 @@ def _close(
     label_size = provider.label_size
     is_member, is_overflow = members.__contains__, overflow.__contains__
 
-    def admit(labels):
-        # One round's sweep repeats labels: drop repeats before the filters hash them.
-        fresh = filterfalse(is_overflow, filterfalse(is_member, dict.fromkeys(labels)))
+    def admit(labels: dict):
+        # Each label once, in the order reached: the sweep's own dict, or
+        # ``dict.fromkeys`` of a list or of the rule's candidates.
+        fresh = filterfalse(is_overflow, filterfalse(is_member, labels))
         for lab in fresh:
             if len(members) >= cap:
                 overflow.add(lab)
@@ -202,7 +201,7 @@ def _close(
     generators = list(generators)
     for g in generators:
         label_size(g)  # a foreign generator raises here, even past the cap
-    admit([provider.unit(), *generators])
+    admit(dict.fromkeys([provider.unit(), *generators]))
 
     swept = ruled = 0  # members[:swept] are swept pairwise; members[:ruled] ruled
     for _ in range(budget.max_rounds):
@@ -213,7 +212,7 @@ def _close(
         if extra_candidates is not None:
             unruled = list(islice(members, ruled, None))
             ruled += len(unruled)
-            admit(extra_candidates(unruled))
+            admit(dict.fromkeys(extra_candidates(unruled)))
         if len(members) == before:
             break
 

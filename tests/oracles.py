@@ -835,3 +835,73 @@ def free_product_decompose_reference(provider, u, v):
 
     prod = mul_words(provider.key_of(u), provider.key_of(v))
     return Decomposition({provider._label(w): m for w, m in prod.items()})
+
+
+def direct_product_decompose_reference(provider, u, v):
+    """``u (x) v`` in a ``DirectProductProvider`` as it was computed before
+    the pair grid was built with ``itertools.product``: one nested loop
+    over both factors' constituents, labelling each pair through
+    ``provider._label``."""
+    from fusionring.core import Decomposition
+
+    a1, b1 = provider.key_of(u)
+    a2, b2 = provider.key_of(v)
+    counts = {}
+    for wa, ma in provider.factors[0].decompose(a1, a2):
+        for wb, mb in provider.factors[1].decompose(b1, b2):
+            counts[provider._label((wa, wb))] = ma * mb
+    return Decomposition(counts)
+
+
+# ---------------------------------------------------------------------------
+# the closure engine's sweep and the bilinear product, one step per constituent
+
+
+def a4_representation_ring() -> dict:
+    """Rep(A4) in the JSON table format: the trivial character ``1``, the
+    two other linear characters ``w`` and ``w2`` (conjugate to each other,
+    multiplying as the cube roots of unity) and the 3-dimensional ``t``,
+    with ``w (x) t = w2 (x) t = t`` and ``t (x) t = 1 + w + w2 + 2*t``: a
+    table with a multiplicity above 1."""
+    linear = ["1", "w", "w2"]  # w^i (x) w^j = w^(i + j mod 3)
+    fusion = {(a, b): {linear[(i + j) % 3]: 1} for i, a in enumerate(linear) for j, b in enumerate(linear)}
+    for a in linear:
+        fusion[a, "t"] = fusion["t", a] = {"t": 1}
+    fusion["t", "t"] = {"1": 1, "w": 1, "w2": 1, "t": 2}
+    return {
+        "name": "Rep(A4)",
+        "unit": "1",
+        "irreducibles": [
+            {"id": "1", "dim": 1, "conj": "1"}, {"id": "w", "dim": 1, "conj": "w2"},
+            {"id": "w2", "dim": 1, "conj": "w"}, {"id": "t", "dim": 3, "conj": "t"},
+        ],
+        "fusion": [{"left": a, "right": b, "result": r} for (a, b), r in fusion.items()],
+    }
+
+
+
+def sweep_reference(provider, new, old=()):
+    """The sweep as a lazy generator, as it was before it returned a dict:
+    ``conj(u)`` for u in ``new``, then every constituent of ``a (x) b``
+    for a in ``old`` and b in ``new``, then for a in ``new`` and b in
+    ``old + new``, repeats included, each product decomposed only when
+    the generator reaches it."""
+    for u in new:
+        yield provider.conj(u)
+    both = [*old, *new]
+    for a, row in itertools.chain(zip(old, itertools.repeat(new)), zip(new, itertools.repeat(both))):
+        for b in row:
+            for w, _ in provider.decompose(a, b):
+                yield w
+
+
+def multiply_virtual_reference(provider, x, y):
+    """The bilinear product of two integer combinations as it was computed
+    before coefficient-1 products were counted in C: every constituent of
+    every pairwise product added in Python, zeros dropped at the end."""
+    acc = {}
+    for a, ca in x.items():
+        for b, cb in y.items():
+            for w, m in provider.decompose(a, b):
+                acc[w] = acc.get(w, 0) + ca * cb * m
+    return {w: c for w, c in acc.items() if c}

@@ -1,3 +1,4 @@
+import itertools
 import pickle
 import re
 
@@ -15,9 +16,11 @@ from fusionring import (
     canonical_key,
     canonical_sort,
     character_ring,
+    load_ring_json,
 )
 from fusionring.cli import parse_provider
 from fusionring.core import constituents_of
+from fusionring.rings.tables import S3_CHARACTER_TABLE
 
 
 def test_label_validation():
@@ -346,6 +349,66 @@ def test_multiply_virtual():
     # (e - g)(e + g) = e - e: a cancelled coefficient is dropped, not kept as 0
     assert ring.multiply_virtual({e: 1, g: -1}, {e: 1, g: 1}) == {}
     assert ring.multiply_virtual({}, {g: 5}) == {}
+
+
+# Rings for the bilinear-product differential: ladder, word and product
+# backends, and two tables, Rep(A4) with its multiplicity 2 in t (x) t.
+BILINEAR_RINGS = {
+    spec: parse_provider(spec) for spec in ("suq2", "au", "free(so3,word:Z2)", "prod(suq2,word:Z2)")
+}
+BILINEAR_RINGS["S3 characters"] = character_ring(S3_CHARACTER_TABLE)
+BILINEAR_RINGS["Rep(A4)"] = load_ring_json(oracles.a4_representation_ring())
+# Mostly 1, the coefficient that takes the C count; zero, negative and
+# very large coefficients take the entry-by-entry loop.
+COEFFICIENTS = st.one_of(
+    st.just(1), st.integers(-3, 3), st.integers(-10**40, 10**40), st.sampled_from([10**100, -10**100])
+)
+
+
+def _decompose_calls(ring, compute):
+    """``compute()`` and the ``decompose`` calls it made on ``ring``, in order."""
+    calls = []
+    decompose = ring.decompose
+
+    def recorded(a, b):
+        calls.append((a, b))
+        return decompose(a, b)
+
+    ring.decompose = recorded
+    try:
+        return compute(), calls
+    finally:
+        del ring.decompose
+
+
+@pytest.mark.parametrize("spec", BILINEAR_RINGS)
+@given(data=st.data())
+def test_multiply_virtual_matches_the_reference(spec, data):
+    ring = BILINEAR_RINGS[spec]
+    combination = st.dictionaries(st.sampled_from(ring.enumerate(10)), COEFFICIENTS, max_size=5)
+    x, y = data.draw(combination), data.draw(combination)
+    got, got_calls = _decompose_calls(ring, lambda: ring.multiply_virtual(x, y))
+    want, want_calls = _decompose_calls(ring, lambda: oracles.multiply_virtual_reference(ring, x, y))
+    # The same coefficients in the same order, from the same products.
+    assert list(got.items()) == list(want.items())
+    assert got_calls == want_calls
+    assert 0 not in got.values()
+
+
+@pytest.mark.parametrize("spec", BILINEAR_RINGS)
+def test_multiply_virtual_matches_the_reference_on_sums_of_labels(spec):
+    # Every label and every sum of two labels of a small window, against
+    # each other: runs of products at coefficient 1, some with Rep(A4)'s
+    # multiplicity 2 in t (x) t, and both associations of the products.
+    ring = BILINEAR_RINGS[spec]
+    window = ring.enumerate(6)
+    sums = [{u: 1} for u in window] + [{u: 1, v: 1} for u, v in itertools.combinations(window, 2)]
+    for x in sums:
+        for y in sums:
+            want = oracles.multiply_virtual_reference(ring, x, y)
+            assert list(ring.multiply_virtual(x, y).items()) == list(want.items()), (x, y)
+            for z in (x, y):
+                assert ring.multiply_virtual(want, z) == oracles.multiply_virtual_reference(ring, want, z)
 
 
 def test_default_order_oracle_unsupported():

@@ -8,15 +8,19 @@ from fusionring import (
     Budget,
     UnknownLabel,
     UnsupportedProvider,
+    character_ring,
     check_axioms,
     direct_product,
+    dump_ring_json,
     finite_group_ring,
     free_product,
+    load_ring_json,
     so3_ring,
     suq2_ring,
     word_group,
 )
 from fusionring.cli import parse_provider
+from fusionring.rings.tables import S3_CHARACTER_TABLE
 
 import oracles
 
@@ -287,3 +291,64 @@ def test_letter_map_belongs_to_the_instance():
     assert [w.id for w, _ in first.decompose(v1, v1)] == ["e", "v1", "v2"]
     assert [w.id for w in first._one_letter[0]] == ["v1", "v2"]
     assert second._one_letter == ({}, {})
+
+
+def _one_letter_rings(tmp_path):
+    """Free products whose one-letter merges are the hard cases: the factor
+    unit among the constituents (every ring here), ids with a ``0:``/``1:``
+    prefix or in brackets, and a multiplicity above 1 (Rep(A4)'s t (x) t)."""
+    s3 = tmp_path / "S3.json"
+    dump_ring_json(character_ring(S3_CHARACTER_TABLE), s3)
+    a4 = oracles.a4_representation_ring()
+    return {
+        "free(so3,word:Z2)": parse_provider("free(so3,word:Z2)"),
+        "free(word:Z2,word:Z3)": parse_provider("free(word:Z2,word:Z3)"),
+        "free(word:Z3,free(word:Z2,word:Z3))": parse_provider("free(word:Z3,free(word:Z2,word:Z3))"),
+        "free(free(word:Z2,word:Z3),suq2)": parse_provider("free(free(word:Z2,word:Z3),suq2)"),
+        "free(so3,json:S3)": parse_provider(f"free(so3,json:{s3})"),
+        "free(Rep(A4),word:Z2)": free_product(load_ring_json(a4), word_group([2])),
+        "free(Rep(A4),Rep(A4))": free_product(load_ring_json(a4), load_ring_json(a4)),
+    }
+
+
+def test_one_letter_merges_match_the_word_by_word_reference(tmp_path):
+    # Every pair of window words: two one-letter words of one factor merge
+    # at once, and a word against its conjugate cancels down to such a merge.
+    seen = set()
+    for name, fp in _one_letter_rings(tmp_path).items():
+        window = fp.enumerate(40)
+        pairs = [(u, v) for u in window for v in window]
+        pairs += [(u, fp.conj(u)) for u in window] + [(fp.conj(u), u) for u in window]
+        for a, b in pairs:
+            got = fp.decompose(a, b)
+            assert got.entries == oracles.free_product_decompose_reference(fp, a, b).entries, (name, a.id, b.id)
+            one_letter = all(len(fp.key_of(x)) == 1 for x in (a, b)) and fp.key_of(a)[0][0] == fp.key_of(b)[0][0]
+            if one_letter:
+                seen.add("merge")
+                if fp.unit() in got:
+                    seen.add("unit")
+                if max(m for _, m in got) > 1:
+                    seen.add("multiplicity")
+            if ":" in a.id:
+                seen.add("prefix")
+            if "[" in a.id:
+                seen.add("brackets")
+        assert all(len(fp.key_of(lab)) == 1 for k in (0, 1) for lab in fp._one_letter[k].values()), name
+        assert not any(fp.factors[k].unit() in fp._one_letter[k] for k in (0, 1)), name
+    assert seen == {"merge", "unit", "multiplicity", "prefix", "brackets"}
+
+
+@pytest.mark.parametrize("spec", ["prod(suq2,word:Z2)", "prod(so3,Rep(A4))", "prod(au,json:S3)",
+                                  "prod(prod(suq2,word:Z2),free(so3,word:Z2))"])
+def test_direct_product_matches_the_nested_loop_reference(spec, tmp_path):
+    s3 = tmp_path / "S3.json"
+    dump_ring_json(character_ring(S3_CHARACTER_TABLE), s3)
+    if spec == "prod(so3,Rep(A4))":
+        ring = direct_product(so3_ring(), load_ring_json(oracles.a4_representation_ring()))
+    else:
+        ring = parse_provider(spec.replace("json:S3", f"json:{s3}"))
+    window = ring.enumerate(30)
+    for a in window:
+        for b in window:
+            got = ring.decompose(a, b)
+            assert got.entries == oracles.direct_product_decompose_reference(ring, a, b).entries, (a.id, b.id)

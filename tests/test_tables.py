@@ -27,6 +27,7 @@ from fusionring import (
 )
 from fusionring.cli import main
 from fusionring.rings import tables
+from fusionring.errors import _quote
 from fusionring.rings.tables import S3_CHARACTER_TABLE, FiniteTableProvider
 
 import oracles
@@ -353,6 +354,47 @@ def test_empty_irreducible_id_is_an_invalid_ring():
         character_ring({"class_sizes": [1, 1], "characters": {"triv": [1, 1], "": [1, -1]}})
     with pytest.raises(InvalidRing, match="^empty irreducible id$"):
         finite_group_ring({("e", "e"): "e", ("e", ""): "", ("", "e"): "", ("", ""): "e"})
+
+
+@pytest.mark.parametrize(
+    "table, shown",
+    [
+        ({(0, 0): 0}, "0"),
+        ({(1, 1): 1, (1, 2): 2, (2, 1): 2, (2, 2): 1}, "1"),
+        ({("e", "e"): "e", ("e", 1): 1, (1, "e"): 1, (1, 1): "e"}, "1"),
+        ({(0.5, 0.5): 0.5}, "0.5"),
+    ],
+    ids=["zero", "ints", "mixed", "float"],
+)
+def test_a_group_table_over_ids_that_are_not_strings_is_an_invalid_ring(table, shown):
+    # The element 0 used to end in ValueError from IrrLabel, and elements
+    # 1, 2 built a ring whose decompositions could not be written.
+    with pytest.raises(InvalidRing, match=f"^irreducible id {shown} is not a string$"):
+        finite_group_ring(table)
+
+
+def test_the_constructor_quotes_an_id_that_is_not_a_string():
+    with pytest.raises(InvalidRing, match="^irreducible id 1 is not a string$"):
+        FiniteTableProvider("x", 1, {1: 1}, {1: 1}, {(1, 1): {1: 1}})
+    long_id = tuple(range(100))
+    want = f"irreducible id {_quote(long_id)} is not a string"
+    assert want.endswith("characters) is not a string")
+    with pytest.raises(InvalidRing, match=f"^{re.escape(want)}$"):
+        FiniteTableProvider("x", "e", {"e": 1, long_id: 1}, {}, {})
+
+
+def test_the_loaders_keep_their_own_id_messages():
+    # JSON ids are refused by the loader before the constructor sees them,
+    # and an empty id still has its own message, through both loaders.
+    data = {"unit": "e", "irreducibles": [{**_ONE, "id": 0}], "fusion": [_ONE_ROW]}
+    with pytest.raises(InvalidRing, match="^malformed irreducible entry .*: id 0 is not a JSON string$"):
+        load_ring_json(data)
+    data = {"unit": "", "irreducibles": [{"id": "", "dim": 1, "conj": ""}],
+            "fusion": [{"left": "", "right": "", "result": {"": 1}}]}
+    with pytest.raises(InvalidRing, match="^empty irreducible id$"):
+        load_ring_json(data)
+    with pytest.raises(InvalidRing, match="^empty irreducible id$"):
+        character_ring({"class_sizes": [1, 1], "characters": {"triv": [1, 1], "": [1, -1]}})
 
 
 def test_load_dump_round_trip(tmp_path):

@@ -1,5 +1,6 @@
 """Closures, torsion scans, chain and sequence probes, ideal recovery."""
 
+import itertools
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from fusionring import Budget, IrrLabel
+from fusionring import Budget, IrrLabel, canonical_sort
 from fusionring.errors import NotFinite, NotSaturated, UnknownLabel, UnsupportedProvider
 from fusionring.cli import parse_provider
 from fusionring.rings import (
@@ -28,6 +29,7 @@ from fusionring.rings import (
 )
 from fusionring.torsion import (
     _conjugate,
+    _sweep,
     ascending_chain_probe,
     central_closure,
     dimension_ideal_recover,
@@ -49,6 +51,7 @@ from oracles import (
     conjugate_reference,
     n_sequence_reference,
     saturated_subrings_reference,
+    sweep_reference,
 )
 
 
@@ -545,3 +548,55 @@ def test_subring_enumeration_work_is_independent_of_the_hash_seed():
                               text=True, env=env, timeout=120, check=True)
         outputs.add(done.stdout)
     assert outputs == {"8 3032\n"}
+
+
+# Every builtin infinite ring of the axiom workload, two more word groups,
+# and the builtin finite tables.
+SWEEP_RINGS = {
+    spec: parse_provider(spec)
+    for spec in ("suq2", "so3", "uqsu11", "au", "word:Z2*Z2", "word:Z2*Z", "prod(suq2,word:Z2)",
+                 "free(so3,word:Z2)")
+}
+SWEEP_RINGS.update((r.name, r) for r in builtin_finite_rings())
+
+
+@pytest.mark.parametrize("spec", SWEEP_RINGS)
+def test_sweep_reaches_what_the_lazy_reference_yields(spec):
+    # Snapshots in enumeration order and reversed, split into old and new at
+    # several points, the full sweep (old empty) and an empty new included.
+    ring = SWEEP_RINGS[spec]
+    window = ring.enumerate(14)
+    for labels in (window, window[::-1]):
+        for cut in sorted({0, 1, len(labels) // 2, len(labels) - 1, len(labels)}):
+            old, new = labels[:cut], labels[cut:]
+            calls = []
+            decompose = ring.decompose
+            ring.decompose = lambda a, b: calls.append((a, b)) or decompose(a, b)
+            try:
+                got = list(_sweep(ring, new, old))
+                got_calls, calls[:] = calls[:], []
+                want = list(dict.fromkeys(sweep_reference(ring, new, old)))
+            finally:
+                del ring.decompose
+            assert got == want, (spec, cut)
+            assert got_calls == calls
+
+
+@pytest.mark.parametrize("ring", builtin_finite_rings(), ids=lambda r: r.name)
+def test_dimideal_names_the_first_escape_of_the_lazy_sweep(ring):
+    # Every label set that holds the unit: a closed one is recovered, and
+    # any other is refused naming the first label the reference sweep
+    # reaches outside it, in canonical order.
+    unit, *others = ring.enumerate(ring.num_irreducibles)
+    refused = 0
+    for r in range(len(others) + 1):
+        for chosen in itertools.combinations(others, r):
+            given = canonical_sort([unit, *chosen])
+            escape = next((w for w in sweep_reference(ring, given) if w not in given), None)
+            if escape is None:
+                assert dimension_ideal_recover(ring, given).given == tuple(given)
+                continue
+            refused += 1
+            with pytest.raises(NotSaturated, match=re.escape(f": {escape.id!r} is reached but not listed")):
+                dimension_ideal_recover(ring, given)
+    assert refused == 2 ** len(others) - len(enumerate_saturated_subrings(ring))
