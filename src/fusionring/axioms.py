@@ -70,13 +70,15 @@ def check_axioms(
     checked as exact equality of integer combinations on an exhaustive
     small prefix plus ``triple_samples`` seeded random triples.
 
-    The products read, each once per use from ``provider.decompose``:
-    ``1 (x) u`` and ``u (x) 1`` for every window label; for every window
-    pair, ``u (x) v`` and, when it has a constituent, ``vbar (x) ubar``
-    (its dict serves every constituent's reversal); for every constituent
-    ``w``, ``ubar (x) w`` and ``w (x) vbar``; and the products that
-    ``multiply_virtual`` forms for both associations of each triple.
-    Each label's conjugate is asked of the provider once per call.
+    The products read from ``provider.decompose``: ``1 (x) u`` and
+    ``u (x) 1`` for every window label; for every window pair, ``u (x) v``
+    and, when it has a constituent, ``vbar (x) ubar`` (its dict serves
+    every constituent's reversal); for every constituent ``w``,
+    ``ubar (x) w`` and ``w (x) vbar``, each read once per call and kept in
+    a dict local to it (per ``(u, w)`` and per ``(v, w)``); and the
+    products that ``multiply_virtual`` forms for both associations of
+    each triple.  Each label's conjugate is asked of the provider once
+    per call.
     """
     budget = budget or Budget()
     window = provider.enumerate(budget.max_irreducibles)
@@ -115,8 +117,12 @@ def check_axioms(
         if constituents_of(decompose(u, unit)) != single:
             bad(AxiomViolation("unit-law", (u,), f"{_clip(u.id)} (x) 1 != {_clip(u.id)}"))
 
+    # Constituent dicts of ubar (x) w for the current u and of w (x) vbar
+    # for each v, by w: each is read from the provider once per call.
+    w_vbar_of: dict[IrrLabel, dict[IrrLabel, dict[IrrLabel, int]]] = {v: {} for v in window}
     for u in window:
         ubar = bar(u)
+        ubar_w: dict[IrrLabel, dict[IrrLabel, int]] = {}
         for v in window:
             report.pairs_checked += 1
             dec = decompose(u, v)
@@ -136,10 +142,17 @@ def check_axioms(
             # vbar (x) ubar serves every constituent; a product with none
             # reads nothing.
             reversal = constituents_of(decompose(vbar, ubar)) if dec else {}
+            w_vbar = w_vbar_of[v]
             for w, mult in constituents_of(dec).items():
                 wbar = conj.get(w) or bar(w)  # a label is a non-empty tuple
-                frob1 = constituents_of(decompose(ubar, w)).get(v, 0)
-                frob2 = constituents_of(decompose(w, vbar)).get(u, 0)
+                left = ubar_w.get(w)
+                if left is None:
+                    left = ubar_w[w] = constituents_of(decompose(ubar, w))
+                right = w_vbar.get(w)
+                if right is None:
+                    right = w_vbar[w] = constituents_of(decompose(w, vbar))
+                frob1 = left.get(v, 0)
+                frob2 = right.get(u, 0)
                 rev = reversal.get(wbar, 0)
                 if frob1 != mult:
                     bad(AxiomViolation(

@@ -320,7 +320,9 @@ class FusionProvider(ABC):
     labels, or, for the finite tables, the id itself).  Every backend
     makes one label per key and instance through ``_label`` (which asks
     the backend's ``_spell`` for the id and dim of a new key and records
-    the key in the instance's ``_keys``), and its methods read
+    the key in the instance's ``_keys`` through ``_store``, which a
+    backend that already knows a new key's id and dim calls directly),
+    and its methods read
     ``key_of(u)`` instead of parsing ``u.id``.  ``parse_label``, written
     here once, is the only parser and the one unknown-id refusal: the
     backend's ``_read`` turns text, maybe another spelling, into one of
@@ -343,8 +345,16 @@ class FusionProvider(ABC):
         """This instance's label for ``key``, spelled on first use."""
         lab = self._interned.get(key)
         if lab is None:
-            lab = self._interned[key] = IrrLabel(*self._spell(key))
-            self._keys[lab] = key
+            lab = self._store(key, *self._spell(key))
+        return lab
+
+    def _store(self, key, id: str, dim: int) -> IrrLabel:
+        """Make and record the label ``(id, dim)`` of ``key``, a key this
+        instance has no label for: the one writer of ``_interned`` and
+        ``_keys``.  A backend that knows a new key's id and dim without
+        ``_spell`` calls it directly."""
+        lab = self._interned[key] = IrrLabel(id, dim)
+        self._keys[lab] = key
         return lab
 
     def _spell(self, key) -> tuple[str, int]:

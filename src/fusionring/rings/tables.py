@@ -189,9 +189,9 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
     elem_set = set(elems)
     for g in elems:
         for h in elems:
-            prod = table.get((g, h))
-            if prod is None:
+            if (g, h) not in table:
                 raise NotAGroup(f"product {_quote((g, h))} missing")
+            prod = table[(g, h)]
             try:
                 inside = prod in elem_set
             except TypeError:  # an unhashable product is no element either
@@ -270,7 +270,7 @@ def character_ring(source: str | Path | dict) -> FiniteTableProvider:
         name = data.get("name", "characters")
     try:
         sizes = list(data["class_sizes"])
-        chars = {str(k): list(v) for k, v in data["characters"].items()}
+        chars = {k: list(v) for k, v in data["characters"].items()}
     except (KeyError, TypeError, AttributeError) as exc:
         raise InvalidRing(f"malformed character table: {exc}") from None
     if any(type(x) is not int for x in chain(sizes, *chars.values())):
@@ -287,7 +287,9 @@ def character_ring(source: str | Path | dict) -> FiniteTableProvider:
     def inner(x, y):
         return Fraction(sum(s * a * b for s, a, b in zip(sizes, x, y)), order)
 
-    ids = sorted(chars)
+    # Sorted by text, so that ids of mixed types reach the constructor,
+    # which refuses every id that is not a string.
+    ids = sorted(chars, key=str)
     for i in ids:
         for j in ids:
             val = inner(chars[i], chars[j])

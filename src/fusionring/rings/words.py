@@ -10,6 +10,19 @@ multiplies out the letters of any text (``aa`` reads as ``e`` in
 ``Z2*Z2``).  Every basis element is invertible, so
 decompositions are single labels and the tensor-order oracle is exact
 (cyclic reduction).
+
+A product of reduced words is cut at the junction, not reduced letter
+by letter: the letters that cancel are the longest common suffix of the
+left word and the right word's inverse (``common_suffix``, a binary
+search on slice equality), at most one pair of letters next to the cut
+merges into one letter, and the rest is two slices.  So it takes
+O(log L) Python steps for words of L letters, the slicing done in C.
+Each label's inverse word is kept per instance, built from a per-letter
+inverse map in one C-level pass.  The letter-by-letter reducer
+(``_reduce``) is left only for input that is not a reduced word: text
+read by ``_read`` and the image in the quotient by the finite factors.
+A new word that extends a known word by one letter takes that word's id
+plus the letter's text.
 """
 
 from __future__ import annotations
@@ -86,6 +99,33 @@ def alternating_words(count: int, heaviest: int | float, letters_of_weight: Call
     return words[:count]
 
 
+def common_suffix(a, b) -> int:
+    """Length of the longest common suffix of the sequences ``a`` and ``b``.
+
+    The last items and then the whole shorter length are tried first;
+    otherwise galloping, then binary search, on slice equality.  That is
+    O(log n) Python steps for a suffix of length n, each comparing two
+    slices in C.
+    """
+    la, lb = len(a), len(b)
+    n = la if la < lb else lb
+    if not n or a[-1] != b[-1]:
+        return 0
+    if a[la - n :] == b[lb - n :]:
+        return n
+    agree, differ = 1, 2  # suffixes of length ``agree`` agree, of ``differ`` not
+    while differ < n and a[la - differ :] == b[lb - differ :]:
+        agree, differ = differ, 2 * differ
+    differ = min(differ, n)
+    while differ - agree > 1:
+        mid = (agree + differ) // 2
+        if a[la - mid :] == b[lb - mid :]:
+            agree = mid
+        else:
+            differ = mid
+    return agree
+
+
 class _LetterTexts(dict):
     """Text of each letter ``(k, e)``, spelled on first use: ``a``, ``a^2``,
     ``a^-1``.  A word's id joins its letters' texts in one C-level pass."""
@@ -94,6 +134,21 @@ class _LetterTexts(dict):
         k, e = letter
         text = self[letter] = _LETTERS[k] + ("" if e == 1 else f"^{e}")
         return text
+
+
+class _InverseLetters(dict):
+    """Inverse of each letter ``(k, e)``, found on first use, so that a
+    word is inverted by one C-level ``map``."""
+
+    def __init__(self, factors: tuple[int | float, ...]):
+        super().__init__()
+        self.factors = factors
+
+    def __missing__(self, letter: Letter) -> Letter:
+        k, e = letter
+        m = self.factors[k]
+        inverse = self[letter] = (k, -e if m == math.inf else -e % m)
+        return inverse
 
 
 @dataclass(frozen=True)
@@ -131,6 +186,9 @@ class WordGroupProvider(FusionProvider):
         self.spec = spec
         self.name = f"word:{spec.describe()}"
         self._letter_texts = _LetterTexts()
+        self._inverse_letters = _InverseLetters(spec.factors)
+        # Label -> inverse of its word, filled as products and conj reach it.
+        self._inverse_words: dict[IrrLabel, Word] = {}
 
     # -- word arithmetic ---------------------------------------------------
 
@@ -138,9 +196,11 @@ class WordGroupProvider(FusionProvider):
         m = self.spec.factors[k]
         return e if m == math.inf else e % m
 
-    def _mul_words(self, w1: Word, w2: Word) -> Word:
-        out = list(w1)
-        for letter in w2:
+    def _reduce(self, letters) -> Word:
+        """Free reduction of letters with nonzero exponents, one letter at
+        a time: only for input that is not a reduced word already."""
+        out = []
+        for letter in letters:
             if out and out[-1][0] == letter[0]:
                 k = letter[0]
                 e = self._norm_exp(k, out[-1][1] + letter[1])
@@ -151,8 +211,30 @@ class WordGroupProvider(FusionProvider):
                 out.append(letter)
         return tuple(out)
 
-    def _inv_word(self, w: Word) -> Word:
-        return tuple((k, self._norm_exp(k, -e)) for k, e in reversed(w))
+    def _mul_words(self, w1: Word, w2: Word, inv2: Word) -> Word:
+        """The reduced product of reduced words ``w1`` and ``w2``, given
+        ``inv2``, the inverse of ``w2``.
+
+        The letters that cancel at the junction are the longest common
+        suffix of ``w1`` and ``inv2`` (``common_suffix``).  If the letters
+        next to the cut are of one factor they merge, and their exponents
+        cannot sum to 0, or they would have cancelled too.  The rest is
+        two slices, so a product takes O(log L) Python steps.
+        """
+        c = common_suffix(w1, inv2)
+        a = len(w1) - c
+        if a and c < len(w2) and w1[a - 1][0] == w2[c][0]:
+            k = w2[c][0]
+            return w1[: a - 1] + ((k, self._norm_exp(k, w1[a - 1][1] + w2[c][1])),) + w2[c + 1 :]
+        return w1[:a] + w2[c:]
+
+    def _inverse(self, u: IrrLabel) -> Word:
+        """The inverse of ``u``'s word, kept per label."""
+        inv = self._inverse_words.get(u)
+        if inv is None:
+            inverse_letter = self._inverse_letters.__getitem__
+            inv = self._inverse_words[u] = tuple(map(inverse_letter, reversed(self.key_of(u))))
+        return inv
 
     def _letter_weight(self, k: int, e: int) -> int:
         m = self.spec.factors[k]
@@ -162,6 +244,11 @@ class WordGroupProvider(FusionProvider):
         return sum(self._letter_weight(k, e) for k, e in w)
 
     def _spell(self, w: Word) -> tuple[str, int]:
+        """A word's id; one that extends a known word by a letter extends
+        its id by that letter's text."""
+        stem = self._interned.get(w[:-1]) if len(w) > 1 else None
+        if stem is not None:
+            return stem.id + self._letter_texts[w[-1]], 1
         return "".join(map(self._letter_texts.__getitem__, w)) or "e", 1
 
     # -- provider interface ------------------------------------------------
@@ -170,10 +257,15 @@ class WordGroupProvider(FusionProvider):
         return self._label(())
 
     def conj(self, u: IrrLabel) -> IrrLabel:
-        return self._label(self._inv_word(self.key_of(u)))
+        return self._label(self._inverse(u))
 
     def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        return Decomposition.ordered((self._label(self._mul_words(self.key_of(u), self.key_of(v))),))
+        w1, w2 = self.key_of(u), self.key_of(v)
+        if w1 and w2 and w1[-1][0] == w2[0][0]:
+            word = self._mul_words(w1, w2, self._inverse(v))
+        else:  # nothing to merge at the junction
+            word = w1 + w2
+        return Decomposition.ordered((self._label(word),))
 
     def _letters_of_weight(self, j: int) -> dict[Letter, tuple[int, int, int]]:
         """The letters of weight ``j``, each keyed (factor, |exponent|, 0
@@ -211,27 +303,29 @@ class WordGroupProvider(FusionProvider):
             e = self._norm_exp(k, int(match.group(2) or 1))
             if e:
                 letters.append((k, e))
-        return self._mul_words((), letters)
+        return self._reduce(letters)
 
     def order_oracle(self, u: IrrLabel) -> int | float:
         """Exact tensor order, by cyclic reduction.
 
-        A cyclically reduced word of length >= 2 mixes factors and has
-        infinite order; length 1 reduces to the cyclic factor; length 0
-        is the identity.
+        Conjugation strips the outer letter pairs that are inverse to each
+        other: as many as ``u``'s word shares in suffix with its inverse,
+        short of the middle.  A cyclically reduced word of length >= 2
+        mixes factors and has infinite order (a core whose end letters are
+        of one factor merges them, into a word of length >= 2); length 1
+        reduces to the cyclic factor; length 0 is the identity.
         """
         w = self.key_of(u)
-        while len(w) >= 2 and w[0][0] == w[-1][0]:
-            w = self._mul_words(w[1:], w[:1])
         if not w:
             return 1
-        if len(w) == 1:
-            k, e = w[0]
-            m = self.spec.factors[k]
-            if m == math.inf:
-                return math.inf
-            return m // math.gcd(e, m)
-        return math.inf
+        c = min(common_suffix(w, self._inverse(u)), (len(w) - 1) // 2)
+        if len(w) - 2 * c > 1:
+            return math.inf
+        k, e = w[c]
+        m = self.spec.factors[k]
+        if m == math.inf:
+            return math.inf
+        return m // math.gcd(e, m)
 
     # -- hooks for the torsion-closure sequence ----------------------------
 
@@ -246,22 +340,19 @@ class WordGroupProvider(FusionProvider):
         the letters of the infinite factors, freely reduced.  Its kernel is
         stage one, the normal closure of all torsion elements."""
         factors = self.spec.factors
-        return self._mul_words((), [(k, e) for k, e in self.key_of(u) if factors[k] == math.inf])
+        return self._reduce([(k, e) for k, e in self.key_of(u) if factors[k] == math.inf])
 
     def stage_one_exponent(self, u: IrrLabel, bound: int) -> int | None:
         """Least ``n <= bound`` with ``u^n`` in stage one, or None.
 
-        The quotient is a homomorphism, so the image of ``u^n`` is the
-        n-th power of the image of ``u``: each step multiplies the image
-        so far by that of ``u`` instead of forming ``u^n`` in the group.
+        The quotient is a homomorphism onto a free group, so the image of
+        ``u^n`` is the n-th power of the image of ``u``, and a free group
+        has no torsion: that power is trivial only when the image is.  So
+        ``n`` is 1 when ``u`` lies in stage one, and there is none
+        otherwise; no power is formed.
         """
         base = self.kill_finite_factors(u)
-        image = base
-        for n in range(1, bound + 1):
-            if not image:
-                return n
-            image = self._mul_words(image, base)
-        return None
+        return 1 if bound >= 1 and not base else None
 
 
 def word_group(spec: WordGroupSpec | list | tuple) -> WordGroupProvider:

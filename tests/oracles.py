@@ -905,3 +905,59 @@ def multiply_virtual_reference(provider, x, y):
             for w, m in provider.decompose(a, b):
                 acc[w] = acc.get(w, 0) + ca * cb * m
     return {w: c for w, c in acc.items() if c}
+
+
+# ---------------------------------------------------------------------------
+# word-group and au products one letter at a time
+
+
+def word_group_decompose_reference(provider, u, v):
+    """``u (x) v`` in a ``WordGroupProvider`` as it was computed before
+    products were cut at the junction: ``v``'s letters pushed onto ``u``'s
+    word one at a time, each merge normalized by ``provider._norm_exp``.
+    ``mul_words`` is the old ``_mul_words``, kept line for line.  The
+    label is spelled by ``spell_word_reference``, not by the provider."""
+    from fusionring.core import Decomposition, IrrLabel
+
+    def mul_words(w1, w2):
+        out = list(w1)
+        for letter in w2:
+            if out and out[-1][0] == letter[0]:
+                k = letter[0]
+                e = provider._norm_exp(k, out[-1][1] + letter[1])
+                out.pop()
+                if e:
+                    out.append((k, e))
+            else:
+                out.append(letter)
+        return tuple(out)
+
+    word = mul_words(provider.key_of(u), provider.key_of(v))
+    return Decomposition.ordered((IrrLabel(spell_word_reference(word), 1),))
+
+
+def au_dim_reference(word: str, d: int) -> int:
+    """dim of an au word by the recursion along it, as ``AuProvider._spell``
+    computed it for every new word: a repeated letter multiplies by ``d``,
+    an alternation multiplies by ``d`` and subtracts the dim two back."""
+    prev2, prev1 = 0, 1
+    for k, ch in enumerate(word):
+        cur = d * prev1 - (prev2 if k > 0 and word[k - 1] != ch else 0)
+        prev2, prev1 = prev1, cur
+    return prev1
+
+
+def au_decompose_reference(provider, u, v):
+    """``u (x) v`` in an ``AuProvider`` as it was computed before chains
+    were cut at the junction: the junction letters stripped one pair at
+    a time, every word of the chain built by slicing, and the labels
+    sorted into canonical order.  Each label is ``(id, dim)`` with the dim
+    from ``au_dim_reference``, not read from the provider."""
+    from fusionring.core import Decomposition, IrrLabel
+
+    w1, w2 = provider.key_of(u), provider.key_of(v)
+    words = [w1 + w2]
+    while w1 and w2 and w1[-1] != w2[0]:
+        w1, w2 = w1[:-1], w2[1:]
+        words.append(w1 + w2)
+    return Decomposition({IrrLabel(w or "e", au_dim_reference(w, provider.d_gen)): 1 for w in words})

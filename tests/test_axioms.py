@@ -1,3 +1,4 @@
+import math
 from collections import Counter
 
 import pytest
@@ -15,7 +16,9 @@ from fusionring import (
     word_group,
 )
 from fusionring.cli import parse_provider
+from fusionring.rings.au import AuProvider
 from fusionring.rings.tables import S3_CHARACTER_TABLE
+from fusionring.rings.words import WordGroupProvider, WordGroupSpec
 
 import oracles
 
@@ -398,3 +401,49 @@ def test_harness_asks_each_conjugate_once(spec):
     # a second call asks again: the memo is the call's own
     check_axioms(provider, Budget(max_irreducibles=40))
     assert set(calls.values()) == {2}
+
+
+# Infinite rings built broken, each in one product or one dim, checked
+# over a window of 12: the report must be the reference's, which reads
+# every product afresh.
+
+
+class _AuWrongFrobenius(AuProvider):
+    # UuU (x) uUuuUU drops uUU; only reciprocity for (uUu, uUU) reads it,
+    # as ubar (x) w.
+    def _decompose(self, u, v):
+        dec = super()._decompose(u, v)
+        if (u.id, v.id) == ("UuU", "uUuuUU"):
+            return Decomposition.ordered(w for w in dec.constituents() if w.id != "uUU")
+        return dec
+
+
+class _WordWrongReversal(WordGroupProvider):
+    # b^-1 (x) a^2 is a^2 b^-1 instead of b^-1 a^2 in Z3*Z.
+    def _decompose(self, u, v):
+        if (u.id, v.id) == ("b^-1", "a^2"):
+            return Decomposition({self.parse_label("a^2b^-1"): 1})
+        return super()._decompose(u, v)
+
+
+class _AuWrongDim(AuProvider):
+    # uUu is spelled with dim 4 instead of 3.
+    def _spell(self, word):
+        text, dim = super()._spell(word)
+        return text, dim + (word == "uUu")
+
+
+BROKEN_INFINITE = {
+    "frobenius": lambda: _AuWrongFrobenius(),
+    "reversal": lambda: _WordWrongReversal(WordGroupSpec((3, math.inf))),
+    "dim": lambda: _AuWrongDim(3),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BROKEN_INFINITE))
+def test_broken_infinite_rings_report_as_the_reference(name):
+    budget = Budget(max_irreducibles=12)
+    got = check_axioms(BROKEN_INFINITE[name](), budget, triple_samples=20, seed=3)
+    want = oracles.check_axioms_reference(BROKEN_INFINITE[name](), budget, triple_samples=20, seed=3)
+    assert not got.ok
+    assert got.to_dict() == want.to_dict()

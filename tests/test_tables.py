@@ -373,6 +373,30 @@ def test_a_group_table_over_ids_that_are_not_strings_is_an_invalid_ring(table, s
         finite_group_ring(table)
 
 
+def test_a_product_present_but_none_leaves_the_element_set():
+    # The product is in the table, so it is not missing: it names no element.
+    table = {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b", ("b", "b"): None}
+    with pytest.raises(NotAGroup, match=r"^product \('b', 'b'\) = None leaves the element set$"):
+        finite_group_ring(table)
+
+
+def test_a_product_absent_from_the_table_is_missing():
+    table = {("a", "a"): "a", ("a", "b"): "b", ("b", "a"): "b"}
+    with pytest.raises(NotAGroup, match=r"^product \('b', 'b'\) missing$"):
+        finite_group_ring(table)
+
+
+@pytest.mark.parametrize(
+    "characters, shown",
+    [({0: [1, 1], 1: [1, -1]}, "0"), ({"a": [1, 1], 1: [1, -1]}, "1")],
+    ids=["ints", "mixed"],
+)
+def test_a_character_table_over_ids_that_are_not_strings_is_an_invalid_ring(characters, shown):
+    # The ids used to be turned into text, so 0 and 1 loaded as '0' and '1'.
+    with pytest.raises(InvalidRing, match=f"^irreducible id {shown} is not a string$"):
+        character_ring({"class_sizes": [1, 1], "characters": characters})
+
+
 def test_the_constructor_quotes_an_id_that_is_not_a_string():
     with pytest.raises(InvalidRing, match="^irreducible id 1 is not a string$"):
         FiniteTableProvider("x", 1, {1: 1}, {1: 1}, {(1, 1): {1: 1}})
