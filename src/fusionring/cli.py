@@ -28,7 +28,6 @@ from .errors import (
     BadParameter,
     FusionError,
     InvalidRing,
-    NotFinite,
     ParseError,
     UnknownLabel,
     UnsupportedProvider,
@@ -41,6 +40,7 @@ from .rings.su11 import uq_su11_ring
 from .rings.tables import load_ring_json
 from .rings.words import parse_word_group_spec, word_group
 from .torsion import (
+    _finite_size,
     ascending_chain_probe,
     central_closure,
     dimension_ideal_recover,
@@ -268,10 +268,8 @@ def _cmd_chain(args, provider, budget):
 def _cmd_dimideal(args, provider, budget):
     if args.labels:
         given = [provider.parse_label(s) for s in _split_labels(args.labels)]
-    elif not isinstance(provider.num_irreducibles, int):
-        raise NotFinite(f"{provider.name}: dimension-ideal recovery needs a finite ring")
     else:
-        given = list(provider.enumerate(provider.num_irreducibles))
+        given = list(provider.enumerate(_finite_size(provider)))
     report = dimension_ideal_recover(provider, given)
     lines = [
         f"ring: {provider.name}",

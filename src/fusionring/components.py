@@ -29,6 +29,9 @@ __all__ = [
 ]
 
 _HOM_TABLE_WINDOW = 8
+# labels of each free factor that ``_adjoint_degree_note`` searches for a
+# nontrivial one-dimensional label
+_ADJOINT_PROBE = 16
 
 
 def restriction_hom_dim(provider: FusionProvider, s_labels, u: IrrLabel, v: IrrLabel) -> int:
@@ -93,15 +96,15 @@ def _witness_evidence(provider, witness: IrrLabel) -> dict | None:
     return None
 
 
-def _adjoint_degree_note(provider, probe: int = 16) -> tuple[int | None, str]:
+def _adjoint_degree_note(provider) -> tuple[int | None, str]:
     """Degree-one note when some free factor's window has no nontrivial 1-dim label."""
     for k, factor in enumerate(provider.free_factors()):
-        window = factor.enumerate(probe)
+        window = factor.enumerate(_ADJOINT_PROBE)
         funit = factor.unit()
         if not any(l.dim == 1 and l != funit for l in window):
             return 1, (
                 f"factor {k} ({factor.name}) shows no nontrivial 1-dim label in a "
-                f"{probe}-label window, so the torsion-closure sequence stops after one step"
+                f"{_ADJOINT_PROBE}-label window, so the torsion-closure sequence stops after one step"
             )
     return None, ""
 

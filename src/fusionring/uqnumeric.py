@@ -215,35 +215,26 @@ def _ladder_model(w, n: int, q, t_branch: str) -> tuple[RepMatrices, list[float]
     wc = _validate_w(w)
     t = _t_value(qf, t_branch)
     ints = _q_ints(n, q)
-    dim = n + 1
-    E = np.zeros((dim, dim), dtype=complex)
-    F = np.zeros((dim, dim), dtype=complex)
-    K = np.zeros((dim, dim), dtype=complex)
-    for r in range(1, dim):
-        E[r - 1, r] = wc * ints[r]
-    for r in range(dim - 1):
-        F[r + 1, r] = wc * ints[n - r]
-    for r in range(dim):
-        K[r, r] = wc * t ** (n - 2 * r)
+    ladder = np.array([wc * x for x in ints], dtype=complex)  # w [0], ..., w [n]
+    E = np.diag(ladder[1:], 1)
+    F = np.diag(ladder[:0:-1], -1)
+    K = np.diag([wc * t ** (n - 2 * r) for r in range(n + 1)])
     K_inv = np.diag(1 / np.diag(K))
     rep = RepMatrices(E=E, F=F, K=K, K_inv=K_inv, q=qf, w=wc, form_tag="sl2", t_branch=t_branch)
     return rep, ints
 
 
-def _phase_ratio(w: complex) -> complex:
-    # conj(w)/w; +1 for real w, -1 for imaginary w
-    return w.conjugate() / w
-
-
-def _unitarizer(w: complex, ints: list[float], sign_flip: bool):
-    """Diagonal scaling making the twisted ladder star-preserving.
+def _unitarizer(w: complex, ints: list[float], sign_flip: bool) -> np.ndarray | None:
+    """The diagonal of the scaling T that makes the twisted ladder
+    star-preserving, as a vector tau (T = diag(tau)).
 
     Solves tau_j^2 = (+-) (conj(w)/w) [j]/[n-j+1] tau_{j-1}^2 with the
-    minus for the noncompact form, from the q-integers ``ints`` = [0..n].
-    Returns None when some step has no real solution; that absence is
-    the unitarizability obstruction.
+    minus for the noncompact form, from the q-integers ``ints`` = [0..n];
+    conj(w)/w is +1 for real w and -1 for imaginary w.  Returns None when
+    some step has no real solution; that absence is the unitarizability
+    obstruction.
     """
-    ratio = _phase_ratio(w)
+    ratio = w.conjugate() / w
     if abs(ratio.imag) > 1e-12:
         return None
     n = len(ints) - 1
@@ -254,16 +245,18 @@ def _unitarizer(w: complex, ints: list[float], sign_flip: bool):
         if step <= 0:
             return None
         taus.append(taus[-1] * step**0.5)
-    return np.diag(taus)
+    return np.array(taus)
 
 
 def build_u(sign: int, n: int, q, *, t_branch: str = "principal") -> RepMatrices:
     """Star-preserving model for the irreducible (sign, n) at q < 0.
 
     The twist is sign * i^n; for q < 0 that is precisely when K comes
-    out real, and a diagonal rescaling then realizes E* = -F.  (sign, 0)
-    gives the two one-dimensional representations, with K = sign.  The
-    q-integers are computed once, for the ladder and the rescaling.
+    out real, and a diagonal rescaling T = diag(tau) then realizes
+    E* = -F.  (sign, 0) gives the two one-dimensional representations,
+    with K = sign.  The q-integers are computed once, for the ladder and
+    the rescaling.  T E T^-1 and T F T^-1 are formed entry by entry, as
+    tau_i X[i, j] (1 / tau_j); neither T nor T^-1 is built.
 
     The rescaling's middle entries shrink like |q|^(-n^2/4) (or |q|^(n^2/4)
     for |q| < 1): once one falls below the normal doubles, its inverse may
@@ -278,16 +271,16 @@ def build_u(sign: int, n: int, q, *, t_branch: str = "principal") -> RepMatrices
         raise BadParameter(f"these models need q < 0, got {q}")
     w = sign * (1j if n % 2 else 1 + 0j)
     base, ints = _ladder_model(w, n, q, t_branch)
-    T = _unitarizer(w, ints, sign_flip=True)
-    if T is None:
+    taus = _unitarizer(w, ints, sign_flip=True)
+    if taus is None:
         raise BadParameter(f"no star-preserving model at (sign={sign}, n={n}, q={q})")
-    taus = np.diag(T)
     if taus.min() < np.finfo(float).tiny:
         raise _out_of_range(q)
-    T_inv = np.diag(1 / taus)
+    # (T X T^-1)[i, j] = tau_i X[i, j] / tau_j, rounded as the dense products round it
+    left, right = taus[:, None], 1 / taus
     return RepMatrices(
-        E=T @ base.E @ T_inv,
-        F=T @ base.F @ T_inv,
+        E=base.E * left * right,
+        F=base.F * left * right,
         K=base.K,
         K_inv=base.K_inv,
         q=qf,
@@ -365,10 +358,10 @@ def unitarizability_witness(w, n: int, q, form: str = "su11", *, t_branch: str =
                 "k_diagonal": [complex(x) for x in kdiag],
             },
         )
-    T = _unitarizer(base.w, ints, sign_flip=(form == "su11"))
-    if T is not None:
+    taus = _unitarizer(base.w, ints, sign_flip=(form == "su11"))
+    if taus is not None:
         return UnitarizabilityWitness(
-            verdict="unitarizable", form=form, T=T, evidence={"kind": "diagonal_unitarizer"}
+            verdict="unitarizable", form=form, T=np.diag(taus), evidence={"kind": "diagonal_unitarizer"}
         )
     ef = np.diag(base.E @ base.F)
     want = -1 if form == "su2" else 1
@@ -459,6 +452,12 @@ def _stable_nullity(s: np.ndarray) -> int:
 def intertwiner_space(a: RepMatrices, b: RepMatrices) -> IntertwinerSpace:
     """Solutions T of T a(X) = b(X) T for X in {E, F, K}, by SVD nullspace.
 
+    The stacked system M has 3N rows for N = dim a * dim b unknowns.  Its
+    singular values and right vectors are those of the N x N factor R of
+    M = QR, so R is decomposed instead.  LAPACK's SVD of a matrix this tall
+    takes the same QR step and gives the same bits, but then also
+    multiplies out the 3N x N left vectors, which nothing here reads.
+
     The rank decision follows the module's rules (``_stable_nullity``):
     a relative gap of SV_GAP between the kept and discarded singular
     values, stable when the tolerance shifts a decade either way;
@@ -470,8 +469,7 @@ def intertwiner_space(a: RepMatrices, b: RepMatrices) -> IntertwinerSpace:
     for rep_a, rep_b in ((a.E, b.E), (a.F, b.F), (a.K, b.K)):
         blocks.append(_kron(Ib, rep_a.T) - _kron(rep_b, Ia))
     M = np.vstack(blocks)
-    # M is tall, so len(s) == db * da and vh is square without the full U
-    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    _, s, vh = np.linalg.svd(np.linalg.qr(M, mode="r"))
     nullity = _stable_nullity(s)
     total = db * da
     # null vectors are columns of V, i.e. conjugated rows of vh
@@ -551,25 +549,21 @@ def verify_conjugate_equations(q, *, t_branch: str = "principal") -> ConjugateEq
     R = np.zeros((4, 1), dtype=complex)
     R[1, 0] = 1.0
     R[2, 0] = -aq
-    Rbar = R.copy()
 
     inv_res = 0.0
-    for rep, vec in ((tensor_rep(ubar, u), R), (tensor_rep(u, ubar), Rbar)):
+    for rep in (tensor_rep(ubar, u), tensor_rep(u, ubar)):
         inv_res = max(
             inv_res,
-            _maxabs(rep.E @ vec),
-            _maxabs(rep.F @ vec),
-            _maxabs(rep.K @ vec - vec),
+            _maxabs(rep.E @ R),
+            _maxabs(rep.F @ R),
+            _maxabs(rep.K @ R - R),
         )
 
+    # the conjugate's duality vector is R itself, so both snakes are this one
     I2 = np.eye(2)
-    snake1 = _kron(Rbar.conj().T, I2) @ _kron(I2, R)
-    snake2 = _kron(R.conj().T, I2) @ _kron(I2, Rbar)
-    c = complex(snake1[0, 0])
-    snake_res = max(
-        _maxabs(snake1 - c * I2),
-        _maxabs(snake2 - c * I2),
-    )
+    snake = _kron(R.conj().T, I2) @ _kron(I2, R)
+    c = complex(snake[0, 0])
+    snake_res = _maxabs(snake - c * I2)
     norm_sq = float((R.conj().T @ R).real[0, 0])
     ok = (
         inv_res <= RESIDUAL_TOL

@@ -961,3 +961,214 @@ def au_decompose_reference(provider, u, v):
         w1, w2 = w1[:-1], w2[1:]
         words.append(w1 + w2)
     return Decomposition({IrrLabel(w or "e", au_dim_reference(w, provider.d_gen)): 1 for w in words})
+
+
+# ---------------------------------------------------------------------------
+# the U_q models with dense rescaling, and the intertwiner SVD with its
+# left vectors
+
+
+def build_u_reference(sign: int, n: int, q, *, t_branch: str = "principal"):
+    """``uqnumeric.build_u`` as it was written before its rescaling went
+    entry by entry: the ladder filled index by index, the unitarizer
+    returned as a diagonal matrix, and T E T^-1 and T F T^-1 formed by
+    dense products with T and its inverse."""
+    import numpy as np
+
+    from fusionring.errors import BadParameter
+    from fusionring.uqnumeric import RepMatrices, _out_of_range, _validate_q
+
+    if sign not in (1, -1):
+        raise BadParameter(f"sign must be +-1, got {sign!r}")
+    qf = _validate_q(q)
+    if qf >= 0:
+        raise BadParameter(f"these models need q < 0, got {q}")
+    w = sign * (1j if n % 2 else 1 + 0j)
+    base, ints = ladder_model_reference(w, n, q, t_branch)
+    T = unitarizer_reference(w, ints, sign_flip=True)
+    if T is None:
+        raise BadParameter(f"no star-preserving model at (sign={sign}, n={n}, q={q})")
+    taus = np.diag(T)
+    if taus.min() < np.finfo(float).tiny:
+        raise _out_of_range(q)
+    T_inv = np.diag(1 / taus)
+    return RepMatrices(
+        E=T @ base.E @ T_inv,
+        F=T @ base.F @ T_inv,
+        K=base.K,
+        K_inv=base.K_inv,
+        q=qf,
+        w=w,
+        form_tag="su11",
+        t_branch=t_branch,
+    )
+
+
+def ladder_model_reference(w, n: int, q, t_branch: str):
+    """``uqnumeric._ladder_model`` with its three index loops."""
+    import numpy as np
+
+    from fusionring.errors import BadParameter
+    from fusionring.uqnumeric import RepMatrices, _q_ints, _t_value, _validate_q, _validate_w
+
+    if not isinstance(n, int) or n < 0:
+        raise BadParameter(f"n must be a nonnegative integer, got {n!r}")
+    qf = _validate_q(q)
+    wc = _validate_w(w)
+    t = _t_value(qf, t_branch)
+    ints = _q_ints(n, q)
+    dim = n + 1
+    E = np.zeros((dim, dim), dtype=complex)
+    F = np.zeros((dim, dim), dtype=complex)
+    K = np.zeros((dim, dim), dtype=complex)
+    for r in range(1, dim):
+        E[r - 1, r] = wc * ints[r]
+    for r in range(dim - 1):
+        F[r + 1, r] = wc * ints[n - r]
+    for r in range(dim):
+        K[r, r] = wc * t ** (n - 2 * r)
+    K_inv = np.diag(1 / np.diag(K))
+    rep = RepMatrices(E=E, F=F, K=K, K_inv=K_inv, q=qf, w=wc, form_tag="sl2", t_branch=t_branch)
+    return rep, ints
+
+
+def unitarizer_reference(w: complex, ints: list[float], sign_flip: bool):
+    """``uqnumeric._unitarizer`` returning the diagonal matrix T, or None."""
+    import numpy as np
+
+    ratio = w.conjugate() / w
+    if abs(ratio.imag) > 1e-12:
+        return None
+    n = len(ints) - 1
+    sgn = -1.0 if sign_flip else 1.0
+    taus = [1.0]
+    for j in range(1, n + 1):
+        step = sgn * ratio.real * ints[j] / ints[n - j + 1]
+        if step <= 0:
+            return None
+        taus.append(taus[-1] * step**0.5)
+    return np.diag(taus)
+
+
+def unitarizability_witness_reference(w, n: int, q, form: str = "su11", *, t_branch: str = "principal"):
+    """``uqnumeric.unitarizability_witness`` on the reference ladder and
+    the matrix-returning unitarizer."""
+    import numpy as np
+
+    from fusionring.errors import BadParameter
+    from fusionring.uqnumeric import RESIDUAL_TOL, UnitarizabilityWitness
+
+    if form not in ("su2", "su11"):
+        raise BadParameter(f"form must be su2 or su11, got {form!r}")
+    base, ints = ladder_model_reference(w, n, q, t_branch)
+    kdiag = np.diag(base.K)
+    if float(np.max(np.abs(kdiag.imag))) > RESIDUAL_TOL:
+        return UnitarizabilityWitness(
+            verdict="obstruction",
+            form=form,
+            T=None,
+            evidence={
+                "kind": "k_spectrum",
+                "detail": "K has non-real eigenvalues, so K* = K is impossible",
+                "k_diagonal": [complex(x) for x in kdiag],
+            },
+        )
+    T = unitarizer_reference(base.w, ints, sign_flip=(form == "su11"))
+    if T is not None:
+        return UnitarizabilityWitness(
+            verdict="unitarizable", form=form, T=T, evidence={"kind": "diagonal_unitarizer"}
+        )
+    ef = np.diag(base.E @ base.F)
+    want = -1 if form == "su2" else 1
+    offenders = [(r, x.real) for r, x in enumerate(ef) if want * x.real > RESIDUAL_TOL]
+    r, val = max(offenders, key=lambda it: abs(it[1]))
+    return UnitarizabilityWitness(
+        verdict="obstruction",
+        form=form,
+        T=None,
+        evidence={
+            "kind": "ef_spectrum",
+            "detail": (
+                f"eigenvalue {val:.6g} of E F at basis index {r} has the wrong sign "
+                f"for {form} (needs {'>= 0' if form == 'su2' else '<= 0'})"
+            ),
+            "index": r,
+            "eigenvalue": val,
+        },
+    )
+
+
+def intertwiner_space_reference(a, b):
+    """``uqnumeric.intertwiner_space`` by the full thin SVD of the stacked
+    system, whose left vectors it never reads."""
+    import numpy as np
+
+    from fusionring.uqnumeric import IntertwinerSpace, _kron, _stable_nullity
+
+    da, db = a.dim, b.dim
+    Ia, Ib = np.eye(da), np.eye(db)
+    blocks = []
+    for rep_a, rep_b in ((a.E, b.E), (a.F, b.F), (a.K, b.K)):
+        blocks.append(_kron(Ib, rep_a.T) - _kron(rep_b, Ia))
+    M = np.vstack(blocks)
+    _, s, vh = np.linalg.svd(M, full_matrices=False)
+    nullity = _stable_nullity(s)
+    total = db * da
+    basis = [vh[row].conj().reshape(db, da) for row in range(total - nullity, total)]
+    return IntertwinerSpace(dim=nullity, basis=basis, singular_values=s)
+
+
+def verify_conjugate_equations_reference(q, *, t_branch: str = "principal"):
+    """``uqnumeric.verify_conjugate_equations`` on the reference models,
+    with its second duality vector (a copy of the first) and its second
+    snake (the first, computed again)."""
+    import numpy as np
+
+    from fusionring.errors import BadParameter
+    from fusionring.uqnumeric import (
+        RESIDUAL_TOL,
+        ConjugateEquationsReport,
+        _kron,
+        _maxabs,
+        _validate_q,
+        tensor_rep,
+    )
+
+    qf = _validate_q(q)
+    if qf >= 0:
+        raise BadParameter(f"needs q < 0, got {q}")
+    u = build_u_reference(1, 1, q, t_branch=t_branch)
+    ubar = build_u_reference(-1, 1, q, t_branch=t_branch)
+    aq = abs(qf)
+    R = np.zeros((4, 1), dtype=complex)
+    R[1, 0] = 1.0
+    R[2, 0] = -aq
+    Rbar = R.copy()
+
+    inv_res = 0.0
+    for rep, vec in ((tensor_rep(ubar, u), R), (tensor_rep(u, ubar), Rbar)):
+        inv_res = max(
+            inv_res,
+            _maxabs(rep.E @ vec),
+            _maxabs(rep.F @ vec),
+            _maxabs(rep.K @ vec - vec),
+        )
+
+    I2 = np.eye(2)
+    snake1 = _kron(Rbar.conj().T, I2) @ _kron(I2, R)
+    snake2 = _kron(R.conj().T, I2) @ _kron(I2, Rbar)
+    c = complex(snake1[0, 0])
+    snake_res = max(
+        _maxabs(snake1 - c * I2),
+        _maxabs(snake2 - c * I2),
+    )
+    norm_sq = float((R.conj().T @ R).real[0, 0])
+    ok = (
+        inv_res <= RESIDUAL_TOL
+        and snake_res <= RESIDUAL_TOL
+        and abs(c - (-aq)) <= RESIDUAL_TOL
+        and abs(norm_sq - (1 + qf * qf)) <= RESIDUAL_TOL
+    )
+    return ConjugateEquationsReport(
+        q=qf, c=c, norm_sq=norm_sq, invariance_residual=inv_res, snake_residual=snake_res, ok=ok
+    )

@@ -185,6 +185,19 @@ def test_decompose_refuses_an_id_that_spells_another_word(capsys):
     assert captured.out == "" and "no irreducible with id '0:a.a^2'" in captured.err
 
 
+def test_nsequence_refuses_a_window_above_the_scan_limit(capsys):
+    argv = ["nsequence", "--ring", "word:Z2*Z", "--budget"]
+    assert main([*argv, "max_irreducibles=10001"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: word:Z2*Z: an infinite group is scanned over the budget's window,"
+        " and 10001 labels are more than the limit of 10000\n"
+    )
+    assert main([*argv, "max_irreducibles=10000", "--json"]) == 0
+    report = json.loads(capsys.readouterr().out)["report"]
+    assert (report["scanned"], report["degree"]) == (10_000, 1)
+
+
 def test_usage_errors_exit_two(capsys):
     assert main(["nsequence", "--ring", "suq2"]) == 2
     assert main(["nsequence", "--ring", "word:Z99999999999999999999", "--json"]) == 2

@@ -66,6 +66,9 @@
   tracer times each backend's cache misses by wrapping the function in
   the class's own ``__dict__``, and stops with a KeyError on a class
   without one.
+* No SVD in ``uqnumeric.py`` forms left vectors it throws away: every
+  ``np.linalg.svd`` call there passes ``compute_uv=False`` or decomposes
+  the square factor ``np.linalg.qr(..., mode="r")`` of a tall system.
 """
 
 from __future__ import annotations
@@ -821,3 +824,44 @@ def test_every_exported_provider_defines_its_own_decompose():
                  if inspect.isclass(obj) and issubclass(obj, FusionProvider)]
     assert len(providers) == 8
     assert inherited_decompose(providers) == []
+
+
+def full_svds(source: str) -> list[str]:
+    """``line N`` for every ``svd`` call that neither passes
+    ``compute_uv=False`` nor decomposes a ``qr(..., mode="r")`` factor
+    given as its first argument."""
+    def called(node) -> str | None:
+        if isinstance(node, ast.Call):
+            return getattr(node.func, "id", None) or getattr(node.func, "attr", None)
+        return None
+
+    def constant(call, name):
+        return next((kw.value.value for kw in call.keywords
+                     if kw.arg == name and isinstance(kw.value, ast.Constant)), None)
+
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if called(node) != "svd" or constant(node, "compute_uv") is False:
+            continue
+        factor = node.args[0] if node.args else None
+        if not (called(factor) == "qr" and constant(factor, "mode") == "r"):
+            found.append(node.lineno)
+    return [f"line {line}" for line in sorted(found)]
+
+
+def test_full_svd_is_detected():
+    source = (
+        "s = np.linalg.svd(E, compute_uv=False)\n"
+        "_, s, vh = np.linalg.svd(np.linalg.qr(M, mode='r'))\n"
+        "_, s, vh = np.linalg.svd(M, full_matrices=False)\n"
+        "s = svd(E, compute_uv=0)\n"
+        "_, s, vh = np.linalg.svd(np.linalg.qr(M))\n"
+        "_, s, vh = np.linalg.svd(qr(M, mode='reduced'))\n"
+        "_, s, vh = np.linalg.svd(R, np.linalg.qr(M, mode='r'))\n"
+        "t = np.linalg.qr(M, mode='r')  # np.linalg.svd(M)\n"
+    )
+    assert full_svds(source) == ["line 3", "line 4", "line 5", "line 6", "line 7"]
+
+
+def test_the_numerical_layer_forms_no_discarded_left_vectors():
+    assert full_svds((PACKAGE / "uqnumeric.py").read_text()) == []

@@ -322,6 +322,16 @@ def test_finite_word_group_above_the_scan_limit_is_refused_before_listing():
         assert group._interned == {}
 
 
+def test_infinite_word_group_window_above_the_scan_limit_is_refused_before_listing():
+    # The window has the finite-group limit: 10^6 labels took 10.6 s.
+    group = parse_provider("word:Z2*Z")
+    with pytest.raises(UnsupportedProvider, match="10001 labels are more than the limit of 10000$"):
+        n_sequence_cocommutative(group, Budget(max_irreducibles=10_001))
+    assert group._interned == {}
+    rep = n_sequence_cocommutative(group, Budget(max_irreducibles=10_000))
+    assert (rep.scanned, rep.degree, rep.stabilized) == (10_000, 1, True)
+
+
 def test_dimension_ideal_recovers_character_subrings():
     ring = _char_s3()
     by_id = {l.id: l for l in ring.enumerate(3)}

@@ -33,7 +33,14 @@ from fusionring.uqnumeric import (
     verify_permutation_intertwiner,
 )
 
-from oracles import QINT_AT_MINUS_HALF, weight_count_reference
+from oracles import (
+    QINT_AT_MINUS_HALF,
+    build_u_reference,
+    intertwiner_space_reference,
+    unitarizability_witness_reference,
+    verify_conjugate_equations_reference,
+    weight_count_reference,
+)
 
 Q_VALUES = (Fraction(-1, 2), Fraction(-2, 3))
 
@@ -545,3 +552,85 @@ def test_fusion_crosscheck_reads_labels_without_parsing_ids(monkeypatch):
     monkeypatch.setattr(UqSU11Provider, "parse_label", refuse)
     report = fusion_crosscheck(3, Fraction(-1, 2))
     assert report.to_dict() == {"q": -0.5, "n_max": 3, "pairs_checked": 64, "mismatches": [], "ok": True}
+
+
+# Models entry by entry against the dense rescaling, from |q| = 10^5 down
+# to 10^-3: the same matrices, or the same refusal at the same level.
+DENSE_GRID_Q = (-10**5, -10.0, -2.0, Fraction(-3, 2), Fraction(-1, 2), Fraction(-2, 3), -0.1, -1e-3)
+
+
+def _outcome(call):
+    try:
+        return call()
+    except BadParameter as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("branch", ["principal", "conjugate"])
+@pytest.mark.parametrize("q", DENSE_GRID_Q, ids=str)
+def test_build_u_matches_the_dense_rescaling(q, branch):
+    refused = 0
+    for sign in (1, -1):
+        for n in range(60):
+            got = _outcome(lambda: build_u(sign, n, q, t_branch=branch))
+            want = _outcome(lambda: build_u_reference(sign, n, q, t_branch=branch))
+            if isinstance(want, str):
+                assert got == want, (sign, n)
+                refused += 1
+                continue
+            for name in ("E", "F", "K", "K_inv"):
+                assert np.array_equal(getattr(got, name), getattr(want, name)), (sign, n, name)
+    # the grid reaches the refusal at both ends of the range
+    assert (refused > 0) == (q in (-10**5, -10.0, -1e-3, -0.1))
+
+
+@pytest.mark.parametrize("q", [*Q_VALUES, Fraction(1, 2), -10.0], ids=str)
+def test_unitarizability_witness_matches_the_matrix_unitarizer(q):
+    for branch in ("principal", "conjugate"):
+        for w in (1, -1, 1j, -1j):
+            for form in ("su2", "su11"):
+                for n in range(13):
+                    got = unitarizability_witness(w, n, q, form, t_branch=branch)
+                    want = unitarizability_witness_reference(w, n, q, form, t_branch=branch)
+                    assert got.to_dict() == want.to_dict(), (branch, w, form, n)
+                    assert (got.T is None) == (want.T is None)
+                    if got.T is not None:
+                        assert got.T.tobytes() == want.T.tobytes()
+
+
+def _same_space(got, want) -> bool:
+    return (
+        got.dim == want.dim
+        and got.singular_values.tobytes() == want.singular_values.tobytes()
+        and len(got.basis) == len(want.basis)
+        and all(g.tobytes() == w.tobytes() for g, w in zip(got.basis, want.basis))
+    )
+
+
+@pytest.mark.parametrize("q", [Fraction(-1, 2), NEAR_MINUS_ONE], ids=str)
+def test_intertwiner_space_matches_the_full_svd(q):
+    # every system of the weight-multiplicity differential at this q:
+    # the SVD of the R factor gives the full SVD's bits, refusals included
+    reps = {(s, k): build_u(s, k, q) for s in (1, -1) for k in range(11)}
+    signs = (1, -1)
+    for n in range(5):
+        for m in range(5):
+            for eps in signs:
+                for delta in signs:
+                    big = tensor_rep(reps[eps, n], reps[delta, m])
+                    for k in range(n + m + 3):
+                        for sigma in signs:
+                            cand = reps[sigma, k]
+                            try:
+                                want = intertwiner_space_reference(cand, big)
+                            except IllConditioned as exc:
+                                assert _refusal(lambda: intertwiner_space(cand, big)) == str(exc)
+                                continue
+                            assert _same_space(intertwiner_space(cand, big), want), (n, m, eps, delta, k, sigma)
+
+
+@pytest.mark.parametrize("branch", ["principal", "conjugate"])
+@pytest.mark.parametrize("q", [*Q_VALUES, -10**5, -1e-8], ids=str)
+def test_conjugate_equations_match_the_two_vector_reference(q, branch):
+    got = verify_conjugate_equations(q, t_branch=branch)
+    assert got.to_dict() == verify_conjugate_equations_reference(q, t_branch=branch).to_dict()
