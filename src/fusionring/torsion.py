@@ -51,9 +51,11 @@ __all__ = [
 
 EXPONENT_BOUND = 64
 # ``n_sequence_cocommutative`` scans a finite group whole and an infinite
-# one over the budget's window; a larger group or window is refused before
-# any element is listed.  On word:Z2*Z a window of 10^5 took 0.93 s and one
-# of 10^6 took 10.6 s on a 2-core x86-64 machine.
+# one over the budget's window, and ``torsion_subcategory`` scans any
+# ring's window; a larger group or window is refused before any element
+# is listed.  On word:Z2*Z a window of 10^5 took 0.93 s and one of 10^6
+# took 10.6 s on a 2-core x86-64 machine.  The number is written only
+# here, so the two scans cannot disagree (tests/test_hygiene.py).
 _SCAN_LIMIT = 10_000
 
 SATURATED = "saturated"
@@ -64,8 +66,8 @@ BUDGET_EXCEEDED = "budget_exceeded"
 class Subcategory(Report):
     """A conj-closed label set with its closure kind and truncation status.
 
-    ``frontier`` lists labels that were reached but not admitted (size or
-    count cap) or found to escape during the final verification pass.
+    ``frontier`` lists what the final verification sweep and rule reach
+    outside the labels, plus the generators that were not admitted.
     For every closure and for the torsion set it is empty exactly when
     the status is ``saturated``: ``_verified`` decides both.  The one
     exception is the n-sequence's stage on an infinite group, read off a
@@ -113,21 +115,25 @@ def _sweep(provider: FusionProvider, new, old=()) -> dict[IrrLabel, object]:
     return reached
 
 
-def _verified(provider: FusionProvider, kind: str, labels, overflow=(), rule=None) -> Subcategory:
+def _verified(provider: FusionProvider, kind: str, labels, required=(), rule=None) -> Subcategory:
     """``labels`` as a ``Subcategory``, judged by one full sweep.
 
     The sweep visits every conjugate and every product of the labels, and
     everything ``rule(labels)`` yields for them; the frontier is what it
-    reaches outside the labels, plus ``overflow``.  The status is
-    ``saturated`` exactly when that frontier is empty: this is the one
-    place that decides it, for every closure and for the torsion set.
+    reaches, together with ``required`` (a closure's unit and generators),
+    outside the labels.  Both are recomputed from the labels and the
+    closure's inputs, so the verdict can be checked without the loop that
+    grew the labels.  The status is ``saturated`` exactly when that
+    frontier is empty: this is the one place that decides it, for every
+    closure and for the torsion set.
     """
     members = dict.fromkeys(labels)
     final = list(members)
     reached = set(_sweep(provider, final))
+    reached.update(required)
     if rule is not None:
         reached.update(rule(final))
-    frontier = reached.difference(members).union(overflow)
+    frontier = reached.difference(members)
     status = BUDGET_EXCEEDED if frontier else SATURATED
     return Subcategory(kind=kind, labels=tuple(final), status=status, frontier=tuple(frontier))
 
@@ -168,42 +174,40 @@ def _close(
     Each round admits everything ``_sweep`` reaches from the members
     admitted since the previous round, then whatever
     ``extra_candidates(labels)`` yields for the members it has not been
-    given before.  A label is judged only the first time it is reached,
-    so the loop is semi-naive: a round visits only the conjugates and
-    pairs that involve a member admitted since the previous snapshot,
-    since everything else was reached before.  For the same reason the
-    rule must yield, label by label, candidates that depend on that label
-    alone.  The loop only grows the set, for at most ``max_rounds``
-    rounds; the returned status comes from ``_verified``, which runs the
-    whole sweep and rule over the finished set and trusts nothing from
-    the loop bookkeeping.  So a closure that its last allowed round
-    happens to close is ``saturated``, and one the round limit cuts short
-    has a frontier.
+    given before.  The loop is semi-naive: a round visits only the
+    conjugates and pairs that involve a member admitted since the previous
+    snapshot, since everything else was reached before.  For the same
+    reason the rule must yield, label by label, candidates that depend on
+    that label alone.  The loop only grows the set, for at most
+    ``max_rounds`` rounds.  It skips, without recording, a label over the
+    size cap and every label reached once the count cap is full; reached
+    again, such a label is skipped again (its size is fixed, and a full
+    cap stays full).  The returned status and frontier come from
+    ``_verified``, which runs the whole sweep and rule over the finished
+    set, adds the unit and the generators (the only skipped labels that
+    no sweep of members need reach), and trusts nothing from the loop
+    bookkeeping.  So a closure that its last allowed round happens to
+    close is ``saturated``, and one the round limit cuts short has a
+    frontier.
     """
     members: dict[IrrLabel, None] = {}
-    overflow: set[IrrLabel] = set()
     cap, max_size = budget.max_irreducibles, budget.max_label_size
     label_size = provider.label_size
-    is_member, is_overflow = members.__contains__, overflow.__contains__
 
     def admit(labels: dict):
         # Each label once, in the order reached: the sweep's own dict, or
         # ``dict.fromkeys`` of a list or of the rule's candidates.
-        fresh = filterfalse(is_overflow, filterfalse(is_member, labels))
-        for lab in fresh:
+        for lab in filterfalse(members.__contains__, labels):
             if len(members) >= cap:
-                overflow.add(lab)
-                overflow.update(fresh)
                 return
-            if label_size(lab) > max_size:
-                overflow.add(lab)
-            else:
+            if label_size(lab) <= max_size:
                 members[lab] = None
 
     generators = list(generators)
     for g in generators:
         label_size(g)  # a foreign generator raises here, even past the cap
-    admit(dict.fromkeys([provider.unit(), *generators]))
+    required = dict.fromkeys([provider.unit(), *generators])
+    admit(required)
 
     swept = ruled = 0  # members[:swept] are swept pairwise; members[:ruled] ruled
     for _ in range(budget.max_rounds):
@@ -218,7 +222,7 @@ def _close(
         if len(members) == before:
             break
 
-    return _verified(provider, kind, members, overflow, extra_candidates)
+    return _verified(provider, kind, members, required, extra_candidates)
 
 
 def generated_subring(
@@ -382,8 +386,18 @@ def torsion_subcategory(provider: FusionProvider, budget: Budget | None = None) 
 
     The set's status is decided by re-verifying closure of the certified
     labels alone; unknown verdicts are reported but do not poison it.
+
+    Raises UnsupportedProvider for a window of more than 10,000 labels
+    (the budget's, or the whole ring when it is smaller), before any
+    label is listed.
     """
     budget = budget or Budget()
+    count = min(budget.max_irreducibles, provider.num_irreducibles)
+    if count > _SCAN_LIMIT:
+        raise UnsupportedProvider(
+            f"{provider.name}: the torsion scan runs over the budget's window, and"
+            f" {count} labels are more than the limit of {_SCAN_LIMIT}"
+        )
     window = provider.enumerate(budget.max_irreducibles)
     verdicts = [is_torsion(provider, u, budget) for u in window]
     certified = [v.label for v in verdicts if v.verdict == TORSION]

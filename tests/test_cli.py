@@ -1,5 +1,6 @@
 """Spec parsing, budgets, exit codes, and JSON determinism of the CLI."""
 
+import hashlib
 import json
 import os
 import subprocess
@@ -196,6 +197,26 @@ def test_nsequence_refuses_a_window_above_the_scan_limit(capsys):
     assert main([*argv, "max_irreducibles=10000", "--json"]) == 0
     report = json.loads(capsys.readouterr().out)["report"]
     assert (report["scanned"], report["degree"]) == (10_000, 1)
+
+
+@pytest.mark.parametrize("command", ["torsion", "component"])
+@pytest.mark.parametrize("count", ["10001", "100000000"])
+def test_torsion_scans_refuse_a_window_above_the_scan_limit(command, count, capsys):
+    assert main([command, "--ring", "suq2", "--budget", f"max_irreducibles={count}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        "error: suq2: the torsion scan runs over the budget's window,"
+        f" and {count} labels are more than the limit of 10000\n"
+    )
+
+
+def test_torsion_scan_at_the_scan_limit_answers_as_before(capsys):
+    # The --json bytes of this run before the limit was added.
+    assert main(["torsion", "--ring", "suq2", "--budget", "max_irreducibles=10000", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "84fa2cb54201da328447c9c4995b40f1bf74ef563f2d84f3bcbe771fadc9e606"
+    )
 
 
 def test_usage_errors_exit_two(capsys):

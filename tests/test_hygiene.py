@@ -69,6 +69,10 @@
 * No SVD in ``uqnumeric.py`` forms left vectors it throws away: every
   ``np.linalg.svd`` call there passes ``compute_uv=False`` or decomposes
   the square factor ``np.linalg.qr(..., mode="r")`` of a tall system.
+* The scan limit is written once: no line in the package writes the
+  number ``10000`` or ``10_000`` (in code, a comment or a string) except
+  the definition of ``torsion._SCAN_LIMIT``, so the torsion scan and the
+  n-sequence cannot come to disagree on it.
 """
 
 from __future__ import annotations
@@ -865,3 +869,35 @@ def test_full_svd_is_detected():
 
 def test_the_numerical_layer_forms_no_discarded_left_vectors():
     assert full_svds((PACKAGE / "uqnumeric.py").read_text()) == []
+
+
+SCAN_LIMIT_LITERAL = re.compile(r"(?<![\w.])10_?000(?![\w.])")
+
+
+def scan_limit_literals(source: str) -> list[str]:
+    """``line N: text`` for every line that writes the number 10000 or
+    10_000, in code, a comment or a string."""
+    return [f"line {n}: {line.strip()}" for n, line in enumerate(source.splitlines(), 1)
+            if SCAN_LIMIT_LITERAL.search(line)]
+
+
+def test_scan_limit_literal_is_detected():
+    source = (
+        "_SCAN_LIMIT = 10_000\n"
+        "if total > 10000:\n"
+        "    raise UnsupportedProvider(f'{n} labels are more than the limit of 10000')\n"
+        "WINDOW = 100000 + 10_0000 + 10000.5 + x10000 + 1e4  # at most 10,000 labels\n"
+        "# the window of 10_000 labels\n"
+    )
+    assert scan_limit_literals(source) == [
+        "line 1: _SCAN_LIMIT = 10_000",
+        "line 2: if total > 10000:",
+        "line 3: raise UnsupportedProvider(f'{n} labels are more than the limit of 10000')",
+        "line 5: # the window of 10_000 labels",
+    ]
+
+
+def test_the_scan_limit_is_written_once():
+    found = [(str(path.relative_to(PACKAGE)), where.split(": ", 1)[1])
+             for path in SOURCES for where in scan_limit_literals(path.read_text())]
+    assert found == [("torsion.py", "_SCAN_LIMIT = 10_000")]

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from fusionring import Budget, IrrLabel, canonical_sort
 from fusionring.errors import NotFinite, NotSaturated, UnknownLabel, UnsupportedProvider
 from fusionring.cli import parse_provider
+from fusionring.components import identity_component_report
 from fusionring.rings import (
     au_ring,
     builtin_finite_rings,
@@ -332,6 +333,27 @@ def test_infinite_word_group_window_above_the_scan_limit_is_refused_before_listi
     assert (rep.scanned, rep.degree, rep.stabilized) == (10_000, 1, True)
 
 
+def test_torsion_scan_window_above_the_scan_limit_is_refused_before_listing():
+    # The torsion scan, and the component report that runs it, list the
+    # window first: 10^8 labels gave no answer in 20 s.
+    for count in (10_001, 10**8):
+        ring = suq2_ring()
+        with pytest.raises(UnsupportedProvider, match=f"{count} labels are more than the limit of 10000$"):
+            torsion_subcategory(ring, Budget(max_irreducibles=count))
+        with pytest.raises(UnsupportedProvider, match=f"{count} labels are more than the limit of 10000$"):
+            identity_component_report(ring, Budget(max_irreducibles=count))
+        assert ring._interned == {}
+
+
+def test_a_finite_ring_below_the_scan_limit_is_scanned_whatever_its_budget():
+    ring = next(r for r in builtin_finite_rings() if r.name == "group:S3")
+    budget = Budget(max_irreducibles=20_000)
+    report = torsion_subcategory(ring, budget)
+    assert len(report.verdicts) == 6 and len(report.certified) == 6
+    assert report.subcategory.status == "saturated"
+    assert identity_component_report(ring, budget).component_group_order == 6
+
+
 def test_dimension_ideal_recovers_character_subrings():
     ring = _char_s3()
     by_id = {l.id: l for l in ring.enumerate(3)}
@@ -470,6 +492,61 @@ def test_closures_match_the_reference_engine_under_every_cap(spec, kind, fixture
         assert (got.status == "saturated") == (not got.frontier), budget
         if budget in lifted:
             assert len(got.labels) == budget.max_irreducibles
+
+
+def _rule_reference(ring, kind, labels, window):
+    """What the closure ``kind``'s rule adjoins for ``labels``, from
+    ``conjugate_reference``: every constituent of ubar (x) v (x) u for the
+    central closure, a product that is one irreducible for the forcing
+    closure, nothing for the generated subring."""
+    out = set()
+    if kind == "tensor_generated":
+        return out
+    for v in labels:
+        for u in window:
+            product = conjugate_reference(ring, u, v)
+            if kind == "central_closure":
+                out.update(lab for lab, _ in product)
+            elif len(product) == 1 and product[0][1] == 1:
+                out.add(product[0][0])
+    return out
+
+
+def _reached_reference(ring, kind, labels, budget):
+    """Every label the full sweep and the rule reach from ``labels``."""
+    window = ring.enumerate(budget.max_irreducibles)
+    return {*sweep_reference(ring, labels), *_rule_reference(ring, kind, labels, window)}
+
+
+@pytest.mark.parametrize("kind", CLOSURES)
+@pytest.mark.parametrize("spec", REFERENCE_RINGS)
+def test_a_closure_frontier_is_recomputed_from_its_labels_and_inputs(spec, kind, fixtures_dir):
+    # The frontier is what the labels reach by conjugates, products and
+    # the rule, with the unit and the generators, minus the labels: no
+    # record of what the admission loop refused is needed.
+    ring = _reference_ring(spec, fixtures_dir)
+    gens = [ring.parse_label(REFERENCE_RINGS[spec])]
+    lifted = LIFTED_BUDGETS if spec in LIFTED_RINGS else []
+    for budget in CAPPED_BUDGETS + lifted:
+        got = CLOSURES[kind](ring, gens, budget)
+        reached = _reached_reference(ring, kind, got.labels, budget) | {ring.unit(), *gens}
+        assert set(got.frontier) == reached - set(got.labels), budget
+
+
+@pytest.mark.parametrize("kind", CLOSURES)
+@pytest.mark.parametrize("gen, budget", [
+    ("u5", Budget(max_label_size=3)),  # over the size cap
+    ("u1", Budget(max_irreducibles=1)),  # the unit fills the count cap
+])
+def test_a_refused_generator_is_in_the_frontier_without_being_reached(kind, gen, budget):
+    ring = suq2_ring()
+    g = ring.parse_label(gen)
+    got = CLOSURES[kind](ring, [g], budget)
+    assert g not in got.labels and g in got.frontier and got.status == "budget_exceeded"
+    assert g not in _reached_reference(ring, kind, got.labels, budget)
+    # The central rule also adjoins constituents of ubar (x) u, such as u2.
+    if kind != "central_closure":
+        assert (got.labels, got.frontier) == ((ring.unit(),), (g,))
 
 
 @pytest.mark.parametrize("kind", CLOSURES)
