@@ -2,9 +2,10 @@
 
 Covers three sources: hand-written JSON files, multiplication tables of
 finite groups (basis = group elements), and integer character tables
-(basis = irreducible characters).  Everything is validated up front; the
-JSON loader additionally runs the axiom harness and refuses rings that
-fail it.
+(basis = irreducible characters).  Everything is validated up front.  A
+group table carries a certificate, proven when it is built; the JSON
+loader runs the axiom harness on every other table and refuses rings
+that fail it.  A table is written to JSON as one line, by the C encoder.
 """
 
 from __future__ import annotations
@@ -34,18 +35,37 @@ class FiniteTableProvider(FusionProvider):
     The constructor is the one validator of a table (InvalidRing): ids
     that are non-empty strings, ints, not bools, for dims (at least 1)
     and multiplicities (at least 0), known pairs and ids, an involutive
-    conjugation.  A group table (dims 1, each product one irreducible
-    once) must pass Light's test or raise NotAGroup naming a failing
-    triple (a, b, c): the b with (ab)c = a(bc) for all a, c are closed
-    under products, so b need only run over generators.
+    conjugation.  A table of dims 1 whose every product is one irreducible
+    once must pass Light's test or raise NotAGroup naming a failing triple
+    (a, b, c): the b with (ab)c = a(bc) for all a, c are closed under
+    products, so b need only run over generators.
+
+    Such a table is certified a group (``_group``) when, besides, the unit
+    is a two-sided identity and ``conj(i)`` a two-sided inverse of every
+    ``i``: two lookups each in the product map.  In a group every check of
+    ``check_axioms`` holds, so a certified table passes the harness:
+
+    * unit law: 1u = u = u1, and the unit is self-conjugate, as 1 = 1*1
+      makes 1 its own inverse, and ``enumerate`` lists it first;
+    * conjugation: an inverse is unique, so ``conj`` is the inversion, an
+      involution that keeps dim 1;
+    * dimensions: every product is one label of dim 1 once, 1 = 1 * 1;
+    * N^1 = [v = ubar]: uv = 1 exactly when v = u^-1;
+    * Frobenius: for w = uv, ubar w = v and w vbar = u, each once;
+    * conjugate reversal: vbar ubar = (uv)^-1 = wbar;
+    * associativity: Light's test has proven it for every triple.
+
+    A table without the certificate gets the base class's answers to the
+    group questions (UnsupportedProvider), whatever its other properties.
 
     A label's key is its id: every irreducible is interned once, through
     ``_label``, when the table is built, ``conj`` reads a map keyed by
     ``key_of(u)``, and ``_read`` knows exactly the table's ids.  The table
     itself is the ``decompose`` cache, filled when the table is built and
-    keyed by pairs of labels: a group table shares one product per element,
-    any other table holds one Decomposition per pair.  ``_decompose`` is
-    left only the refusal of a label the table does not hold (UnknownLabel).
+    keyed by pairs of labels: a table whose products are single irreducibles
+    (dims 1) shares one product per element, any other table holds one
+    Decomposition per pair.  ``_decompose`` is left only the refusal of a
+    label the table does not hold (UnknownLabel).
 
     ``enumerate`` lists the unit first, then the rest in (dim, id) order.
     """
@@ -91,17 +111,12 @@ class FiniteTableProvider(FusionProvider):
                 if type(m) is not int or m < 0:
                     raise InvalidRing(f"product {_quote(key)} has bad multiplicity {_quote(m)} for {_quote(w)}")
         # Light's test first: a non-associative table's inverses need not form an involution.
-        self._group = all(d == 1 for d in dims.values()) and all(sum(c.values()) == 1 for c in table.values())
-        if self._group:
+        single = all(d == 1 for d in dims.values()) and all(sum(c.values()) == 1 for c in table.values())
+        if single:
             product = {key: w for key, counts in table.items() for w, m in counts.items() if m}
-            ids = sorted(dims)
-            gens = _generators(product, ids)
-            for a in ids:
-                for b in gens:
-                    ab = product[a, b]
-                    for c in ids:
-                        if product[ab, c] != product[a, product[b, c]]:
-                            raise NotAGroup(f"associativity fails at {_quote((a, b, c))}")
+            failure = _light_failure(product, sorted(dims))
+            if failure:
+                raise NotAGroup(f"associativity fails at {_quote(failure)}")
         for i, j in conj.items():
             if i not in dims or j not in dims:
                 raise InvalidRing(f"conjugation mentions unknown id {_quote(i)} or {_quote(j)}")
@@ -109,11 +124,17 @@ class FiniteTableProvider(FusionProvider):
                 raise InvalidRing(f"conjugation not an involution at {_quote(i)}")
         if set(conj) != set(dims):
             raise InvalidRing("conjugation map must cover every irreducible")
+        # The group certificate: with associativity, a two-sided unit and
+        # two-sided inverses, two lookups per id.
+        self._group = single and all(
+            product[unit_id, i] == i == product[i, unit_id] and product[i, conj[i]] == unit_id == product[conj[i], i]
+            for i in dims
+        )
         unit = labels[unit_id]
         self._conj = {i: labels[j] for i, j in conj.items()}
-        if self._group:
-            single = {i: Decomposition.ordered((lab,)) for i, lab in labels.items()}
-            products = map(single.__getitem__, product.values())
+        if single:
+            once = {i: Decomposition.ordered((lab,)) for i, lab in labels.items()}
+            products = map(once.__getitem__, product.values())
         else:
             products = (Decomposition({labels[w]: m for w, m in counts.items()}) for counts in table.values())
         self._decompose_cache.update(zip(keys, products))
@@ -145,21 +166,21 @@ class FiniteTableProvider(FusionProvider):
     def _read(self, text: str) -> str | None:
         return text if text in self._dims else None
 
-    # A group table is associative (Light's test), so with inverses a group
-    # ring, whoever built it.  A finite group's elements have finite order:
-    # stage one of the torsion-closure sequence is the whole group and the
-    # quotient is trivial.  Other tables raise UnsupportedProvider.
+    # A certified table is a group ring, whoever built it (a group table,
+    # one read back from JSON, the character ring of an abelian group).  A
+    # finite group's elements have finite order: stage one of the
+    # torsion-closure sequence is the whole group and the quotient is
+    # trivial.  Other tables raise UnsupportedProvider.
 
     def order_oracle(self, u: IrrLabel) -> int:
         if not self._group:
             return super().order_oracle(u)
+        # The powers of an element of a finite group reach the unit.
         unit = self.unit()
         power, order = u, 1
         while power != unit:
             (power,) = self.decompose(power, u).constituents()
             order += 1
-            if order > len(self._order):
-                raise InvalidRing("powers never reach the identity")
         return order
 
     def torsion_quotient(self) -> tuple[bool, int]:
@@ -210,6 +231,26 @@ def finite_group_ring(table: dict[tuple[str, str], str], name: str = "group") ->
     dims = {g: 1 for g in elems}
     fusion = {(g, h): {table[(g, h)]: 1} for g in elems for h in elems}
     return FiniteTableProvider(name, unit, dims, inv, fusion)
+
+
+def _light_failure(product: dict[tuple[str, str], str], ids: list[str]) -> tuple[str, str, str] | None:
+    """Light's test: the first triple (a, b, c) with (ab)c != a(bc), a and c
+    in ``ids`` order and b over the generators, or None when there is none.
+
+    Each row c -> ac is read once, as positions in ``ids``; the rows of
+    (ab)c and a(bc) are then formed and compared in C, and only a row that
+    differs is searched for its first c.
+    """
+    col = {c: k for k, c in enumerate(ids)}
+    rows = [list(map(col.__getitem__, map(product.__getitem__, zip(repeat(a), ids)))) for a in ids]
+    gens = [col[b] for b in _generators(product, ids)]
+    for a, row in zip(ids, rows):
+        for b in gens:
+            left, right = rows[row[b]], list(map(row.__getitem__, rows[b]))
+            if left != right:
+                c = next(c for c, x, y in zip(ids, left, right) if x != y)
+                return a, ids[b], c
+    return None
 
 
 def _generators(table: dict[tuple[str, str], str], elems: list[str]) -> list[str]:
@@ -327,6 +368,12 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
     ``true`` are no dim, ``0`` and ``null`` no id).  An unreadable file
     or one without a JSON object, structural problems and axiom
     violations all raise InvalidRing; the violations ride on the error.
+
+    A table that ``FiniteTableProvider`` certifies a group passes every
+    check of the axiom harness (its docstring has the proof), so the
+    harness runs, over the whole table, only on the tables without the
+    certificate: a table is accepted or refused, with the same message and
+    violations, exactly as when the harness ran on every table.
     """
     if isinstance(source, (str, Path)):
         data = _read_json_object(source)
@@ -364,6 +411,8 @@ def load_ring_json(source: str | Path | dict) -> FiniteTableProvider:
             raise InvalidRing(f"pair {_quote(key)} listed twice")
         table[key] = result
     provider = FiniteTableProvider(name, unit, dims, conj, table)
+    if provider._group:
+        return provider
     report = check_axioms(provider, Budget(max_irreducibles=provider.num_irreducibles))
     if not report.ok:
         raise InvalidRing(
@@ -382,7 +431,12 @@ def _string(entry: dict, key: str) -> str:
 
 
 def dump_ring_json(provider: FusionProvider, path: str | Path | None = None) -> dict:
-    """Serialize a finite ring to the JSON table format, deterministically."""
+    """Serialize a finite ring to the JSON table format, deterministically.
+
+    Returns the document; with ``path``, also writes it there as one line
+    of ``json.dumps(..., sort_keys=True)`` (the C encoder, which an
+    ``indent`` would turn off) and a newline.
+    """
     n = provider.num_irreducibles
     if not isinstance(n, int):
         raise InvalidRing("only finite rings can be dumped")
@@ -404,8 +458,7 @@ def dump_ring_json(provider: FusionProvider, path: str | Path | None = None) -> 
     }
     if path is not None:
         with open(path, "w") as fh:
-            json.dump(data, fh, indent=2, sort_keys=True)
-            fh.write("\n")
+            fh.write(json.dumps(data, sort_keys=True) + "\n")
     return data
 
 

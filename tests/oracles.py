@@ -1172,3 +1172,82 @@ def verify_conjugate_equations_reference(q, *, t_branch: str = "principal"):
     return ConjugateEquationsReport(
         q=qf, c=c, norm_sq=norm_sq, invariance_residual=inv_res, snake_residual=snake_res, ok=ok
     )
+
+
+# ---------------------------------------------------------------------------
+# the JSON table loader that runs the axiom harness on every table
+
+
+def load_ring_json_reference(source):
+    """``load_ring_json`` as it was before group tables were certified:
+    every table, a group's too, goes through ``check_axioms`` over its
+    whole window.  Kept line for line, so that the library's acceptances
+    and refusals can be compared against it."""
+    from pathlib import Path
+
+    from fusionring.axioms import check_axioms
+    from fusionring.core import Budget
+    from fusionring.errors import InvalidRing, _quote
+    from fusionring.rings.tables import FiniteTableProvider, _read_json_object, _string
+
+    if isinstance(source, (str, Path)):
+        data = _read_json_object(source)
+        name = f"json:{source}"
+    else:
+        data = source
+        name = data.get("name", "json-ring")
+    try:
+        unit = _string(data, "unit")
+        irr = data["irreducibles"]
+        rows = data["fusion"]
+    except KeyError as exc:
+        raise InvalidRing(f"malformed ring file: missing {exc}") from None
+    except TypeError as exc:
+        raise InvalidRing(f"malformed ring file: {exc}") from None
+    if not isinstance(irr, list) or not isinstance(rows, list):
+        raise InvalidRing("malformed ring file: 'irreducibles' and 'fusion' must be lists")
+    dims, conj = {}, {}
+    for entry in irr:
+        try:
+            i, d, c = _string(entry, "id"), entry["dim"], _string(entry, "conj")
+        except (KeyError, TypeError) as exc:
+            raise InvalidRing(f"malformed irreducible entry {_quote(entry)}: {exc}") from None
+        if i in dims:
+            raise InvalidRing(f"duplicate irreducible id {_quote(i)}")
+        dims[i], conj[i] = d, c
+    table = {}
+    for row in rows:
+        try:
+            key = (_string(row, "left"), _string(row, "right"))
+            result = dict(row["result"].items())
+        except (KeyError, TypeError, AttributeError) as exc:
+            raise InvalidRing(f"malformed fusion row {_quote(row)}: {exc}") from None
+        if key in table:
+            raise InvalidRing(f"pair {_quote(key)} listed twice")
+        table[key] = result
+    provider = FiniteTableProvider(name, unit, dims, conj, table)
+    report = check_axioms(provider, Budget(max_irreducibles=provider.num_irreducibles))
+    if not report.ok:
+        raise InvalidRing(
+            f"{name}: {len(report.violations)} axiom violation(s), first: "
+            f"{report.violations[0].detail}",
+            violations=report.violations,
+        )
+    return provider
+
+
+def light_failure_reference(product, ids):
+    """Light's test as the table constructor ran it before it compared
+    whole rows: triple by triple, a and c in ``ids`` order and b over the
+    generators, three product lookups each.  The first failing triple, or
+    None."""
+    from fusionring.rings.tables import _generators
+
+    gens = _generators(product, ids)
+    for a in ids:
+        for b in gens:
+            ab = product[a, b]
+            for c in ids:
+                if product[ab, c] != product[a, product[b, c]]:
+                    return a, b, c
+    return None

@@ -1,5 +1,6 @@
 """Spec parsing, budgets, exit codes, and JSON determinism of the CLI."""
 
+import argparse
 import hashlib
 import json
 import os
@@ -9,8 +10,9 @@ from pathlib import Path
 
 import pytest
 
-from fusionring.cli import main, parse_budget, parse_provider, _split_labels
-from fusionring.errors import ParseError
+from fusionring.cli import _cmd_axioms, main, parse_budget, parse_provider, _split_labels
+from fusionring.core import Budget
+from fusionring.errors import ParseError, UnsupportedProvider
 from fusionring.rings import (
     AuProvider,
     DirectProductProvider,
@@ -18,6 +20,7 @@ from fusionring.rings import (
     character_ring,
     dump_ring_json,
     finite_group_ring,
+    suq2_ring,
 )
 
 
@@ -217,6 +220,36 @@ def test_torsion_scan_at_the_scan_limit_answers_as_before(capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "84fa2cb54201da328447c9c4995b40f1bf74ef563f2d84f3bcbe771fadc9e606"
     )
+
+
+@pytest.mark.parametrize("spec", ["suq2", "free(so3,word:Z2)"])
+@pytest.mark.parametrize("count", ["257", "1000000"])
+def test_axioms_refuses_a_window_above_the_limit(spec, count, capsys):
+    # suq2 at 10^6 gave no answer in 20 s; the harness's work grows as the
+    # cube of the window.
+    assert main(["axioms", "--ring", spec, "--budget", f"max_irreducibles={count}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: {spec}: the axiom check runs over the budget's window,"
+        f" and {count} labels are more than the limit of 256\n"
+    )
+
+
+def test_axioms_refuses_before_listing_and_answers_at_the_limit(fixtures_dir, tmp_path, capsys):
+    ring = suq2_ring()
+    with pytest.raises(UnsupportedProvider, match="1000000 labels are more than the limit of 256$"):
+        _cmd_axioms(argparse.Namespace(seed=0), ring, Budget(max_irreducibles=10**6))
+    assert ring._interned == {}
+    assert main(["axioms", "--ring", "word:Z", "--budget", "max_irreducibles=256"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "window: 256 irreducibles, 65536 pairs, 264 triples (seed 0)", "ok",
+    ]
+    # A finite ring is checked whole whatever its budget.
+    path = _table_ring_path(fixtures_dir, tmp_path)
+    assert main(["axioms", "--ring", f"json:{path}", "--budget", "max_irreducibles=1000000"]) == 0
+    assert capsys.readouterr().out.splitlines()[1:] == [
+        "window: 3 irreducibles, 9 pairs, 227 triples (seed 0)", "ok",
+    ]
 
 
 def test_usage_errors_exit_two(capsys):

@@ -73,6 +73,10 @@
   number ``10000`` or ``10_000`` (in code, a comment or a string) except
   the definition of ``torsion._SCAN_LIMIT``, so the torsion scan and the
   n-sequence cannot come to disagree on it.
+* Ring tables are written by the C encoder: no module under ``rings/``
+  calls ``json.dump`` or passes an ``indent``, either of which selects
+  Python's pure-Python encoder (the CLI's pinned ``--json`` output in
+  ``cli.py`` keeps its indent).
 """
 
 from __future__ import annotations
@@ -901,3 +905,31 @@ def test_the_scan_limit_is_written_once():
     found = [(str(path.relative_to(PACKAGE)), where.split(": ", 1)[1])
              for path in SOURCES for where in scan_limit_literals(path.read_text())]
     assert found == [("torsion.py", "_SCAN_LIMIT = 10_000")]
+
+
+def pure_python_json(source: str) -> list[str]:
+    """``line N: what`` for every call of a function named ``dump`` and
+    every call given an ``indent`` keyword."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            if (getattr(node.func, "id", None) or getattr(node.func, "attr", None)) == "dump":
+                found.append((node.lineno, "dump"))
+            found += [(node.lineno, "indent=") for kw in node.keywords if kw.arg == "indent"]
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_pure_python_json_is_detected():
+    source = (
+        "import json\n"
+        "json.dump(data, fh, indent=2, sort_keys=True)\n"
+        "fh.write(json.dumps(data, sort_keys=True) + '\\n')\n"
+        "text = json.dumps(data, indent=None)\n"
+        "dump(data, fh)  # json.dump(data, fh, indent=2)\n"
+    )
+    assert pure_python_json(source) == ["line 2: dump", "line 2: indent=", "line 4: indent=", "line 5: dump"]
+
+
+@pytest.mark.parametrize("path", RING_MODULES, ids=lambda p: p.name)
+def test_ring_tables_are_written_by_the_c_encoder(path):
+    assert pure_python_json(path.read_text()) == []

@@ -2,6 +2,7 @@ import ast
 import itertools
 import json
 import math
+import random
 import re
 
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings, strategies as st
 from fusionring import (
     Budget,
     Decomposition,
+    FusionError,
     InvalidRing,
     IrrLabel,
     NotAGroup,
@@ -140,6 +142,36 @@ def test_light_test_agrees_with_brute_force(table):
     assert ast.literal_eval(str(err.value).split(" at ", 1)[1]) in failing
 
 
+def _relabelled(orders, seed=1009):
+    """An abelian group table of ``orders`` under seeded names, listed in a
+    seeded order: the shape of the benchmark's ``ideals`` groups."""
+    table = oracles.abelian_group_table(orders)
+    elems = sorted({g for g, _ in table})
+    rng = random.Random(seed)
+    names = dict(zip(elems, rng.sample([f"x{k:02d}" for k in range(len(elems))], len(elems))))
+    keys = list(table)
+    rng.shuffle(keys)
+    return {(names[a], names[b]): names[table[a, b]] for a, b in keys}
+
+
+@settings(max_examples=300, deadline=None)
+@given(_tables_with_identity_and_inverses())
+def test_light_test_names_the_triple_that_the_triple_loop_names(table):
+    ids = sorted({g for g, _ in table})
+    assert tables._light_failure(table, ids) == oracles.light_failure_reference(table, ids)
+
+
+@pytest.mark.parametrize("orders", [(96,), (4, 12), (2, 2, 6)], ids=str)
+def test_light_test_passes_groups_with_several_generators(orders):
+    table = _relabelled(orders)
+    ids = sorted({g for g, _ in table})
+    assert tables._light_failure(table, ids) is None is oracles.light_failure_reference(table, ids)
+    # One product changed: both name the same first failing triple.
+    g = ids[-1]
+    table[g, g] = next(h for h in ids if h != table[g, g])
+    assert tables._light_failure(table, ids) == oracles.light_failure_reference(table, ids) is not None
+
+
 @settings(max_examples=300, deadline=None)
 @given(_tables_with_identity_and_inverses())
 def test_the_constructor_runs_light_test_on_every_group_table(table):
@@ -164,6 +196,24 @@ def _z2_table():
     the group ring of Z2 on e and a: dims, conjugation and table."""
     table = {("e", "e"): {"e": 1}, ("e", "a"): {"a": 1}, ("a", "e"): {"a": 1}, ("a", "a"): {"e": 1}}
     return {"e": 1, "a": 1}, {"e": "e", "a": "a"}, table
+
+
+def _monoid_table():
+    """Unit, dims, conjugation and table of the monoid {e, a} with
+    a (x) a = a: associative and with a two-sided unit, but a has no
+    inverse, least of all its conjugate a."""
+    table = {("e", "e"): {"e": 1}, ("e", "a"): {"a": 1}, ("a", "e"): {"a": 1}, ("a", "a"): {"a": 1}}
+    return "e", {"e": 1, "a": 1}, {"e": "e", "a": "a"}, table
+
+
+def _document(unit, dims, conj, table):
+    """The JSON table format of a table given as FiniteTableProvider's
+    arguments after the name."""
+    return {
+        "unit": unit,
+        "irreducibles": [{"id": i, "dim": d, "conj": conj[i]} for i, d in dims.items()],
+        "fusion": [{"left": a, "right": b, "result": dict(r)} for (a, b), r in table.items()],
+    }
 
 
 @pytest.mark.parametrize(
@@ -501,12 +551,14 @@ def test_powers_that_never_reach_the_identity_are_an_invalid_ring():
         FiniteTableProvider("loop", "e", dict.fromkeys("eab", 1), conj, fusion)
     assert ast.literal_eval(str(err.value).split(" at ", 1)[1]) in _failing_triples(table)
     # {e, a} with a (x) a = a is associative, so it is built, but a has no
-    # inverse and its powers stay at a.
-    table = {("e", "e"): "e", ("e", "a"): "a", ("a", "e"): "a", ("a", "a"): "a"}
-    fusion = {key: {w: 1} for key, w in table.items()}
-    ring = FiniteTableProvider("monoid", "e", dict.fromkeys("ea", 1), {"e": "e", "a": "a"}, fusion)
-    with pytest.raises(InvalidRing, match="powers never reach the identity"):
-        ring.order_oracle(ring.parse_label("a"))
+    # inverse and its powers stay at a.  As a ring file it is refused by the
+    # axiom harness (a (x) conj(a) holds no unit); built directly, it has no
+    # group answers (test_a_monoid_table_is_not_certified_a_group).
+    with pytest.raises(InvalidRing, match="^json-ring: 3 axiom violation") as err:
+        load_ring_json(_document(*_monoid_table()))
+    assert [(v.axiom, [u.id for u in v.labels]) for v in err.value.violations] == [
+        ("frobenius", ["e", "a", "a"]), ("frobenius", ["a", "e", "a"]), ("unit-multiplicity", ["a", "a"]),
+    ]
 
 
 def test_load_rejects_axiom_violations(fixtures_dir):
@@ -757,3 +809,124 @@ def test_equal_products_of_a_group_table_are_one_object():
     # A table that is no group has one Decomposition per pair.
     ring = character_ring(S3_CHARACTER_TABLE)
     assert len({id(dec) for dec in ring._decompose_cache.values()}) == 9
+
+
+def test_a_monoid_table_is_not_certified_a_group():
+    # Built with the group answers before the certificate required inverses:
+    # n_sequence_cocommutative called it totally disconnected, and
+    # torsion_subcategory raised InvalidRing ("powers never reach the
+    # identity").  It now has the base class's answers.
+    ring = FiniteTableProvider("monoid", *_monoid_table())
+    a = ring.parse_label("a")
+    assert not ring._group
+    with pytest.raises(UnsupportedProvider, match="no order oracle"):
+        ring.order_oracle(a)
+    with pytest.raises(UnsupportedProvider, match="needs a cocommutative"):
+        ring.torsion_quotient()
+    with pytest.raises(UnsupportedProvider, match="needs a cocommutative"):
+        ring.stage_one_exponent(a, 8)
+    with pytest.raises(UnsupportedProvider, match="needs a cocommutative"):
+        n_sequence_cocommutative(ring)
+    scan = torsion_subcategory(ring)
+    assert [v.reason for v in scan.verdicts] == [
+        "generated subring saturated at 1 labels", "generated subring saturated at 2 labels",
+    ]
+
+
+def _z4():
+    """Unit, dims, conjugation and table of Z4 on g0..g3."""
+    ids = [f"g{k}" for k in range(4)]
+    table = {(ids[a], ids[b]): {ids[(a + b) % 4]: 1} for a in range(4) for b in range(4)}
+    return "g0", dict.fromkeys(ids, 1), {ids[k]: ids[-k % 4] for k in range(4)}, table
+
+
+def _mutant(change):
+    """Z4's arguments after ``change(dims, conj, table)`` has edited them."""
+    unit, dims, conj, table = _z4()
+    change(dims, conj, table)
+    return unit, dims, conj, table
+
+
+def _swap(table, p, q):
+    table[p], table[q] = table[q], table[p]
+
+
+LOADER_DOCUMENTS = {
+    **{name: (lambda make=make: dump_ring_json(make())) for name, make in TABLE_RINGS.items()},
+    **{f"ideals-Z{'xZ'.join(map(str, orders))}": (lambda orders=orders: dump_ring_json(
+        finite_group_ring(_relabelled(orders)))) for orders in [(96,), (4, 12), (2, 24), (24,)]},
+    "conj-involution-not-inverse": lambda: _document(*_mutant(lambda d, c, t: c.update(g1="g1", g3="g3"))),
+    "conj-moves-the-unit": lambda: _document(*_mutant(lambda d, c, t: c.update(g0="g2", g2="g0"))),
+    "left-unit-only": lambda: _document("e", {"e": 1, "a": 1}, {"e": "e", "a": "a"},
+                                        {(x, y): {y: 1} for x in "ea" for y in "ea"}),
+    # Associative, and each id its own conjugate and inverse, but the unit
+    # is no identity.
+    "every-product-the-unit": lambda: _document(*_mutant(lambda d, c, t: (
+        c.update(g1="g1", g3="g3"), t.update(dict.fromkeys(t, {"g0": 1}))))),
+    "swapped-product": lambda: _document(*_mutant(lambda d, c, t: _swap(t, ("g1", "g1"), ("g1", "g2")))),
+    "z4-zero-entries": lambda: _document(*_mutant(
+        lambda d, c, t: [r.update({"g3": 0, "g0": 0, **r}) for r in t.values()])),
+    "z4-zero-entries-conj-not-inverse": lambda: _document(*_mutant(lambda d, c, t: (
+        c.update(g1="g1", g3="g3"), [r.update({"g2": 0, **r}) for r in t.values()]))),
+    "monoid": lambda: _document(*_monoid_table()),
+}
+
+# How each document loads: certified a group, accepted by the harness
+# without the certificate, or refused (the swapped product by Light's test).
+LOADER_OUTCOMES = {
+    **dict.fromkeys(LOADER_DOCUMENTS, "group"),
+    **dict.fromkeys(["builtin-5", "characters-S3", "rep-A4"], "table"),
+    **dict.fromkeys(["conj-involution-not-inverse", "conj-moves-the-unit", "left-unit-only", "every-product-the-unit",
+                     "z4-zero-entries-conj-not-inverse", "monoid"], InvalidRing),
+    "swapped-product": NotAGroup,
+}
+
+
+def _outcome(load, source):
+    """What ``load(source)`` does: the ring's name, certificate and
+    document, or the refusal's type, message and violations."""
+    try:
+        ring = load(source)
+    except FusionError as exc:
+        return type(exc), str(exc), getattr(exc, "violations", None)
+    return ring.name, ring._group, dump_ring_json(ring)
+
+
+@pytest.mark.parametrize("case", LOADER_DOCUMENTS)
+def test_the_loader_accepts_and_refuses_what_the_harness_does(tmp_path, monkeypatch, case):
+    # The reference loader runs check_axioms on every table; the loader
+    # skips it on a certified group, and must end every load the same way.
+    document = LOADER_DOCUMENTS[case]()
+    path = tmp_path / "ring.json"
+    path.write_text(json.dumps(document))
+    runs = []
+    monkeypatch.setattr(tables, "check_axioms", lambda *a, **k: runs.append(1) or check_axioms(*a, **k))
+    for source in (document, path):
+        want = _outcome(oracles.load_ring_json_reference, source)
+        assert _outcome(load_ring_json, source) == want
+    expected = LOADER_OUTCOMES[case]
+    if expected in ("group", "table"):
+        assert want[:2] == (f"json:{path}", expected == "group")
+    else:
+        assert want[0] is expected
+    # The harness runs, on both sources, exactly on the tables that Light's
+    # test passes and the certificate does not.
+    assert len(runs) == (2 if expected in ("table", InvalidRing) else 0)
+
+
+@pytest.mark.parametrize("make", TABLE_RINGS.values(), ids=TABLE_RINGS.keys())
+def test_a_written_table_is_one_line_that_reloads_to_the_same_ring(tmp_path, make):
+    ring = make()
+    path = tmp_path / "ring.json"
+    data = dump_ring_json(ring, path)
+    text = path.read_text()
+    assert text == json.dumps(data, sort_keys=True) + "\n" and text.count("\n") == 1
+    # The same value as the file an indented dump wrote.
+    assert json.loads(text) == data == json.loads(json.dumps(data, indent=2, sort_keys=True))
+    loaded = load_ring_json(path)
+    labels = ring.enumerate(ring.num_irreducibles)
+    assert loaded.enumerate(loaded.num_irreducibles) == labels
+    assert loaded._group == ring._group
+    for u in labels:
+        for v in labels:
+            assert loaded.decompose(u, v).entries == ring.decompose(u, v).entries, (u, v)
