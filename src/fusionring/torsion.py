@@ -50,13 +50,30 @@ __all__ = [
 ]
 
 EXPONENT_BOUND = 64
-# ``n_sequence_cocommutative`` scans a finite group whole and an infinite
-# one over the budget's window, and ``torsion_subcategory`` scans any
-# ring's window; a larger group or window is refused before any element
-# is listed.  On word:Z2*Z a window of 10^5 took 0.93 s and one of 10^6
-# took 10.6 s on a 2-core x86-64 machine.  The number is written only
-# here, so the two scans cannot disagree (tests/test_hygiene.py).
+# The limit of every window that the scans below list: a finite group that
+# ``n_sequence_cocommutative`` scans whole, and the budget's window of the
+# torsion scan, the n-sequence, the conjugation closures and the normality
+# probe.  On word:Z2*Z a window of 10^5 took 0.93 s and one of 10^6 took
+# 10.6 s on a 2-core x86-64 machine.  The number is written only here, so
+# the scans cannot disagree (tests/test_hygiene.py).
 _SCAN_LIMIT = 10_000
+
+
+def _window(provider: FusionProvider, count: int, limit: int, scope: str, noun: str = "labels") -> list[IrrLabel]:
+    """``provider.enumerate`` of the smaller of ``count`` and the ring's
+    size: the one window rule of every budgeted scan.
+
+    A window of more than ``limit`` is refused with UnsupportedProvider
+    before any label is listed; ``scope`` says what is scanned over which
+    window, and ``noun`` what the window holds.
+    """
+    count = min(count, provider.num_irreducibles)
+    if count > limit:
+        raise UnsupportedProvider(
+            f"{provider.name}: {scope}, and {count} {noun} are more than the limit of {limit}"
+        )
+    return provider.enumerate(count)
+
 
 SATURATED = "saturated"
 BUDGET_EXCEEDED = "budget_exceeded"
@@ -249,7 +266,8 @@ def _conjugation_closure(
     """``_close`` adjoining the constituents of ubar (x) v (x) u for u in the
     window, or only a product that is one irreducible when ``forced_only``."""
     budget = budget or Budget()
-    window = provider.enumerate(budget.max_irreducibles)
+    scope = f"the {kind.replace('_', ' ')} conjugates by the budget's window"
+    window = _window(provider, budget.max_irreducibles, _SCAN_LIMIT, scope)
 
     def rule(members):
         for _, _, product in _conjugates(provider, members, window):
@@ -270,6 +288,10 @@ def central_closure(
     is a budgeted lower approximation of the smallest normal subcategory
     containing the generators; it always contains the plain generated
     subring of the same generators at the same budget.
+
+    Raises UnsupportedProvider for a window of more than 10,000 labels
+    (the budget's, or the whole ring when it is smaller), before any
+    label is listed.
     """
     return _conjugation_closure(provider, "central_closure", generators, budget, False)
 
@@ -282,7 +304,8 @@ def normal_forcing_closure(
     Sound even without normality: a product that collapses to a single
     irreducible must belong to any conj-stable subring containing v.  In
     a group-like ring every such product is a single irreducible, so the
-    closure is the group normal closure of the generators.
+    closure is the group normal closure of the generators.  Its window has
+    the limit of ``central_closure``'s.
     """
     return _conjugation_closure(provider, "normal_forcing_closure", generators, budget, True)
 
@@ -300,12 +323,15 @@ def normality_consistency(
     """Pairs (v in S, u in window) where ubar (x) v (x) u misses S entirely.
 
     An empty list is a budgeted consistency certificate for S being
-    stable under conjugation by the window.
+    stable under conjugation by the window: the first ``bound`` labels,
+    or the whole ring when it is smaller.  A window of more than 10,000
+    labels is refused with UnsupportedProvider before any label is listed.
     """
+    window = _window(provider, bound, _SCAN_LIMIT, "the normality probe conjugates by the bound's window")
     s_set = set(s_labels)
     return [
         NormalityViolation(v, u, tuple(product.constituents()))
-        for v, u, product in _conjugates(provider, canonical_sort(s_set), provider.enumerate(bound))
+        for v, u, product in _conjugates(provider, canonical_sort(s_set), window)
         if s_set.isdisjoint(product.constituents())
     ]
 
@@ -392,13 +418,8 @@ def torsion_subcategory(provider: FusionProvider, budget: Budget | None = None) 
     label is listed.
     """
     budget = budget or Budget()
-    count = min(budget.max_irreducibles, provider.num_irreducibles)
-    if count > _SCAN_LIMIT:
-        raise UnsupportedProvider(
-            f"{provider.name}: the torsion scan runs over the budget's window, and"
-            f" {count} labels are more than the limit of {_SCAN_LIMIT}"
-        )
-    window = provider.enumerate(budget.max_irreducibles)
+    scope = "the torsion scan runs over the budget's window"
+    window = _window(provider, budget.max_irreducibles, _SCAN_LIMIT, scope)
     verdicts = [is_torsion(provider, u, budget) for u in window]
     certified = [v.label for v in verdicts if v.verdict == TORSION]
     return TorsionScanReport(provider.name, verdicts, _verified(provider, "torsion_set", certified))
@@ -441,17 +462,11 @@ def n_sequence_cocommutative(provider: FusionProvider, budget: Budget | None = N
     connected, free_rank = provider.torsion_quotient()
     total = provider.num_irreducibles
     finite = isinstance(total, int)
-    if finite and total > _SCAN_LIMIT:
-        raise UnsupportedProvider(
-            f"{provider.name}: a finite group is scanned whole, and {total} elements"
-            f" are more than the limit of {_SCAN_LIMIT}"
-        )
-    if not finite and budget.max_irreducibles > _SCAN_LIMIT:
-        raise UnsupportedProvider(
-            f"{provider.name}: an infinite group is scanned over the budget's window, and"
-            f" {budget.max_irreducibles} labels are more than the limit of {_SCAN_LIMIT}"
-        )
-    window = provider.enumerate(total if finite else budget.max_irreducibles)
+    if finite:
+        window = _window(provider, total, _SCAN_LIMIT, "a finite group is scanned whole", "elements")
+    else:
+        scope = "an infinite group is scanned over the budget's window"
+        window = _window(provider, budget.max_irreducibles, _SCAN_LIMIT, scope)
     exponents = [provider.stage_one_exponent(g, EXPONENT_BOUND) for g in window]
     counterexample = next(
         (f"{g.id}^{n}" for g, n in zip(window, exponents) if n is not None and n > 1), None

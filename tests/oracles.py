@@ -454,8 +454,9 @@ def n_sequence_reference(provider, budget, exponent_bound: int = 64):
 
     Kept line for line, apart from reading the finite factors off the spec,
     testing stage-one membership with ``stage_one_contains`` above and
-    telling a group table by its dims (all 1), so that the single
-    capability-driven path can be compared against it.
+    telling a group table by its certificate (``_group``), as the library
+    does, so that the single capability-driven path can be compared
+    against it.
     """
     # Imported here: perfbench loads this module before the package.
     import math
@@ -533,9 +534,7 @@ def n_sequence_reference(provider, budget, exponent_bound: int = 64):
 
     if isinstance(provider, WordGroupProvider):
         return _n_sequence_words(provider, budget, exponent_bound)
-    if isinstance(provider, FiniteTableProvider) and all(
-        u.dim == 1 for u in provider.enumerate(provider.num_irreducibles)
-    ):
+    if isinstance(provider, FiniteTableProvider) and provider._group:
         return _n_sequence_finite(provider, budget, exponent_bound)
     raise UnsupportedProvider(
         f"{provider.name}: torsion-closure sequence needs a cocommutative (group) ring"

@@ -213,6 +213,24 @@ def test_torsion_scans_refuse_a_window_above_the_scan_limit(command, count, caps
     )
 
 
+@pytest.mark.parametrize("kind, scope", [("central", "central closure"), ("forcing", "normal forcing closure")])
+@pytest.mark.parametrize("count", ["10001", "100000000"])
+def test_conjugation_closures_refuse_a_window_above_the_scan_limit(kind, scope, count, capsys, monkeypatch):
+    # Both listed the budget's window first: 10^8 gave no answer in 20 s.
+    # Any listing fails at once, so a closure that lists first cannot hang.
+    def enumerate_(self, n):
+        raise AssertionError(f"listed a window of {n}")
+
+    monkeypatch.setattr(type(suq2_ring()), "enumerate", enumerate_)
+    argv = ["closure", "--kind", kind, "--ring", "suq2", "--generators", "u1"]
+    assert main([*argv, "--budget", f"max_irreducibles={count}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err == (
+        f"error: suq2: the {scope} conjugates by the budget's window,"
+        f" and {count} labels are more than the limit of 10000\n"
+    )
+
+
 def test_torsion_scan_at_the_scan_limit_answers_as_before(capsys):
     # The --json bytes of this run before the limit was added.
     assert main(["torsion", "--ring", "suq2", "--budget", "max_irreducibles=10000", "--json"]) == 0

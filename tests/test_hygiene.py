@@ -71,8 +71,11 @@
   the square factor ``np.linalg.qr(..., mode="r")`` of a tall system.
 * The scan limit is written once: no line in the package writes the
   number ``10000`` or ``10_000`` (in code, a comment or a string) except
-  the definition of ``torsion._SCAN_LIMIT``, so the torsion scan and the
-  n-sequence cannot come to disagree on it.
+  the definition of ``torsion._SCAN_LIMIT``, so the scans that list a
+  window cannot come to disagree on it.
+* The window rule is written once: exactly one ``raise`` in the package
+  writes the refusal ``are more than the limit of``, the one in
+  ``torsion._window``, which every scan that lists a window calls.
 * Ring tables are written by the C encoder: no module under ``rings/``
   calls ``json.dump`` or passes an ``indent``, either of which selects
   Python's pure-Python encoder (the CLI's pinned ``--json`` output in
@@ -905,6 +908,37 @@ def test_the_scan_limit_is_written_once():
     found = [(str(path.relative_to(PACKAGE)), where.split(": ", 1)[1])
              for path in SOURCES for where in scan_limit_literals(path.read_text())]
     assert found == [("torsion.py", "_SCAN_LIMIT = 10_000")]
+
+
+WINDOW_REFUSAL = "are more than the limit of"
+
+
+def window_refusals(source: str) -> list[str]:
+    """``line N`` for every ``raise`` whose expression holds a string, or
+    a literal part of an f-string, that writes the window refusal."""
+    return [f"line {node.lineno}" for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Raise) and node.exc is not None
+            and any(isinstance(c, ast.Constant) and WINDOW_REFUSAL in str(c.value) for c in ast.walk(node.exc))]
+
+
+def test_window_refusal_is_detected():
+    source = (
+        "raise UnsupportedProvider(f'{name}: {scope}, and {n} labels are more than the limit of {limit}')\n"
+        "raise ParseError('3 labels are more than the limit of 2')\n"
+        "message = f'{n} labels are more than the limit of {limit}'\n"
+        "raise UnsupportedProvider(message)  # are more than the limit of\n"
+        "raise UnsupportedProvider(f'{n} labels exceed the limit')\n"
+        "raise\n"
+    )
+    assert window_refusals(source) == ["line 1", "line 2"]
+
+
+def test_the_window_refusal_is_written_once():
+    # torsion._window is the one window rule: every budgeted scan that
+    # lists a window, and the CLI's axiom check, refuse through it.
+    found = [(str(path.relative_to(PACKAGE)), where)
+             for path in SOURCES for where in window_refusals(path.read_text())]
+    assert len(found) == 1 and found[0][0] == "torsion.py", found
 
 
 def pure_python_json(source: str) -> list[str]:

@@ -292,14 +292,34 @@ def test_sequence_matches_the_per_backend_reference(spec):
         assert got == want, (spec, window)
 
 
+def _uncertified_dim_one_tables() -> list[FiniteTableProvider]:
+    """Tables of dims 1 without the group certificate: the monoid {e, a}
+    with a (x) a = a, Z3 with each element its own conjugate, the right
+    zero band x (x) y = y (unit a on one side only), and Z2 with
+    a (x) a = e + a (a product that is not one irreducible)."""
+    ea, self_conj = {"e": 1, "a": 1}, {"e": "e", "a": "a"}
+    z3 = {"e": 0, "a": 1, "b": 2}
+    return [
+        FiniteTableProvider("monoid", "e", ea, self_conj, {
+            (x, y): {"a" if "a" in x + y else "e": 1} for x in ea for y in ea}),
+        FiniteTableProvider("z3-self-conjugate", "e", dict.fromkeys(z3, 1), {x: x for x in z3}, {
+            (x, y): {"eab"[(z3[x] + z3[y]) % 3]: 1} for x in z3 for y in z3}),
+        FiniteTableProvider("right-zero-band", "a", ea, self_conj, {(x, y): {y: 1} for x in ea for y in ea}),
+        FiniteTableProvider("z2-e+a", "e", ea, self_conj, {
+            ("e", "e"): {"e": 1}, ("e", "a"): {"a": 1}, ("a", "e"): {"a": 1}, ("a", "a"): {"e": 1, "a": 1}}),
+    ]
+
+
 def test_sequence_matches_the_reference_on_builtin_finite_rings():
-    for ring in builtin_finite_rings():
+    # A dim-1 table without the certificate is refused by both, with the
+    # same message; the reference once called the monoid a group.
+    for ring in [*builtin_finite_rings(), *_uncertified_dim_one_tables()]:
         for window in (1, 3, 64):
             budget = Budget(max_irreducibles=window)
             try:
                 want = n_sequence_reference(ring, budget).to_dict()
-            except UnsupportedProvider:
-                with pytest.raises(UnsupportedProvider):
+            except UnsupportedProvider as exc:
+                with pytest.raises(UnsupportedProvider, match=f"^{re.escape(str(exc))}$"):
                     n_sequence_cocommutative(ring, budget)
                 continue
             assert n_sequence_cocommutative(ring, budget).to_dict() == want, (ring.name, window)
@@ -352,6 +372,40 @@ def test_a_finite_ring_below_the_scan_limit_is_scanned_whatever_its_budget():
     assert len(report.verdicts) == 6 and len(report.certified) == 6
     assert report.subcategory.status == "saturated"
     assert identity_component_report(ring, budget).component_group_order == 6
+
+
+# Each scan of a window of ``count`` labels with generators, or S, ``labels``.
+CONJUGATION_SCANS = {
+    "central closure": lambda ring, labels, count: central_closure(ring, labels, Budget(max_irreducibles=count)),
+    "normal forcing closure":
+        lambda ring, labels, count: normal_forcing_closure(ring, labels, Budget(max_irreducibles=count)),
+    "normality probe": lambda ring, labels, count: normality_consistency(ring, labels, count),
+}
+
+
+@pytest.mark.parametrize("spec", ["suq2", "word:Z2*Z"])
+@pytest.mark.parametrize("scan", sorted(CONJUGATION_SCANS))
+def test_conjugation_window_above_the_scan_limit_is_refused_before_listing(spec, scan, monkeypatch):
+    # These scans listed the budget's window with no limit: the central and
+    # forcing closures of suq2 <u1> at 10^8 gave no answer in 20 s.  Any
+    # listing fails at once, so a scan that lists first cannot hang here.
+    def enumerate_(n):
+        raise AssertionError(f"listed a window of {n}")
+
+    for count in (10_001, 10**8):
+        ring = parse_provider(spec)
+        monkeypatch.setattr(ring, "enumerate", enumerate_)
+        with pytest.raises(UnsupportedProvider, match=f"{count} labels are more than the limit of 10000$"):
+            CONJUGATION_SCANS[scan](ring, [], count)
+        assert ring._interned == {}
+
+
+@pytest.mark.parametrize("scan", sorted(CONJUGATION_SCANS))
+def test_a_finite_ring_conjugates_by_all_its_labels_whatever_its_budget(scan):
+    ring = next(r for r in builtin_finite_rings() if r.name == "group:S3")
+    labels = [ring.unit(), ring.parse_label("p021")]  # a transposition: not normal
+    answer = CONJUGATION_SCANS[scan](ring, labels, 10**8)
+    assert answer and answer == CONJUGATION_SCANS[scan](ring, labels, 6)
 
 
 def test_dimension_ideal_recovers_character_subrings():
