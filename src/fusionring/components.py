@@ -16,7 +16,6 @@ from .torsion import (
     NormalityViolation,
     Subcategory,
     TorsionScanReport,
-    _conjugate,
     _forced,
     normality_consistency,
     torsion_subcategory,
@@ -70,15 +69,11 @@ class ComponentReport(Report):
 def _non_normal_witness(provider, violations) -> IrrLabel:
     """The forced conjugate behind the first violation that has one, else
     the first constituent of the first violation's product."""
-    fallback = None
     for vio in violations:
-        product = _conjugate(provider, vio.conjugator, vio.member)
-        forced = _forced(product)
+        forced = _forced(provider, vio.conjugator, vio.member)
         if forced is not None:
             return forced
-        if fallback is None:
-            fallback = product.entries[0][0]
-    return fallback
+    return violations[0].product[0]
 
 
 def _witness_evidence(provider, witness: IrrLabel) -> dict | None:

@@ -299,10 +299,10 @@ class FusionProvider(ABC):
       enumeration, and None for the budget's own size cap.
 
     ``decompose`` results are memoized on the instance, so backends
-    implement ``_decompose`` and must treat labels as immutable.  Longer
-    products of irreducibles (the analysis layers' ``ubar (x) v (x) u``)
-    are built from those cached decompositions and memoized per ``(u, v)``
-    in ``_conjugate_cache``, next to ``_decompose_cache``.  A backend whose
+    implement ``_decompose`` and must treat labels as immutable.  The
+    analysis layers read only which irreducibles a longer product (their
+    ``ubar (x) v (x) u``) holds, from those cached decompositions, and
+    store none of it.  A backend whose
     products run along a ladder of levels (``suq2``, ``so3``, ``uqsu11``)
     keeps its labels in a per-instance list indexed by level, read and
     grown only by ``rings.su2.ladder`` (a product costs O(step x
@@ -312,8 +312,8 @@ class FusionProvider(ABC):
     and returned as plain label-to-coefficient dicts: ``check_axioms``
     compares its two associations with it, and ``factor_restriction``
     multiplies out one factor's letters with it and returns the result,
-    a representation, as a ``Decomposition``.  It and the analysis
-    layers' ``ubar (x) v (x) u`` both compute through ``_bilinear``.
+    a representation, as a ``Decomposition``.  It computes through
+    ``_bilinear``, which no module but this one names.
 
     Labels are bare ``(id, dim)`` tuples; the structure behind an id is
     a key that belongs to the provider (a level, a word, a pair of factor
@@ -337,7 +337,6 @@ class FusionProvider(ABC):
 
     def __init__(self):
         self._decompose_cache: dict[tuple[IrrLabel, IrrLabel], Decomposition] = {}
-        self._conjugate_cache: dict[tuple[IrrLabel, IrrLabel], Decomposition] = {}
         self._interned: dict[object, IrrLabel] = {}
         self._keys: dict[IrrLabel, object] = {}
 

@@ -11,15 +11,14 @@ from __future__ import annotations
 import math
 from collections import deque
 from dataclasses import dataclass
+from functools import cache
 from itertools import chain, filterfalse, islice, repeat
 
 from .core import (
     Budget,
-    Decomposition,
     FusionProvider,
     IrrLabel,
     Report,
-    _bilinear,
     _plain,
     canonical_sort,
     constituents_of,
@@ -155,27 +154,32 @@ def _verified(provider: FusionProvider, kind: str, labels, required=(), rule=Non
     return Subcategory(kind=kind, labels=tuple(final), status=status, frontier=tuple(frontier))
 
 
-def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> Decomposition:
-    """The product ``ubar (x) v (x) u``, associated as ``(ubar (x) v) (x) u``.
+def _conjugate(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> list[IrrLabel]:
+    """The constituents of ``ubar (x) v (x) u``, in canonical order.
 
-    Read from cached decompositions: ``ubar (x) v`` first, then each of
-    its constituents, in canonical order, times ``u``.  The result is
-    memoized per ``(u, v)`` on the provider instance.
+    Multiplicities are positive, so these are the constituents of
+    ``w (x) u`` over the constituents w of ``ubar (x) v``: read from cached
+    decompositions, with no multiplicity summed and nothing stored.
     """
-    key = (u, v)
-    hit = provider._conjugate_cache.get(key)
-    if hit is None:
-        ubar_v = constituents_of(provider.decompose(provider.conj(u), v))
-        hit = provider._conjugate_cache[key] = Decomposition(_bilinear(provider, ubar_v, {u: 1}))
-    return hit
+    decompose = provider.decompose
+    ws = constituents_of(decompose(provider.conj(u), v))
+    if len(ws) == 1:  # w (x) u is already in canonical order
+        return list(constituents_of(decompose(*ws, u)))
+    return canonical_sort(set().union(*map(constituents_of, map(decompose, ws, repeat(u)))))
 
 
-def _forced(product: Decomposition) -> IrrLabel | None:
-    """The irreducible ``product`` is, when it is one with multiplicity 1."""
-    if len(product) == 1:
-        (lab, mult), = product
-        if mult == 1:
-            return lab
+def _forced(provider: FusionProvider, u: IrrLabel, v: IrrLabel) -> IrrLabel | None:
+    """``ubar (x) v (x) u`` when it is one irreducible with multiplicity 1.
+
+    That holds exactly when ``ubar (x) v`` is one such irreducible w and
+    ``w (x) u`` is one too, so ``w (x) u`` is formed only then.
+    """
+    decompose = provider.decompose
+    ubar_v = constituents_of(decompose(provider.conj(u), v))
+    if list(ubar_v.values()) == [1]:
+        product = constituents_of(decompose(*ubar_v, u))
+        if list(product.values()) == [1]:
+            return next(iter(product))
     return None
 
 
@@ -193,9 +197,15 @@ def _close(
     ``extra_candidates(labels)`` yields for the members it has not been
     given before.  The loop is semi-naive: a round visits only the
     conjugates and pairs that involve a member admitted since the previous
-    snapshot, since everything else was reached before.  For the same
-    reason the rule must yield, label by label, candidates that depend on
-    that label alone.  The loop only grows the set, for at most
+    snapshot, since everything else was reached before.
+
+    The rule's contract: ``extra_candidates(labels)`` yields, for each of
+    ``labels`` in order, candidates that depend on that label (and the
+    closure's inputs) alone.  So the rounds may hand it each member once,
+    ``_verified`` may hand it all of them again, and the rule may keep
+    what it yields per label for the length of one closure.
+
+    The loop only grows the set, for at most
     ``max_rounds`` rounds.  It skips, without recording, a label over the
     size cap and every label reached once the count cap is full; reached
     again, such a label is skipped again (its size is fixed, and a full
@@ -253,30 +263,28 @@ def generated_subring(
     return _close(provider, "tensor_generated", generators, budget or Budget())
 
 
-def _conjugates(provider: FusionProvider, members, window):
-    """Yield ``(v, u, ubar (x) v (x) u)`` for each v in ``members`` and u in ``window``."""
-    for v in members:
-        for u in window:
-            yield v, u, _conjugate(provider, u, v)
-
-
 def _conjugation_closure(
     provider: FusionProvider, kind: str, generators, budget: Budget | None, forced_only: bool
 ) -> Subcategory:
     """``_close`` adjoining the constituents of ubar (x) v (x) u for u in the
-    window, or only a product that is one irreducible when ``forced_only``."""
+    window, or only a product that is one irreducible when ``forced_only``.
+
+    What the rule adjoins for a member v, each label once in the order
+    first reached, is kept for this call only: ``_verified`` runs the
+    rule again over every member.
+    """
     budget = budget or Budget()
     scope = f"the {kind.replace('_', ' ')} conjugates by the budget's window"
     window = _window(provider, budget.max_irreducibles, _SCAN_LIMIT, scope)
 
-    def rule(members):
-        for _, _, product in _conjugates(provider, members, window):
-            if not forced_only:
-                yield from product.constituents()
-            elif (lab := _forced(product)) is not None:
-                yield lab
+    @cache
+    def adjoined(v: IrrLabel) -> dict[IrrLabel, None]:
+        if forced_only:
+            forced = (_forced(provider, u, v) for u in window)
+            return dict.fromkeys(lab for lab in forced if lab is not None)
+        return dict.fromkeys(chain.from_iterable(_conjugate(provider, u, v) for u in window))
 
-    return _close(provider, kind, generators, budget, rule)
+    return _close(provider, kind, generators, budget, lambda members: chain.from_iterable(map(adjoined, members)))
 
 
 def central_closure(
@@ -330,9 +338,10 @@ def normality_consistency(
     window = _window(provider, bound, _SCAN_LIMIT, "the normality probe conjugates by the bound's window")
     s_set = set(s_labels)
     return [
-        NormalityViolation(v, u, tuple(product.constituents()))
-        for v, u, product in _conjugates(provider, canonical_sort(s_set), window)
-        if s_set.isdisjoint(product.constituents())
+        NormalityViolation(v, u, tuple(product))
+        for v in canonical_sort(s_set)
+        for u in window
+        if s_set.isdisjoint(product := _conjugate(provider, u, v))
     ]
 
 

@@ -231,6 +231,16 @@ def test_conjugation_closures_refuse_a_window_above_the_scan_limit(kind, scope, 
     )
 
 
+def test_forcing_closure_at_a_window_of_two_thousand_answers(capsys):
+    # It once ran out of a 2 GB address space in about 15 s: each pair of
+    # member and window label kept a triple product with every multiplicity.
+    argv = ["closure", "--kind", "forcing", "--ring", "suq2", "--generators", "u1"]
+    assert main([*argv, "--budget", "max_irreducibles=2000"]) == 0
+    captured = capsys.readouterr()
+    assert captured.err == ""
+    assert "forcing closure of {u1}: 9 labels, status budget_exceeded\n" in captured.out
+
+
 def test_torsion_scan_at_the_scan_limit_answers_as_before(capsys):
     # The --json bytes of this run before the limit was added.
     assert main(["torsion", "--ring", "suq2", "--budget", "max_irreducibles=10000", "--json"]) == 0

@@ -76,6 +76,10 @@
 * The window rule is written once: exactly one ``raise`` in the package
   writes the refusal ``are more than the limit of``, the one in
   ``torsion._window``, which every scan that lists a window calls.
+* Multiplicities of products are summed in ``core.py`` alone: no other
+  module in the package names ``_bilinear``, so the analysis layers read
+  which irreducibles ``ubar (x) v (x) u`` holds and never sum its
+  multiplicities again.
 * Ring tables are written by the C encoder: no module under ``rings/``
   calls ``json.dump`` or passes an ``indent``, either of which selects
   Python's pure-Python encoder (the CLI's pinned ``--json`` output in
@@ -939,6 +943,31 @@ def test_the_window_refusal_is_written_once():
     found = [(str(path.relative_to(PACKAGE)), where)
              for path in SOURCES for where in window_refusals(path.read_text())]
     assert len(found) == 1 and found[0][0] == "torsion.py", found
+
+
+BILINEAR = re.compile(r"\b_bilinear\b")
+
+
+def bilinear_names(source: str) -> list[str]:
+    """``line N`` for every line that names ``_bilinear``, in code, a
+    comment or a string."""
+    return [f"line {n}" for n, line in enumerate(source.splitlines(), 1) if BILINEAR.search(line)]
+
+
+def test_bilinear_name_is_detected():
+    source = (
+        "from .core import Decomposition, _bilinear\n"
+        "product = core._bilinear(provider, x, {u: 1})\n"
+        "# the bilinear product, multiply_virtual\n"
+        "helper = getattr(core, '_bilinear')  # _bilinearly\n"
+        "_bilinear_sum = 0\n"
+    )
+    assert bilinear_names(source) == ["line 1", "line 2", "line 4"]
+
+
+def test_only_core_names_the_bilinear_product():
+    found = [str(path.relative_to(PACKAGE)) for path in SOURCES if bilinear_names(path.read_text())]
+    assert found == ["core.py"]
 
 
 def pure_python_json(source: str) -> list[str]:

@@ -30,6 +30,7 @@ from fusionring.rings import (
 )
 from fusionring.torsion import (
     _conjugate,
+    _forced,
     _sweep,
     ascending_chain_probe,
     central_closure,
@@ -616,40 +617,33 @@ def test_a_closure_its_last_round_closes_is_saturated(kind):
 
 @pytest.mark.parametrize("spec", REFERENCE_RINGS)
 def test_conjugate_matches_the_virtual_element_route(spec, fixtures_dir):
+    # Over the 16-label window (S3 has 3 labels): 6 * 256 + 9 = 1,545
+    # pairs.  The constituents are the reference's labels, in its order,
+    # and the forced product is its single label of multiplicity 1.
     ring = _reference_ring(spec, fixtures_dir)
     window = ring.enumerate(16)
     for u in window:
         for v in window:
-            assert _conjugate(ring, u, v).entries == conjugate_reference(ring, u, v), (u.id, v.id)
+            want = conjugate_reference(ring, u, v)
+            assert _conjugate(ring, u, v) == [lab for lab, _ in want], (u.id, v.id)
+            forced = want[0][0] if len(want) == 1 and want[0][1] == 1 else None
+            assert _forced(ring, u, v) == forced, (u.id, v.id)
 
 
-def test_conjugate_keeps_multiplicities(fixtures_dir):
-    ring = character_ring(fixtures_dir / "s3_characters.json")
-    std = ring.parse_label("std")
-    got = {lab.id: mult for lab, mult in _conjugate(ring, std, std)}
-    assert got == {"triv": 1, "sgn": 1, "std": 3}
-
-
-def test_conjugate_is_memoized_per_instance(monkeypatch):
-    ring, other = uq_su11_ring(), uq_su11_ring()
-    u, v = ring.parse_label("u+3"), ring.parse_label("u-2")
-    first = _conjugate(ring, u, v)
-    calls = []
-    decompose = ring.decompose
-
-    def counted(a, b):
-        calls.append((a, b))
-        return decompose(a, b)
-
-    monkeypatch.setattr(ring, "decompose", counted)
-    again = _conjugate(ring, u, v)
-    assert again == first and not calls
-    assert _conjugate(ring, v, u) != first and calls
-    # Another instance fills its own memo through its own decompose.
-    assert not other._conjugate_cache
-    assert _conjugate(other, u, v) == first
-    assert other._conjugate_cache[u, v] is not first
-    assert set(other._conjugate_cache) == {(u, v)}
+def test_forcing_at_a_window_of_two_thousand_answers_with_a_bounded_cache():
+    # On suq2, ubar (x) v is one irreducible only when u or v is the unit,
+    # so the forcing rule forms w (x) u for those pairs alone.  The
+    # decompose cache then holds the members' products, one ubar (x) v per
+    # member and window label, and ubar (x) u per window label: not a
+    # w (x) u for every constituent w of every ubar (x) v.
+    ring = suq2_ring()
+    budget = Budget(max_irreducibles=2000)
+    got = normal_forcing_closure(ring, [ring.parse_label("u1")], budget)
+    assert got.labels == tuple(ring.parse_label(f"u{k}") for k in range(9))
+    assert got.status == "budget_exceeded"
+    assert got.frontier == tuple(ring.parse_label(f"u{k}") for k in range(9, 17))
+    members = len(got.labels)
+    assert len(ring._decompose_cache) <= (members + 1) * budget.max_irreducibles + members ** 2
 
 
 @pytest.mark.parametrize("kind", CLOSURES)
