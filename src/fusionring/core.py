@@ -104,6 +104,12 @@ class Decomposition:
     labels already in that order.  ``entries``, the ``(label, mult)``
     pairs, is built from it on each read, so a cached decomposition holds
     no per-entry tuple.
+
+    One decomposition may be shared: a free product returns its factor's
+    cached product of two letters as its own (``rings/products.py``), so
+    the same object sits in both providers' ``decompose`` caches.  Nothing
+    writes into the dict that ``constituents_of`` reads; a caller that
+    needs to change it copies it first.
     """
 
     __slots__ = ("_by_label",)
@@ -299,7 +305,12 @@ class FusionProvider(ABC):
       enumeration, and None for the budget's own size cap.
 
     ``decompose`` results are memoized on the instance, so backends
-    implement ``_decompose`` and must treat labels as immutable.  The
+    implement ``_decompose`` and must treat labels as immutable.  A
+    cached result may also be another provider's: a free product's
+    product of two letters of one factor is, when every constituent is a
+    letter spelled as its factor label, the factor's own decomposition
+    object, and those letters are the factor's own labels.  So no caller
+    writes into the dict that ``constituents_of`` reads.  The
     analysis layers read only which irreducibles a longer product (their
     ``ubar (x) v (x) u``) holds, from those cached decompositions, and
     store none of it.  A backend whose
@@ -349,9 +360,11 @@ class FusionProvider(ABC):
 
     def _store(self, key, id: str, dim: int) -> IrrLabel:
         """Make and record the label ``(id, dim)`` of ``key``, a key this
-        instance has no label for: the one writer of ``_interned`` and
-        ``_keys``.  A backend that knows a new key's id and dim without
-        ``_spell`` calls it directly."""
+        instance has no label for: with its one override, the only writer
+        of ``_interned`` and ``_keys``.  A backend that knows a new key's id
+        and dim without ``_spell`` calls it directly.  The free product
+        overrides it to record a letter spelled as its factor label as that
+        label object, equal to ``(id, dim)``."""
         lab = self._interned[key] = IrrLabel(id, dim)
         self._keys[lab] = key
         return lab

@@ -6,11 +6,19 @@ concatenates when the junction letters live in different factors, and
 otherwise merges the junction through the factor's own decomposition,
 with the unit coefficient carrying on to the shortened words.  This rule
 is exercised, not trusted: the axiom harness runs over every built
-product ring.  A merge that leaves only the merged letter (the product
-of two one-letter words of one factor) maps the factor's constituent
-dict, in C, through the instance's map from factor label to one-letter
-label, without building or interning a word per constituent.  A direct
-product builds its grid of pairs with ``itertools.product``.
+product ring.  A direct product builds its grid of pairs with
+``itertools.product``.
+
+A one-letter word spelled as its factor label (no prefix, no brackets)
+is that factor label object, shared with the factor.  By the free-product
+fusion rule the product of two one-letter words of one factor is the
+factor's product, so when every constituent of it is such a letter, the
+free product returns the factor's own cached ``Decomposition``: no
+relabelling, no sort and no second copy.  Any other merge that leaves
+only the merged letter (the factor unit among the constituents, or a
+prefixed or bracketed letter) maps the factor's constituent dict, in C,
+through the instance's map from factor label to one-letter label,
+without building or interning a word per constituent.
 
 Direct-product irreducibles are pairs, with componentwise structure.
 
@@ -30,7 +38,7 @@ from __future__ import annotations
 import math
 import re
 from itertools import filterfalse, product, starmap
-from operator import mul
+from operator import is_, mul
 
 from ..core import Decomposition, FusionProvider, IrrLabel, constituents_of, split_outside_brackets
 from ..errors import UnknownLabel, UnsupportedProvider, _quote
@@ -59,9 +67,16 @@ class FreeProductProvider(FusionProvider):
     ``_read`` takes a prefix or brackets where the spelling has none;
     ``parse_label`` refuses such text, as it does every other spelling.
 
+    A letter spelled as its factor label is that label object
+    (``_store``), so ``parse_label("v7")`` of ``free(so3,word:Z2)`` is
+    so3's own ``v7``, and the product of two one-letter words of one
+    factor whose constituents are all such letters is the factor's own
+    cached decomposition, shared by both instances' ``decompose`` caches.
+
     ``_one_letter`` maps each factor's non-unit labels to their one-letter
-    words, filled as merges reach them; ``_mul_words`` reads it to relabel
-    the merge of two one-letter words with no Python step per constituent.
+    words, filled as merges reach them; ``_decompose`` reads it to tell
+    a shared merge from one to relabel, and to relabel the latter with
+    no Python step per constituent.
     """
 
     def __init__(self, left: FusionProvider, right: FusionProvider):
@@ -86,6 +101,15 @@ class FreeProductProvider(FusionProvider):
             return text, dim
         # Both factors know this id; keep the rendering unambiguous.
         return f"{k}:{text}", dim
+
+    def _store(self, word: FWord, id: str, dim: int) -> IrrLabel:
+        # A one-letter word spelled as its factor label, id and dim, is that
+        # label object; any other word gets a label of its own.
+        if len(word) == 1 and word[0][1] == (id, dim):
+            lab = self._interned[word] = word[0][1]
+            self._keys[lab] = word
+            return lab
+        return super()._store(word, id, dim)
 
     def _read(self, text: str) -> FWord:
         if text == "e":
@@ -127,9 +151,8 @@ class FreeProductProvider(FusionProvider):
         word = self.key_of(u)
         return self._label(tuple((k, self.factors[k].conj(lab)) for k, lab in reversed(word)))
 
-    def _mul_words(self, w1: FWord, w2: FWord) -> dict[IrrLabel, int]:
-        """Product of two words, as labels: merge junctions inward while
-        they cancel.
+    def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
+        """Product of two words: merge junctions inward while they cancel.
 
         Each step merges ``w1[:a]``'s last letter with ``w2[b:]``'s first;
         the unit coefficient ``scale`` carries on to the shortened words.
@@ -137,16 +160,20 @@ class FreeProductProvider(FusionProvider):
         once.  When both are empty (a merge of two one-letter words), the
         factor's constituent dict is mapped through the instance's letter
         map in C; only a letter not yet in the map takes a Python step.
+        At the first step, a product whose every constituent maps to
+        itself is returned as it is: the factor's cached decomposition.
         Each step's words, and the final concatenation, have a length of
         their own, so every label is set once.
         """
+        w1, w2 = self.key_of(u), self.key_of(v)
         out: dict[IrrLabel, int] = {}
         a, b, scale = len(w1), 0, 1
         while a and b < len(w2) and w1[a - 1][0] == w2[b][0]:
             k, la = w1[a - 1]
             factor = self.factors[k]
             funit = factor.unit()
-            dec = constituents_of(factor.decompose(la, w2[b][1]))
+            merged = factor.decompose(la, w2[b][1])
+            dec = constituents_of(merged)
             head, tail = w1[: a - 1], w2[b + 1 :]
             if head or tail:
                 for c, mult in dec.items():
@@ -157,19 +184,20 @@ class FreeProductProvider(FusionProvider):
                 for c in filterfalse(known.__contains__, dec):
                     if c != funit:
                         known[c] = self._label(((k, c),))
+                # Two one-letter words whose product holds only letters that
+                # are their factor labels: the factor's own product, shared.
+                if not b and all(map(is_, map(known.get, dec), dec)):
+                    return merged
                 # The factor unit is never a letter: it maps to None, dropped here.
                 mults = dec.values() if scale == 1 else map(scale.__mul__, dec.values())
                 out.update(zip(map(known.get, dec), mults))
                 out.pop(None, None)
             scale *= dec.get(funit, 0)
             if not scale:
-                return out
+                return Decomposition(out)
             a, b = a - 1, b + 1
         out[self._label(w1[:a] + w2[b:])] = scale
-        return out
-
-    def _decompose(self, u: IrrLabel, v: IrrLabel) -> Decomposition:
-        return Decomposition(self._mul_words(self.key_of(u), self.key_of(v)))
+        return Decomposition(out)
 
     def enumerate(self, count: int) -> list[IrrLabel]:
         # Every letter weighs 1, so layer w holds the words of w letters; a

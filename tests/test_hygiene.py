@@ -84,6 +84,12 @@
   calls ``json.dump`` or passes an ``indent``, either of which selects
   Python's pure-Python encoder (the CLI's pinned ``--json`` output in
   ``cli.py`` keeps its indent).
+* Cached products are read, never written: no module in the package
+  writes into a dict read through ``constituents_of`` (a subscript
+  assignment or ``del``, or ``update``, ``pop``, ``popitem``, ``clear``
+  or ``setdefault`` on it or on a name bound from it).  A free product
+  shares its factor's decompositions, so such a write would change both
+  rings.
 """
 
 from __future__ import annotations
@@ -996,3 +1002,95 @@ def test_pure_python_json_is_detected():
 @pytest.mark.parametrize("path", RING_MODULES, ids=lambda p: p.name)
 def test_ring_tables_are_written_by_the_c_encoder(path):
     assert pure_python_json(path.read_text()) == []
+
+
+DICT_WRITERS = {"update", "pop", "popitem", "clear", "setdefault"}
+
+
+def _reads_constituents(expr) -> bool:
+    """Whether ``expr`` evaluates to a dict read through ``constituents_of``:
+    a call of it, or either side of a conditional or boolean expression."""
+    if isinstance(expr, ast.IfExp):
+        return _reads_constituents(expr.body) or _reads_constituents(expr.orelse)
+    if isinstance(expr, ast.BoolOp):
+        return any(map(_reads_constituents, expr.values))
+    return isinstance(expr, ast.Call) and getattr(expr.func, "id", None) == "constituents_of"
+
+
+def _maps_constituents(expr) -> bool:
+    """Whether ``expr`` is ``map(constituents_of, ...)``, whose items are such dicts."""
+    return (isinstance(expr, ast.Call) and getattr(expr.func, "id", None) == "map"
+            and bool(expr.args) and getattr(expr.args[0], "id", None) == "constituents_of")
+
+
+def constituent_writes(source: str) -> list[str]:
+    """``line N: what`` for every write into a dict read through
+    ``constituents_of``: a subscript assignment (plain or augmented) or
+    ``del``, or a call of ``update``, ``pop``, ``popitem``, ``clear`` or
+    ``setdefault``, on such a call or on a name that the same function
+    binds from one (by assignment, or as the target of a loop over
+    ``map(constituents_of, ...)``)."""
+    found = set()
+    for func in ast.walk(ast.parse(source)):
+        if not isinstance(func, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        nodes = list(ast.walk(func))
+        bound = set()
+        for node in nodes:
+            if isinstance(node, (ast.Assign, ast.AnnAssign, ast.NamedExpr)) and _reads_constituents(node.value):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                bound |= {t.id for t in targets if isinstance(t, ast.Name)}
+            elif isinstance(node, (ast.For, ast.comprehension)) and _maps_constituents(node.iter):
+                if isinstance(node.target, ast.Name):
+                    bound.add(node.target.id)
+
+        def spelled(expr) -> str | None:
+            if isinstance(expr, ast.Name) and expr.id in bound:
+                return expr.id
+            return "constituents_of(...)" if _reads_constituents(expr) else None
+
+        for node in nodes:
+            if isinstance(node, (ast.Assign, ast.AugAssign, ast.AnnAssign, ast.Delete)):
+                targets = node.targets if isinstance(node, (ast.Assign, ast.Delete)) else [node.target]
+                verb = "del " if isinstance(node, ast.Delete) else ""
+                found |= {(t.lineno, f"{verb}{spelled(t.value)}[...]") for t in targets
+                          if isinstance(t, ast.Subscript) and spelled(t.value)}
+            elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+                  and node.func.attr in DICT_WRITERS and spelled(node.func.value)):
+                found.add((node.lineno, f"{spelled(node.func.value)}.{node.func.attr}"))
+    return [f"line {line}: {what}" for line, what in sorted(found)]
+
+
+def test_constituent_write_is_detected():
+    source = (
+        "def f(provider, u, v, out, cache):\n"
+        "    dec = constituents_of(provider.decompose(u, v))\n"
+        "    dec[u] = 1\n"
+        "    del dec[v]\n"
+        "    dec.update(out)\n"
+        "    out.update(dec)\n"
+        "    copy = dict(dec)\n"
+        "    copy[u] = 2\n"
+        "    constituents_of(provider.decompose(u, u)).pop(u)\n"
+        "    kept = constituents_of(out) if out else {}\n"
+        "    kept.setdefault(u, 0)\n"
+        "    for row in map(constituents_of, out):\n"
+        "        row[u] += 1\n"
+        "        row.clear()\n"
+        "    left = cache[u] = constituents_of(provider.decompose(u, v))\n"
+        "    left.popitem()\n"
+        "    return [d.get(u) for d in map(constituents_of, out) if d.pop(v)]\n"
+        "def g(dec, u):\n"
+        "    dec[u] = 1\n"
+        "    dec.clear()\n"
+    )
+    assert constituent_writes(source) == [
+        "line 3: dec[...]", "line 4: del dec[...]", "line 5: dec.update",
+        "line 9: constituents_of(...).pop", "line 11: kept.setdefault", "line 13: row[...]",
+        "line 14: row.clear", "line 16: left.popitem", "line 17: d.pop",
+    ]
+
+
+def test_no_module_writes_into_a_constituent_dict():
+    found = {str(path.relative_to(PACKAGE)): constituent_writes(path.read_text()) for path in SOURCES}
+    assert {name: lines for name, lines in found.items() if lines} == {}

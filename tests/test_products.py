@@ -20,6 +20,8 @@ from fusionring import (
     word_group,
 )
 from fusionring.cli import parse_provider
+from fusionring.components import identity_component_report
+from fusionring.torsion import ascending_chain_probe, generated_subring, torsion_subcategory
 from fusionring.rings.tables import S3_CHARACTER_TABLE
 
 import oracles
@@ -336,6 +338,84 @@ def test_one_letter_merges_match_the_word_by_word_reference(tmp_path):
         assert all(len(fp.key_of(lab)) == 1 for k in (0, 1) for lab in fp._one_letter[k].values()), name
         assert not any(fp.factors[k].unit() in fp._one_letter[k] for k in (0, 1)), name
     assert seen == {"merge", "unit", "multiplicity", "prefix", "brackets"}
+
+
+def test_one_letter_merges_share_the_factor_product_when_every_constituent_is_a_factor_label(tmp_path):
+    # The free product's product of two one-letter words of one factor is
+    # the factor's cached decomposition object exactly when every
+    # constituent is a letter spelled as its factor label (and so is that
+    # label); otherwise it is a new object, equal to the reference.
+    seen = set()
+    for name, fp in _one_letter_rings(tmp_path).items():
+        window = fp.enumerate(40)
+        for a in window:
+            for b in window:
+                wa, wb = fp.key_of(a), fp.key_of(b)
+                if not (len(wa) == len(wb) == 1 and wa[0][0] == wb[0][0]):
+                    continue
+                k = wa[0][0]
+                factor = fp.factors[k]
+                own = factor.decompose(wa[0][1], wb[0][1])
+                got = fp.decompose(a, b)
+                letters = [c != factor.unit() and fp._label(((k, c),)).id == c.id for c in own.constituents()]
+                if all(letters):
+                    seen.add("shared")
+                    assert got is own, (name, a.id, b.id)
+                    assert all(fp._label(((k, c),)) is c for c in own.constituents()), (name, a.id, b.id)
+                    continue
+                assert got is not own, (name, a.id, b.id)
+                assert got.entries == oracles.free_product_decompose_reference(fp, a, b).entries, (name, a.id, b.id)
+                if factor.unit() in own:
+                    seen.add("unit")
+                if max(m for _, m in own) > 1:
+                    seen.add("multiplicity")
+                if any(":" in w.id for w in got.constituents()):
+                    seen.add("prefix")
+                if any("[" in w.id for w in got.constituents()):
+                    seen.add("brackets")
+                if not any(letters) and factor.unit() not in own:
+                    seen.add("no letter shared")
+    assert seen == {"shared", "unit", "multiplicity", "prefix", "brackets", "no letter shared"}
+
+
+def test_a_letter_spelled_as_its_factor_label_is_that_label():
+    fp = _fp()
+    assert fp.parse_label("v7") is fp.factors[0].parse_label("v7")
+    assert fp.parse_label("a") is fp.factors[1].parse_label("a")
+    assert fp.parse_label("v1.a") is not fp.factors[0].parse_label("v1")
+    cyclic = free_product(word_group([2]), word_group([3]))
+    for k in (0, 1):
+        prefixed = cyclic.parse_label(f"{k}:a")
+        assert prefixed != cyclic.factors[k].parse_label("a")
+        assert cyclic.key_of(prefixed) == ((k, cyclic.factors[k].parse_label("a")),)
+    assert cyclic.parse_label("a^2") is cyclic.factors[1].parse_label("a^2")
+    nested = free_product(word_group([3]), cyclic)
+    bracketed = nested.parse_label("[0:a]")
+    assert bracketed != cyclic.parse_label("0:a")
+    assert nested.key_of(bracketed) == ((1, cyclic.parse_label("0:a")),)
+
+
+@pytest.mark.parametrize("spec, gens, factor_specs", [
+    ("free(so3,word:Z2)", ["v1", "a"], ["so3", "word:Z2"]),
+    ("free(suq2,au)", ["u1", "uU"], ["suq2", "au"]),
+])
+def test_no_analysis_writes_into_a_shared_product(spec, gens, factor_specs):
+    # Every analysis run on the free product leaves each factor's cached
+    # products as a fresh factor instance forms them, entries and order.
+    fp = parse_provider(spec)
+    lifted = Budget(max_irreducibles=64, max_label_size=10**6, max_rounds=10**6)
+    assert check_axioms(fp, Budget(max_irreducibles=40)).ok
+    generated_subring(fp, [fp.parse_label(g) for g in gens], lifted)
+    torsion_subcategory(fp, Budget(max_irreducibles=16))
+    identity_component_report(fp, Budget(max_irreducibles=16))
+    ascending_chain_probe(fp, 3)
+    own = {id(dec) for dec in fp._decompose_cache.values()}
+    assert sum(id(dec) in own for factor in fp.factors for dec in factor._decompose_cache.values()) > 100
+    for factor, factor_spec in zip(fp.factors, factor_specs):
+        fresh = parse_provider(factor_spec)
+        for (u, v), dec in factor._decompose_cache.items():
+            want = fresh.decompose(fresh.parse_label(u.id), fresh.parse_label(v.id))
+            assert dec.entries == want.entries, (factor_spec, u.id, v.id)
 
 
 @pytest.mark.parametrize("spec", ["prod(suq2,word:Z2)", "prod(so3,Rep(A4))", "prod(au,json:S3)",
