@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from itertools import combinations
 
 from .core import Budget, FusionProvider, IrrLabel, Report, canonical_sort, constituents_of
 from .errors import _clip
@@ -66,7 +67,10 @@ def check_axioms(
     Checked exactly, pairwise over the window: dimension identity, unit
     law, conjugation involution, the unit fusion rule
     ``N^1_{uv} = [v == conj(u)]``, Frobenius reciprocity and conjugate
-    reversal for every constituent of ``u (x) v``.  Associativity is
+    reversal for every constituent of ``u (x) v``.  A provider that claims
+    ``commutative()``, which the closure engine trusts, has
+    ``u (x) v == v (x) u``, multiplicities included, checked for every
+    window pair with u before v.  Associativity is
     checked as exact equality of integer combinations on an exhaustive
     small prefix plus ``triple_samples`` seeded random triples.
 
@@ -75,7 +79,8 @@ def check_axioms(
     and, when it has a constituent, ``vbar (x) ubar`` (its dict serves
     every constituent's reversal); for every constituent ``w``,
     ``ubar (x) w`` and ``w (x) vbar``, each read once per call and kept in
-    a dict local to it (per ``(u, w)`` and per ``(v, w)``); and the
+    a dict local to it (per ``(u, w)`` and per ``(v, w)``); for a
+    commutative claim, each window pair's two products again; and the
     products that ``multiply_virtual`` forms for both associations of
     each triple.  Each label's conjugate is asked of the provider once
     per call.
@@ -168,6 +173,13 @@ def check_axioms(
                     bad(AxiomViolation(
                         "conjugate-reversal", (u, v, w),
                         f"N^{_clip(w.id)} = {mult} but conjugate-reversed = {rev}"))
+
+    if provider.commutative():
+        for u, v in combinations(window, 2):
+            if decompose(u, v) != decompose(v, u):
+                bad(AxiomViolation(
+                    "commutativity", (u, v),
+                    f"{_clip(u.id)} (x) {_clip(v.id)} != {_clip(v.id)} (x) {_clip(u.id)}"))
 
     prefix = window[:_EXHAUSTIVE_TRIPLE_PREFIX]
     triples = [(u, v, w) for u in prefix for v in prefix for w in prefix]

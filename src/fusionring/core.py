@@ -303,6 +303,15 @@ class FusionProvider(ABC):
       ``ascending_chain_probe(provider, d_max, budget)`` reads (``au``
       overrides both): the first ``d`` non-unit labels of the
       enumeration, and None for the budget's own size cap.
+    * ``commutative()``, whether ``decompose(u, v) == decompose(v, u)``
+      for every pair (the ladder rings, one-factor word groups, direct
+      products of commutative factors, and finite tables that are):
+      False.  ``check_axioms`` checks a True answer over its window,
+      since ``torsion`` trusts it.  In a commutative ring
+      ``ubar (x) v (x) u = v (x) (ubar (x) u)``, and ``ubar (x) u``
+      holds the unit, so v is a constituent of ``ubar (x) v (x) u``:
+      every conj- and product-closed set is stable under conjugation,
+      and a conjugate that is one irreducible once is v itself.
 
     ``decompose`` results are memoized on the instance, so backends
     implement ``_decompose`` and must treat labels as immutable.  A
@@ -450,6 +459,11 @@ class FusionProvider(ABC):
 
     def chain_size_cap(self, d: int) -> int | None:
         return None
+
+    def commutative(self) -> bool:
+        """Whether ``u (x) v`` and ``v (x) u`` are equal, multiplicities
+        included, for every pair of labels."""
+        return False
 
     @property
     def num_irreducibles(self) -> int | float:

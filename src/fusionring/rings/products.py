@@ -310,6 +310,11 @@ class DirectProductProvider(FusionProvider):
         a, b = self.key_of(u)
         return self.factors[0].label_size(a) + self.factors[1].label_size(b)
 
+    def commutative(self) -> bool:
+        # Products are componentwise; one pair that does not commute in a
+        # factor gives one that does not here.
+        return self.factors[0].commutative() and self.factors[1].commutative()
+
     def order_oracle(self, u: IrrLabel) -> int | float:
         a, b = self.key_of(u)
         try:

@@ -67,6 +67,10 @@ class UqSU11Provider(FusionProvider):
     def label_size(self, u: IrrLabel) -> int:
         return self.key_of(u)[1]
 
+    def commutative(self) -> bool:
+        # The output sign and the levels are symmetric in the two factors.
+        return True
+
     def _read(self, text: str) -> tuple[int, int] | None:
         match = _ID_RE.fullmatch(text)
         return (1 if match.group(1) == "+" else -1, int(match.group(2))) if match else None

@@ -74,6 +74,10 @@ class SU2Provider(FusionProvider):
     def label_size(self, u: IrrLabel) -> int:
         return self.key_of(u)
 
+    def commutative(self) -> bool:
+        # A product's levels |m - n| .. m + n are symmetric in m and n.
+        return True
+
     def _read(self, text: str) -> int | None:
         match = self._id_re.fullmatch(text)
         return int(match.group(1)) if match else None

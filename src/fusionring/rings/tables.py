@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import json
 from fractions import Fraction
-from itertools import chain, repeat
+from itertools import chain, combinations, repeat
 from pathlib import Path
 
 from ..axioms import check_axioms
@@ -68,6 +68,8 @@ class FiniteTableProvider(FusionProvider):
     label the table does not hold (UnknownLabel).
 
     ``enumerate`` lists the unit first, then the rest in (dim, id) order.
+    ``commutative()`` compares each product with its mirror on the first
+    ask and keeps the answer, so a load pays nothing for it.
     """
 
     def __init__(
@@ -139,6 +141,7 @@ class FiniteTableProvider(FusionProvider):
             products = (Decomposition({labels[w]: m for w, m in counts.items()}) for counts in table.values())
         self._decompose_cache.update(zip(keys, products))
         self._order = [unit, *canonical_sort(l for l in labels.values() if l != unit)]
+        self._commutative: bool | None = None  # decided on the first ask
 
     def _spell(self, i: str) -> tuple[str, int]:
         return i, self._dims[i]
@@ -165,6 +168,12 @@ class FiniteTableProvider(FusionProvider):
 
     def _read(self, text: str) -> str | None:
         return text if text in self._dims else None
+
+    def commutative(self) -> bool:
+        if self._commutative is None:
+            table = self._decompose_cache
+            self._commutative = all(table[u, v] == table[v, u] for u, v in combinations(self._order, 2))
+        return self._commutative
 
     # A certified table is a group ring, whoever built it (a group table,
     # one read back from JSON, the character ring of an abelian group).  A

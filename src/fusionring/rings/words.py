@@ -292,6 +292,11 @@ class WordGroupProvider(FusionProvider):
     def label_size(self, u: IrrLabel) -> int:
         return self._weight(self.key_of(u))
 
+    def commutative(self) -> bool:
+        # One cyclic factor is abelian; two letters of distinct factors
+        # give ab != ba.
+        return len(self.spec.factors) == 1
+
     def _read(self, text: str) -> Word:
         if text == "e":
             return ()

@@ -122,11 +122,23 @@ def _sweep(provider: FusionProvider, new, old=()) -> dict[IrrLabel, object]:
     exactly the conjugates and pairs that involve ``new``.  Each product's
     constituent dict is merged with ``dict.update``, in C and with its
     stored hashes, so there is no Python step per constituent.
+
+    On a commutative ring (``provider.commutative()``) the row of
+    ``new[i]`` is ``new[i:]``; the rows of ``old`` are unchanged.  The
+    dict is the same, keys and order: each pair left out, ``(new[i],
+    old[k])`` or ``(new[i], new[j])`` with j < i, comes after its mirror
+    ``(old[k], new[i])`` or ``(new[j], new[i])`` in the full visit order,
+    and the mirror has the same constituents, so where the full sweep
+    reaches the pair ``dict.update`` adds no key.  Every unordered pair
+    is still read once, so a full sweep remains a full re-check.
     """
     reached = dict.fromkeys(map(provider.conj, new))
     merge, decompose = reached.update, provider.decompose
-    both = [*old, *new]
-    for a, row in chain(zip(old, repeat(new)), zip(new, repeat(both))):
+    if provider.commutative():
+        rows = (new[i:] for i in range(len(new)))
+    else:
+        rows = repeat([*old, *new])
+    for a, row in chain(zip(old, repeat(new)), zip(new, rows)):
         deque(map(merge, map(constituents_of, map(decompose, repeat(a), row))), maxlen=0)
     return reached
 
@@ -272,10 +284,20 @@ def _conjugation_closure(
     What the rule adjoins for a member v, each label once in the order
     first reached, is kept for this call only: ``_verified`` runs the
     rule again over every member.
+
+    On a commutative ring the forcing closure is ``_close`` with no rule,
+    after the same window refusal.  There ``ubar (x) v (x) u = v (x)
+    (ubar (x) u)`` has v as a constituent (``ubar (x) u`` holds the
+    unit), so a product that is one irreducible once is v, already a
+    member: the rule admits nothing in any round and adds nothing to the
+    frontier in ``_verified``, and the labels, status and frontier are
+    the rule's own.
     """
     budget = budget or Budget()
     scope = f"the {kind.replace('_', ' ')} conjugates by the budget's window"
     window = _window(provider, budget.max_irreducibles, _SCAN_LIMIT, scope)
+    if forced_only and provider.commutative():
+        return _close(provider, kind, generators, budget)
 
     @cache
     def adjoined(v: IrrLabel) -> dict[IrrLabel, None]:
@@ -334,9 +356,19 @@ def normality_consistency(
     stable under conjugation by the window: the first ``bound`` labels,
     or the whole ring when it is smaller.  A window of more than 10,000
     labels is refused with UnsupportedProvider before any label is listed.
+
+    On a commutative ring no pair misses S, and no product is formed:
+    ``ubar (x) v (x) u = v (x) (ubar (x) u)`` has v itself as a
+    constituent, since ``ubar (x) u`` holds the unit.  A label of S that
+    the ring does not know is still refused (UnknownLabel), as the
+    products would refuse it.
     """
     window = _window(provider, bound, _SCAN_LIMIT, "the normality probe conjugates by the bound's window")
     s_set = set(s_labels)
+    if provider.commutative():
+        if window:
+            deque(map(provider.key_of, s_set), maxlen=0)
+        return []
     return [
         NormalityViolation(v, u, tuple(product))
         for v in canonical_sort(s_set)

@@ -1,3 +1,4 @@
+import itertools
 import math
 from collections import Counter
 
@@ -8,6 +9,7 @@ from fusionring import (
     Decomposition,
     FusionProvider,
     IrrLabel,
+    builtin_finite_rings,
     character_ring,
     check_axioms,
     finite_group_ring,
@@ -17,7 +19,7 @@ from fusionring import (
 )
 from fusionring.cli import parse_provider
 from fusionring.rings.au import AuProvider
-from fusionring.rings.tables import S3_CHARACTER_TABLE
+from fusionring.rings.tables import S3_CHARACTER_TABLE, FiniteTableProvider
 from fusionring.rings.words import WordGroupProvider, WordGroupSpec
 
 import oracles
@@ -447,3 +449,85 @@ def test_broken_infinite_rings_report_as_the_reference(name):
     want = oracles.check_axioms_reference(BROKEN_INFINITE[name](), budget, triple_samples=20, seed=3)
     assert not got.ok
     assert got.to_dict() == want.to_dict()
+
+
+# ``commutative()``: the closure engine trusts a True answer, so the
+# harness checks it, and every backend's answer is exact.
+
+COMMUTATIVE_SPECS = ["suq2", "so3", "uqsu11", "word:Z5", "prod(suq2,word:Z2)"]
+NON_COMMUTATIVE_SPECS = ["au", "word:Z2*Z", "word:Z2*Z2", "free(so3,word:Z2)", "prod(suq2,word:Z2*Z)"]
+
+
+def _noncommuting_pairs(ring, window):
+    return [(u, v) for u, v in itertools.combinations(window, 2) if ring.decompose(u, v) != ring.decompose(v, u)]
+
+
+@pytest.mark.parametrize("spec", COMMUTATIVE_SPECS)
+def test_commutative_rings_say_so_and_pass_the_check(spec):
+    ring = parse_provider(spec)
+    assert ring.commutative() is True
+    assert check_axioms(ring, Budget(max_irreducibles=16), triple_samples=10).ok
+
+
+@pytest.mark.parametrize("spec", NON_COMMUTATIVE_SPECS)
+def test_non_commutative_rings_say_so_and_show_a_pair(spec):
+    ring = parse_provider(spec)
+    assert ring.commutative() is False
+    assert _noncommuting_pairs(ring, ring.enumerate(12))
+
+
+def test_finite_tables_decide_commutativity_from_the_table():
+    # Z2, Z3, Z4, V4 and the S3 character ring commute; the S3 group does not.
+    for ring in builtin_finite_rings():
+        assert ring.commutative() is (ring.name != "group:S3"), ring.name
+        window = ring.enumerate(ring.num_irreducibles)
+        assert bool(_noncommuting_pairs(ring, window)) is (ring.name == "group:S3"), ring.name
+    assert character_ring(S3_CHARACTER_TABLE).commutative() is True
+
+
+class _ClaimsCommutative:
+    """Mixin: a ring that claims commutativity, whether or not it holds."""
+
+    def commutative(self):
+        return True
+
+
+class _WordsClaimingCommutative(_ClaimsCommutative, WordGroupProvider):
+    pass
+
+
+class _TableClaimingCommutative(_ClaimsCommutative, FiniteTableProvider):
+    pass
+
+
+def _s3_claiming_commutative():
+    table = oracles.s3_group_table()
+    unit = "p012"
+    inverse = {g: h for (g, h), product in table.items() if product == unit}
+    fusion = {pair: {product: 1} for pair, product in table.items()}
+    return _TableClaimingCommutative("group:S3", unit, dict.fromkeys(inverse, 1), inverse, fusion)
+
+
+FALSE_COMMUTATIVE_CLAIMS = {
+    "word:Z2*Z": (lambda: _WordsClaimingCommutative(WordGroupSpec((2, math.inf))), lambda: word_group([2, math.inf])),
+    "group:S3": (_s3_claiming_commutative, lambda: finite_group_ring(oracles.s3_group_table(), "group:S3")),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FALSE_COMMUTATIVE_CLAIMS))
+def test_a_false_commutativity_claim_is_a_named_violation(name):
+    # One violation per window pair u before v whose products differ, and
+    # nothing else: the honest ring's report, pair count included, is the
+    # same apart from them.
+    lying, honest = (make() for make in FALSE_COMMUTATIVE_CLAIMS[name])
+    budget = Budget(max_irreducibles=12)
+    report = check_axioms(lying, budget, triple_samples=20)
+    pairs = _noncommuting_pairs(lying, lying.enumerate(12))
+    # Of Z2*Z's 66 window pairs 28 commute: e with each label, the powers of
+    # b with each other, ab with b^-1a and ab^-1 with ba.  Of S3's 15, 6 do.
+    assert len(pairs) == {"word:Z2*Z": 38, "group:S3": 9}[name]
+    assert [(v.axiom, v.labels) for v in report.violations] == [("commutativity", pair) for pair in pairs]
+    u, v = pairs[0]
+    assert report.violations[0].detail == f"{u.id} (x) {v.id} != {v.id} (x) {u.id}"
+    clean = check_axioms(honest, budget, triple_samples=20).to_dict()
+    assert {**report.to_dict(), "violations": [], "ok": True} == clean

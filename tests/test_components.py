@@ -11,6 +11,7 @@ from fusionring.rings import (
     free_product,
     parse_word_group_spec,
     so3_ring,
+    suq2_ring,
     uq_su11_ring,
     word_group,
 )
@@ -27,6 +28,17 @@ def test_double_ladder_component_certificate():
     assert rep.normality_violations == []
     assert rep.torsion_degree_bound == 1
     assert len(rep.hom_table) == 64
+
+
+def test_component_report_at_a_window_of_ten_thousand_keeps_a_small_cache():
+    # suq2 is commutative, so the normality probe forms no ubar (x) v (x) u.
+    # Forming them kept each window label's ubar (x) u in the decompose
+    # cache, about 1.8 GB at this window.
+    ring = suq2_ring()
+    rep = identity_component_report(ring, Budget(max_irreducibles=10_000))
+    assert rep.normality_violations == []
+    assert rep.verdict == "normal_with_finite_component_group"
+    assert len(ring._decompose_cache) < 1000
 
 
 def test_hom_table_matches_ladder_invariant_counting():

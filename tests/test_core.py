@@ -433,3 +433,4 @@ def test_default_capabilities():
         ring.factor_restriction(g, 0)
     assert ring.chain_generators(1) == [g] and ring.chain_generators(5) == [g]
     assert ring.chain_size_cap(1) is None
+    assert ring.commutative() is False

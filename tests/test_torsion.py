@@ -659,6 +659,50 @@ def test_forcing_at_a_window_of_two_thousand_answers_with_a_bounded_cache():
     assert len(ring._decompose_cache) <= (members + 1) * budget.max_irreducibles + members ** 2
 
 
+def test_forcing_at_a_window_of_ten_thousand_is_the_generated_subring():
+    # suq2 is commutative, so the forcing rule admits nothing and the
+    # closure is the generated subring's, with no ubar (x) u formed.  With
+    # the rule, each window label's ubar (x) u stayed in the decompose
+    # cache, about 1.8 GB at this window.
+    ring = suq2_ring()
+    budget = Budget(max_irreducibles=10_000)
+    u1 = ring.parse_label("u1")
+    got = normal_forcing_closure(ring, [u1], budget)
+    assert len(ring._decompose_cache) < 1000
+    want = generated_subring(ring, [u1], budget)
+    assert (got.labels, got.status, got.frontier) == (want.labels, want.status, want.frontier)
+
+
+def _normality_reference(ring, s_labels, bound):
+    """``normality_consistency`` from ``conjugate_reference``: every pair
+    (v in S, u in the window) whose ubar (x) v (x) u misses S."""
+    s_set = set(s_labels)
+    found = []
+    for v in canonical_sort(s_set):
+        for u in ring.enumerate(bound):
+            product = tuple(lab for lab, _ in conjugate_reference(ring, u, v))
+            if s_set.isdisjoint(product):
+                found.append((v, u, product))
+    return found
+
+
+@pytest.mark.parametrize("spec", REFERENCE_RINGS)
+def test_normality_probe_matches_the_conjugate_reference(spec, fixtures_dir):
+    # A commutative ring's probe forms no product; the reference forms them all.
+    ring = _reference_ring(spec, fixtures_dir)
+    window = ring.enumerate(10)
+    gen = ring.parse_label(REFERENCE_RINGS[spec])
+    for s_labels in (window[:1], window[:3], window[1:5], window[::3], [ring.unit(), gen]):
+        got = [(x.member, x.conjugator, x.product) for x in normality_consistency(ring, s_labels, 10)]
+        assert got == _normality_reference(ring, s_labels, 10), s_labels
+
+
+def test_a_commutative_normality_probe_still_refuses_a_foreign_label():
+    ring = suq2_ring()
+    with pytest.raises(UnknownLabel):
+        normality_consistency(ring, [ring.unit(), IrrLabel("zz", 3)], 4)
+
+
 @pytest.mark.parametrize("kind", CLOSURES)
 @pytest.mark.parametrize("cap", [1, 2])
 def test_foreign_generator_past_the_cap_is_refused(kind, cap):
@@ -695,7 +739,7 @@ def test_subring_enumeration_work_is_independent_of_the_hash_seed():
         done = subprocess.run([sys.executable, "-c", SUBRING_WORK], capture_output=True,
                               text=True, env=env, timeout=120, check=True)
         outputs.add(done.stdout)
-    assert outputs == {"8 3032\n"}
+    assert outputs == {"8 1738\n"}
 
 
 # Every builtin infinite ring of the axiom workload, two more word groups,
@@ -712,6 +756,8 @@ SWEEP_RINGS.update((r.name, r) for r in builtin_finite_rings())
 def test_sweep_reaches_what_the_lazy_reference_yields(spec):
     # Snapshots in enumeration order and reversed, split into old and new at
     # several points, the full sweep (old empty) and an empty new included.
+    # A commutative ring reads each unordered pair once, where the
+    # reference first reaches it.
     ring = SWEEP_RINGS[spec]
     window = ring.enumerate(14)
     for labels in (window, window[::-1]):
@@ -727,6 +773,11 @@ def test_sweep_reaches_what_the_lazy_reference_yields(spec):
             finally:
                 del ring.decompose
             assert got == want, (spec, cut)
+            if ring.commutative():
+                first = {}
+                for a, b in calls:
+                    first.setdefault(frozenset((a, b)), (a, b))
+                calls = list(first.values())
             assert got_calls == calls
 
 
